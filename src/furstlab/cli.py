@@ -145,6 +145,13 @@ def _pair_of_ints(v):
     return v
 
 
+def _read_input(path: str) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise SchemaError(f"cannot read input: {exc}")
+
+
 def _write_json(out_dir: Path, name: str, obj) -> Path:
     path = out_dir / name
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -166,12 +173,17 @@ def _tuple_entry(v):
     return BoundParams(_int(v["n"]), _int(v["k"]), _rational(v["s"]), _rational(v["t"]))
 
 
+def _ff_exponents_entry(v):
+    return _validate(dict(v), {"n": (_int, _REQUIRED), "k": (_int, _REQUIRED),
+                               "s": (_rational, _REQUIRED)})
+
+
 def cmd_bounds_eval(cfg, out_dir, seed):
     opts = _validate(
         cfg,
         {
             "tuples": (_list_of(_tuple_entry), _REQUIRED),
-            "ff_exponents": (_opt(_list_of(dict)), None),
+            "ff_exponents": (_opt(_list_of(_ff_exponents_entry)), None),
         },
     )
     reports = [bound_survey(p) for p in opts["tuples"]]
@@ -179,11 +191,8 @@ def cmd_bounds_eval(cfg, out_dir, seed):
     if opts["ff_exponents"]:
         ff = []
         for item in opts["ff_exponents"]:
-            extra = set(item) - {"n", "k", "s"}
-            if extra:
-                raise SchemaError(f"unknown ff_exponents keys: {sorted(extra)}")
-            rep = ff_bound_exponents(_int(item["n"]), _int(item["k"]), _rational(item["s"]))
-            ff.append({"n": item["n"], "k": item["k"], "s": str(_rational(item["s"])),
+            rep = ff_bound_exponents(item["n"], item["k"], item["s"])
+            ff.append({"n": item["n"], "k": item["k"], "s": str(item["s"]),
                        "exponents": rep.as_dict()})
         payload["ff_exponents"] = ff
     _write_json(out_dir, "bounds_eval.json", payload)
@@ -265,8 +274,8 @@ def cmd_duality_spreadify(cfg, out_dir, seed):
         },
     )
     seed = opts["seed"] if seed is None else seed
-    pts = points_from_csv(Path(opts["points"]).read_text(encoding="utf-8"))
-    planes = hyperplanes_from_csv(Path(opts["hyperplanes"]).read_text(encoding="utf-8"))
+    pts = points_from_csv(_read_input(opts["points"]).decode("utf-8"))
+    planes = hyperplanes_from_csv(_read_input(opts["hyperplanes"]).decode("utf-8"))
     mapped_pts, mapped_flats, report = spreadify(
         pts, planes, tuple(opts["levels"]), seed, opts["ndirs"], opts["incidence_tol"]
     )
@@ -337,7 +346,7 @@ def cmd_dimension_estimate(cfg, out_dir, seed):
     schema["levels"] = (_pair_of_ints, _REQUIRED)
     opts = _validate(cfg, schema)
     if opts["grid"] is not None:
-        grid = GridSet.from_rle(Path(opts["grid"]).read_bytes())
+        grid = GridSet.from_rle(_read_input(opts["grid"]))
         meta = {"kind": "file"}
     elif opts["kind"] is not None:
         grid, meta = _construct_grid(opts)
@@ -384,7 +393,7 @@ def cmd_ff_verify(cfg, out_dir, seed):
         if opts["points"] is not None:
             fset = FFSet(q, n, frozenset(opts["points"]))
         else:
-            fset = FFSet.from_csv(q, Path(opts["set_csv"]).read_text(encoding="utf-8"))
+            fset = FFSet.from_csv(q, _read_input(opts["set_csv"]).decode("utf-8"))
         payload["set_size"] = len(fset)
         payload["pigeonhole"] = ff_pigeonhole_verify(fset, k)
         payload["is_kakeya"] = ff_is_kakeya(fset)
@@ -413,7 +422,6 @@ def cmd_ff_search(cfg, out_dir, seed):
             "node_cap": (_opt(_int), None),
         },
     )
-    t0 = time.perf_counter()
     if opts["mode"] == "kakeya":
         result = ff_min_kakeya(opts["q"], opts["n"], opts["node_cap"])
     elif opts["mode"] == "spread":
@@ -422,13 +430,11 @@ def cmd_ff_search(cfg, out_dir, seed):
         result = ff_min_spread(opts["q"], opts["n"], opts["k"], opts["m"], opts["node_cap"])
     else:
         raise SchemaError(f"unknown mode {opts['mode']!r}")
-    elapsed = time.perf_counter() - t0
     payload = {"q": opts["q"], "n": opts["n"], "mode": opts["mode"], **result.as_dict()}
     if opts["mode"] == "spread":
         payload.update({"k": opts["k"], "m": opts["m"]})
     _write_json(out_dir, "ff_search.json", payload)
     print(f"minimal size {result.size} ({result.nodes_explored} nodes)", file=sys.stdout)
-    print(f"wall_time: {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -516,7 +522,7 @@ def main(argv=None) -> int:
         code = _COMMANDS[key](cfg, out_dir, args.seed)
         print(f"wall_time: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
         return code
-    except SchemaError as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except SearchBudgetExceeded as exc:

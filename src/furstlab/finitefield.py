@@ -1,9 +1,12 @@
 """Exact Kakeya / spread-Furstenberg combinatorics over F_q^n, q prime.
 
 Subspaces are kept in reduced row-echelon form so that subspace identity is
-representation identity, which keeps the exhaustive loops cheap.  Cosets of
-a k-subspace are labeled by a canonical representative obtained by zeroing
-the pivot coordinates, so coset bookkeeping is a dictionary over tuples.
+representation identity, which keeps the exhaustive loops cheap.  Every coset
+of a k-subspace has a canonical representative with its pivot coordinates
+zeroed; its integer label is the base-q code of the free coordinates, so
+labels sort like representatives.  One vectorized kernel labels a batch of
+points in every direction at once, and all coset counting is a bincount over
+those labels.
 
 Only prime q is accepted: over proper prime powers the subfield structure
 breaks the size conjectures this module is used to probe.
@@ -13,7 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 Point = Tuple[int, ...]
 
@@ -208,6 +213,37 @@ def ff_directions(q: int, n: int, k: int) -> List[FFSubspace]:
     return out
 
 
+def _coset_labels(q: int, n: int, directions: Sequence[FFSubspace], points) -> np.ndarray:
+    """Coset label of each point in each direction, shape (ndirs, m): the
+    base-q code of the free coordinates of the canonical representative."""
+    x = np.asarray(points, dtype=np.int64).reshape(-1, n).T
+    basis = np.array([d.basis for d in directions], dtype=np.int64)
+    pivots = np.array([d.pivots for d in directions], dtype=np.int64)
+    coef = x[pivots]
+    free = np.ones((len(directions), n), dtype=np.int64)
+    np.put_along_axis(free, pivots, 0, axis=1)
+    # q ** (number of free columns right of j) on free columns, 0 on pivots
+    weight = free * q ** (np.cumsum(free[:, ::-1], axis=1)[:, ::-1] - free)
+    labels = np.zeros((len(directions), x.shape[1]), dtype=np.int64)
+    for j in range(n):
+        rep = (x[j] - (basis[:, :, j, None] * coef).sum(axis=1)) % q
+        labels += weight[:, j, None] * rep
+    return labels
+
+
+def _coset_counts(labels: np.ndarray, ncosets: int) -> np.ndarray:
+    """Points per coset, shape (ndirs, ncosets), columns in label order."""
+    ndirs = len(labels)
+    flat = labels + ncosets * np.arange(ndirs)[:, None]
+    return np.bincount(flat.ravel(), minlength=ndirs * ncosets).reshape(ndirs, ncosets)
+
+
+def _max_counts(f: FFSet, k: int) -> np.ndarray:
+    """Largest coset count of the set in each k-direction."""
+    labels = _coset_labels(f.q, f.n, ff_directions(f.q, f.n, k), list(f.points))
+    return _coset_counts(labels, f.q ** (f.n - k)).max(axis=1)
+
+
 def ff_coset_profile(f: FFSet, p: FFSubspace):
     """Distribution of the set over the q^(n-k) cosets of the subspace.
 
@@ -218,26 +254,17 @@ def ff_coset_profile(f: FFSet, p: FFSubspace):
     if (f.q, f.n) != (p.q, p.n):
         raise ValueError("FFSet and FFSubspace live in different spaces")
     free = [j for j in range(p.n) if j not in p.pivots]
-    histogram: Dict[Point, int] = {}
-    for values in itertools.product(range(p.q), repeat=len(free)):
-        rep = [0] * p.n
-        for j, v in zip(free, values):
-            rep[j] = v
-        histogram[tuple(rep)] = 0
-    for x in f.points:
-        histogram[p.coset_of(x)] += 1
+    reps = np.zeros((p.q ** len(free), p.n), dtype=np.int64)
+    reps[:, free] = list(itertools.product(range(p.q), repeat=len(free)))
+    counts = _coset_counts(_coset_labels(p.q, p.n, [p], list(f.points)), len(reps))[0]
+    histogram = dict(zip(map(tuple, reps.tolist()), counts.tolist()))
     best_offset = min(histogram, key=lambda r: (-histogram[r], r))
     return best_offset, histogram[best_offset], histogram
 
 
 def ff_is_kakeya(k_set: FFSet) -> bool:
     """Does the set contain a full line in every direction?"""
-    q = k_set.q
-    for direction in ff_directions(q, k_set.n, 1):
-        _, max_count, _ = ff_coset_profile(k_set, direction)
-        if max_count < q:
-            return False
-    return True
+    return bool((_max_counts(k_set, 1) >= k_set.q).all())
 
 
 def ff_is_spread_furstenberg(f: FFSet, k: int, m: int, big_m: int) -> bool:
@@ -245,14 +272,7 @@ def ff_is_spread_furstenberg(f: FFSet, k: int, m: int, big_m: int) -> bool:
     points of the set."""
     if m < 1 or big_m < 1:
         raise ValueError("m and M must be >= 1")
-    hits = 0
-    for direction in ff_directions(f.q, f.n, k):
-        _, max_count, _ = ff_coset_profile(f, direction)
-        if max_count >= m:
-            hits += 1
-            if hits >= big_m:
-                return True
-    return False
+    return int((_max_counts(f, k) >= m).sum()) >= big_m
 
 
 def ff_pigeonhole_verify(f: FFSet, k: int) -> bool:
@@ -261,13 +281,8 @@ def ff_pigeonhole_verify(f: FFSet, k: int) -> bool:
     This is a theorem (averaging over the coset partition), so False
     indicates an implementation bug.
     """
-    ncosets = f.q ** (f.n - k)
-    need = -(-len(f) // ncosets)
-    for direction in ff_directions(f.q, f.n, k):
-        _, max_count, _ = ff_coset_profile(f, direction)
-        if max_count < need:
-            return False
-    return True
+    need = -(-len(f) // f.q ** (f.n - k))
+    return bool((_max_counts(f, k) >= need).all())
 
 
 @dataclass(frozen=True)
@@ -290,76 +305,60 @@ def _min_set_meeting(q: int, n: int, k: int, m: int, node_cap: Optional[int]) ->
     Exhaustive lexicographic scan by increasing size for q^n <= 16, which
     returns the lexicographically smallest witness of minimal size.  Larger
     spaces use a depth-first completion search with direction-based pruning;
-    it is deterministic but only guarantees a minimal-size witness.
+    it is deterministic but only guarantees a minimal-size witness.  Nodes
+    are sorted tuples of indices into the sorted universe.
     """
-    directions = ff_directions(q, n, k)
     universe = sorted(itertools.product(range(q), repeat=n))
+    labels = _coset_labels(q, n, ff_directions(q, n, k), universe)
+    ncosets = q ** (n - k)
     nodes = 0
 
-    def satisfied(points) -> bool:
-        fset = FFSet(q, n, frozenset(points))
-        return all(
-            ff_coset_profile(fset, d)[1] >= m for d in directions
-        )
-
-    if q ** n <= EXHAUSTIVE_POINT_CAP:
-        for size in range(m, q ** n + 1):
-            for combo in itertools.combinations(universe, size):
-                nodes += 1
-                if node_cap is not None and nodes > node_cap:
-                    raise SearchBudgetExceeded(f"node cap {node_cap} exceeded")
-                if satisfied(combo):
-                    return SearchResult(size, FFSet(q, n, frozenset(combo)), nodes)
-        raise RuntimeError("search exhausted without a witness")
-
-    # Branch and bound: grow the set by completing, for the first unmet
-    # direction, each candidate coset up to m points (smallest additions
-    # first), so the first solution found at the minimal size is the
-    # lexicographically smallest one.
-    best: List[Optional[SearchResult]] = [None]
-
-    def coset_deficits(points):
-        fset = FFSet(q, n, frozenset(points))
-        worst = None
-        for d in directions:
-            _, max_count, hist = ff_coset_profile(fset, d)
-            if max_count >= m:
-                continue
-            deficit = m - max_count
-            if worst is None or deficit > worst[0]:
-                worst = (deficit, d, hist)
-        return worst
-
-    def dfs(points: Tuple[Point, ...]):
+    def visit():
         nonlocal nodes
         nodes += 1
         if node_cap is not None and nodes > node_cap:
             raise SearchBudgetExceeded(f"node cap {node_cap} exceeded")
-        if best[0] is not None and len(points) >= best[0].size:
+
+    def result(node) -> SearchResult:
+        witness = FFSet(q, n, frozenset(universe[i] for i in node))
+        return SearchResult(len(node), witness, nodes)
+
+    if q ** n <= EXHAUSTIVE_POINT_CAP:
+        for size in range(m, q ** n + 1):
+            for node in itertools.combinations(range(q ** n), size):
+                visit()
+                if _coset_counts(labels[:, node], ncosets).max(axis=1).min() >= m:
+                    return result(node)
+        raise RuntimeError("search exhausted without a witness")
+
+    # Branch and bound: complete each coset of the first direction with the
+    # largest deficit up to m points, fullest cosets and smallest additions
+    # first.  Only a strictly smaller set replaces the incumbent.
+    best: Optional[Tuple[int, ...]] = None
+
+    def dfs(node: Tuple[int, ...]):
+        nonlocal best
+        visit()
+        if best is not None and len(node) >= len(best):
             return
-        unmet = coset_deficits(points)
-        if unmet is None:
-            best[0] = SearchResult(len(points), FFSet(q, n, frozenset(points)), nodes)
+        counts = _coset_counts(labels[:, node], ncosets)
+        deficits = m - counts.max(axis=1)
+        d = int(np.argmax(deficits))
+        if deficits[d] <= 0:
+            best = node
             return
-        deficit, d, hist = unmet
-        if best[0] is not None and len(points) + deficit >= best[0].size:
+        if best is not None and len(node) + deficits[d] >= len(best):
             return
-        pts = set(points)
-        for rep in sorted(hist, key=lambda r: (-hist[r], r)):
-            coset_pts = sorted(
-                tuple((v + r) % q for v, r in zip(pt, rep)) for pt in d.points()
-            )
-            missing = [p for p in coset_pts if p not in pts]
-            need = m - (len(coset_pts) - len(missing))
-            if need > len(missing):
-                continue
-            for addition in itertools.combinations(missing, need):
-                dfs(tuple(sorted(pts | set(addition))))
+        members = set(node)
+        for lab in np.argsort(-counts[d], kind="stable"):
+            missing = [i for i in np.flatnonzero(labels[d] == lab).tolist() if i not in members]
+            for addition in itertools.combinations(missing, m - int(counts[d, lab])):
+                dfs(tuple(sorted(members.union(addition))))
 
     dfs(())
-    if best[0] is None:
+    if best is None:
         raise RuntimeError("search found no witness")
-    return best[0]
+    return result(best)
 
 
 def ff_min_kakeya(q: int, n: int, node_cap: Optional[int] = None) -> SearchResult:

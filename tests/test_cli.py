@@ -175,6 +175,25 @@ class TestMaximalScan:
         assert (out / "maximal_scan_plot.py").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["dimension", "construct"], {"kind": "cantor", "n": 2, "depth": 30}),
+        (["ff", "verify"], {"q": 4, "n": 2}),
+        (["duality", "spreadify"], {"points": "absent.csv", "hyperplanes": "absent.csv"}),
+        (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": "1/2", "t": 1}],
+                              "ff_exponents": [{"n": 3, "k": 1}]}),
+    ],
+    ids=["depth30", "composite_q", "missing_csv", "ff_exponents_without_s"],
+)
+def test_malformed_config_exits_2_writes_nothing(tmp_path, monkeypatch, argv, cfg):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, "bad.json", cfg)
+    assert run_cli(argv + ["--config", cfg_path, "--out", str(out)]) == 2
+    assert not out.exists() or not list(out.iterdir())
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg = write_config(

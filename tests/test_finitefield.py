@@ -1,5 +1,7 @@
 import itertools
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from furstlab import finitefield as ff
@@ -93,6 +95,19 @@ class TestCosetProfile:
                 assert len(hist) == 3 ** (3 - k)
                 assert sum(hist.values()) == len(f)
 
+    @pytest.mark.parametrize("q, n, k", [(3, 3, 1), (3, 3, 2), (5, 2, 1)])
+    def test_matches_scalar_coset_of(self, q, n, k):
+        rng = np.random.default_rng(q * 100 + n * 10 + k)
+        universe = list(itertools.product(range(q), repeat=n))
+        for size in (0, 1, q ** n // 3, q ** n):
+            pts = [universe[i] for i in rng.choice(len(universe), size, replace=False)]
+            f = FFSet(q, n, frozenset(pts))
+            for p in ff_directions(q, n, k):
+                _, count, hist = ff_coset_profile(f, p)
+                scalar = Counter(p.coset_of(x) for x in pts)
+                assert {r: c for r, c in hist.items() if c} == dict(scalar)
+                assert count == max(scalar.values(), default=0)
+
     def test_space_mismatch(self):
         with pytest.raises(ValueError):
             ff_coset_profile(FFSet(3, 2, frozenset()), ff_directions(3, 3, 1)[0])
@@ -152,6 +167,27 @@ class TestMinSearch:
         assert res.size == 3
         assert ff_is_kakeya(res.witness)
         assert sorted(res.witness.points) == [(0, 0), (0, 1), (1, 0)]
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_min_kakeya_plane_blokhuis_mazzocca(self, q):
+        # minimum Kakeya set in F_q^2, q odd: q(q+1)/2 + (q-1)/2
+        assert ff_min_kakeya(q, 2).size == q * (q + 1) // 2 + (q - 1) // 2
+
+    def test_branch_and_bound_witnesses(self):
+        assert sorted(ff_min_kakeya(5, 2).witness.points) == [
+            (0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 2),
+            (2, 3), (3, 0), (3, 2), (3, 3), (4, 0), (4, 1), (4, 3), (4, 4),
+        ]
+        assert sorted(ff_min_spread(5, 2, 1, 2).witness.points) == [
+            (0, 0), (1, 0), (1, 1), (2, 4),
+        ]
+
+    @pytest.mark.parametrize("q", [2, 5])  # exhaustive, branch and bound
+    def test_nodes_explored_is_total(self, q):
+        res = ff_min_kakeya(q, 2)
+        assert ff_min_kakeya(q, 2, node_cap=res.nodes_explored) == res
+        with pytest.raises(SearchBudgetExceeded):
+            ff_min_kakeya(q, 2, node_cap=res.nodes_explored - 1)
 
     def test_kakeya_contains_line(self):
         for q, n in [(2, 2), (3, 2), (2, 3)]:
