@@ -502,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("action")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface compatibility; execution is serial")
     parser.add_argument("--out", default=".", help="output directory")
     return parser
 

@@ -7,8 +7,9 @@ here it coincides with Hausdorff dimension, and nothing in this module
 claims to compute Hausdorff dimension of arbitrary sets.
 
 A GridSet holds the occupied dyadic cells of a subset of [0,1]^n at a fixed
-depth; counting at any coarser level is integer right-shift plus
-deduplication.  Digit-restriction sets are rasterized by marking, per kept
+depth, in Z-order, where every coarser box is a run of adjacent cells; the
+box counts at all coarser levels come from one pass over neighbouring
+cells.  Digit-restriction sets are rasterized by marking, per kept
 base-b cell, the dyadic cell containing its center (one marked cell per
 construction cell, so the construction's own count law is preserved
 exactly).
@@ -20,7 +21,7 @@ import csv
 import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -28,19 +29,51 @@ import numpy as np
 from .grassmann import AffineFlat, Subspace, haar_sample
 
 MAX_CELLS = 1 << 24
+_RLE_HEAD = struct.Struct("<4sBBQ")
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """Exact bit length of each nonnegative int64, by halving shifts."""
+    out = np.zeros(len(x), dtype=np.int64)
+    for s in (32, 16, 8, 4, 2, 1):
+        high = (x >> s) != 0
+        out += s * high
+        x = np.where(high, x >> s, x)
+    return out + (x != 0)
+
+
+def _morton_order(cells: np.ndarray, level: int) -> np.ndarray:
+    """Permutation sorting the cells by their bit-interleaved (Z-order) key.
+
+    Bit b of coordinate j is key bit b*n + n-1-j; the key is packed into
+    ceil(n*level/64) uint64 words, most significant word first.
+    """
+    m, n = cells.shape
+    nwords = max(1, -(-n * level // 64))
+    words = np.zeros((nwords, m), dtype=np.uint64)
+    cols = cells.T.astype(np.uint64)
+    for j in range(n):
+        for b in range(level):
+            pos = b * n + n - 1 - j
+            bit = (cols[j] >> np.uint64(b)) & np.uint64(1)
+            words[nwords - 1 - pos // 64] |= bit << np.uint64(pos % 64)
+    return np.lexsort(words[::-1])
 
 
 @dataclass(frozen=True)
 class GridSet:
     """Occupied dyadic cells of a subset of [0,1]^n at depth `level`.
 
-    cells is an (m, n) int64 array of lexicographically sorted, deduplicated
-    cell indices in [0, 2^level)^n.
+    cells is an (m, n) int64 array of deduplicated cell indices in
+    [0, 2^level)^n in Z-order (sorted by bit-interleaved coordinates), so
+    the cells of every coarser box are contiguous and the box counts at all
+    levels come from one pass over adjacent cells at construction.
     """
 
     n: int
     level: int
     cells: np.ndarray
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.cells, dtype=np.int64)
@@ -48,17 +81,33 @@ class GridSet:
             raise ValueError(f"cells shape {c.shape} incompatible with n={self.n}")
         if c.size and (c.min() < 0 or c.max() >= (1 << self.level)):
             raise ValueError("cell index out of range for level")
-        c = np.unique(c, axis=0)
+        c = c[_morton_order(c, self.level)]
+        # In Z-order every coarser box is a run of adjacent cells.  A pair of
+        # neighbours whose highest differing bit has length d (0 for a
+        # duplicate) starts a new box at every level l > level - d, so
+        # counts[l] = 1 + #{pairs with d >= level - l + 1}.
+        diff = np.zeros(max(len(c) - 1, 0), dtype=np.int64)
+        for j in range(self.n):
+            diff |= c[1:, j] ^ c[:-1, j]
+        c = c[np.concatenate([[True], diff != 0])[: len(c)]]
         if len(c) > MAX_CELLS:
             raise ValueError(f"cell count {len(c)} exceeds cap {MAX_CELLS}")
+        hist = np.bincount(_bit_length(diff[diff != 0]), minlength=self.level + 2)
+        above = np.cumsum(hist[::-1])[::-1]
+        counts = np.zeros(self.level + 1, dtype=np.int64)
+        if len(c):
+            counts = 1 + above[self.level + 1 : 0 : -1]
         object.__setattr__(self, "cells", c)
+        object.__setattr__(self, "_counts", counts)
 
     def __len__(self) -> int:
         return len(self.cells)
 
     def centers(self) -> np.ndarray:
         """Cell-center coordinates, shape (m, n)."""
-        return (self.cells + 0.5) / (1 << self.level)
+        c = self.cells + 0.5
+        c /= 1 << self.level
+        return c
 
     def downsample(self, level: int) -> "GridSet":
         if not (0 <= level <= self.level):
@@ -68,10 +117,11 @@ class GridSet:
     # -- serialization ----------------------------------------------------
 
     def to_csv(self) -> str:
+        """Header i0..i{n-1}, then the cells in lexicographic order."""
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow([f"i{j}" for j in range(self.n)])
-        w.writerows(self.cells.tolist())
+        w.writerows(self.cells[np.lexsort(self.cells.T[::-1])].tolist())
         return buf.getvalue()
 
     @classmethod
@@ -82,40 +132,43 @@ class GridSet:
         return cls(n, level, data.reshape(-1, n))
 
     def to_rle(self) -> bytes:
-        """Run-length encoding of the sorted linear (row-major) cell indices."""
+        """Run-length encoding of the sorted linear (row-major) cell indices:
+        a "<4sBBQ" header (magic, n, level, run count), then one "<QQ"
+        (start, length) pair per run."""
         if self.n * self.level > 63:
             raise ValueError("linear index would overflow 64 bits")
-        lin = np.zeros(len(self.cells), dtype=np.uint64)
-        for j in range(self.n):
-            lin = (lin << np.uint64(self.level)) | self.cells[:, j].astype(np.uint64)
-        starts, lengths = [], []
-        if len(lin):
-            breaks = np.flatnonzero(np.diff(lin) != 1)
-            starts = np.concatenate([[lin[0]], lin[breaks + 1]])
-            lengths = np.diff(np.concatenate([[0], breaks + 1, [len(lin)]]))
-        head = struct.pack("<4sBBQ", b"GRLE", self.n, self.level, len(starts))
-        body = b"".join(
-            struct.pack("<QQ", int(s), int(l)) for s, l in zip(starts, lengths)
-        )
-        return head + body
+        shifts = self.level * np.arange(self.n - 1, -1, -1)
+        lin = np.sort((self.cells << shifts).sum(axis=1))
+        first = np.flatnonzero(np.concatenate([[True], np.diff(lin) != 1])[: len(lin)])
+        runs = np.column_stack([lin[first], np.diff(first, append=len(lin))])
+        head = _RLE_HEAD.pack(b"GRLE", self.n, self.level, len(runs))
+        return head + runs.astype("<u8").tobytes()
 
     @classmethod
     def from_rle(cls, blob: bytes) -> "GridSet":
-        magic, n, level, nruns = struct.unpack_from("<4sBBQ", blob, 0)
+        """Inverse of to_rle; a malformed blob raises ValueError before
+        anything is allocated."""
+        if len(blob) < _RLE_HEAD.size:
+            raise ValueError("RLE blob shorter than its header")
+        magic, n, level, nruns = _RLE_HEAD.unpack_from(blob, 0)
         if magic != b"GRLE":
             raise ValueError("not a GridSet RLE blob")
-        off = struct.calcsize("<4sBBQ")
-        lin = []
-        for i in range(nruns):
-            s, l = struct.unpack_from("<QQ", blob, off + 16 * i)
-            lin.append(np.arange(s, s + l, dtype=np.uint64))
-        lin = np.concatenate(lin) if lin else np.zeros(0, dtype=np.uint64)
-        mask = np.uint64((1 << level) - 1)
-        cols = []
-        for j in range(n):
-            cols.append((lin >> np.uint64(level * (n - 1 - j))) & mask)
-        cells = np.stack(cols, axis=1).astype(np.int64) if n else np.zeros((0, 0))
-        return cls(n, level, cells)
+        if len(blob) != _RLE_HEAD.size + 16 * nruns:
+            raise ValueError(f"RLE blob of {len(blob)} bytes does not hold {nruns} runs")
+        if n * level > 63:
+            raise ValueError("linear index would overflow 64 bits")
+        runs = np.frombuffer(blob, dtype="<u8", offset=_RLE_HEAD.size).reshape(nruns, 2)
+        starts, lengths = runs[:, 0], runs[:, 1]
+        if (lengths > MAX_CELLS).any() or int(lengths.sum()) > MAX_CELLS:
+            raise ValueError(f"RLE runs hold more than {MAX_CELLS} cells")
+        limit = np.uint64(1 << (n * level))
+        if ((starts >= limit) | (lengths > limit - starts)).any():
+            raise ValueError("RLE run leaves the grid")
+        lengths = lengths.astype(np.int64)
+        offsets = starts.astype(np.int64) - (np.cumsum(lengths) - lengths)
+        lin = np.repeat(offsets, lengths) + np.arange(lengths.sum())
+        shifts = level * np.arange(n - 1, -1, -1)
+        return cls(n, level, (lin[:, None] >> shifts) & ((1 << level) - 1))
 
 
 @dataclass(frozen=True)
@@ -162,9 +215,9 @@ class HyperplaneFamily:
 
 def box_count(g: GridSet, level: int) -> int:
     """Number of occupied cells after downsampling to `level`."""
-    if level > g.level:
-        raise ValueError(f"level {level} exceeds grid depth {g.level}")
-    return len(np.unique(g.cells >> (g.level - level), axis=0))
+    if not (0 <= level <= g.level):
+        raise ValueError(f"level {level} not in [0, {g.level}]")
+    return int(g._counts[level])
 
 
 def estimate_dimension(g: GridSet, l_min: int, l_max: int) -> DimensionEstimate:
@@ -361,6 +414,9 @@ def flat_slice(g: GridSet, w: AffineFlat, rho: float) -> GridSet:
     """Cells of g within distance rho of the flat, re-expressed in the
     flat's own coordinates at matching resolution.
 
+    The distance of a cell centre x is |(x - a) N| for an orthonormal basis
+    N of the flat's orthogonal complement.
+
     Flat coordinates are shifted/scaled by a power of two exactly as in
     grid_from_points, which preserves dimension slopes.
     """
@@ -368,14 +424,12 @@ def flat_slice(g: GridSet, w: AffineFlat, rho: float) -> GridSet:
         raise ValueError("rho must be at least one cell width")
     if w.n != g.n:
         raise ValueError("ambient dimension mismatch")
-    centers = g.centers()
-    rel = centers - w.offset
-    coords = rel @ w.direction.basis
-    residual = rel - coords @ w.direction.basis.T
-    near = np.linalg.norm(residual, axis=1) <= rho
+    rel = g.centers()
+    rel -= w.offset
+    near = np.linalg.norm(rel @ w.direction.complement_basis(), axis=1) <= rho
     if not near.any():
         return GridSet(w.k, g.level, np.zeros((0, w.k), dtype=np.int64))
-    return grid_from_points(coords[near], g.level)
+    return grid_from_points(rel[near] @ w.direction.basis, g.level)
 
 
 def _embed_flats(flats) -> np.ndarray:

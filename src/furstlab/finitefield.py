@@ -24,6 +24,8 @@ Point = Tuple[int, ...]
 
 MAX_DIRECTIONS = 10 ** 6
 EXHAUSTIVE_POINT_CAP = 16
+# Entries of the per-direction label and count tables a check may allocate.
+_MAX_COUNT_TABLE = 1 << 24
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -240,8 +242,16 @@ def _coset_counts(labels: np.ndarray, ncosets: int) -> np.ndarray:
 
 def _max_counts(f: FFSet, k: int) -> np.ndarray:
     """Largest coset count of the set in each k-direction."""
-    labels = _coset_labels(f.q, f.n, ff_directions(f.q, f.n, k), list(f.points))
-    return _coset_counts(labels, f.q ** (f.n - k)).max(axis=1)
+    dirs = ff_directions(f.q, f.n, k)
+    ncosets = f.q ** (f.n - k)
+    width = max(ncosets, len(f))
+    if len(dirs) * width > _MAX_COUNT_TABLE:
+        raise ValueError(
+            f"{len(dirs)} directions x {width} cosets or points exceeds the "
+            f"count table cap {_MAX_COUNT_TABLE}"
+        )
+    labels = _coset_labels(f.q, f.n, dirs, list(f.points))
+    return _coset_counts(labels, ncosets).max(axis=1)
 
 
 def ff_coset_profile(f: FFSet, p: FFSubspace):

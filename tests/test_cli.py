@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -151,6 +152,20 @@ class TestFF:
         )
         assert run_cli(["ff", "search", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_verify_count_table_cap_exits_2_before_counting(self, tmp_path, monkeypatch):
+        # q = 97, n = 3, k = 1 asks for 9507 directions x 9409 cosets.
+        import furstlab.finitefield as ff
+
+        def never(*args):
+            raise AssertionError("count table allocated past its cap")
+
+        monkeypatch.setattr(ff, "_coset_labels", never)
+        monkeypatch.setattr(ff, "_coset_counts", never)
+        cfg = write_config(tmp_path, "v.json", {"q": 97, "n": 3, "k": 1, "points": [[0, 0, 0]]})
+        out = tmp_path / "out"
+        assert run_cli(["ff", "verify", "--config", cfg, "--out", str(out)]) == 2
+        assert not list(out.iterdir())
+
     def test_spread_mode(self, tmp_path):
         cfg = write_config(
             tmp_path, "s.json", {"q": 2, "n": 2, "mode": "spread", "k": 1, "m": 2}
@@ -192,6 +207,24 @@ def test_malformed_config_exits_2_writes_nothing(tmp_path, monkeypatch, argv, cf
     cfg_path = write_config(tmp_path, "bad.json", cfg)
     assert run_cli(argv + ["--config", cfg_path, "--out", str(out)]) == 2
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        # One run of 2^40 cells: rejected before it is expanded.
+        struct.pack("<4sBBQ", b"GRLE", 2, 24, 1) + struct.pack("<QQ", 0, 1 << 40),
+        # Announces two runs, holds one and a half.
+        struct.pack("<4sBBQ", b"GRLE", 2, 4, 2) + struct.pack("<QQ", 0, 3) + b"\x01" * 8,
+    ],
+    ids=["huge_run", "truncated"],
+)
+def test_bad_rle_exits_2_writes_nothing(tmp_path, blob):
+    (tmp_path / "bad.rle").write_bytes(blob)
+    cfg = write_config(tmp_path, "e.json", {"grid": str(tmp_path / "bad.rle"), "levels": [1, 2]})
+    out = tmp_path / "out"
+    assert run_cli(["dimension", "estimate", "--config", cfg, "--out", str(out)]) == 2
+    assert not list(out.iterdir())
 
 
 class TestEntryPoint:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -58,6 +60,121 @@ class TestGridSet:
             g2 = GridSet.from_rle(g.to_rle())
             assert (g2.n, g2.level) == (g.n, g.level)
             assert np.array_equal(g.cells, g2.cells)
+
+
+def unique_at(cells, shift):
+    return np.unique(np.asarray(cells) >> shift, axis=0)
+
+
+def random_grid_cells(n, level, m, seed):
+    """Random cells, half of them clustered into coarse boxes, followed by
+    repeats of the first 50 in reverse order."""
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(0, 1 << level, (m, n))
+    cells[: m // 2] &= ~np.int64(7)
+    return np.vstack([cells, cells[:50][::-1]])
+
+
+class TestAllLevelCounts:
+    """The counts computed once at construction against a per-level
+    np.unique oracle."""
+
+    @pytest.mark.parametrize("n, level", [(2, 12), (9, 7), (16, 6)],
+                             ids=["24bit", "63bit", "96bit"])
+    def test_random_grids(self, n, level):
+        cells = random_grid_cells(n, level, 3000, seed=n * level)
+        g = GridSet(n, level, cells)
+        assert len(g) == len(unique_at(cells, 0))
+        for lv in range(level + 1):
+            oracle = unique_at(cells, level - lv)
+            assert box_count(g, lv) == len(oracle)
+            coarse = g.downsample(lv)
+            assert set(map(tuple, coarse.cells.tolist())) == set(map(tuple, oracle.tolist()))
+
+    def test_empty_and_one_cell(self):
+        empty = GridSet(3, 5, np.zeros((0, 3), dtype=np.int64))
+        assert [box_count(empty, lv) for lv in range(6)] == [0] * 6
+        one = GridSet(3, 5, np.array([[31, 0, 17]] * 4))
+        assert len(one) == 1
+        assert [box_count(one, lv) for lv in range(6)] == [1] * 6
+
+    def test_unsorted_duplicates(self):
+        cells = np.array([[7, 0], [0, 7], [7, 0], [3, 3], [0, 7], [4, 4], [0, 0]])
+        g = GridSet(2, 3, cells)
+        assert len(g) == 5
+        for lv in range(4):
+            assert box_count(g, lv) == len(unique_at(cells, 3 - lv))
+
+    def test_z_order(self):
+        # Every coarser box is a contiguous block of cells.
+        g = GridSet(2, 4, random_grid_cells(2, 4, 200, seed=1))
+        for lv in range(5):
+            parents = g.cells >> (4 - lv)
+            starts = np.flatnonzero(np.any(parents[1:] != parents[:-1], axis=1))
+            assert len(starts) + 1 == box_count(g, lv)
+
+    def test_level_validation(self):
+        g = full_cube(2, 3)
+        for lv in (-1, 4):
+            with pytest.raises(ValueError):
+                box_count(g, lv)
+
+
+# sha256 of to_rle() and to_csv(), pinned from the lexicographic-order
+# implementation that preceded Z-ordered cells.
+PINNED_FILES = {
+    "cantor": ("11bdb153784090e50c23650e912ac9351af721e168d1ca7d3b57f52b72462a3a",
+               "a69934f63214f225bf07ef3b76ef5f2cc5f469060bbcdd726d64fb0981486ff3"),
+    "product": ("fa33ba4704c061586d9111e49fe191e6e23ddd6a136bdb1d3284af89ae51a103",
+                "e880eef969f3ecf39d70a3ac62c27fe0f28fb52d9a7f34d5bd626f676282c707"),
+    "sharp": ("a31c80e45abbe411faeb72696f76e8f4db46937995f86dfa229f055cb8e44865",
+              "bbd77cc0edc75d6697b1b73d23b2d66f35404c3f57c9b81df2481b6e3879d527"),
+}
+
+
+class TestFileBoundary:
+    @pytest.mark.parametrize("name", sorted(PINNED_FILES))
+    def test_files_byte_identical(self, name):
+        g = {
+            "cantor": lambda: cantor_grid(2, 3, [0, 2], 6),
+            "product": lambda: slicing_product_example(2, 1, LOG32, 6).grid,
+            "sharp": lambda: sharp_hyperplane_example(4, 1.5, 3).grid,
+        }[name]()
+        rle_sha, csv_sha = PINNED_FILES[name]
+        assert hashlib.sha256(g.to_rle()).hexdigest() == rle_sha
+        assert hashlib.sha256(g.to_csv().encode()).hexdigest() == csv_sha
+
+    @pytest.mark.parametrize("n, level", [(9, 7), (1, 63), (3, 21)])
+    def test_rle_roundtrip_63_bits(self, n, level):
+        cells = random_grid_cells(n, level, 500, seed=level)
+        cells[0] = (1 << level) - 1
+        g = GridSet(n, level, cells)
+        g2 = GridSet.from_rle(g.to_rle())
+        assert (g2.n, g2.level) == (n, level)
+        assert np.array_equal(g.cells, g2.cells)
+        assert [box_count(g2, lv) for lv in range(level + 1)] == [
+            box_count(g, lv) for lv in range(level + 1)
+        ]
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"GRL",
+            struct.pack("<4sBBQ", b"GRLX", 1, 3, 0),
+            struct.pack("<4sBBQ", b"GRLE", 1, 3, 2) + struct.pack("<QQ", 0, 2),
+            struct.pack("<4sBBQ", b"GRLE", 8, 8, 0),
+            struct.pack("<4sBBQ", b"GRLE", 2, 20, 1) + struct.pack("<QQ", 0, (1 << 24) + 1),
+            struct.pack("<4sBBQ", b"GRLE", 2, 20, 2)
+            + struct.pack("<QQQQ", 0, 1 << 23, 1 << 24, (1 << 23) + 1),
+            struct.pack("<4sBBQ", b"GRLE", 1, 3, 1) + struct.pack("<QQ", 6, 3),
+            struct.pack("<4sBBQ", b"GRLE", 1, 3, 1) + struct.pack("<QQ", 1 << 63, 1),
+        ],
+        ids=["short_header", "magic", "truncated", "overflow", "huge_run", "huge_total",
+             "run_past_end", "start_past_end"],
+    )
+    def test_from_rle_rejects(self, blob):
+        with pytest.raises(ValueError):
+            GridSet.from_rle(blob)
 
 
 class TestBoxCount:
@@ -254,6 +371,27 @@ class TestFlatSlice:
         flat = AffineFlat.through(u, np.array([0.4, 0.5]))
         counts = [len(flat_slice(g, flat, rho)) for rho in (0.05, 0.1, 0.2)]
         assert counts == sorted(counts)
+
+    @pytest.mark.parametrize(
+        "grid, seed, rho",
+        [(slicing_product_example(2, 1, LOG32, 5).grid, 4, 2.0**-5),
+         (cantor_grid(3, 3, [[0, 2], [0, 1, 2], [0, 1, 2]], 3), 6, 0.15)],
+        ids=["line_in_R2", "line_in_R3"],
+    )
+    def test_matches_projection_residual(self, grid, seed, rho):
+        # Brute force: distance |rel - P_U rel| of every cell centre.
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            u = haar_sample(grid.n, 1, rng)
+            flat = AffineFlat.through(u, rng.random(grid.n))
+            rel = grid.centers() - flat.offset
+            dist = np.array([np.linalg.norm(r - u.projector() @ r) for r in rel])
+            assert np.abs(dist - rho).min() > 1e-9  # no cell on the boundary
+            near = dist <= rho
+            expect = grid_from_points(rel[near] @ u.basis, grid.level)
+            got = flat_slice(grid, flat, rho)
+            assert near.any()
+            assert np.array_equal(got.cells, expect.cells)
 
     def test_rho_validation(self):
         g = full_cube(2, 5)
