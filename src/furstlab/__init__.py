@@ -19,7 +19,6 @@ from .bounds import (
 from .dimension import (
     DimensionEstimate,
     GridSet,
-    HyperplaneFamily,
     box_count,
     cantor_grid,
     estimate_dimension,
@@ -36,7 +35,6 @@ from .duality import (
     SpreadifyReport,
     VerticalHyperplaneError,
     apply_projective,
-    direction_map,
     dualize_hyperplane,
     dualize_point,
     incident,

@@ -1,8 +1,9 @@
 """Randomized property suites for the subspace-metric inequalities.
 
-Each check runs a seeded Monte Carlo loop and reports the violation count
-together with the measured extremal constant, so the CLI can print both a
-verdict and how much slack the inequality had.
+Each check draws seeded Monte Carlo samples in fixed-size chunks through an
+array kernel and reports the violation count together with the measured
+extremal constant, so the CLI can print both a verdict and how much slack
+the inequality had.  The same seed gives the same report.
 """
 
 from __future__ import annotations
@@ -12,16 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grassmann import (
-    AffineFlat,
-    Subspace,
-    affine_distance,
+    _CHUNK,
+    _direct_rotation_batch,
+    _grass_distance_batch,
+    _matvec,
+    _perp,
+    _subflat_batch,
     ball_measure_estimate,
-    grass_distance,
+    haar_projector_batch,
     haar_sample,
-    min_rotation,
-    sample_subflat,
 )
 from .tolerances import TOL_INEQ
+
+# The transport constant C allowed in check_subflat_transport.
+_SUBFLAT_ALLOWED = 10.0
+# Relative window around 2^(k(n-k)) that check_ball_scaling accepts.
+_BALL_REL_WINDOW = 0.3
 
 
 @dataclass(frozen=True)
@@ -47,113 +54,100 @@ class CheckResult:
         }
 
 
+def _run(name: str, samples: int, seed, allowed: float, kernel) -> CheckResult:
+    """Count violations of lhs <= allowed * scale over `samples` draws.
+
+    kernel(rng, m) draws m samples and returns their (lhs, scale) arrays; a
+    skipped draw has lhs = scale = 0.  Draws go through chunks of _CHUNK,
+    and the measured constant is the largest lhs / scale with scale > 1e-12.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    violations, worst = 0, 0.0
+    for start in range(0, samples, _CHUNK):
+        lhs, scale = kernel(rng, min(_CHUNK, samples - start))
+        violations += int(np.count_nonzero(lhs > allowed * scale + TOL_INEQ))
+        pos = scale > 1e-12
+        ratios = lhs[pos] / scale[pos]
+        worst = max(worst, float(ratios.max(initial=0.0)))
+    return CheckResult(name, samples, violations, worst, allowed)
+
+
+def _pairs(n: int, k: int, m: int, rng):
+    """m Haar pairs of (m, n, k) bases U, V and their distances d_G(U, V)."""
+    u = haar_projector_batch(n, k, m, rng)
+    v = haar_projector_batch(n, k, m, rng)
+    return u, v, _grass_distance_batch(u, v)
+
+
+def _perp_offsets(u: np.ndarray, rng, max_norm: float):
+    """Offsets a in U-perp, uniform in direction with |a| uniform in
+    [0, max_norm), and the mask of usable draws: a Gaussian that falls
+    within 1e-12 of U (every draw when k = n) is skipped."""
+    g = _perp(u, rng.standard_normal(u.shape[:-1]))
+    norm = np.linalg.norm(g, axis=-1)
+    a = g * (rng.uniform(0.0, max_norm, len(g)) / np.maximum(norm, 1e-12))[:, None]
+    return a, norm >= 1e-12
+
+
 def check_translation_inequality(n: int, k: int, samples: int, seed=None) -> CheckResult:
     """d_A(U+a, V+a) <= (|a|+1) d_G(U,V) for a in U-perp, |a| <= 10.
 
     The translate of V is formed by re-orthogonalizing the offset
     (V + a = V + (a - proj_V a)).
     """
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = 0.0
-    for _ in range(samples):
-        u = haar_sample(n, k, rng)
-        v = haar_sample(n, k, rng)
-        g = rng.standard_normal(n)
-        g -= u.project(g)
-        norm = np.linalg.norm(g)
-        if norm < 1e-12:
-            continue
-        a = g / norm * rng.uniform(0.0, 10.0)
-        lhs = affine_distance(AffineFlat(u, a), AffineFlat.through(v, a))
-        rhs = (np.linalg.norm(a) + 1.0) * grass_distance(u, v)
-        if lhs > rhs + TOL_INEQ:
-            violations += 1
-        if rhs > 1e-12:
-            worst = max(worst, lhs / rhs)
-    return CheckResult("translation_inequality", samples, violations, worst, 1.0)
+
+    def kernel(rng, m):
+        u, v, d = _pairs(n, k, m, rng)
+        a, keep = _perp_offsets(u, rng, 10.0)
+        lhs = d + np.linalg.norm(a - _perp(v, a), axis=-1)
+        return lhs * keep, (np.linalg.norm(a, axis=-1) + 1.0) * d * keep
+
+    return _run("translation_inequality", samples, seed, 1.0, kernel)
 
 
 def check_rotation_pointwise(n: int, k: int, samples: int, seed=None) -> CheckResult:
     """|(I - R_{U,V}) b| <= 2 |b| d_G(U,V) for b in U."""
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = 0.0
-    for _ in range(samples):
-        u = haar_sample(n, k, rng)
-        v = haar_sample(n, k, rng)
-        b = u.basis @ rng.standard_normal(k) * rng.uniform(0.1, 10.0)
-        r = min_rotation(u, v)
-        lhs = float(np.linalg.norm(b - r.apply(b)))
-        scale = float(np.linalg.norm(b)) * grass_distance(u, v)
-        if lhs > 2.0 * scale + TOL_INEQ:
-            violations += 1
-        if scale > 1e-12:
-            worst = max(worst, lhs / scale)
-    return CheckResult("rotation_pointwise", samples, violations, worst, 2.0)
+
+    def kernel(rng, m):
+        u, v, d = _pairs(n, k, m, rng)
+        b = _matvec(u, rng.standard_normal((m, k))) * rng.uniform(0.1, 10.0, (m, 1))
+        lhs = np.linalg.norm(b - _matvec(_direct_rotation_batch(u, v), b), axis=-1)
+        return lhs, np.linalg.norm(b, axis=-1) * d
+
+    return _run("rotation_pointwise", samples, seed, 2.0, kernel)
 
 
 def check_min_rotation_norm(n: int, k: int, samples: int, seed=None) -> CheckResult:
     """||I - R_{U,V}|| <= sqrt(2) d_G(U,V)."""
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = 0.0
-    sqrt2 = float(np.sqrt(2.0))
-    for _ in range(samples):
-        u = haar_sample(n, k, rng)
-        v = haar_sample(n, k, rng)
-        r = min_rotation(u, v)
-        lhs = float(np.linalg.svd(np.eye(n) - r.matrix, compute_uv=False)[0])
-        d = grass_distance(u, v)
-        if lhs > sqrt2 * d + TOL_INEQ:
-            violations += 1
-        if d > 1e-12:
-            worst = max(worst, lhs / d)
-    return CheckResult("min_rotation_norm", samples, violations, worst, sqrt2)
+
+    def kernel(rng, m):
+        u, v, d = _pairs(n, k, m, rng)
+        return np.linalg.norm(np.eye(n) - _direct_rotation_batch(u, v), 2, axis=(-2, -1)), d
+
+    return _run("min_rotation_norm", samples, seed, float(np.sqrt(2.0)), kernel)
 
 
-def check_subflat_transport(
-    n: int, k: int, k2: int, samples: int, seed=None, allowed: float = 10.0
-) -> CheckResult:
+def check_subflat_transport(n: int, k: int, k2: int, samples: int, seed=None) -> CheckResult:
     """d_A(R X + a, X + a) <= C (r + |a| + 1) d_G(U,V) for subflats X of U
     meeting B(0, r); reports the measured C."""
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = 0.0
-    for _ in range(samples):
-        u = haar_sample(n, k, rng)
-        v = haar_sample(n, k, rng)
-        r_ball = rng.uniform(0.2, 3.0)
-        x = sample_subflat(AffineFlat(u, np.zeros(n)), k2, r_ball, rng)
-        g = rng.standard_normal(n)
-        g -= u.project(g)
-        norm = np.linalg.norm(g)
-        if norm < 1e-12:
-            continue
-        a = g / norm * rng.uniform(0.0, 5.0)
-        rot = min_rotation(u, v)
-        rotated = AffineFlat.through(
-            Subspace(n, k2, rot.matrix @ x.direction.basis),
-            rot.apply(x.offset) + a,
-        )
-        shifted = AffineFlat.through(x.direction, x.offset + a)
-        lhs = affine_distance(rotated, shifted)
-        scale = (r_ball + float(np.linalg.norm(a)) + 1.0) * grass_distance(u, v)
-        if lhs > allowed * scale + TOL_INEQ:
-            violations += 1
-        if scale > 1e-12:
-            worst = max(worst, lhs / scale)
-    return CheckResult("subflat_transport", samples, violations, worst, allowed)
+
+    def kernel(rng, m):
+        u, v, d = _pairs(n, k, m, rng)
+        r_ball = rng.uniform(0.2, 3.0, m)
+        x, x_off = _subflat_batch(u, np.zeros((m, n)), k2, r_ball, rng)
+        a, keep = _perp_offsets(u, rng, 5.0)
+        rot = _direct_rotation_batch(u, v)
+        rx = rot @ x
+        gap = _perp(rx, _matvec(rot, x_off) + a) - _perp(x, x_off + a)
+        lhs = _grass_distance_batch(rx, x) + np.linalg.norm(gap, axis=-1)
+        return lhs * keep, (r_ball + np.linalg.norm(a, axis=-1) + 1.0) * d * keep
+
+    return _run("subflat_transport", samples, seed, _SUBFLAT_ALLOWED, kernel)
 
 
-def check_ball_scaling(
-    n: int,
-    k: int,
-    delta: float,
-    samples: int,
-    seed=None,
-    rel_window: float = 0.3,
-) -> CheckResult:
+def check_ball_scaling(n: int, k: int, delta: float, samples: int, seed=None) -> CheckResult:
     """The Haar measure of B(U, delta) scales like delta^(k(n-k)):
     estimate(delta) / estimate(delta/2) should be within the relative
     window of 2^(k(n-k))."""
@@ -162,5 +156,5 @@ def check_ball_scaling(
     small = ball_measure_estimate(u, delta / 2, samples, seed)
     ratio = big / small if small > 0 else float("inf")
     expected = 2.0 ** (k * (n - k))
-    ok = expected * (1 - rel_window) <= ratio <= expected * (1 + rel_window)
+    ok = expected * (1 - _BALL_REL_WINDOW) <= ratio <= expected * (1 + _BALL_REL_WINDOW)
     return CheckResult("ball_scaling", samples, 0 if ok else 1, ratio, expected)

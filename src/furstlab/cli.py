@@ -109,6 +109,12 @@ def _int(v):
     return v
 
 
+def _positive_int(v):
+    if _int(v) < 1:
+        raise ValueError(f"expected integer >= 1, got {v!r}")
+    return v
+
+
 def _num(v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"expected number, got {v!r}")
@@ -122,6 +128,12 @@ def _rational(v):
 def _str(v):
     if not isinstance(v, str):
         raise ValueError(f"expected string, got {v!r}")
+    return v
+
+
+def _object(v):
+    if not isinstance(v, dict):
+        raise ValueError(f"expected object, got {v!r}")
     return v
 
 
@@ -174,8 +186,8 @@ def _tuple_entry(v):
 
 
 def _ff_exponents_entry(v):
-    return _validate(dict(v), {"n": (_int, _REQUIRED), "k": (_int, _REQUIRED),
-                               "s": (_rational, _REQUIRED)})
+    return _validate(_object(v), {"n": (_int, _REQUIRED), "k": (_int, _REQUIRED),
+                                  "s": (_rational, _REQUIRED)})
 
 
 def cmd_bounds_eval(cfg, out_dir, seed):
@@ -218,9 +230,9 @@ def cmd_grassmann_verify(cfg, out_dir, seed):
         cfg,
         {
             "pairs": (_list_of(_pair_of_ints), [[3, 1], [4, 2], [5, 3]]),
-            "samples": (_int, 1000),
-            "subflat_samples": (_int, 200),
-            "ball_scaling": (_opt(dict), None),
+            "samples": (_positive_int, 1000),
+            "subflat_samples": (_positive_int, 200),
+            "ball_scaling": (_opt(_object), None),
             "seed": (_int, 0),
         },
     )
@@ -243,7 +255,7 @@ def cmd_grassmann_verify(cfg, out_dir, seed):
                 "n": (_int, 3),
                 "k": (_int, 1),
                 "delta": (_num, 0.2),
-                "samples": (_int, 100000),
+                "samples": (_positive_int, 100000),
             },
         )
         res = checks.check_ball_scaling(bs["n"], bs["k"], bs["delta"], bs["samples"], seed)
@@ -311,7 +323,7 @@ def _construct_grid(opts):
             "kind": kind,
             "achieved_dimension": ex.achieved_dimension,
             "target_dimension": ex.target_dimension,
-            "family_size": len(ex.family),
+            "family_size": len(ex.flats),
         }
     raise SchemaError(f"unknown construction kind: {kind}")
 
@@ -375,7 +387,7 @@ def cmd_ff_verify(cfg, out_dir, seed):
             "k": (_int, 1),
             "points": (_opt(_points_list), None),
             "set_csv": (_opt(_str), None),
-            "spread": (_opt(dict), None),
+            "spread": (_opt(_object), None),
         },
     )
     q, n, k = opts["q"], opts["n"], opts["k"]

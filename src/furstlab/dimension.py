@@ -22,7 +22,7 @@ import io
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -189,30 +189,6 @@ class DimensionEstimate:
         }
 
 
-@dataclass(frozen=True)
-class HyperplaneFamily:
-    """A finite family of affine hyperplanes, with an optional note on how
-    it was parametrized."""
-
-    flats: tuple
-    note: Optional[str] = None
-
-    def __post_init__(self):
-        if not self.flats:
-            raise ValueError("family must be nonempty")
-        n = self.flats[0].n
-        if any(f.n != n or f.k != n - 1 for f in self.flats):
-            raise ValueError("family members must be hyperplanes of one ambient dim")
-        object.__setattr__(self, "flats", tuple(self.flats))
-
-    def __len__(self) -> int:
-        return len(self.flats)
-
-    @property
-    def n(self) -> int:
-        return self.flats[0].n
-
-
 def box_count(g: GridSet, level: int) -> int:
     """Number of occupied cells after downsampling to `level`."""
     if not (0 <= level <= g.level):
@@ -315,11 +291,11 @@ def grid_from_points(points, level: int) -> GridSet:
 
 @dataclass(frozen=True)
 class SharpHyperplaneExample:
-    """A low-dimensional set inside a coordinate subspace together with the
-    family of hyperplanes containing that subspace."""
+    """A low-dimensional set inside a coordinate subspace together with a
+    family of hyperplanes containing that subspace (AffineFlats, in `flats`)."""
 
     grid: GridSet
-    family: HyperplaneFamily
+    flats: tuple
     achieved_dimension: float
     target_dimension: float
 
@@ -392,8 +368,7 @@ def sharp_hyperplane_example(
             basis[:m, :m] = np.eye(m)
             basis[m:, m:] = sub.basis
             flats.append(AffineFlat(Subspace(n, n - 1, basis), np.zeros(n)))
-    family = HyperplaneFamily(tuple(flats), note=f"hyperplanes containing span(e1..e{m})")
-    return SharpHyperplaneExample(grid, family, achieved, float(s))
+    return SharpHyperplaneExample(grid, tuple(flats), achieved, float(s))
 
 
 def slicing_product_example(n: int, k: int, s: float, depth: int) -> SlicingProductExample:

@@ -226,11 +226,6 @@ def apply_projective(pmap: ProjectiveMap, obj):
     return pmap.apply_point(obj)
 
 
-def direction_map(w: AffineFlat) -> Subspace:
-    """Translation-invariant part of an affine flat."""
-    return w.direction
-
-
 def marstrand_project(points, u: Subspace) -> np.ndarray:
     """Coordinates of the orthogonal projections of the points in an
     orthonormal basis of u, shape (m, k)."""

@@ -19,6 +19,10 @@ from .tolerances import TOL_EXACT
 
 MAX_AMBIENT_DIM = 16
 
+# Draws per array pass of the Monte Carlo estimators, so their peak memory
+# does not grow with the sample count.
+_CHUNK = 1 << 12
+
 
 def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -145,28 +149,42 @@ class Rotation:
 def haar_sample(n: int, k: int, seed=None) -> Subspace:
     """Draw a uniform (Haar) random k-subspace of R^n.
 
-    Orthonormalizes an n x k matrix of independent standard normals; the
-    rotational invariance of the Gaussian makes the column span uniform on
-    the Grassmannian.  Deterministic for a fixed seed.
+    A batch of one of haar_projector_batch, so it consumes the generator
+    exactly as a batch draw does.  Deterministic for a fixed seed.
     """
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = _rng(seed)
-    g = rng.standard_normal((n, k))
-    q, r = np.linalg.qr(g)
-    # Sign-fix for a canonical representative; the span is unaffected.
-    q = q * np.sign(np.diag(r))
-    return Subspace(n, k, q)
+    return Subspace(n, k, haar_projector_batch(n, k, 1, seed)[0])
 
 
 def haar_projector_batch(n: int, k: int, count: int, seed=None) -> np.ndarray:
-    """Stack of `count` Haar-random orthonormal bases, shape (count, n, k)."""
+    """Stack of `count` Haar-random orthonormal bases, shape (count, n, k).
+
+    The only Haar sampler.  It returns bases B, not projectors B B^T; the
+    name is kept because the benchmark's tracer looks it up.  Each basis
+    orthonormalizes an n x k matrix of independent standard normals; the
+    rotational invariance of the Gaussian makes its span uniform on the
+    Grassmannian.  The QR signs are fixed for a canonical representative.
+    """
+    if not (1 <= k <= n):
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if n > MAX_AMBIENT_DIM:
+        raise ValueError(f"ambient dimension capped at {MAX_AMBIENT_DIM}")
     rng = _rng(seed)
     g = rng.standard_normal((count, n, k))
     q, r = np.linalg.qr(g)
     signs = np.sign(np.einsum("...ii->...i", r))
     signs[signs == 0] = 1.0
     return q * signs[:, None, :]
+
+
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products, (..., p, q) and (..., q) -> (..., p)."""
+    return (m @ x[..., None])[..., 0]
+
+
+def _perp(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Components of the vectors x (..., n) orthogonal to the spans of the
+    orthonormal bases (..., n, k): the offsets of the flats span(basis) + x."""
+    return x - _matvec(basis, _matvec(np.swapaxes(basis, -1, -2), x))
 
 
 def _check_same_shape(u: Subspace, v: Subspace):
@@ -201,41 +219,82 @@ def project_point(w: AffineFlat, x) -> np.ndarray:
     return w.offset + w.direction.project(x)
 
 
+def _grass_distance_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """||P_U - P_V|| for stacks of same-shape orthonormal bases (..., n, k).
+
+    For equal dimensions this is sin(theta_max) = sigma_max(V - U U^T V),
+    which keeps full precision near 0 (sqrt(1 - sigma_min(U^T V)^2) loses
+    half the digits there).
+    """
+    resid = v - u @ (np.swapaxes(u, -1, -2) @ v)
+    return np.minimum(np.linalg.norm(resid, 2, axis=(-2, -1)), 1.0)
+
+
+def _direct_rotation_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Direct rotations R_{U,V} for stacks of same-shape bases, (..., n, n).
+
+    From the SVD V^T U = Y diag(c) Z^T, the principal vectors a_i (columns
+    of U Z) and the unit vectors w_i along b_i - c_i a_i (b_i the columns of
+    V Y) span mutually orthogonal planes.  R turns a_i into c_i a_i + s_i w_i
+    and w_i into c_i w_i - s_i a_i, and fixes the common complement.  Pairs
+    with s_i <= TOL_EXACT are already aligned and are left fixed.
+    """
+    y, c, zt = np.linalg.svd(np.swapaxes(v, -1, -2) @ u)
+    c = np.minimum(c, 1.0)[..., None, :]
+    a = u @ np.swapaxes(zt, -1, -2)
+    w = v @ y - a * c
+    s = np.linalg.norm(w, axis=-2, keepdims=True)
+    w = w / np.maximum(s, TOL_EXACT)
+    turn = s > TOL_EXACT
+    c1, s = np.where(turn, c - 1.0, 0.0), np.where(turn, s, 0.0)
+    return (np.eye(u.shape[-2]) + (a * c1 + w * s) @ np.swapaxes(a, -1, -2)
+            + (w * c1 - a * s) @ np.swapaxes(w, -1, -2))
+
+
 def min_rotation(u: Subspace, v: Subspace) -> Rotation:
     """Direct rotation R with R(span U) = span V and minimal ||I - R||.
 
-    Built from the SVD of V^T U: the principal vector pairs (a_i, b_i) are
-    rotated within their mutually orthogonal 2-planes by the principal
-    angles, and the common orthogonal complement is fixed pointwise.  The
-    resulting operator norm is ||I - R|| = 2 sin(theta_max / 2), which is at
-    most sqrt(2) * sin(theta_max) = sqrt(2) * grass_distance(U, V) since the
+    The principal vector pairs are rotated within their mutually orthogonal
+    2-planes by the principal angles, and the common orthogonal complement
+    is fixed pointwise.  The resulting operator norm is
+    ||I - R|| = 2 sin(theta_max / 2), which is at most
+    sqrt(2) * sin(theta_max) = sqrt(2) * grass_distance(U, V) since the
     principal angles lie in [0, pi/2].
     """
     _check_same_shape(u, v)
-    n, k = u.n, u.k
-    m = v.basis.T @ u.basis
-    y, sigma, zt = np.linalg.svd(m)
-    a = u.basis @ zt.T          # principal vectors in U
-    b = v.basis @ y             # principal vectors in V, a_i . b_j = delta_ij cos(theta_i)
-    r = np.eye(n)
-    for i in range(k):
-        cos_t = min(max(float(sigma[i]), -1.0), 1.0)
-        w_raw = b[:, i] - cos_t * a[:, i]
-        sin_t = float(np.linalg.norm(w_raw))
-        if sin_t <= TOL_EXACT:
-            continue
-        w = w_raw / sin_t
-        ai = a[:, i]
-        r += (cos_t - 1.0) * (np.outer(ai, ai) + np.outer(w, w))
-        r += sin_t * (np.outer(w, ai) - np.outer(ai, w))
-    return Rotation(r)
+    return Rotation(_direct_rotation_batch(u.basis, v.basis))
+
+
+def _subflat_batch(basis: np.ndarray, offset: np.ndarray, k2: int, r: np.ndarray, rng):
+    """Haar-random k2-flats inside the flats offset + span(basis), meeting B(0, r).
+
+    basis is (m, n, k), offset (m, n) and r (m,).  Each round draws, for the
+    rows not yet accepted, a k2-direction within the flat and a base point
+    offset + basis @ uniform(-r, r)^k, and accepts a row when the nearest
+    point of its flat to the origin has norm <= r.  Returns the (m, n, k2)
+    direction bases and the (m, n) offsets orthogonal to them.
+    """
+    m, n, k = basis.shape
+    dirs, offs = np.empty((m, n, k2)), np.empty((m, n))
+    todo = np.arange(m)
+    for _ in range(10000):
+        if len(todo) == 0:
+            return dirs, offs
+        b, rt = basis[todo], r[todo, None]
+        d = b @ haar_projector_batch(k, k2, len(todo), rng)
+        off = _perp(d, offset[todo] + _matvec(b, rng.uniform(-rt, rt, (len(todo), k))))
+        ok = np.linalg.norm(off, axis=-1) <= r[todo]
+        dirs[todo[ok]], offs[todo[ok]] = d[ok], off[ok]
+        todo = todo[~ok]
+    raise RuntimeError("rejection sampling failed to meet B(0, r)")
 
 
 def sample_subflat(w: AffineFlat, k2: int, r: float, seed=None) -> AffineFlat:
     """A Haar-random k2-flat contained in the flat w and meeting B(0, r).
 
-    Rejection-samples a direction within w's direction and a base point on w
-    until the nearest point of the sampled flat to the origin has norm <= r.
+    A batch of one of the rejection sampler: a direction within w's
+    direction and a base point on w are redrawn until the nearest point of
+    the sampled flat to the origin has norm <= r.
     """
     if k2 >= w.k:
         raise ValueError(f"need k2 < flat dimension, got k2={k2}, k={w.k}")
@@ -245,28 +304,8 @@ def sample_subflat(w: AffineFlat, k2: int, r: float, seed=None) -> AffineFlat:
         raise ValueError("r must be positive")
     if np.linalg.norm(w.offset) > r:
         raise ValueError("the flat itself does not meet B(0, r)")
-    rng = _rng(seed)
-    for _ in range(10000):
-        g = rng.standard_normal((w.k, k2))
-        q, _ = np.linalg.qr(g)
-        direction = Subspace(w.n, k2, w.direction.basis @ q)
-        base = w.point_at(rng.uniform(-r, r, size=w.k))
-        flat = AffineFlat.through(direction, base)
-        if np.linalg.norm(flat.offset) <= r:
-            return flat
-    raise RuntimeError("rejection sampling failed to meet B(0, r)")
-
-
-def _grass_distance_to_batch(u: Subspace, bases: np.ndarray) -> np.ndarray:
-    """Distances from u to a stack of same-shape bases, via sin(theta_max).
-
-    For equal dimensions ||P_U - P_V|| = sqrt(1 - sigma_min(U^T V)^2), so one
-    small batched SVD replaces per-sample projector differences.
-    """
-    m = np.matmul(np.swapaxes(bases, -1, -2), u.basis)
-    s = np.linalg.svd(m, compute_uv=False)
-    smin = np.clip(s[..., -1], -1.0, 1.0)
-    return np.sqrt(np.maximum(0.0, 1.0 - smin * smin))
+    d, off = _subflat_batch(w.direction.basis[None], w.offset[None], k2, np.full(1, r), _rng(seed))
+    return AffineFlat(Subspace(w.n, k2, d[0]), off[0])
 
 
 def ball_measure_estimate(u: Subspace, delta: float, samples: int, seed=None) -> float:
@@ -281,12 +320,7 @@ def ball_measure_estimate(u: Subspace, delta: float, samples: int, seed=None) ->
         raise ValueError("samples must be >= 1")
     rng = _rng(seed)
     hits = 0
-    remaining = samples
-    chunk = 1 << 16
-    while remaining > 0:
-        m = min(chunk, remaining)
-        bases = haar_projector_batch(u.n, u.k, m, rng)
-        d = _grass_distance_to_batch(u, bases)
-        hits += int((d <= delta).sum())
-        remaining -= m
+    for start in range(0, samples, _CHUNK):
+        bases = haar_projector_batch(u.n, u.k, min(_CHUNK, samples - start), rng)
+        hits += int(np.count_nonzero(_grass_distance_batch(u.basis, bases) <= delta))
     return hits / samples

@@ -137,10 +137,10 @@ def test_ac10_sharp_hyperplane_example():
     centers = ex.grid.centers()
     containment = max(
         float(np.abs(centers @ f.direction.complement_basis()[:, 0]).max())
-        for f in ex.family.flats
+        for f in ex.flats
     )
     ok = containment <= 2.0**-3
-    est = fl.family_dimension([f.direction for f in ex.family.flats], 2, 6)
+    est = fl.family_dimension([f.direction for f in ex.flats], 2, 6)
     ok = ok and abs(est.slope - 1.0) <= 0.15
     s_star = as_fraction(ex.achieved_dimension)
     t = 4 - 1 - math.ceil(ex.achieved_dimension)

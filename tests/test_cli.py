@@ -198,8 +198,13 @@ class TestMaximalScan:
         (["duality", "spreadify"], {"points": "absent.csv", "hyperplanes": "absent.csv"}),
         (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": "1/2", "t": 1}],
                               "ff_exponents": [{"n": 3, "k": 1}]}),
+        (["grassmann", "verify"], {"pairs": [[3, 1]], "samples": -5}),
+        (["grassmann", "verify"], {"pairs": [[3, 1]], "subflat_samples": 0}),
+        # A list of pairs is not an object, even though dict() accepts it.
+        (["grassmann", "verify"], {"pairs": [], "ball_scaling": [[1, 2], ["x", 3]]}),
     ],
-    ids=["depth30", "composite_q", "missing_csv", "ff_exponents_without_s"],
+    ids=["depth30", "composite_q", "missing_csv", "ff_exponents_without_s",
+         "negative_samples", "zero_subflat_samples", "ball_scaling_not_object"],
 )
 def test_malformed_config_exits_2_writes_nothing(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)

@@ -283,13 +283,13 @@ class TestSharpHyperplaneExample:
     def test_containment(self):
         ex = sharp_hyperplane_example(4, 1.5, depth=3)
         centers = ex.grid.centers()
-        for flat in ex.family.flats:
+        for flat in ex.flats:
             nu = flat.direction.complement_basis()[:, 0]
             assert np.abs(centers @ nu).max() <= 2.0**-3
 
     def test_family_dimension_near_one(self):
         ex = sharp_hyperplane_example(4, 1.5, depth=3)
-        est = family_dimension([f.direction for f in ex.family.flats], 2, 6)
+        est = family_dimension([f.direction for f in ex.flats], 2, 6)
         assert abs(est.slope - 1.0) <= 0.15
 
     def test_sharpness_identity_exact(self):
@@ -310,8 +310,8 @@ class TestSharpHyperplaneExample:
 
     def test_ceil_s_equals_n_minus_one_single_plane(self):
         ex = sharp_hyperplane_example(3, 1.5, depth=3)
-        assert len(ex.family) == 1
-        nu = ex.family.flats[0].direction.complement_basis()[:, 0]
+        assert len(ex.flats) == 1
+        nu = ex.flats[0].direction.complement_basis()[:, 0]
         assert np.abs(ex.grid.centers() @ nu).max() <= 2.0**-3
 
 

@@ -8,7 +8,6 @@ from furstlab.duality import (
     MapsToInfinityError,
     VerticalHyperplaneError,
     apply_projective,
-    direction_map,
     dualize_hyperplane,
     dualize_point,
     hyperplanes_from_csv,
@@ -178,7 +177,7 @@ class TestApplyProjective:
 class TestDirectionMapAndProjection:
     def test_direction_of_horizontal_line(self):
         flat = GraphHyperplane(np.array([0.0]), 3.0).to_flat()
-        d = direction_map(flat)
+        d = flat.direction
         assert abs(abs(d.basis[0, 0]) - 1.0) <= 1e-9
 
     def test_translation_invariant(self):
@@ -186,13 +185,13 @@ class TestDirectionMapAndProjection:
         w1 = AffineFlat.through(u, np.array([1.0, 2.0, 3.0]))
         w2 = AffineFlat.through(u, np.array([-4.0, 0.0, 1.0]))
         assert np.allclose(
-            direction_map(w1).projector(), direction_map(w2).projector(), atol=1e-12
+            w1.direction.projector(), w2.direction.projector(), atol=1e-12
         )
 
     def test_plane_through_origin_normal(self):
         # {x+y+z = 5} has direction with normal (1,1,1)/sqrt(3)
         plane = GraphHyperplane(np.array([-1.0, -1.0]), 5.0)
-        d = direction_map(plane.to_flat())
+        d = plane.to_flat().direction
         nu = d.complement_basis()[:, 0]
         expect = np.ones(3) / math.sqrt(3)
         assert min(np.linalg.norm(nu - expect), np.linalg.norm(nu + expect)) <= 1e-9

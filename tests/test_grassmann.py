@@ -6,6 +6,9 @@ import pytest
 from furstlab.grassmann import (
     AffineFlat,
     Subspace,
+    _direct_rotation_batch,
+    _grass_distance_batch,
+    _subflat_batch,
     affine_distance,
     ball_measure_estimate,
     grass_distance,
@@ -23,6 +26,10 @@ E2 = Subspace(2, 1, np.array([[0.0], [1.0]]))
 def span(*cols):
     m = np.array(cols, dtype=float).T
     return Subspace.from_spanning(m)
+
+
+def tr(a):
+    return np.swapaxes(a, -1, -2)
 
 
 class TestSubspace:
@@ -74,6 +81,11 @@ class TestHaarSample:
         a = haar_sample(4, 2, seed=42)
         b = haar_sample(4, 2, seed=42)
         assert np.array_equal(a.basis, b.basis)
+        # A batch of one of the batch sampler, bit for bit, on a shared seed.
+        r1, r2 = np.random.default_rng(42), np.random.default_rng(42)
+        for n, k in [(1, 1), (3, 3), (4, 2), (6, 5), (16, 7)]:
+            for _ in range(20):
+                assert np.array_equal(haar_sample(n, k, r1).basis, haar_projector_batch(n, k, 1, r2)[0])
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -186,6 +198,23 @@ class TestMinRotation:
             r = min_rotation(u, v)
             residual = (np.eye(5) - v.projector()) @ (r.matrix @ u.basis)
             assert np.abs(residual).max() <= 1e-9
+        # The batched kernel against the defining properties of the direct
+        # rotation, every tenth pair identical.
+        for n, k in [(2, 2), (3, 1), (4, 2), (5, 3), (6, 5)]:
+            u = haar_projector_batch(n, k, 300, rng)
+            v = haar_projector_batch(n, k, 300, rng)
+            v[::10] = u[::10]
+            r = _direct_rotation_batch(u, v)
+            eye = np.eye(n)
+            assert np.abs(tr(r) @ r - eye).max() <= 1e-9
+            assert np.abs(np.linalg.det(r) - 1.0).max() <= 1e-9
+            assert np.abs((eye - v @ tr(v)) @ r @ u).max() <= 1e-9
+            sin_max = np.array([grass_distance(Subspace(n, k, a), Subspace(n, k, b))
+                                for a, b in zip(u, v)])
+            cos_max = np.linalg.svd(tr(v) @ u, compute_uv=False)[:, -1]
+            theta = np.arctan2(sin_max, cos_max)
+            opnorm = np.linalg.norm(eye - r, 2, axis=(-2, -1))
+            assert np.abs(opnorm - 2 * np.sin(theta / 2)).max() <= 1e-9
 
     def test_norm_bound_sqrt2(self):
         rng = np.random.default_rng(19)
@@ -210,6 +239,15 @@ class TestSampleSubflat:
         for _ in range(10):
             x = sub.point_at(rng.standard_normal(2))
             assert np.linalg.norm(x - project_point(w, x)) <= 1e-9
+        # Batched: orthonormal directions inside U, offsets on U and
+        # orthogonal to their directions.
+        bases = haar_projector_batch(5, 3, 300, rng)
+        dirs, offs = _subflat_batch(bases, np.zeros((300, 5)), 2, rng.uniform(0.2, 3.0, 300), rng)
+        p_u = bases @ tr(bases)
+        assert np.abs(dirs - p_u @ dirs).max() <= 1e-9
+        assert np.abs(tr(dirs) @ dirs - np.eye(2)).max() <= 1e-9
+        assert np.abs(offs[..., None] - p_u @ offs[..., None]).max() <= 1e-9
+        assert np.abs(tr(dirs) @ offs[..., None]).max() <= 1e-9
 
     def test_meets_ball(self):
         rng = np.random.default_rng(29)
@@ -218,6 +256,16 @@ class TestSampleSubflat:
         for r in (0.3, 1.0, 2.0):
             sub = sample_subflat(w, 1, r, rng)
             assert np.linalg.norm(project_point(sub, np.zeros(4))) <= r
+        # Batched, inside shifted flats a + U with |a| < r.
+        bases = haar_projector_batch(4, 2, 300, rng)
+        r = rng.uniform(0.2, 3.0, 300)
+        g = rng.standard_normal((300, 4, 1))
+        a = (g - bases @ tr(bases) @ g)[..., 0]
+        a *= (0.9 * r / np.linalg.norm(a, axis=-1))[:, None]
+        dirs, offs = _subflat_batch(bases, a, 1, r, rng)
+        assert (np.linalg.norm(offs, axis=-1) <= r).all()
+        rel = (offs - a)[..., None]
+        assert np.abs(rel - bases @ tr(bases) @ rel).max() <= 1e-9
 
     def test_k2_too_large(self):
         u = haar_sample(4, 2, seed=0)
@@ -239,11 +287,12 @@ class TestBallMeasure:
 
     def test_batch_distance_matches_projector_svd(self):
         rng = np.random.default_rng(31)
-        from furstlab.grassmann import _grass_distance_to_batch
-
         u = haar_sample(4, 2, rng)
-        bases = haar_projector_batch(4, 2, 64, rng)
-        fast = _grass_distance_to_batch(u, bases)
-        for i in range(64):
+        # Random pairs, the identical pair and pairs 1e-12..1e-2 apart.
+        near = [Subspace.from_spanning(u.basis + eps * rng.standard_normal((4, 2))).basis
+                for eps in 10.0 ** -np.arange(2, 13)]
+        bases = np.concatenate([haar_projector_batch(4, 2, 64, rng), [u.basis], near])
+        fast = _grass_distance_batch(u.basis, bases)
+        for i in range(len(bases)):
             slow = grass_distance(u, Subspace(4, 2, bases[i]))
-            assert fast[i] == pytest.approx(slow, abs=1e-9)
+            assert fast[i] == pytest.approx(slow, abs=1e-12)
