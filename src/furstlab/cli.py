@@ -190,6 +190,11 @@ def _ff_exponents_entry(v):
                                   "s": (_rational, _REQUIRED)})
 
 
+def _ball_scaling_entry(v):
+    return _validate(_object(v), {"n": (_int, 3), "k": (_int, 1), "delta": (_num, 0.2),
+                                  "samples": (_positive_int, 100000)})
+
+
 def cmd_bounds_eval(cfg, out_dir, seed):
     opts = _validate(
         cfg,
@@ -232,7 +237,7 @@ def cmd_grassmann_verify(cfg, out_dir, seed):
             "pairs": (_list_of(_pair_of_ints), [[3, 1], [4, 2], [5, 3]]),
             "samples": (_positive_int, 1000),
             "subflat_samples": (_positive_int, 200),
-            "ball_scaling": (_opt(_object), None),
+            "ball_scaling": (_opt(_ball_scaling_entry), None),
             "seed": (_int, 0),
         },
     )
@@ -248,16 +253,8 @@ def cmd_grassmann_verify(cfg, out_dir, seed):
         if k >= 2 and n <= 6:
             res = checks.check_subflat_transport(n, k, k - 1, opts["subflat_samples"], seed)
             results.append({"n": n, "k": k, **res.as_dict()})
-    if opts["ball_scaling"] is not None:
-        bs = _validate(
-            opts["ball_scaling"],
-            {
-                "n": (_int, 3),
-                "k": (_int, 1),
-                "delta": (_num, 0.2),
-                "samples": (_positive_int, 100000),
-            },
-        )
+    bs = opts["ball_scaling"]
+    if bs is not None:
         res = checks.check_ball_scaling(bs["n"], bs["k"], bs["delta"], bs["samples"], seed)
         results.append({"n": bs["n"], "k": bs["k"], **res.as_dict()})
     payload = {"seed": seed, "results": results}
@@ -475,9 +472,9 @@ def cmd_maximal_scan(cfg, out_dir, seed):
         cfg,
         {
             "deltas": (_list_of(_num), [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7]),
-            "ntubes": (_int, 50),
+            "ntubes": (_positive_int, 50),
             "p": (_num, 2.0),
-            "ndirs": (_int, 20),
+            "ndirs": (_positive_int, 20),
             "seed": (_int, 0),
         },
     )

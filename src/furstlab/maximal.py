@@ -8,12 +8,15 @@ volume-constant fudge drops out of the contracts.
 
 The translate supremum is a finite grid search over U-perp within B(0, 2):
 fields have compact support in [-1,1]^n, so distant translates contribute
-nothing.  Codimension-1 directions (tubes in the plane, hyperplane slabs)
-use a vectorized accumulation over all translates at once.
+nothing.  One sweep serves every codimension >= 1: each cell adds its value
+to an interval of translates on each nearby row of the grid, and one
+difference array per row turns those intervals into every translate's
+average at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -141,15 +144,11 @@ def _tube_distances_sq(points: np.ndarray, tube: TubeSpec) -> np.ndarray:
     return rad_sq + excess * excess
 
 
-def tube_average(f: MaximalField, tube: TubeSpec) -> float:
-    """Mean of the field over cells whose centers lie in the slab,
-    normalized by the in-slab cell count."""
-    if f.n != tube.direction.n:
-        raise ValueError("field and tube live in different dimensions")
-    _check_resolution(f, tube.radius)
-    # Bounding box of the slab: per-axis extent of the core disc plus delta.
-    row_norms = np.linalg.norm(tube.direction.basis, axis=1)
-    half_extent = 0.5 * row_norms + tube.radius
+def _slab_window(f: MaximalField, tube: TubeSpec):
+    """Index slices of the slab's bounding box (per-axis extent of the core
+    disc plus delta, padded by one cell) and the in-slab mask of the cells in
+    it, shaped like the box (empty when the box misses the grid)."""
+    half_extent = 0.5 * np.linalg.norm(tube.direction.basis, axis=1) + tube.radius
     axis = f.axis_centers()
     slices = []
     for i in range(f.n):
@@ -157,17 +156,23 @@ def tube_average(f: MaximalField, tube: TubeSpec) -> float:
         hi = tube.center[i] + half_extent[i] + f.resolution
         j0 = int(np.searchsorted(axis, lo, side="left"))
         j1 = int(np.searchsorted(axis, hi, side="right"))
-        if j0 >= j1:
-            return 0.0
         slices.append(slice(j0, j1))
-    sub_axes = [axis[s] for s in slices]
-    mesh = np.meshgrid(*sub_axes, indexing="ij")
+    mesh = np.meshgrid(*[axis[s] for s in slices], indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
     inside = _tube_distances_sq(pts, tube) <= tube.radius**2
+    return tuple(slices), inside.reshape(mesh[0].shape)
+
+
+def tube_average(f: MaximalField, tube: TubeSpec) -> float:
+    """Mean of the field over cells whose centers lie in the slab,
+    normalized by the in-slab cell count."""
+    if f.n != tube.direction.n:
+        raise ValueError("field and tube live in different dimensions")
+    _check_resolution(f, tube.radius)
+    slices, inside = _slab_window(f, tube)
     if not inside.any():
         return 0.0
-    vals = f.values[tuple(slices)].ravel()
-    return float(vals[inside].sum() / inside.sum())
+    return float(f.values[slices][inside].sum() / inside.sum())
 
 
 def _translate_grid(step: float, radius: float = 2.0) -> np.ndarray:
@@ -176,40 +181,40 @@ def _translate_grid(step: float, radius: float = 2.0) -> np.ndarray:
     return np.arange(-m, m + 1) * step
 
 
-def _kakeya_maximal_codim1(f: MaximalField, u: Subspace, delta: float, step: float) -> float:
-    """All-translates accumulation when U-perp is one-dimensional."""
-    w = u.complement_basis()[:, 0]
-    centers = f.centers()
-    long_coords = centers @ u.basis
-    long_norm = np.linalg.norm(long_coords, axis=1)
-    band = long_norm <= 0.5 + delta
-    if not band.any():
-        return 0.0
-    t = centers[band] @ w
+def _slab_sweep(f: MaximalField, u: Subspace, delta: float, step: float) -> float:
+    """Largest slab average over the translate grid in U-perp within B(0, 2), for
+    any codimension c >= 1.  A cell at U-perp coordinates t is in the slab at tau
+    iff |t - tau|^2 <= delta^2 - (|U^T x| - 1/2)_+^2, so on each grid row along the
+    last U-perp axis it covers one interval, added to that row's difference array."""
+    w = u.complement_basis()
+    c = w.shape[1]
+    x = f.centers() @ np.hstack([u.basis, w])  # U coordinates, then U-perp ones
+    long_norm = np.linalg.norm(x[:, : u.k], axis=1)
+    band = np.flatnonzero(long_norm <= 0.5 + delta)
+    t, vals = x[band, u.k :], f.values.ravel()[band]
     excess = np.maximum(long_norm[band] - 0.5, 0.0)
     g_sq = delta * delta - excess * excess
-    keep = g_sq >= 0
-    t, g = t[keep], np.sqrt(g_sq[keep])
-    vals = f.values.ravel()[np.flatnonzero(band)][keep]
-
+    del x, long_norm  # whole-grid arrays; the sweep reads only the band
     taus = _translate_grid(step)
-    lo = np.searchsorted(taus, t - g, side="left")
-    hi = np.searchsorted(taus, t + g, side="right")
-    ok = lo < hi
-    if not ok.any():
-        return 0.0
-    nbins = len(taus) + 1
-    sums = np.zeros(nbins)
-    counts = np.zeros(nbins)
-    np.add.at(sums, lo[ok], vals[ok])
-    np.add.at(sums, hi[ok], -vals[ok])
-    np.add.at(counts, lo[ok], 1.0)
-    np.add.at(counts, hi[ok], -1.0)
-    sums = np.cumsum(sums)[: len(taus)]
-    counts = np.cumsum(counts)[: len(taus)]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        avgs = np.where(counts > 0, sums / counts, 0.0)
-    return float(avgs.max())
+    nt = len(taus)
+    near = np.rint(t[:, :-1] / step).astype(int) + nt // 2
+    row_stride = (nt + 1) * nt ** np.arange(c - 2, -1, -1)
+    acc = np.zeros((2, nt ** (c - 1) * (nt + 1)))  # value sums, cell counts
+    reach = range(-math.ceil(delta / step), math.ceil(delta / step) + 1)
+    for offset in itertools.product(reach, repeat=c - 1):
+        rows = near + np.array(offset, dtype=int)
+        r_sq = g_sq - ((t[:, :-1] - taus[rows % nt]) ** 2).sum(axis=1)
+        sel = np.flatnonzero(((rows >= 0) & (rows < nt)).all(axis=1) & (r_sq >= 0))
+        r, tc, base = np.sqrt(r_sq[sel]), t[sel, -1], rows[sel] @ row_stride
+        lo = base + np.searchsorted(taus, tc - r, side="left")
+        hi = base + np.searchsorted(taus, tc + r, side="right")
+        for ends, sign in ((lo, 1.0), (hi, -1.0)):
+            acc[0] += sign * np.bincount(ends, vals[sel], acc.shape[1])
+            acc[1] += sign * np.bincount(ends, minlength=acc.shape[1])
+    sums, counts = np.cumsum(acc.reshape(2, -1, nt + 1), axis=2)[:, :, :nt].reshape(2, -1)
+    avgs = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    mesh = np.meshgrid(*([taus] * c), indexing="ij")
+    return float(avgs[np.linalg.norm(np.stack(mesh, axis=-1), axis=-1).ravel() <= 2.0].max())
 
 
 def kakeya_maximal(f: MaximalField, u: Subspace, delta: float, search_step: float) -> float:
@@ -222,21 +227,9 @@ def kakeya_maximal(f: MaximalField, u: Subspace, delta: float, search_step: floa
     if f.n != u.n:
         raise ValueError("field and direction live in different dimensions")
     _check_resolution(f, delta)
-    codim = u.n - u.k
-    if codim == 0:
+    if u.k == u.n:
         return tube_average(f, TubeSpec(u, np.zeros(u.n), delta))
-    if codim == 1:
-        return _kakeya_maximal_codim1(f, u, delta, search_step)
-    w = u.complement_basis()
-    grid1 = _translate_grid(search_step)
-    mesh = np.meshgrid(*([grid1] * codim), indexing="ij")
-    taus = np.stack([g.ravel() for g in mesh], axis=1)
-    taus = taus[np.linalg.norm(taus, axis=1) <= 2.0]
-    best = 0.0
-    for tau in taus:
-        a = w @ tau
-        best = max(best, tube_average(f, TubeSpec(u, a, delta)))
-    return best
+    return _slab_sweep(f, u, delta, search_step)
 
 
 def maximal_lp_norm(
@@ -269,20 +262,14 @@ def random_tube_union_field(
     """Indicator field of a union of random delta-tubes (line directions,
     centers in U-perp within B(0, 1/2))."""
     rng = np.random.default_rng(seed)
-    tubes = []
+    f = MaximalField.constant(n, level, 0.0)
+    hit = np.zeros(f.values.shape, dtype=bool)
     for _ in range(ntubes):
         u = haar_sample(n, 1, rng)
-        w = u.complement_basis()
         tau = rng.uniform(-0.5, 0.5, size=n - 1)
-        tubes.append(TubeSpec(u, w @ tau, delta))
-
-    def fn(points):
-        hit = np.zeros(len(points), dtype=bool)
-        for tube in tubes:
-            hit |= _tube_distances_sq(points, tube) <= tube.radius**2
-        return hit.astype(float)
-
-    return MaximalField.from_function(n, level, fn)
+        slices, inside = _slab_window(f, TubeSpec(u, u.complement_basis() @ tau, delta))
+        hit[slices] |= inside
+    return MaximalField(n, level, hit.astype(float))
 
 
 def delta_scan(
@@ -295,8 +282,14 @@ def delta_scan(
     """Norm-versus-delta diagnostic table for a planar random tube union.
 
     Returns [(delta, lp_norm), ...]; the field for each delta is the union
-    of ntubes random delta-tubes at the matching resolution.
+    of ntubes random delta-tubes at the matching resolution.  Every argument
+    is checked before the first field is built.
     """
+    for delta in deltas:
+        if not MIN_DELTA <= delta <= 0.5:
+            raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")
+    if min(ntubes, ndirs) < 1 or not p >= 1:
+        raise ValueError(f"need ntubes, ndirs, p >= 1; got {ntubes}, {ndirs}, {p}")
     rows = []
     for delta in deltas:
         level = math.ceil(math.log2(4.0 / delta))

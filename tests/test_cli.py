@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import subprocess
@@ -64,6 +65,20 @@ class TestGrassmannVerify:
         assert run_cli(["grassmann", "verify", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "grassmann_verify.json").read_text())
         assert all(r["passed"] for r in payload["results"])
+
+    def test_ball_scaling_checked_before_any_suite(self, tmp_path, monkeypatch):
+        import furstlab.checks as checks
+
+        def never(*args):
+            raise AssertionError("a pair suite ran before ball_scaling was validated")
+
+        for name in ("check_translation_inequality", "check_rotation_pointwise",
+                     "check_min_rotation_norm", "check_subflat_transport"):
+            monkeypatch.setattr(checks, name, never)
+        cfg = write_config(tmp_path, "g.json", {"pairs": [[3, 1], [4, 2]], "ball_scaling": {"n": "x"}})
+        out = tmp_path / "out"
+        assert run_cli(["grassmann", "verify", "--config", cfg, "--out", str(out)]) == 2
+        assert not list(out.iterdir())
 
 
 class TestDualitySpreadify:
@@ -188,6 +203,10 @@ class TestMaximalScan:
         assert lines[0] == "delta,norm"
         assert len(lines) == 2
         assert (out / "maximal_scan_plot.py").exists()
+        # Pinned from the per-translate search; the slab sweep must reproduce it.
+        assert hashlib.sha256((out / "maximal_scan.json").read_bytes()).hexdigest() == (
+            "98f1e37716150542f9fdea57d06625ec8cf9288e619ae3362acca0371918d6c5"
+        )
 
 
 @pytest.mark.parametrize(
@@ -202,9 +221,18 @@ class TestMaximalScan:
         (["grassmann", "verify"], {"pairs": [[3, 1]], "subflat_samples": 0}),
         # A list of pairs is not an object, even though dict() accepts it.
         (["grassmann", "verify"], {"pairs": [], "ball_scaling": [[1, 2], ["x", 3]]}),
+        (["maximal", "scan"], {"deltas": [0.0]}),
+        # Rejected before the 4096 x 4096 field for delta = 2^-9 is built.
+        (["maximal", "scan"], {"deltas": [2.0**-9], "ntubes": 0}),
+        (["maximal", "scan"], {"deltas": [0.0625], "ntubes": -3}),
+        (["maximal", "scan"], {"deltas": [0.0625, 0.6]}),
+        (["maximal", "scan"], {"deltas": [0.0625], "ndirs": 0}),
+        (["maximal", "scan"], {"deltas": [0.0625], "p": 0.5}),
     ],
     ids=["depth30", "composite_q", "missing_csv", "ff_exponents_without_s",
-         "negative_samples", "zero_subflat_samples", "ball_scaling_not_object"],
+         "negative_samples", "zero_subflat_samples", "ball_scaling_not_object",
+         "scan_zero_delta", "scan_tiny_delta_no_tubes", "scan_negative_ntubes",
+         "scan_delta_above_half", "scan_zero_ndirs", "scan_p_below_1"],
 )
 def test_malformed_config_exits_2_writes_nothing(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)

@@ -7,8 +7,8 @@ from furstlab.grassmann import Subspace, haar_sample
 from furstlab.maximal import (
     MaximalField,
     TubeSpec,
-    _kakeya_maximal_codim1,
     _translate_grid,
+    _tube_distances_sq,
     delta_scan,
     kakeya_maximal,
     maximal_lp_norm,
@@ -157,23 +157,31 @@ class TestKakeyaMaximal:
             u_rot = Subspace(2, 1, rot @ u.basis)
             assert abs(kakeya_maximal(f_rot, u_rot, 0.125, 0.0625) - base) <= 0.02
 
-    def test_fast_path_matches_translate_loop(self):
-        f = bump_field()
-        for seed in range(5):
-            u = haar_sample(2, 1, 100 + seed)
-            fast = _kakeya_maximal_codim1(f, u, 0.125, 0.0625)
-            w = u.complement_basis()[:, 0]
-            slow = max(
-                tube_average(f, TubeSpec(u, w * tau, 0.125))
-                for tau in _translate_grid(0.0625)
-            )
-            assert fast == pytest.approx(slow, abs=1e-12)
+    @pytest.mark.parametrize(
+        "n, k, level, delta",
+        [(2, 1, 5, 1 / 8), (3, 2, 4, 1 / 4), (3, 1, 4, 1 / 4), (4, 2, 3, 1 / 2), (4, 1, 3, 1 / 2)],
+        ids=["n2k1", "n3k2", "n3k1", "n4k2", "n4k1"],
+    )
+    def test_fast_path_matches_translate_loop(self, n, k, level, delta):
+        # The slab sweep against the definition: the largest tube_average over
+        # the translate grid of U-perp restricted to B(0, 2).
+        rng = np.random.default_rng(10 * n + k)
+        f = MaximalField(n, level, rng.random((1 << (level + 1),) * n))
+        u = haar_sample(n, k, rng)
+        w = u.complement_basis()
+        grid = np.meshgrid(*[_translate_grid(delta / 2)] * (n - k), indexing="ij")
+        taus = np.stack([g.ravel() for g in grid], axis=1)
+        slow = max(
+            tube_average(f, TubeSpec(u, w @ tau, delta))
+            for tau in taus[np.linalg.norm(taus, axis=1) <= 2.0]
+        )
+        assert kakeya_maximal(f, u, delta, delta / 2) == pytest.approx(slow, rel=1e-12)
 
     def test_slab_direction_in_3d(self):
         f = MaximalField.ball_indicator(3, 4)
-        u = haar_sample(3, 2, 2)  # hyperplane slab, codim-1 fast path
+        u = haar_sample(3, 2, 2)  # hyperplane slab, codimension 1
         assert kakeya_maximal(f, u, 0.25, 0.125) == 1.0
-        v = haar_sample(3, 1, 2)  # tube, generic translate loop
+        v = haar_sample(3, 1, 2)  # tube, codimension 2
         assert kakeya_maximal(f, v, 0.25, 0.125) == 1.0
 
 
@@ -205,3 +213,33 @@ class TestDeltaScan:
     def test_union_field_is_indicator(self):
         f = random_tube_union_field(2, 6, 2.0**-4, 5, seed=2)
         assert set(np.unique(f.values)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("n, level, delta, ntubes, seed",
+                             [(2, 6, 2.0**-4, 5, 2), (2, 8, 0.05, 13, 7), (3, 4, 0.25, 10, 3),
+                              (4, 3, 0.5, 5, 5)])
+    def test_union_field_matches_whole_grid_reference(self, n, level, delta, ntubes, seed):
+        rng = np.random.default_rng(seed)
+        tubes = []
+        for _ in range(ntubes):
+            u = haar_sample(n, 1, rng)
+            tau = rng.uniform(-0.5, 0.5, size=n - 1)
+            tubes.append(TubeSpec(u, u.complement_basis() @ tau, delta))
+        f = random_tube_union_field(n, level, delta, ntubes, seed)
+        pts = f.centers()
+        hit = np.zeros(len(pts), dtype=bool)
+        for tube in tubes:
+            hit |= _tube_distances_sq(pts, tube) <= delta**2
+        assert np.array_equal(f.values.ravel(), hit.astype(float))
+
+    def test_arguments_checked_before_any_field(self, monkeypatch):
+        import furstlab.maximal as mx
+
+        def never(*args):
+            raise AssertionError("field built before the arguments were checked")
+
+        monkeypatch.setattr(mx, "random_tube_union_field", never)
+        for kwargs in ({"deltas": [2.0**-4, 2.0**-9]}, {"deltas": [2.0**-4, 0.0]},
+                       {"deltas": [2.0**-4], "ntubes": 0}, {"deltas": [2.0**-4], "ndirs": 0},
+                       {"deltas": [2.0**-4], "p": float("nan")}):
+            with pytest.raises(ValueError):
+                delta_scan(**kwargs)
