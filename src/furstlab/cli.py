@@ -34,7 +34,6 @@ from .dimension import (
 from .duality import (
     hyperplanes_from_csv,
     hyperplanes_to_csv,
-    GraphHyperplane,
     points_from_csv,
     points_to_csv,
     spreadify,
@@ -285,12 +284,11 @@ def cmd_duality_spreadify(cfg, out_dir, seed):
     seed = opts["seed"] if seed is None else seed
     pts = points_from_csv(_read_input(opts["points"]).decode("utf-8"))
     planes = hyperplanes_from_csv(_read_input(opts["hyperplanes"]).decode("utf-8"))
-    mapped_pts, mapped_flats, report = spreadify(
+    mapped_pts, mapped_planes, report = spreadify(
         pts, planes, tuple(opts["levels"]), seed, opts["ndirs"], opts["incidence_tol"]
     )
     _write_json(out_dir, "spreadify_report.json", report.as_dict())
     _write_text(out_dir, "spreadify_points.csv", points_to_csv(mapped_pts))
-    mapped_planes = [GraphHyperplane.from_flat(f) for f in mapped_flats]
     _write_text(out_dir, "spreadify_hyperplanes.csv", hyperplanes_to_csv(mapped_planes))
     print(
         f"direction dimension {report.initial_direction_dimension:.3f} -> "

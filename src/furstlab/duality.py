@@ -11,24 +11,21 @@ Projective maps act on homogeneous coordinates [x : 1].  The map built by
 projective_to_infinity sends a chosen affine hyperplane to the hyperplane at
 infinity; applied to a family of hyperplanes it converts intercept spread
 into direction spread, which is what the spreadify pipeline measures.
+Hyperplanes map exactly through the dual matrix: with M the matrix of the
+map, the plane {l . [x; 1] = 0} goes to {l M^-1 . [y; 1] = 0}, and a
+graph-form plane has l = (a, -1, c).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dimension import (
-    DimensionEstimate,
-    estimate_dimension,
-    family_dimension,
-    grid_from_points,
-)
+from .dimension import DimensionEstimate, estimate_dimension, grid_from_points
 from .grassmann import AffineFlat, Subspace, haar_sample
 from .tolerances import TOL_EXACT, TOL_PROJECTIVE
 
@@ -109,15 +106,9 @@ def incident(x, plane: GraphHyperplane, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class ProjectiveMap:
-    """An invertible map on homogeneous coordinates [x : 1] in R^n.
-
-    exceptional_normal / exceptional_offset describe the affine hyperplane
-    {<nu, x> = d} sent to infinity (None for affine maps).
-    """
+    """An invertible map on homogeneous coordinates [x : 1] in R^n."""
 
     matrix: np.ndarray = field(repr=False)
-    exceptional_normal: Optional[np.ndarray] = field(default=None, repr=False)
-    exceptional_offset: Optional[float] = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -126,36 +117,22 @@ class ProjectiveMap:
         if abs(np.linalg.det(m)) < TOL_EXACT:
             raise ValueError("matrix is (near-)singular")
         object.__setattr__(self, "matrix", m)
-        if self.exceptional_normal is None:
-            row = m[-1]
-            norm = np.linalg.norm(row[:-1])
-            if norm > TOL_EXACT:
-                object.__setattr__(self, "exceptional_normal", row[:-1] / norm)
-                object.__setattr__(self, "exceptional_offset", float(-row[-1] / norm))
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0] - 1
 
-    def denominator(self, x) -> float:
-        """Value of the homogeneous last coordinate at x (pre-division)."""
-        x = np.asarray(x, dtype=float)
-        return float(self.matrix[-1, :-1] @ x + self.matrix[-1, -1])
-
-    def exceptional_distance(self, x) -> float:
-        """Euclidean distance from x to the exceptional hyperplane."""
-        if self.exceptional_normal is None:
-            return math.inf
-        x = np.asarray(x, dtype=float)
-        return abs(float(self.exceptional_normal @ x) - self.exceptional_offset)
-
     def apply_point(self, x) -> np.ndarray:
+        """Image of the point x, or of every row of an (m, n) array x."""
         x = np.asarray(x, dtype=float)
-        hom = self.matrix @ np.append(x, 1.0)
-        w = hom[-1]
-        if abs(w) <= TOL_PROJECTIVE * max(1.0, float(np.linalg.norm(hom))):
+        pts = np.atleast_2d(x)
+        hom = np.hstack([pts, np.ones((len(pts), 1))]) @ self.matrix.T
+        w = hom[:, -1:]
+        scale = np.maximum(1.0, np.linalg.norm(hom, axis=1, keepdims=True))
+        if (np.abs(w) <= TOL_PROJECTIVE * scale).any():
             raise MapsToInfinityError("point maps to infinity")
-        return hom[:-1] / w
+        images = hom[:, :-1] / w
+        return images if x.ndim == 2 else images[0]
 
     def inverse(self) -> "ProjectiveMap":
         return ProjectiveMap(np.linalg.inv(self.matrix))
@@ -187,42 +164,38 @@ def projective_to_infinity(u, h: float) -> ProjectiveMap:
     trans = np.eye(n + 1)
     trans[n - 1, n] = -h
     swap = np.eye(n + 1)[list(range(n - 1)) + [n, n - 1]]
-    return ProjectiveMap(swap @ trans @ rot, np.array(u, dtype=float), float(h))
+    return ProjectiveMap(swap @ trans @ rot)
 
 
-def _hyperplane_sample_points(flat: AffineFlat, step: float) -> np.ndarray:
-    base = flat.offset
-    pts = [base]
-    for j in range(flat.k):
-        pts.append(base + step * flat.direction.basis[:, j])
-    return np.array(pts)
+def _map_hyperplanes(pmap: ProjectiveMap, rows: np.ndarray):
+    """Graph forms (A, c) of the images {l M^-1 . [y; 1] = 0} of the planes
+    {l . [x; 1] = 0}, one row l per plane.  A row whose whole normal part
+    vanishes is the exceptional plane; one whose last normal entry vanishes
+    has a vertical image."""
+    image = rows @ np.linalg.inv(pmap.matrix)
+    normal = image[:, :-1]
+    size = np.linalg.norm(normal, axis=1)
+    if (size <= TOL_PROJECTIVE * np.linalg.norm(image, axis=1)).any():
+        raise MapsToInfinityError("hyperplane maps to infinity")
+    if (np.abs(normal[:, -1]) <= TOL_EXACT * size).any():
+        raise VerticalHyperplaneError("image hyperplane is vertical, no graph form")
+    return -normal[:, :-1] / normal[:, -1:], -image[:, -1] / normal[:, -1]
 
 
 def apply_projective(pmap: ProjectiveMap, obj):
-    """Image of a point or an affine hyperplane under the projective map.
+    """Image of a point (or of each row of an (m, n) array of points) or of
+    an affine hyperplane under the projective map.
 
-    Hyperplanes are transformed by mapping n affinely independent sample
-    points near the flat's base point and refitting the image hyperplane
-    through them.
+    A hyperplane maps exactly through the dual matrix; its image must have
+    a graph form (VerticalHyperplaneError otherwise) and is returned as an
+    AffineFlat.
     """
     if isinstance(obj, AffineFlat):
         if obj.k != obj.n - 1:
             raise ValueError("only hyperplanes are supported")
-        dist = pmap.exceptional_distance(obj.offset)
-        if not math.isfinite(dist):
-            step = 1.0
-        else:
-            if dist <= TOL_PROJECTIVE:
-                raise MapsToInfinityError("hyperplane base point maps to infinity")
-            step = min(1.0, 0.25 * dist)
-        samples = _hyperplane_sample_points(obj, step)
-        images = np.array([pmap.apply_point(p) for p in samples])
-        diffs = (images[1:] - images[0]).T
-        q, r = np.linalg.qr(diffs)
-        if np.abs(np.diag(r)).min() <= 1e-12:
-            raise MapsToInfinityError("image points are affinely degenerate")
-        direction = Subspace(obj.n, obj.n - 1, q)
-        return AffineFlat.through(direction, images[0])
+        nu = obj.direction.complement_basis()[:, 0]
+        a, c = _map_hyperplanes(pmap, np.append(nu, -nu @ obj.offset)[None, :])
+        return GraphHyperplane(a[0], c[0]).to_flat()
     return pmap.apply_point(obj)
 
 
@@ -268,13 +241,20 @@ class SpreadifyReport:
         }
 
 
-def _incidence_count(points: np.ndarray, planes: Sequence[GraphHyperplane], tol: float) -> int:
-    if len(points) == 0 or not planes:
-        return 0
-    a = np.stack([p.a for p in planes])
-    c = np.array([p.c for p in planes])
+def _incidence_count(points: np.ndarray, a: np.ndarray, c: np.ndarray, tol: float) -> int:
     resid = np.abs(points[:, -1][:, None] - points[:, :-1] @ a.T - c[None, :])
     return int((resid <= tol).sum())
+
+
+def _direction_dimension(a: np.ndarray, l_min: int, l_max: int) -> DimensionEstimate:
+    """Box dimension of the directions of the planes {y_n = <a, y'> + c},
+    one row of a per plane: their projectors I - nu nu^T, embedded and
+    counted as family_dimension counts a family of subspaces."""
+    nu = np.column_stack([-a, np.ones(len(a))])
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    m, n = nu.shape
+    proj = np.eye(n) - nu[:, :, None] * nu[:, None, :]
+    return estimate_dimension(grid_from_points(proj.reshape(m, n * n), l_max), l_min, l_max)
 
 
 def spreadify(
@@ -292,32 +272,35 @@ def spreadify(
     hyperplane directions pick the one maximizing the box dimension of the
     projected dual set; send a translate of that direction (offset past the
     data's bounding radius, so nothing maps to infinity) to the hyperplane
-    at infinity; apply the induced map to the points and hyperplanes.
+    at infinity; apply the induced map to the points, and map the
+    hyperplanes exactly through the dual matrix, all in graph form.
 
-    Returns (mapped points, mapped hyperplanes as AffineFlats, report).
+    Returns (mapped points, mapped hyperplanes as GraphHyperplanes, report).
+    Raises VerticalHyperplaneError if an image plane is vertical, and
+    ValueError if a mapped value overflows.
     """
     l_min, l_max = levels
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
     planes = list(planes)
     if not planes:
         raise ValueError("need at least one hyperplane")
-    n = planes[0].n
-    if pts.size and pts.shape[1] != n:
+    a = np.stack([p.a for p in planes])
+    c = np.array([p.c for p in planes])
+    n = a.shape[1] + 1
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != n:
         raise ValueError("point dimension mismatch")
     seed_val = seed if isinstance(seed, (int, np.integer)) or seed is None else None
     rng = np.random.default_rng(seed)
 
-    duals = np.array([dualize_hyperplane(p) for p in planes])
-    flats = [p.to_flat() for p in planes]
-    initial = family_dimension([f.direction for f in flats], l_min, l_max)
-    inc_before = _incidence_count(pts, planes, incidence_tol)
+    duals = np.column_stack([-a, c])
+    initial = _direction_dimension(a, l_min, l_max)
+    inc_before = _incidence_count(pts, a, c, incidence_tol)
 
-    spread = float(np.ptp(duals, axis=0).max()) if len(duals) else 0.0
-    if spread <= TOL_EXACT:
+    if float(np.ptp(duals, axis=0).max()) <= TOL_EXACT:
         report = SpreadifyReport(
             None, None, (), None, 0.0, 0.0, inc_before, inc_before, True, seed_val
         )
-        return pts.copy(), flats, report
+        return pts.copy(), planes, report
 
     candidates = [haar_sample(n, n - 1, rng) for _ in range(ndirs)]
     dims = []
@@ -329,19 +312,16 @@ def spreadify(
     chosen = candidates[best_idx]
     u = chosen.complement_basis()[:, 0]
 
-    all_pts = np.vstack([duals, pts]) if pts.size else duals
-    radius = float(np.linalg.norm(all_pts, axis=1).max())
+    radius = float(np.linalg.norm(np.vstack([duals, pts]), axis=1).max())
     h = 2.0 * max(radius, 1.0)
     pmap = projective_to_infinity(u, h)
 
-    mapped_pts = (
-        np.array([pmap.apply_point(x) for x in pts]) if pts.size else pts.copy()
-    )
-    mapped_flats = [apply_projective(pmap, f) for f in flats]
-    final = family_dimension([f.direction for f in mapped_flats], l_min, l_max)
-
-    mapped_planes = [GraphHyperplane.from_flat(f) for f in mapped_flats]
-    inc_after = _incidence_count(mapped_pts, mapped_planes, incidence_tol)
+    mapped_pts = pmap.apply_point(pts)
+    mapped_a, mapped_c = _map_hyperplanes(pmap, np.column_stack([a, -np.ones(len(c)), c]))
+    if not all(np.isfinite(v).all() for v in (mapped_pts, mapped_a, mapped_c)):
+        raise ValueError("a mapped point or plane overflows; input values are too large")
+    final = _direction_dimension(mapped_a, l_min, l_max)
+    inc_after = _incidence_count(mapped_pts, mapped_a, mapped_c, incidence_tol)
 
     report = SpreadifyReport(
         u,
@@ -355,7 +335,7 @@ def spreadify(
         False,
         seed_val,
     )
-    return mapped_pts, mapped_flats, report
+    return mapped_pts, [GraphHyperplane(ai, ci) for ai, ci in zip(mapped_a, mapped_c)], report
 
 
 # -- CSV interchange -------------------------------------------------------
@@ -371,8 +351,21 @@ def points_to_csv(points) -> str:
 
 
 def points_from_csv(text: str) -> np.ndarray:
+    """The rows under the header of a numeric CSV table, shape (m, width).
+
+    The header needs at least 2 columns, every row exactly as many, and
+    every value must be finite.
+    """
     rows = list(csv.reader(io.StringIO(text)))
-    return np.array([[float(v) for v in r] for r in rows[1:]], dtype=float)
+    if not rows or len(rows[0]) < 2:
+        raise ValueError("CSV needs a header row of at least 2 columns")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows[1:]):
+        raise ValueError(f"every CSV row must have {width} columns")
+    table = np.array([[float(v) for v in r] for r in rows[1:]], dtype=float).reshape(-1, width)
+    if not np.isfinite(table).all():
+        raise ValueError("CSV values must be finite")
+    return table
 
 
 def hyperplanes_to_csv(planes: Sequence[GraphHyperplane]) -> str:
@@ -387,9 +380,4 @@ def hyperplanes_to_csv(planes: Sequence[GraphHyperplane]) -> str:
 
 
 def hyperplanes_from_csv(text: str) -> list:
-    rows = list(csv.reader(io.StringIO(text)))
-    out = []
-    for r in rows[1:]:
-        vals = [float(v) for v in r]
-        out.append(GraphHyperplane(np.array(vals[:-1]), vals[-1]))
-    return out
+    return [GraphHyperplane(row[:-1], row[-1]) for row in points_from_csv(text)]

@@ -242,17 +242,25 @@ def maximal_lp_norm(
     search_step: Optional[float] = None,
 ) -> float:
     """Monte Carlo L^p norm of the maximal function over Haar directions
-    (normalized Haar measure: mean of p-th powers, then p-th root)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    (normalized Haar measure: mean of p-th powers, then p-th root).
+
+    p must be finite; a p so large that every positive maximal value
+    underflows to 0 in its p-th power raises instead of returning 0.
+    """
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     if ndirs < 1:
         raise ValueError("ndirs must be >= 1")
     step = delta / 2 if search_step is None else search_step
     rng = np.random.default_rng(seed)
-    acc = 0.0
+    acc = top = 0.0
     for _ in range(ndirs):
         u = haar_sample(f.n, k, rng)
-        acc += kakeya_maximal(f, u, delta, step) ** p
+        value = kakeya_maximal(f, u, delta, step)
+        acc += value**p
+        top = max(top, value)
+    if acc == 0 < top:
+        raise ValueError(f"p = {p} is too large: every M_delta f(u)^p underflows to 0")
     return (acc / ndirs) ** (1.0 / p)
 
 
@@ -288,8 +296,8 @@ def delta_scan(
     for delta in deltas:
         if not MIN_DELTA <= delta <= 0.5:
             raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")
-    if min(ntubes, ndirs) < 1 or not p >= 1:
-        raise ValueError(f"need ntubes, ndirs, p >= 1; got {ntubes}, {ndirs}, {p}")
+    if min(ntubes, ndirs) < 1 or not 1 <= p < math.inf:
+        raise ValueError(f"need ntubes, ndirs, p >= 1 and p finite; got {ntubes}, {ndirs}, {p}")
     rows = []
     for delta in deltas:
         level = math.ceil(math.log2(4.0 / delta))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import struct
 import subprocess
 import sys
@@ -209,6 +210,18 @@ class TestMaximalScan:
         )
 
 
+# CSV inputs of the malformed `duality spreadify` cases, by file name.
+SPREADIFY_INPUTS = {
+    "points.csv": "x0,x1\n0.5,0.25\n",
+    "planes.csv": "a0,c\n0.0,0.25\n0.5,0.1\n",
+    "nan_plane.csv": "a0,c\n0.5,nan\n0.0,0.25\n",
+    "inf_point.csv": "x0,x1\ninf,0.25\n",
+    "huge_slope.csv": "a0,c\n1e300,0.1\n0.5,0.2\n",
+    "single_column.csv": "c\n0.25\n0.1\n",
+    "ragged.csv": "x0,x1\n0.5,0.25\n0.1\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv, cfg",
     [
@@ -228,14 +241,28 @@ class TestMaximalScan:
         (["maximal", "scan"], {"deltas": [0.0625, 0.6]}),
         (["maximal", "scan"], {"deltas": [0.0625], "ndirs": 0}),
         (["maximal", "scan"], {"deltas": [0.0625], "p": 0.5}),
+        # x^inf is 0 or 1, so p = inf would report 1.0 for any field.
+        (["maximal", "scan"], {"deltas": [0.0625], "ntubes": 3, "ndirs": 2, "p": math.inf}),
+        # Every maximal value below 1 underflows to 0 in its p-th power.
+        (["maximal", "scan"], {"deltas": [0.0625], "ntubes": 3, "ndirs": 2, "p": 1e308}),
+        (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "nan_plane.csv"}),
+        (["duality", "spreadify"], {"points": "inf_point.csv", "hyperplanes": "planes.csv"}),
+        # Finite in the CSV, but its image under the spreading map overflows.
+        (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "huge_slope.csv"}),
+        (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "single_column.csv"}),
+        (["duality", "spreadify"], {"points": "ragged.csv", "hyperplanes": "planes.csv"}),
     ],
     ids=["depth30", "composite_q", "missing_csv", "ff_exponents_without_s",
          "negative_samples", "zero_subflat_samples", "ball_scaling_not_object",
          "scan_zero_delta", "scan_tiny_delta_no_tubes", "scan_negative_ntubes",
-         "scan_delta_above_half", "scan_zero_ndirs", "scan_p_below_1"],
+         "scan_delta_above_half", "scan_zero_ndirs", "scan_p_below_1",
+         "scan_p_infinite", "scan_p_huge", "nan_plane", "inf_point", "huge_slope",
+         "single_column", "ragged"],
 )
 def test_malformed_config_exits_2_writes_nothing(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)
+    for name, text in SPREADIFY_INPUTS.items():
+        (tmp_path / name).write_text(text)
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, "bad.json", cfg)
     assert run_cli(argv + ["--config", cfg_path, "--out", str(out)]) == 2

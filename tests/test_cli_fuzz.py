@@ -1,9 +1,11 @@
-"""Property tests: any `grassmann verify` or `maximal scan` config, however
-malformed, ends in a documented exit code with no traceback; a count below 1
-(or a scan delta outside [2^-8, 1/2]) is a schema error (exit 2), and a schema
-error writes nothing."""
+"""Property tests: any `grassmann verify` or `maximal scan` config, and any
+pair of `duality spreadify` input CSVs, however malformed, ends in a
+documented exit code with no traceback; a count below 1 (or a scan delta
+outside [2^-8, 1/2]) is a schema error (exit 2), a schema error writes
+nothing, and a successful spreadify writes only finite numbers."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -73,3 +75,54 @@ def test_maximal_scan_config_fuzz(cfg):
             assert not list(out.iterdir())
         else:
             assert (out / "maximal_scan.json").exists()
+
+
+# One value in ten is nan, +-inf or +-1e300.
+VALUE = st.integers(0, 9).flatmap(
+    lambda i: st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]) if i == 0
+    else st.floats(-4.0, 4.0))
+WIDTH = st.sampled_from([2, 3, 4, 1])
+
+
+def table(width):
+    """(width, rows) of a CSV: up to 20 rows of `width` values."""
+    rows = st.lists(st.lists(VALUE, min_size=width, max_size=width), max_size=20)
+    return rows.map(lambda r: (width, r))
+
+
+# Points and planes CSVs, of equal width at least half the time.
+INPUTS = st.tuples(WIDTH, WIDTH, st.booleans()).flatmap(
+    lambda t: st.tuples(table(t[0]), table(t[0] if t[2] else t[1])))
+
+
+def _csv(table) -> str:
+    width, rows = table
+    lines = [",".join(f"v{j}" for j in range(width))] + [",".join(map(repr, r)) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(inputs=INPUTS, seed=st.integers(0, 3))
+def test_duality_spreadify_input_fuzz(inputs, seed):
+    points, planes = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "points.csv").write_text(_csv(points), encoding="utf-8")
+        (tmp / "planes.csv").write_text(_csv(planes), encoding="utf-8")
+        cfg = {"points": str(tmp / "points.csv"), "hyperplanes": str(tmp / "planes.csv"),
+               "levels": [2, 4], "ndirs": 3, "seed": seed}
+        (tmp / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp / "out"
+        code = main(["duality", "spreadify", "--config", str(tmp / "cfg.json"), "--out", str(out)])
+        assert code in (0, 2, 4)
+        if code == 2:
+            assert not list(out.iterdir())
+        if code == 0:
+            json.loads((out / "spreadify_report.json").read_text(), parse_constant=_reject)
+            for name in ("spreadify_points.csv", "spreadify_hyperplanes.csv"):
+                for line in (out / name).read_text().splitlines()[1:]:
+                    assert all(math.isfinite(float(v)) for v in line.split(","))
+
+
+def _reject(token):
+    raise AssertionError(f"non-finite number {token} in the report")

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import furstlab.duality as duality
 from furstlab.duality import (
     GraphHyperplane,
     MapsToInfinityError,
+    ProjectiveMap,
     VerticalHyperplaneError,
+    _map_hyperplanes,
     apply_projective,
     dualize_hyperplane,
     dualize_point,
@@ -132,8 +135,6 @@ class TestProjectiveToInfinity:
 
 class TestApplyProjective:
     def test_identity_map(self):
-        from furstlab.duality import ProjectiveMap
-
         ident = ProjectiveMap(np.eye(4))
         x = np.array([1.0, 2.0, 3.0])
         assert np.allclose(apply_projective(ident, x), x)
@@ -157,9 +158,9 @@ class TestApplyProjective:
             image = apply_projective(pmap, plane.to_flat())
             nu = image.direction.complement_basis()[:, 0]
             dist = abs(float(nu @ (y - image.offset)))
-            assert dist <= 1e-6
+            assert dist <= 1e-12
 
-    def test_hyperplane_refit_residual(self):
+    def test_hyperplane_image_residual(self):
         rng = np.random.default_rng(24)
         pmap = projective_to_infinity(np.array([0.0, 0.6, 0.8]), 4.0)
         for _ in range(100):
@@ -167,11 +168,64 @@ class TestApplyProjective:
             flat = plane.to_flat()
             image = apply_projective(pmap, flat)
             nu = image.direction.complement_basis()[:, 0]
-            # extra on-plane samples must land on the refit image plane
+            # on-plane points must land on the image plane
             for _ in range(5):
                 x = flat.point_at(rng.uniform(-0.5, 0.5, 2))
                 y = pmap.apply_point(x)
-                assert abs(float(nu @ (y - image.offset))) <= 1e-6
+                assert abs(float(nu @ (y - image.offset))) <= 1e-12
+
+    def test_batch_of_points_matches_one_at_a_time(self):
+        rng = np.random.default_rng(25)
+        pmap = projective_to_infinity(np.array([0.0, 0.6, 0.8]), 4.0)
+        pts = rng.uniform(-1, 1, (50, 3))
+        batch = pmap.apply_point(pts)
+        assert batch.shape == (50, 3)
+        for x, y in zip(pts, batch):
+            assert np.allclose(pmap.apply_point(x), y, rtol=1e-14, atol=0)
+        assert pmap.apply_point(np.zeros((0, 3))).shape == (0, 3)
+        with pytest.raises(MapsToInfinityError):
+            pmap.apply_point(np.vstack([pts, [0.0, 0.0, 5.0]]))  # <u, x> = 4
+
+
+# Under projective_to_infinity(e_2, 2), (x, y) -> (x, 1) / (y - 2), and the line
+# {y = a x + c} maps to {Y = a / (2 - c) X - 1 / (2 - c)}.
+E2_MAP = projective_to_infinity(np.array([0.0, 1.0]), 2.0)
+
+
+def graph_image(a, c):
+    mapped_a, mapped_c = _map_hyperplanes(E2_MAP, np.array([[a, -1.0, c]]))
+    return float(mapped_a[0, 0]), float(mapped_c[0])
+
+
+class TestExactHyperplaneImage:
+    @pytest.mark.parametrize(
+        "plane, image", [((1.0, 0.0), (0.5, -0.5)), ((0.0, 1.0), (0.0, -1.0)),
+                         ((3.0, -2.0), (0.75, -0.25))]
+    )
+    def test_closed_form(self, plane, image):
+        assert np.allclose(graph_image(*plane), image, rtol=0, atol=1e-15)
+
+    def test_exceptional_line_maps_to_infinity(self):
+        with pytest.raises(MapsToInfinityError):
+            graph_image(0.0, 2.0)  # y = 2
+        with pytest.raises(MapsToInfinityError):
+            apply_projective(E2_MAP, GraphHyperplane(np.array([0.0]), 2.0).to_flat())
+
+    def test_vertical_image_raises_in_spreadify(self, monkeypatch):
+        # (x, x + 2) -> (x, 1) / x: the image of y = x + 2 is the vertical line X = 1.
+        with pytest.raises(VerticalHyperplaneError):
+            graph_image(1.0, 2.0)
+        monkeypatch.setattr(duality, "projective_to_infinity", lambda u, h: E2_MAP)
+        planes = [GraphHyperplane(np.array([1.0]), 2.0), GraphHyperplane(np.array([0.0]), 0.5)]
+        with pytest.raises(VerticalHyperplaneError):
+            spreadify(np.zeros((0, 2)), planes, (2, 4), seed=0, ndirs=2)
+
+    def test_vertical_flat_maps_exactly(self):
+        # {x = 1} has no graph form; its points (1, y) go to (1, 1) / (y - 2),
+        # all on the line Y = X.
+        vertical = AffineFlat(Subspace(2, 1, np.array([[0.0], [1.0]])), np.array([1.0, 0.0]))
+        image = GraphHyperplane.from_flat(apply_projective(E2_MAP, vertical))
+        assert np.allclose([image.a[0], image.c], [1.0, 0.0], rtol=0, atol=1e-15)
 
 
 class TestDirectionMapAndProjection:
@@ -217,11 +271,12 @@ class TestSpreadify:
         rng = np.random.default_rng(6)
         xs = rng.random((1000, 5))
         pts = np.stack([xs, np.repeat(b[:, None], 5, axis=1)], axis=2).reshape(-1, 2)
-        mapped_pts, mapped_flats, report = spreadify(pts, planes, (2, 6), seed=11, ndirs=25)
+        mapped_pts, mapped_planes, report = spreadify(pts, planes, (2, 6), seed=11, ndirs=25)
         assert report.initial_direction_dimension <= 0.1
         assert report.final_direction_dimension >= 0.85
         assert report.incidences_before == report.incidences_after
-        assert len(mapped_flats) == 1000 and len(mapped_pts) == 5000
+        assert len(mapped_planes) == 1000 and len(mapped_pts) == 5000
+        assert all(isinstance(p, GraphHyperplane) for p in mapped_planes)
 
     def test_already_spread_family_stable(self):
         rng = np.random.default_rng(7)
@@ -239,11 +294,27 @@ class TestSpreadify:
     def test_degenerate_family(self):
         planes = [GraphHyperplane(np.array([0.0]), 0.5) for _ in range(10)]
         pts = np.array([[0.1, 0.5]])
-        mapped_pts, mapped_flats, report = spreadify(pts, planes, (2, 6), seed=1, ndirs=5)
+        mapped_pts, mapped_planes, report = spreadify(pts, planes, (2, 6), seed=1, ndirs=5)
         assert report.degenerate
+        assert [p.c for p in mapped_planes] == [0.5] * 10
         assert report.initial_direction_dimension == 0.0
         assert report.final_direction_dimension == 0.0
         assert np.allclose(mapped_pts, pts)
+
+    def test_planes_map_like_their_points(self):
+        rng = np.random.default_rng(9)
+        planes = [GraphHyperplane(rng.uniform(-1, 1, 2), rng.uniform(-1, 1)) for _ in range(40)]
+        xy = rng.uniform(-1, 1, (40, 2))
+        pts = np.column_stack([xy, [p.height(v) for p, v in zip(planes, xy)]])
+        mapped_pts, mapped_planes, report = spreadify(pts, planes, (2, 5), seed=4, ndirs=6)
+        assert report.incidences_after == report.incidences_before >= 40
+        for y, image in zip(mapped_pts, mapped_planes):
+            assert abs(y[-1] - image.height(y[:-1])) <= 1e-12 * max(1.0, np.abs(y).max())
+
+    def test_overflowing_image_raises(self):
+        planes = [GraphHyperplane(np.array([1e300]), 0.1), GraphHyperplane(np.array([0.5]), 0.2)]
+        with pytest.raises(ValueError):
+            spreadify(np.array([[0.5, 0.25]]), planes, (2, 4), seed=0, ndirs=2)
 
     def test_report_serializes(self):
         import json
@@ -268,3 +339,19 @@ class TestCsv:
         back = hyperplanes_from_csv(hyperplanes_to_csv(planes))
         for p, q in zip(planes, back):
             assert np.allclose(p.a, q.a) and p.c == q.c
+
+    def test_header_only_is_empty(self):
+        assert points_from_csv("x0,x1,x2\n").shape == (0, 3)
+        assert hyperplanes_from_csv("a0,c\n") == []
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "x0\n0.5\n", "x0,x1\n0.5,nan\n", "x0,x1\n-inf,0.5\n", "x0,x1\n0.5,0.25\n0.5\n",
+         "x0,x1\n0.5,0.25,1\n", "x0,x1\n0.5,abc\n"],
+        ids=["empty", "one_column", "nan", "inf", "short_row", "long_row", "not_a_number"],
+    )
+    def test_bad_table_rejected(self, text):
+        with pytest.raises(ValueError):
+            points_from_csv(text)
+        with pytest.raises(ValueError):
+            hyperplanes_from_csv(text)
