@@ -121,7 +121,17 @@ def _num(v):
 
 
 def _rational(v):
-    return as_fraction(v if not isinstance(v, str) else Fraction(v))
+    """An int, a finite float (at its binary value) or a "p/q" string."""
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {v!r}") from None
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected rational, got {v!r}")
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite rational, got {v!r}")
+    return as_fraction(v)
 
 
 def _str(v):

@@ -30,6 +30,16 @@ from .grassmann import AffineFlat, Subspace, haar_sample
 from .tolerances import TOL_EXACT, TOL_PROJECTIVE
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of x, each row squared only after an exact
+    scaling by a power of two to a largest entry in [1/2, 1).  No square
+    overflows, a norm past the float range comes out inf, and on rows whose
+    squares stay in the normal float range this is np.linalg.norm to the bit."""
+    _, e = np.frexp(np.abs(x).max(axis=1))
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.norm(np.ldexp(x, -e[:, None]), axis=1), e)
+
+
 class VerticalHyperplaneError(ValueError):
     """The hyperplane has no graph form (its normal is horizontal)."""
 
@@ -126,9 +136,12 @@ class ProjectiveMap:
         """Image of the point x, or of every row of an (m, n) array x."""
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
-        hom = np.hstack([pts, np.ones((len(pts), 1))]) @ self.matrix.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            hom = np.hstack([pts, np.ones((len(pts), 1))]) @ self.matrix.T
+        if not np.isfinite(hom).all():
+            raise ValueError("a mapped point overflows; input values are too large")
         w = hom[:, -1:]
-        scale = np.maximum(1.0, np.linalg.norm(hom, axis=1, keepdims=True))
+        scale = np.maximum(1.0, _row_norms(hom)[:, None])
         if (np.abs(w) <= TOL_PROJECTIVE * scale).any():
             raise MapsToInfinityError("point maps to infinity")
         images = hom[:, :-1] / w
@@ -171,11 +184,15 @@ def _map_hyperplanes(pmap: ProjectiveMap, rows: np.ndarray):
     """Graph forms (A, c) of the images {l M^-1 . [y; 1] = 0} of the planes
     {l . [x; 1] = 0}, one row l per plane.  A row whose whole normal part
     vanishes is the exceptional plane; one whose last normal entry vanishes
-    has a vertical image."""
-    image = rows @ np.linalg.inv(pmap.matrix)
+    has a vertical image.  An image that overflows raises ValueError; past
+    these checks the graph form is bounded by the tolerances."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = rows @ np.linalg.inv(pmap.matrix)
+    if not np.isfinite(image).all():
+        raise ValueError("a mapped plane overflows; input values are too large")
     normal = image[:, :-1]
-    size = np.linalg.norm(normal, axis=1)
-    if (size <= TOL_PROJECTIVE * np.linalg.norm(image, axis=1)).any():
+    size = _row_norms(normal)
+    if (size <= TOL_PROJECTIVE * _row_norms(image)).any():
         raise MapsToInfinityError("hyperplane maps to infinity")
     if (np.abs(normal[:, -1]) <= TOL_EXACT * size).any():
         raise VerticalHyperplaneError("image hyperplane is vertical, no graph form")
@@ -242,7 +259,10 @@ class SpreadifyReport:
 
 
 def _incidence_count(points: np.ndarray, a: np.ndarray, c: np.ndarray, tol: float) -> int:
-    resid = np.abs(points[:, -1][:, None] - points[:, :-1] @ a.T - c[None, :])
+    # A residual that overflows (inf, or nan from inf - inf) carries an error
+    # far above any tolerance, so it counts as no incidence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(points[:, -1][:, None] - points[:, :-1] @ a.T - c[None, :])
     return int((resid <= tol).sum())
 
 
@@ -251,7 +271,7 @@ def _direction_dimension(a: np.ndarray, l_min: int, l_max: int) -> DimensionEsti
     one row of a per plane: their projectors I - nu nu^T, embedded and
     counted as family_dimension counts a family of subspaces."""
     nu = np.column_stack([-a, np.ones(len(a))])
-    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    nu /= _row_norms(nu)[:, None]
     m, n = nu.shape
     proj = np.eye(n) - nu[:, :, None] * nu[:, None, :]
     return estimate_dimension(grid_from_points(proj.reshape(m, n * n), l_max), l_min, l_max)
@@ -277,7 +297,7 @@ def spreadify(
 
     Returns (mapped points, mapped hyperplanes as GraphHyperplanes, report).
     Raises VerticalHyperplaneError if an image plane is vertical, and
-    ValueError if a mapped value overflows.
+    ValueError if the data's bounding radius or a mapped value overflows.
     """
     l_min, l_max = levels
     planes = list(planes)
@@ -296,12 +316,19 @@ def spreadify(
     initial = _direction_dimension(a, l_min, l_max)
     inc_before = _incidence_count(pts, a, c, incidence_tol)
 
-    if float(np.ptp(duals, axis=0).max()) <= TOL_EXACT:
+    with np.errstate(over="ignore"):  # a spread past the float range is no degenerate family
+        spread = float(np.ptp(duals, axis=0).max())
+    if spread <= TOL_EXACT:
         report = SpreadifyReport(
             None, None, (), None, 0.0, 0.0, inc_before, inc_before, True, seed_val
         )
         return pts.copy(), planes, report
 
+    # The box counts scale each projected extent, at most h, up to a power of
+    # two, and h must leave that power finite.
+    h = 2.0 * max(float(_row_norms(np.vstack([duals, pts])).max()), 1.0)
+    if not h < 2.0**1022:
+        raise ValueError("the data's bounding radius overflows; input values are too large")
     candidates = [haar_sample(n, n - 1, rng) for _ in range(ndirs)]
     dims = []
     for cand in candidates:
@@ -312,14 +339,10 @@ def spreadify(
     chosen = candidates[best_idx]
     u = chosen.complement_basis()[:, 0]
 
-    radius = float(np.linalg.norm(np.vstack([duals, pts]), axis=1).max())
-    h = 2.0 * max(radius, 1.0)
     pmap = projective_to_infinity(u, h)
 
     mapped_pts = pmap.apply_point(pts)
     mapped_a, mapped_c = _map_hyperplanes(pmap, np.column_stack([a, -np.ones(len(c)), c]))
-    if not all(np.isfinite(v).all() for v in (mapped_pts, mapped_a, mapped_c)):
-        raise ValueError("a mapped point or plane overflows; input values are too large")
     final = _direction_dimension(mapped_a, l_min, l_max)
     inc_after = _incidence_count(mapped_pts, mapped_a, mapped_c, incidence_tol)
 

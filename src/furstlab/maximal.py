@@ -12,6 +12,16 @@ nothing.  One sweep serves every codimension >= 1: each cell adds its value
 to an interval of translates on each nearby row of the grid, and one
 difference array per row turns those intervals into every translate's
 average at once.
+
+The sweep makes two passes over the cells with the same per-cell arithmetic.
+The in-slab counts come from the first half of the grid in flat order: its
+mirror image is the second half, cell by cell (x and -x exactly, as the
+centers are dyadic), the translate grid is symmetric, and every step of the
+arithmetic commutes with negation under round-to-nearest, so the second
+half's counts are the first half's flipped through the origin.  The value
+sums come from the nonzero cells alone, which drops only +0.0 terms and
+leaves the sums bitwise unchanged.  The cells both passes read are built
+once per field, not once per direction.
 """
 
 from __future__ import annotations
@@ -181,25 +191,37 @@ def _translate_grid(step: float, radius: float = 2.0) -> np.ndarray:
     return np.arange(-m, m + 1) * step
 
 
-def _slab_sweep(f: MaximalField, u: Subspace, delta: float, step: float) -> float:
-    """Largest slab average over the translate grid in U-perp within B(0, 2), for
-    any codimension c >= 1.  A cell at U-perp coordinates t is in the slab at tau
-    iff |t - tau|^2 <= delta^2 - (|U^T x| - 1/2)_+^2, so on each grid row along the
-    last U-perp axis it covers one interval, added to that row's difference array."""
-    w = u.complement_basis()
-    c = w.shape[1]
-    x = f.centers() @ np.hstack([u.basis, w])  # U coordinates, then U-perp ones
-    long_norm = np.linalg.norm(x[:, : u.k], axis=1)
+def _sweep_cells(f: MaximalField):
+    """What every slab sweep of f reads: the centers of the first half of the
+    cells in flat order, the centers of the nonzero cells and their values."""
+    vals = f.values.ravel()
+    nonzero = np.flatnonzero(vals)
+    axis = f.axis_centers()
+
+    def centers(idx):
+        return axis[np.stack(np.unravel_index(idx, f.values.shape), axis=1)]
+
+    return centers(np.arange(vals.size // 2)), centers(nonzero), vals[nonzero]
+
+
+def _slab_intervals(points: np.ndarray, frame: np.ndarray, k: int, delta: float, step: float):
+    """For each row offset, yield (lo, hi, cells): points[cells[i]] is in the slab
+    at every translate of difference-array positions lo[i] <= j < hi[i].  A point
+    at U-perp coordinates t is in the slab at tau iff
+    |t - tau|^2 <= delta^2 - (|U^T x| - 1/2)_+^2, so on each grid row along the
+    last U-perp axis it covers one interval of translates."""
+    c = frame.shape[1] - k
+    x = points @ frame  # U coordinates, then U-perp ones
+    long_norm = np.linalg.norm(x[:, :k], axis=1)
     band = np.flatnonzero(long_norm <= 0.5 + delta)
-    t, vals = x[band, u.k :], f.values.ravel()[band]
+    t = x[band, k:]
     excess = np.maximum(long_norm[band] - 0.5, 0.0)
     g_sq = delta * delta - excess * excess
-    del x, long_norm  # whole-grid arrays; the sweep reads only the band
+    del x, long_norm  # the sweep reads only the band
     taus = _translate_grid(step)
     nt = len(taus)
     near = np.rint(t[:, :-1] / step).astype(int) + nt // 2
     row_stride = (nt + 1) * nt ** np.arange(c - 2, -1, -1)
-    acc = np.zeros((2, nt ** (c - 1) * (nt + 1)))  # value sums, cell counts
     reach = range(-math.ceil(delta / step), math.ceil(delta / step) + 1)
     for offset in itertools.product(reach, repeat=c - 1):
         rows = near + np.array(offset, dtype=int)
@@ -208,28 +230,77 @@ def _slab_sweep(f: MaximalField, u: Subspace, delta: float, step: float) -> floa
         r, tc, base = np.sqrt(r_sq[sel]), t[sel, -1], rows[sel] @ row_stride
         lo = base + np.searchsorted(taus, tc - r, side="left")
         hi = base + np.searchsorted(taus, tc + r, side="right")
-        for ends, sign in ((lo, 1.0), (hi, -1.0)):
-            acc[0] += sign * np.bincount(ends, vals[sel], acc.shape[1])
-            acc[1] += sign * np.bincount(ends, minlength=acc.shape[1])
-    sums, counts = np.cumsum(acc.reshape(2, -1, nt + 1), axis=2)[:, :, :nt].reshape(2, -1)
+        yield lo, hi, band[sel]
+
+
+def _slab_sweep(cells, u: Subspace, delta: float, step: float) -> float:
+    """Largest slab average over the translate grid in U-perp within B(0, 2), for
+    any codimension c >= 1, from the `_sweep_cells` of the field.
+
+    Each cell adds to an interval of translates on each nearby grid row, and one
+    difference array per row turns those intervals into every translate's
+    in-slab count and value sum.  Two passes share that arithmetic:
+
+    - Counts come from the first half of the cells only.  Cell i and cell
+      N-1-i are x and -x exactly (the centers are dyadic), the translate grid
+      is symmetric, and the projection, its norm and `rint` are odd or even
+      exactly under round-to-nearest.  So where a cell covers the columns
+      [lo, hi) of a row, its mirror covers exactly [nt - hi, nt - lo) of the
+      mirrored row, and the full counts are the half's counts plus the same
+      array flipped along every translate axis.
+    - Sums come from the nonzero cells only.  Dropping zero values removes only
+      +0.0 terms from each `bincount` and keeps the order of the rest, so the
+      sums are bitwise those of the whole grid.
+    """
+    half, points, vals = cells
+    frame = np.hstack([u.basis, u.complement_basis()])
+    c = u.n - u.k
+    taus = _translate_grid(step)
+    nt = len(taus)
+    size = nt ** (c - 1) * (nt + 1)
+
+    def per_translate(diff):  # difference arrays -> one value per translate
+        return np.cumsum(diff.reshape(-1, nt + 1), axis=1)[:, :nt].reshape((nt,) * c)
+
+    diff = np.zeros(size, dtype=np.int64)
+    for lo, hi, _ in _slab_intervals(half, frame, u.k, delta, step):
+        diff += np.bincount(lo, minlength=size) - np.bincount(hi, minlength=size)
+    counts = per_translate(diff)
+    counts = counts + np.flip(counts)
+    diff = np.zeros(size)
+    for lo, hi, idx in _slab_intervals(points, frame, u.k, delta, step):
+        diff += np.bincount(lo, vals[idx], size)
+        diff -= np.bincount(hi, vals[idx], size)
+    sums = per_translate(diff)
     avgs = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     mesh = np.meshgrid(*([taus] * c), indexing="ij")
-    return float(avgs[np.linalg.norm(np.stack(mesh, axis=-1), axis=-1).ravel() <= 2.0].max())
+    return float(avgs[np.linalg.norm(np.stack(mesh, axis=-1), axis=-1) <= 2.0].max())
+
+
+def _check_search(f: MaximalField, delta: float, search_step: float):
+    """The argument checks of kakeya_maximal that hold for every direction."""
+    if search_step > delta / 2 + 1e-15:
+        raise ValueError("search_step must be <= delta/2")
+    if not (MIN_DELTA <= delta <= 0.5):
+        raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")
+    _check_resolution(f, delta)
+
+
+def _direction_maximal(f: MaximalField, cells, u: Subspace, delta: float, step: float) -> float:
+    """kakeya_maximal after its checks, given the field's `_sweep_cells`
+    (None for codimension 0, which takes the one slab at the origin)."""
+    if u.k == u.n:
+        return tube_average(f, TubeSpec(u, np.zeros(u.n), delta))
+    return _slab_sweep(cells, u, delta, step)
 
 
 def kakeya_maximal(f: MaximalField, u: Subspace, delta: float, search_step: float) -> float:
     """Supremum of tube_average over translates a on a grid of spacing
     search_step in U-perp within B(0, 2)."""
-    if search_step > delta / 2 + 1e-15:
-        raise ValueError("search_step must be <= delta/2")
-    if not (MIN_DELTA <= delta <= 0.5):
-        raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")
     if f.n != u.n:
         raise ValueError("field and direction live in different dimensions")
-    _check_resolution(f, delta)
-    if u.k == u.n:
-        return tube_average(f, TubeSpec(u, np.zeros(u.n), delta))
-    return _slab_sweep(f, u, delta, search_step)
+    _check_search(f, delta, search_step)
+    return _direction_maximal(f, _sweep_cells(f) if u.k < u.n else None, u, delta, search_step)
 
 
 def maximal_lp_norm(
@@ -252,11 +323,13 @@ def maximal_lp_norm(
     if ndirs < 1:
         raise ValueError("ndirs must be >= 1")
     step = delta / 2 if search_step is None else search_step
+    _check_search(f, delta, step)
+    cells = _sweep_cells(f) if k < f.n else None  # shared by every direction
     rng = np.random.default_rng(seed)
     acc = top = 0.0
     for _ in range(ndirs):
         u = haar_sample(f.n, k, rng)
-        value = kakeya_maximal(f, u, delta, step)
+        value = _direction_maximal(f, cells, u, delta, step)
         acc += value**p
         top = max(top, value)
     if acc == 0 < top:

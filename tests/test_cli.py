@@ -209,6 +209,17 @@ class TestMaximalScan:
             "98f1e37716150542f9fdea57d06625ec8cf9288e619ae3362acca0371918d6c5"
         )
 
+    def test_sampling_scan_pinned(self, tmp_path):
+        # The benchmark's finest planar scan (delta 2^-6, a 512 x 512 grid),
+        # pinned from the whole-grid sweep: the half-grid counts and the
+        # nonzero-cell sums must reproduce it byte for byte.
+        cfg = write_config(tmp_path, "m.json", {"deltas": [2.0**-6], "ntubes": 10, "ndirs": 20})
+        out = tmp_path / "out"
+        assert run_cli(["maximal", "scan", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "maximal_scan.json").read_bytes()).hexdigest() == (
+            "d9d7ecb24a5ab1fb10a90ffd5e78ec92098214b588246b50559c189a152fedb5"
+        )
+
 
 # CSV inputs of the malformed `duality spreadify` cases, by file name.
 SPREADIFY_INPUTS = {
@@ -217,6 +228,7 @@ SPREADIFY_INPUTS = {
     "nan_plane.csv": "a0,c\n0.5,nan\n0.0,0.25\n",
     "inf_point.csv": "x0,x1\ninf,0.25\n",
     "huge_slope.csv": "a0,c\n1e300,0.1\n0.5,0.2\n",
+    "huge_spread.csv": "a0,c\n1.5e308,0.1\n-1.5e308,0.2\n",
     "single_column.csv": "c\n0.25\n0.1\n",
     "ragged.csv": "x0,x1\n0.5,0.25\n0.1\n",
 }
@@ -230,6 +242,12 @@ SPREADIFY_INPUTS = {
         (["duality", "spreadify"], {"points": "absent.csv", "hyperplanes": "absent.csv"}),
         (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": "1/2", "t": 1}],
                               "ff_exponents": [{"n": 3, "k": 1}]}),
+        (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": "1/0", "t": 1}]}),
+        # 1e400 reads back from JSON as inf.
+        (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": 1e400, "t": 1}]}),
+        (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": "1/2", "t": 1}],
+                              "ff_exponents": [{"n": 3, "k": 1, "s": "1/0"}]}),
+        (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": True, "t": 1}]}),
         (["grassmann", "verify"], {"pairs": [[3, 1]], "samples": -5}),
         (["grassmann", "verify"], {"pairs": [[3, 1]], "subflat_samples": 0}),
         # A list of pairs is not an object, even though dict() accepts it.
@@ -249,14 +267,18 @@ SPREADIFY_INPUTS = {
         (["duality", "spreadify"], {"points": "inf_point.csv", "hyperplanes": "planes.csv"}),
         # Finite in the CSV, but its image under the spreading map overflows.
         (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "huge_slope.csv"}),
+        # Finite slopes whose spread, and so the data's extent, overflows.
+        (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "huge_spread.csv"}),
         (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "single_column.csv"}),
         (["duality", "spreadify"], {"points": "ragged.csv", "hyperplanes": "planes.csv"}),
     ],
     ids=["depth30", "composite_q", "missing_csv", "ff_exponents_without_s",
+         "bounds_zero_denominator", "bounds_infinite", "ff_exponents_zero_denominator",
+         "bounds_bool",
          "negative_samples", "zero_subflat_samples", "ball_scaling_not_object",
          "scan_zero_delta", "scan_tiny_delta_no_tubes", "scan_negative_ntubes",
          "scan_delta_above_half", "scan_zero_ndirs", "scan_p_below_1",
-         "scan_p_infinite", "scan_p_huge", "nan_plane", "inf_point", "huge_slope",
+         "scan_p_infinite", "scan_p_huge", "nan_plane", "inf_point", "huge_slope", "huge_spread",
          "single_column", "ragged"],
 )
 def test_malformed_config_exits_2_writes_nothing(tmp_path, monkeypatch, argv, cfg):

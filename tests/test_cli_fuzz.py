@@ -1,7 +1,7 @@
-"""Property tests: any `grassmann verify` or `maximal scan` config, and any
-pair of `duality spreadify` input CSVs, however malformed, ends in a
-documented exit code with no traceback; a count below 1 (or a scan delta
-outside [2^-8, 1/2]) is a schema error (exit 2), a schema error writes
+"""Property tests: any `grassmann verify`, `maximal scan` or `bounds eval`
+config, and any pair of `duality spreadify` input CSVs, however malformed,
+ends in a documented exit code with no traceback; a count below 1 (or a scan
+delta outside [2^-8, 1/2]) is a schema error (exit 2), a schema error writes
 nothing, and a successful spreadify writes only finite numbers."""
 
 import json
@@ -75,6 +75,46 @@ def test_maximal_scan_config_fuzz(cfg):
             assert not list(out.iterdir())
         else:
             assert (out / "maximal_scan.json").exists()
+
+
+# Small ints, floats (1e400 reads back from JSON as inf), "p/q" strings with q
+# possibly 0, booleans and wrong types.
+RATIONAL = st.one_of(
+    st.integers(-2, 5), st.floats(-1.0, 6.0), st.sampled_from([1e400, -1e400, True, False]),
+    st.tuples(st.integers(-3, 9), st.integers(0, 3)).map(lambda pq: f"{pq[0]}/{pq[1]}"), WRONG)
+IN_RANGE = {"n": st.integers(2, 4), "k": st.integers(1, 2), "s": st.sampled_from([1, 0.75, "1/2"]),
+            "t": st.integers(0, 3)}
+
+
+def entry(*keys):
+    """A bounds entry: in-range values with none, one or each of them drawn
+    from RATIONAL instead."""
+    in_range = st.fixed_dictionaries({key: IN_RANGE[key] for key in keys})
+    one_off = st.tuples(in_range, st.sampled_from(keys), RATIONAL).map(
+        lambda e: {**e[0], e[1]: e[2]})
+    mixed = st.fixed_dictionaries({key: st.one_of(IN_RANGE[key], RATIONAL) for key in keys})
+    return st.one_of(in_range, one_off, mixed)
+
+
+BOUNDS = st.fixed_dictionaries(
+    {"tuples": st.lists(entry("n", "k", "s", "t"), max_size=2)},
+    optional={"ff_exponents": st.lists(entry("n", "k", "s"), max_size=2)},
+)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(cfg=BOUNDS)
+def test_bounds_eval_config_fuzz(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = Path(tmp) / "out"
+        code = main(["bounds", "eval", "--config", str(path), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not list(out.iterdir())
+        else:
+            assert (out / "bounds_eval.json").exists()
 
 
 # One value in ten is nan, +-inf or +-1e300.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,31 @@ class TestSpreadify:
         planes = [GraphHyperplane(np.array([1e300]), 0.1), GraphHyperplane(np.array([0.5]), 0.2)]
         with pytest.raises(ValueError):
             spreadify(np.array([[0.5, 0.25]]), planes, (2, 4), seed=0, ndirs=2)
+
+    @pytest.mark.parametrize(
+        "points, slope, outcome",
+        [([[0.5, 0.25]], 1e150, "maps"), ([[0.5, 0.25]], 1e200, "overflows"),
+         ([[0.5, 0.25]], 1e300, "overflows"), ([[1e300, 0.25], [0.1, 0.2]], 0.3, "maps")],
+        ids=["slope1e150", "slope1e200", "slope1e300", "point1e300"],
+    )
+    def test_huge_inputs_map_or_overflow_without_warnings(self, points, slope, outcome):
+        # h lies past the data's radius, so nothing maps to infinity: a finite
+        # input maps to finite values or raises the overflow ValueError, and
+        # no norm overflows on the way.
+        planes = [GraphHyperplane(np.array([slope]), 0.1), GraphHyperplane(np.array([0.5]), 0.2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                mapped_pts, mapped_planes, _ = spreadify(np.array(points), planes, (2, 4),
+                                                         seed=0, ndirs=4)
+            except MapsToInfinityError:
+                pytest.fail("a plane past the exceptional hyperplane was sent to infinity")
+            except ValueError as exc:
+                assert outcome == "overflows" and "overflows" in str(exc)
+                return
+        assert outcome == "maps"
+        assert np.isfinite(mapped_pts).all()
+        assert all(np.isfinite(p.a).all() and math.isfinite(p.c) for p in mapped_planes)
 
     def test_report_serializes(self):
         import json

@@ -177,6 +177,48 @@ class TestKakeyaMaximal:
         )
         assert kakeya_maximal(f, u, delta, delta / 2) == pytest.approx(slow, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, k, level, delta, div, value",
+        [(2, 1, 6, 0.1, 3, 0.6149944509467943), (2, 1, 6, 0.125, 2, 0.6454082556652025),
+         (3, 1, 4, 0.3, 3, 0.8092656871743502), (3, 2, 4, 0.3, 3, 0.5658227449477311),
+         (3, 2, 4, 0.25, 2, 0.5758281783279827), (4, 1, 3, 0.5, 3, 0.9821065088116895),
+         (4, 2, 3, 0.5, 3, 0.7309802548573724), (4, 3, 3, 0.5, 2, 0.5024542068951017),
+         (4, 3, 3, 0.5, 3, 0.5076593877666703)],
+    )
+    def test_pinned_dense_fields(self, n, k, level, delta, div, value):
+        # Pinned from the single whole-grid pass per direction that the two-pass
+        # sweep replaced; the sums must stay bitwise, so the pins are exact.
+        rng = np.random.default_rng(100 * n + 10 * k + div)
+        f = MaximalField(n, level, rng.random((1 << (level + 1),) * n))
+        assert kakeya_maximal(f, haar_sample(n, k, rng), delta, delta / div) == value
+
+    @pytest.mark.parametrize(
+        "n, k, level, delta",
+        [(2, 1, 5, 1 / 8), (3, 1, 4, 1 / 4), (3, 2, 4, 1 / 4), (4, 2, 3, 1 / 2)],
+        ids=["n2k1", "n3k1", "n3k2", "n4k2"],
+    )
+    def test_edge_fields(self, n, k, level, delta):
+        u = haar_sample(n, k, 5)
+        step = delta / 3
+        assert kakeya_maximal(MaximalField.constant(n, level, 0.0), u, delta, step) == 0.0
+        # Dyadic value: every in-slab sum is exact, so only a wrong count moves it.
+        assert kakeya_maximal(MaximalField.constant(n, level, 0.375), u, delta, step) == 0.375
+        # One nonzero cell in the second half of the flat order, which the
+        # half-grid count pass never reads: its exact average is 3 / (the
+        # smallest in-slab count of a translate whose slab holds it).
+        m = 1 << (level + 1)
+        cell = np.ravel_multi_index((m // 2,) * n, (m,) * n)
+        assert cell >= m**n // 2
+        values = np.zeros(m**n)
+        values[cell] = 3.0
+        f = MaximalField(n, level, values.reshape((m,) * n))
+        w = u.complement_basis()
+        grid = np.meshgrid(*[_translate_grid(delta / 2)] * (n - k), indexing="ij")
+        taus = np.stack([g.ravel() for g in grid], axis=1)
+        slow = max(tube_average(f, TubeSpec(u, w @ tau, delta))
+                   for tau in taus[np.linalg.norm(taus, axis=1) <= 2.0])
+        assert kakeya_maximal(f, u, delta, delta / 2) == slow > 0
+
     def test_slab_direction_in_3d(self):
         f = MaximalField.ball_indicator(3, 4)
         u = haar_sample(3, 2, 2)  # hyperplane slab, codimension 1
@@ -195,6 +237,19 @@ class TestLpNorm:
         f = bump_field()
         norm = maximal_lp_norm(f, 1, 0.125, 2.0, ndirs=8, seed=1)
         assert norm <= float(f.values.max()) + 1e-12
+
+    def test_field_prepared_once_per_call(self, monkeypatch):
+        # The cells every direction's sweep reads are built once per call, and
+        # no direction rebuilds the whole grid's centers.
+        import furstlab.maximal as mx
+
+        f = bump_field()
+        calls = []
+        prepare = mx._sweep_cells
+        monkeypatch.setattr(mx, "_sweep_cells", lambda f: calls.append(1) or prepare(f))
+        monkeypatch.setattr(MaximalField, "centers", lambda self: pytest.fail("centers() rebuilt"))
+        maximal_lp_norm(f, 1, 0.125, 2.0, ndirs=6, seed=2)
+        assert len(calls) == 1
 
     def test_deterministic(self):
         f = bump_field()
