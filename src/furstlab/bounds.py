@@ -19,6 +19,10 @@ RationalLike = Union[int, float, str, Fraction]
 
 POSITIVE_MEASURE = "positive Lebesgue measure"
 
+# Every surveyed value is at most quadratic in n, so n <= 2**500 keeps each
+# one below 2**1024, within the float range its report prints it in.
+MAX_N = 2**500
+
 
 class InapplicableBound(ValueError):
     """A bound was evaluated outside the hypotheses of its theorem."""
@@ -43,8 +47,8 @@ class BoundParams:
     def __post_init__(self):
         object.__setattr__(self, "s", as_fraction(self.s))
         object.__setattr__(self, "t", as_fraction(self.t))
-        if self.n < 2:
-            raise ValueError("need n >= 2")
+        if not 2 <= self.n <= MAX_N:
+            raise ValueError(f"need 2 <= n <= 2**500, got n={self.n}")
         if not (1 <= self.k <= self.n - 1):
             raise ValueError(f"need 1 <= k <= n-1, got k={self.k}, n={self.n}")
         if not (0 < self.s <= self.k):
@@ -252,6 +256,8 @@ def bound_survey(p: BoundParams) -> BoundReport:
 def ff_bound_exponents(n: int, k: int, s: RationalLike) -> FFBoundReport:
     """The four finite-field cardinality exponents at (n, k, s)."""
     s = as_fraction(s)
+    if n > MAX_N:
+        raise ValueError(f"need n <= 2**500, got n={n}")
     if not (1 <= k <= n - 1):
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     if not (0 < s <= k):

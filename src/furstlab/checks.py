@@ -14,12 +14,12 @@ import numpy as np
 
 from .grassmann import (
     _CHUNK,
+    _ball_hits,
     _direct_rotation_batch,
     _grass_distance_batch,
     _matvec,
     _perp,
     _subflat_batch,
-    ball_measure_estimate,
     haar_projector_batch,
     haar_sample,
 )
@@ -152,8 +152,7 @@ def check_ball_scaling(n: int, k: int, delta: float, samples: int, seed=None) ->
     estimate(delta) / estimate(delta/2) should be within the relative
     window of 2^(k(n-k))."""
     u = haar_sample(n, k, seed=12345)
-    big = ball_measure_estimate(u, delta, samples, seed)
-    small = ball_measure_estimate(u, delta / 2, samples, seed)
+    big, small = (hits / samples for hits in _ball_hits(u, (delta, delta / 2), samples, seed))
     ratio = big / small if small > 0 else float("inf")
     expected = 2.0 ** (k * (n - k))
     ok = expected * (1 - _BALL_REL_WINDOW) <= ratio <= expected * (1 + _BALL_REL_WINDOW)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks
+from . import checks, table
 from .bounds import BoundParams, as_fraction, bound_survey, ff_bound_exponents
 from .dimension import (
     cantor_grid,
@@ -411,6 +411,8 @@ def cmd_ff_verify(cfg, out_dir, seed):
             fset = FFSet(q, n, frozenset(opts["points"]))
         else:
             fset = FFSet.from_csv(q, _read_input(opts["set_csv"]).decode("utf-8"))
+            if fset.n != n:
+                raise SchemaError(f"set_csv has {fset.n} columns; points of F_q^{n} need {n}")
         payload["set_size"] = len(fset)
         payload["pigeonhole"] = ff_pigeonhole_verify(fset, k)
         payload["is_kakeya"] = ff_is_kakeya(fset)
@@ -488,8 +490,7 @@ def cmd_maximal_scan(cfg, out_dir, seed):
     )
     seed = opts["seed"] if seed is None else seed
     rows = delta_scan(opts["deltas"], opts["ntubes"], opts["p"], opts["ndirs"], seed)
-    lines = ["delta,norm"] + [f"{d!r},{v!r}" for d, v in rows]
-    _write_text(out_dir, "maximal_scan.csv", "\n".join(lines) + "\n")
+    _write_text(out_dir, "maximal_scan.csv", table.to_csv(["delta", "norm"], rows))
     _write_text(out_dir, "maximal_scan_plot.py", _PLOT_SCRIPT)
     _write_json(out_dir, "maximal_scan.json", {"seed": seed, "rows": [list(r) for r in rows]})
     for d, v in rows:

@@ -17,8 +17,6 @@ exactly).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -26,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import table
 from .grassmann import AffineFlat, Subspace, haar_sample
 
 MAX_CELLS = 1 << 24
@@ -118,18 +117,13 @@ class GridSet:
 
     def to_csv(self) -> str:
         """Header i0..i{n-1}, then the cells in lexicographic order."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([f"i{j}" for j in range(self.n)])
-        w.writerows(self.cells[np.lexsort(self.cells.T[::-1])].tolist())
-        return buf.getvalue()
+        cells = self.cells[np.lexsort(self.cells.T[::-1])]
+        return table.to_csv([f"i{j}" for j in range(self.n)], cells)
 
     @classmethod
     def from_csv(cls, text: str, level: int) -> "GridSet":
-        rows = list(csv.reader(io.StringIO(text)))
-        data = np.array([[int(v) for v in r] for r in rows[1:]], dtype=np.int64)
-        n = len(rows[0])
-        return cls(n, level, data.reshape(-1, n))
+        cells = table.from_csv(text, int)
+        return cls(cells.shape[1], level, cells)
 
     def to_rle(self) -> bytes:
         """Run-length encoding of the sorted linear (row-major) cell indices:
@@ -334,11 +328,9 @@ def _base3_patterns_for(s: float, naxes: int) -> tuple:
     return pats, nfull + nhalf * log32
 
 
-def sharp_hyperplane_example(
-    n: int, s: float, depth: int, family_size: int = 256
-) -> SharpHyperplaneExample:
+def sharp_hyperplane_example(n: int, s: float, depth: int) -> SharpHyperplaneExample:
     """A set of dimension ~s inside the coordinate ceil(s)-subspace, plus a
-    dense sample of the hyperplanes containing that subspace.
+    dense sample of 256 hyperplanes containing that subspace.
 
     The family is parametrized by the (n-1-ceil(s))-subspaces of the
     orthogonal complement and sampled with a fixed internal seed, so the
@@ -362,7 +354,7 @@ def sharp_hyperplane_example(
         flats.append(AffineFlat(Subspace(n, n - 1, basis), np.zeros(n)))
     else:
         rng = np.random.default_rng(20240 + n * 16 + m)
-        for _ in range(family_size):
+        for _ in range(256):
             sub = haar_sample(n - m, n - 1 - m, rng)
             basis = np.zeros((n, n - 1))
             basis[:m, :m] = np.eye(m)

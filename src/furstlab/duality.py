@@ -18,13 +18,12 @@ graph-form plane has l = (a, -1, c).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import table
 from .dimension import DimensionEstimate, estimate_dimension, grid_from_points
 from .grassmann import AffineFlat, Subspace, haar_sample
 from .tolerances import TOL_EXACT, TOL_PROJECTIVE
@@ -85,11 +84,11 @@ class GraphHyperplane:
         return AffineFlat.through(direction, point)
 
     @classmethod
-    def from_flat(cls, flat: AffineFlat, tol: float = TOL_EXACT) -> "GraphHyperplane":
+    def from_flat(cls, flat: AffineFlat) -> "GraphHyperplane":
         if flat.k != flat.n - 1:
             raise ValueError("expected a hyperplane")
         nu = flat.direction.complement_basis()[:, 0]
-        if abs(nu[-1]) <= tol:
+        if abs(nu[-1]) <= TOL_EXACT:
             raise VerticalHyperplaneError("hyperplane is vertical, no graph form")
         d = float(np.dot(nu, flat.offset))
         return cls(-nu[:-1] / nu[-1], d / nu[-1])
@@ -366,40 +365,20 @@ def spreadify(
 
 def points_to_csv(points) -> str:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([f"x{j}" for j in range(pts.shape[1])])
-    w.writerows(pts.tolist())
-    return buf.getvalue()
+    return table.to_csv([f"x{j}" for j in range(pts.shape[1])], pts)
 
 
 def points_from_csv(text: str) -> np.ndarray:
-    """The rows under the header of a numeric CSV table, shape (m, width).
-
-    The header needs at least 2 columns, every row exactly as many, and
-    every value must be finite.
-    """
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or len(rows[0]) < 2:
+    """The rows under the header of a float table of at least 2 columns."""
+    pts = table.from_csv(text, float)
+    if pts.shape[1] < 2:
         raise ValueError("CSV needs a header row of at least 2 columns")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows[1:]):
-        raise ValueError(f"every CSV row must have {width} columns")
-    table = np.array([[float(v) for v in r] for r in rows[1:]], dtype=float).reshape(-1, width)
-    if not np.isfinite(table).all():
-        raise ValueError("CSV values must be finite")
-    return table
+    return pts
 
 
 def hyperplanes_to_csv(planes: Sequence[GraphHyperplane]) -> str:
-    planes = list(planes)
-    n = planes[0].n
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([f"a{j}" for j in range(n - 1)] + ["c"])
-    for p in planes:
-        w.writerow(list(p.a) + [p.c])
-    return buf.getvalue()
+    rows = [np.append(p.a, p.c) for p in planes]
+    return table.to_csv([f"a{j}" for j in range(len(rows[0]) - 1)] + ["c"], rows)
 
 
 def hyperplanes_from_csv(text: str) -> list:

@@ -20,6 +20,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import table
+
 Point = Tuple[int, ...]
 
 MAX_DIRECTIONS = 10 ** 6
@@ -171,17 +173,13 @@ class FFSet:
         return cls(q, n, frozenset(itertools.product(range(q), repeat=n)))
 
     def to_csv(self) -> str:
-        lines = [",".join(f"x{j}" for j in range(self.n))]
-        for p in sorted(self.points):
-            lines.append(",".join(str(v) for v in p))
-        return "\n".join(lines) + "\n"
+        return table.to_csv([f"x{j}" for j in range(self.n)], sorted(self.points))
 
     @classmethod
     def from_csv(cls, q: int, text: str) -> "FFSet":
-        rows = [r for r in text.strip().splitlines()][1:]
-        pts = frozenset(tuple(int(v) for v in r.split(",")) for r in rows)
-        n = len(next(iter(pts))) if pts else 0
-        return cls(q, n, pts)
+        """The set of the rows under the header; its n is the header's width."""
+        pts = table.from_csv(text, int)
+        return cls(q, pts.shape[1], frozenset(map(tuple, pts.tolist())))
 
 
 def ff_directions(q: int, n: int, k: int) -> List[FFSubspace]:

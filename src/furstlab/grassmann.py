@@ -24,10 +24,6 @@ MAX_AMBIENT_DIM = 16
 _CHUNK = 1 << 12
 
 
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A k-dimensional linear subspace of R^n with an orthonormal basis.
@@ -72,10 +68,6 @@ class Subspace:
         """Orthogonal projection of x onto the subspace."""
         x = np.asarray(x, dtype=float)
         return self.basis @ (self.basis.T @ x)
-
-    def coordinates(self, x) -> np.ndarray:
-        """Coordinates of the projection of x in the orthonormal basis."""
-        return self.basis.T @ np.asarray(x, dtype=float)
 
     def complement_basis(self) -> np.ndarray:
         """Orthonormal basis of the orthogonal complement, shape (n, n-k)."""
@@ -142,9 +134,6 @@ class Rotation:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, x) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float)
-
 
 def haar_sample(n: int, k: int, seed=None) -> Subspace:
     """Draw a uniform (Haar) random k-subspace of R^n.
@@ -168,7 +157,7 @@ def haar_projector_batch(n: int, k: int, count: int, seed=None) -> np.ndarray:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if n > MAX_AMBIENT_DIM:
         raise ValueError(f"ambient dimension capped at {MAX_AMBIENT_DIM}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, n, k))
     q, r = np.linalg.qr(g)
     signs = np.sign(np.einsum("...ii->...i", r))
@@ -304,8 +293,25 @@ def sample_subflat(w: AffineFlat, k2: int, r: float, seed=None) -> AffineFlat:
         raise ValueError("r must be positive")
     if np.linalg.norm(w.offset) > r:
         raise ValueError("the flat itself does not meet B(0, r)")
-    d, off = _subflat_batch(w.direction.basis[None], w.offset[None], k2, np.full(1, r), _rng(seed))
+    rng = np.random.default_rng(seed)
+    d, off = _subflat_batch(w.direction.basis[None], w.offset[None], k2, np.full(1, r), rng)
     return AffineFlat(Subspace(w.n, k2, d[0]), off[0])
+
+
+def _ball_hits(u: Subspace, radii: tuple, samples: int, seed) -> list:
+    """For each radius r, how many of `samples` haar_sample draws lie within
+    grass_distance r of U; every radius reads the same draws, in chunks."""
+    if min(radii) <= 0:
+        raise ValueError("delta must be positive")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    hits = np.zeros(len(radii), dtype=np.int64)
+    for start in range(0, samples, _CHUNK):
+        bases = haar_projector_batch(u.n, u.k, min(_CHUNK, samples - start), rng)
+        d = _grass_distance_batch(u.basis, bases)
+        hits += np.count_nonzero(d[:, None] <= np.array(radii), axis=0)
+    return hits.tolist()
 
 
 def ball_measure_estimate(u: Subspace, delta: float, samples: int, seed=None) -> float:
@@ -314,13 +320,4 @@ def ball_measure_estimate(u: Subspace, delta: float, samples: int, seed=None) ->
     Fraction of haar_sample draws within grass_distance delta of U.
     Deterministic for a fixed seed; draws are processed in chunks.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = _rng(seed)
-    hits = 0
-    for start in range(0, samples, _CHUNK):
-        bases = haar_projector_batch(u.n, u.k, min(_CHUNK, samples - start), rng)
-        hits += int(np.count_nonzero(_grass_distance_batch(u.basis, bases) <= delta))
-    return hits / samples
+    return _ball_hits(u, (delta,), samples, seed)[0] / samples

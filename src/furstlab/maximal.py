@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -185,9 +185,9 @@ def tube_average(f: MaximalField, tube: TubeSpec) -> float:
     return float(f.values[slices][inside].sum() / inside.sum())
 
 
-def _translate_grid(step: float, radius: float = 2.0) -> np.ndarray:
-    """Symmetric 1-d grid of spacing `step` covering [-radius, radius]."""
-    m = int(math.floor(radius / step))
+def _translate_grid(step: float) -> np.ndarray:
+    """Symmetric 1-d grid of spacing `step` covering [-2, 2]."""
+    m = int(math.floor(2.0 / step))
     return np.arange(-m, m + 1) * step
 
 
@@ -310,10 +310,10 @@ def maximal_lp_norm(
     p: float,
     ndirs: int,
     seed=None,
-    search_step: Optional[float] = None,
 ) -> float:
     """Monte Carlo L^p norm of the maximal function over Haar directions
-    (normalized Haar measure: mean of p-th powers, then p-th root).
+    (normalized Haar measure: mean of p-th powers, then p-th root), each
+    searched on the translate grid of spacing delta/2.
 
     p must be finite; a p so large that every positive maximal value
     underflows to 0 in its p-th power raises instead of returning 0.
@@ -322,7 +322,7 @@ def maximal_lp_norm(
         raise ValueError(f"p must be finite and >= 1, got {p}")
     if ndirs < 1:
         raise ValueError("ndirs must be >= 1")
-    step = delta / 2 if search_step is None else search_step
+    step = delta / 2
     _check_search(f, delta, step)
     cells = _sweep_cells(f) if k < f.n else None  # shared by every direction
     rng = np.random.default_rng(seed)

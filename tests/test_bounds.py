@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -224,6 +225,23 @@ class TestFFExponents:
             for s in (Fraction(1, 4), Fraction(1, 2), 1):
                 rep = ff_bound_exponents(n, 1, s)
                 assert rep.zhang_upper >= rep.pair_counting
+
+
+class TestHugeN:
+    def test_every_value_finite_up_to_the_cap(self):
+        for n in (2**60, 2**500):
+            for k in (1, n // 2, n - 1):
+                for s in (1, k):
+                    for t in (0, (k + 1) * (n - k)):
+                        rep = bound_survey(BoundParams(n, k, s, t))
+                        json.dumps(rep.as_dict(), allow_nan=False)
+                    json.dumps(ff_bound_exponents(n, k, s).as_dict(), allow_nan=False)
+
+    def test_n_past_the_cap_rejected(self):
+        with pytest.raises(ValueError):
+            BoundParams(2**500 + 1, 1, 1, 1)
+        with pytest.raises(ValueError):
+            ff_bound_exponents(2**500 + 1, 1, 1)
 
 
 class TestAlpha:

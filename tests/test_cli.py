@@ -106,8 +106,13 @@ class TestDualitySpreadify:
         report = json.loads((out / "spreadify_report.json").read_text())
         assert report["incidences_preserved"]
         assert report["final_direction_dimension"] > report["initial_direction_dimension"]
-        assert (out / "spreadify_points.csv").exists()
-        assert (out / "spreadify_hyperplanes.csv").exists()
+        # Pinned bytes, which the CSV writers must reproduce exactly.
+        for name, sha in [
+            ("spreadify_points.csv", "46f2b170c27cede05abe5bdcd8e9e0415d789d5c665718fb01b596acc07dfe68"),
+            ("spreadify_hyperplanes.csv",
+             "4a5e140fc9210a98932af042413674e3915cd1978b8fa84dcf181b3e11578964"),
+        ]:
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha
 
 
 class TestDimension:
@@ -200,9 +205,7 @@ class TestMaximalScan:
         )
         out = tmp_path / "out"
         assert run_cli(["maximal", "scan", "--config", cfg, "--out", str(out)]) == 0
-        lines = (out / "maximal_scan.csv").read_text().splitlines()
-        assert lines[0] == "delta,norm"
-        assert len(lines) == 2
+        assert (out / "maximal_scan.csv").read_text() == "delta,norm\n0.0625,0.9427087743606096\n"
         assert (out / "maximal_scan_plot.py").exists()
         # Pinned from the per-translate search; the slab sweep must reproduce it.
         assert hashlib.sha256((out / "maximal_scan.json").read_bytes()).hexdigest() == (
@@ -221,8 +224,8 @@ class TestMaximalScan:
         )
 
 
-# CSV inputs of the malformed `duality spreadify` cases, by file name.
-SPREADIFY_INPUTS = {
+# CSV inputs of the malformed cases, by file name.
+CSV_INPUTS = {
     "points.csv": "x0,x1\n0.5,0.25\n",
     "planes.csv": "a0,c\n0.0,0.25\n0.5,0.1\n",
     "nan_plane.csv": "a0,c\n0.5,nan\n0.0,0.25\n",
@@ -231,6 +234,8 @@ SPREADIFY_INPUTS = {
     "huge_spread.csv": "a0,c\n1.5e308,0.1\n-1.5e308,0.2\n",
     "single_column.csv": "c\n0.25\n0.1\n",
     "ragged.csv": "x0,x1\n0.5,0.25\n0.1\n",
+    "ff_narrow.csv": "x0,x1\n0,0\n1,1\n2,2\n",
+    "ff_ragged.csv": "x0,x1,x2\n0,0\n1,1\n",
 }
 
 
@@ -271,6 +276,13 @@ SPREADIFY_INPUTS = {
         (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "huge_spread.csv"}),
         (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "single_column.csv"}),
         (["duality", "spreadify"], {"points": "ragged.csv", "hyperplanes": "planes.csv"}),
+        # Points of F_3^2 under a config for F_3^3.
+        (["ff", "verify"], {"q": 3, "n": 3, "set_csv": "ff_narrow.csv"}),
+        (["ff", "verify"], {"q": 3, "n": 3, "set_csv": "ff_ragged.csv"}),
+        # No surveyed value of n = 10^400 fits in a float.
+        (["bounds", "eval"], {"tuples": [{"n": 10**400, "k": 1, "s": 1, "t": 1}]}),
+        (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": "1/2", "t": 1}],
+                              "ff_exponents": [{"n": 10**400, "k": 1, "s": 1}]}),
     ],
     ids=["depth30", "composite_q", "missing_csv", "ff_exponents_without_s",
          "bounds_zero_denominator", "bounds_infinite", "ff_exponents_zero_denominator",
@@ -279,11 +291,12 @@ SPREADIFY_INPUTS = {
          "scan_zero_delta", "scan_tiny_delta_no_tubes", "scan_negative_ntubes",
          "scan_delta_above_half", "scan_zero_ndirs", "scan_p_below_1",
          "scan_p_infinite", "scan_p_huge", "nan_plane", "inf_point", "huge_slope", "huge_spread",
-         "single_column", "ragged"],
+         "single_column", "ragged", "ff_verify_csv_narrow", "ff_verify_csv_ragged",
+         "bounds_huge_n", "ff_exponents_huge_n"],
 )
 def test_malformed_config_exits_2_writes_nothing(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)
-    for name, text in SPREADIFY_INPUTS.items():
+    for name, text in CSV_INPUTS.items():
         (tmp_path / name).write_text(text)
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, "bad.json", cfg)

@@ -1,8 +1,10 @@
 """Property tests: any `grassmann verify`, `maximal scan` or `bounds eval`
-config, and any pair of `duality spreadify` input CSVs, however malformed,
-ends in a documented exit code with no traceback; a count below 1 (or a scan
-delta outside [2^-8, 1/2]) is a schema error (exit 2), a schema error writes
-nothing, and a successful spreadify writes only finite numbers."""
+config, any pair of `duality spreadify` input CSVs and any `ff verify`
+set_csv, however malformed, ends in a documented exit code with no
+traceback; a count below 1 (or a scan delta outside [2^-8, 1/2]) is a schema
+error (exit 2), a schema error writes nothing, a successful spreadify writes
+only finite numbers, and `ff verify` accepts exactly the int64 tables of
+width n."""
 
 import json
 import math
@@ -166,3 +168,41 @@ def test_duality_spreadify_input_fuzz(inputs, seed):
 
 def _reject(token):
     raise AssertionError(f"non-finite number {token} in the report")
+
+
+INT_TOKEN = st.integers(-9, 9).map(str)
+# Values past int64, a fraction, a word and an empty cell.
+BAD_TOKEN = st.sampled_from([str(2**70), str(-2**70), "1.5", "x", ""])
+
+
+@st.composite
+def set_csv_case(draw):
+    """(q, n, width, rows): a set_csv of `width` columns, all ints half the time."""
+    q, n = draw(st.sampled_from([2, 3, 5])), draw(st.integers(2, 3))
+    width = draw(st.one_of(st.just(n), st.integers(1, 4)))
+    token = INT_TOKEN if draw(st.booleans()) else st.one_of(INT_TOKEN, BAD_TOKEN)
+    rows = draw(st.lists(st.lists(token, min_size=width, max_size=width), max_size=12))
+    return q, n, width, rows
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(case=set_csv_case())
+def test_ff_verify_set_csv_fuzz(case):
+    q, n, width, rows = case
+    lines = [",".join(f"x{j}" for j in range(width))] + [",".join(r) for r in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "set.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = {"q": q, "n": n, "set_csv": str(tmp / "set.csv")}
+        (tmp / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp / "out"
+        code = main(["ff", "verify", "--config", str(tmp / "cfg.json"), "--out", str(out)])
+        assert code in (0, 2)
+        ints = all(v.lstrip("-").isdigit() and abs(int(v)) < 2**63 for r in rows for v in r)
+        assert (code == 0) == (width == n and ints)
+        if code == 2:
+            assert not list(out.iterdir())
+        else:
+            payload = json.loads((out / "ff_verify.json").read_text())
+            assert payload["n"] == width
+            assert payload["set_size"] == len({tuple(int(v) % q for v in r) for r in rows})

@@ -239,6 +239,10 @@ class TestFFSetCsv:
         back = FFSet.from_csv(3, f.to_csv())
         assert back.points == f.points
 
+    def test_text_pinned(self):
+        f = FFSet(3, 2, frozenset([(1, 0), (0, 2), (4, -2), (-3, 5)]))
+        assert f.to_csv() == "x0,x1\n0,2\n1,0\n1,1\n"
+
 
 class TestRref:
     def test_canonical_form_enforced(self):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import furstlab.grassmann as gr
+from furstlab.checks import check_ball_scaling
 from furstlab.grassmann import (
     AffineFlat,
     Subspace,
@@ -284,6 +286,21 @@ class TestBallMeasure:
         a = ball_measure_estimate(u, 0.3, 2000, seed=77)
         b = ball_measure_estimate(u, 0.3, 2000, seed=77)
         assert a == b
+
+    def test_ball_scaling_counts_both_radii_on_one_sample(self, monkeypatch):
+        rows = []
+        batch = gr.haar_projector_batch
+
+        def counted(n, k, count, seed=None):
+            rows.append(count)
+            return batch(n, k, count, seed)
+
+        monkeypatch.setattr(gr, "haar_projector_batch", counted)
+        res = check_ball_scaling(3, 1, 0.2, 5000, seed=7)
+        assert sum(rows) == 1 + 5000  # the centre U, then one pass of draws
+        u = haar_sample(3, 1, seed=12345)
+        ratio = ball_measure_estimate(u, 0.2, 5000, seed=7) / ball_measure_estimate(u, 0.1, 5000, seed=7)
+        assert res.measured_constant == ratio
 
     def test_batch_distance_matches_projector_svd(self):
         rng = np.random.default_rng(31)
