@@ -1,20 +1,30 @@
 """Batch experiment runner.
 
 Every module is exposed as a subcommand driven by a JSON config file with
-flag overrides.  Outputs are UTF-8 JSON (sorted keys) and CSV with a header
-row, written only inside the configured output directory; identical config
-and seed produce byte-identical files.  Wall-clock timings go to stderr so
-they never perturb the deterministic artifacts.
+flag overrides.  `_COMMANDS` maps each subcommand to its config schema and
+its run function, which prints a stdout summary and returns (artifacts,
+breach): the files to write, by name, as text or bytes, and None or the
+message of a failed verification.  `main` alone validates the config,
+applies `--seed`, writes the artifacts and picks the exit code.
 
-Exit codes: 0 success, 2 config/schema violation, 3 runtime cap exceeded,
-4 internal invariant breach (a verification suite failed).
+Outputs are UTF-8 JSON (sorted keys) and CSV with a header row, written only
+inside the configured output directory once the work has finished, each
+under a temporary name and then renamed into place; a failed write leaves
+none of them.  Identical config and seed produce byte-identical files.
+Wall-clock timings go to stderr so they never perturb the artifacts.
+
+Exit codes: 0 success, 2 config/schema violation or unusable output
+directory, 3 runtime cap exceeded, 4 internal invariant breach (a
+verification suite failed; its artifacts are still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -61,10 +71,6 @@ class SchemaError(ValueError):
     pass
 
 
-class InvariantBreach(RuntimeError):
-    pass
-
-
 # -- config plumbing -------------------------------------------------------
 
 
@@ -94,7 +100,7 @@ def _validate(cfg: dict, schema: dict) -> dict:
             continue
         try:
             out[key] = kind(cfg[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad value for {key!r}: {exc}")
     return out
 
@@ -117,6 +123,8 @@ def _positive_int(v):
 def _num(v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"expected number, got {v!r}")
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -173,16 +181,28 @@ def _read_input(path: str) -> bytes:
         raise SchemaError(f"cannot read input: {exc}")
 
 
-def _write_json(out_dir: Path, name: str, obj) -> Path:
-    path = out_dir / name
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return path
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_text(out_dir: Path, name: str, text: str) -> Path:
-    path = out_dir / name
-    path.write_text(text, encoding="utf-8")
-    return path
+def _write_artifacts(out_dir: Path, artifacts: dict) -> None:
+    """Write every artifact under a temporary name in out_dir, then rename
+    each into place.  On an OSError, remove the temporary files and the
+    artifacts already renamed, then re-raise."""
+    temps, done = [], []
+    try:
+        for name, data in artifacts.items():
+            tmp = out_dir / f".{name}.tmp"
+            temps.append(tmp)
+            tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        for tmp, name in zip(temps, artifacts):
+            os.replace(tmp, out_dir / name)
+            done.append(out_dir / name)
+    except OSError:
+        for path in temps + done:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        raise
 
 
 # -- subcommands ------------------------------------------------------------
@@ -204,14 +224,11 @@ def _ball_scaling_entry(v):
                                   "samples": (_positive_int, 100000)})
 
 
-def cmd_bounds_eval(cfg, out_dir, seed):
-    opts = _validate(
-        cfg,
-        {
-            "tuples": (_list_of(_tuple_entry), _REQUIRED),
-            "ff_exponents": (_opt(_list_of(_ff_exponents_entry)), None),
-        },
-    )
+def _spread_entry(v):
+    return _validate(_object(v), {"m": (_positive_int, _REQUIRED), "M": (_positive_int, _REQUIRED)})
+
+
+def cmd_bounds_eval(opts):
     reports = [bound_survey(p) for p in opts["tuples"]]
     payload = {"reports": [r.as_dict() for r in reports]}
     if opts["ff_exponents"]:
@@ -221,7 +238,7 @@ def cmd_bounds_eval(cfg, out_dir, seed):
             ff.append({"n": item["n"], "k": item["k"], "s": str(item["s"]),
                        "exponents": rep.as_dict()})
         payload["ff_exponents"] = ff
-    _write_json(out_dir, "bounds_eval.json", payload)
+    artifacts = {"bounds_eval.json": _json(payload)}
 
     for rep in reports:
         p = rep.params
@@ -236,21 +253,11 @@ def cmd_bounds_eval(cfg, out_dir, seed):
             print(f"  {e.name:30s} {status}")
         if rep.best_name:
             print(f"  {'best':30s} {rep.best_name} = {rep.best_value}")
-    return EXIT_OK
+    return artifacts, None
 
 
-def cmd_grassmann_verify(cfg, out_dir, seed):
-    opts = _validate(
-        cfg,
-        {
-            "pairs": (_list_of(_pair_of_ints), [[3, 1], [4, 2], [5, 3]]),
-            "samples": (_positive_int, 1000),
-            "subflat_samples": (_positive_int, 200),
-            "ball_scaling": (_opt(_ball_scaling_entry), None),
-            "seed": (_int, 0),
-        },
-    )
-    seed = opts["seed"] if seed is None else seed
+def cmd_grassmann_verify(opts):
+    seed = opts["seed"]
     results = []
     for n, k in opts["pairs"]:
         for res in (
@@ -266,52 +273,41 @@ def cmd_grassmann_verify(cfg, out_dir, seed):
     if bs is not None:
         res = checks.check_ball_scaling(bs["n"], bs["k"], bs["delta"], bs["samples"], seed)
         results.append({"n": bs["n"], "k": bs["k"], **res.as_dict()})
-    payload = {"seed": seed, "results": results}
-    _write_json(out_dir, "grassmann_verify.json", payload)
+    artifacts = {"grassmann_verify.json": _json({"seed": seed, "results": results})}
     for r in results:
         print(
             f"({r['n']},{r['k']}) {r['name']:24s} "
             f"{'pass' if r['passed'] else 'FAIL'}  measured={r['measured_constant']:.4f} "
             f"allowed={r['allowed_constant']:.4f}"
         )
-    if any(not r["passed"] for r in results):
-        raise InvariantBreach("a metric-lemma suite failed")
-    return EXIT_OK
+    failed = any(not r["passed"] for r in results)
+    return artifacts, "a metric-lemma suite failed" if failed else None
 
 
-def cmd_duality_spreadify(cfg, out_dir, seed):
-    opts = _validate(
-        cfg,
-        {
-            "points": (_str, _REQUIRED),
-            "hyperplanes": (_str, _REQUIRED),
-            "levels": (_pair_of_ints, [2, 6]),
-            "ndirs": (_int, 32),
-            "incidence_tol": (_num, 1e-6),
-            "seed": (_int, 0),
-        },
-    )
-    seed = opts["seed"] if seed is None else seed
+def cmd_duality_spreadify(opts):
     pts = points_from_csv(_read_input(opts["points"]).decode("utf-8"))
     planes = hyperplanes_from_csv(_read_input(opts["hyperplanes"]).decode("utf-8"))
     mapped_pts, mapped_planes, report = spreadify(
-        pts, planes, tuple(opts["levels"]), seed, opts["ndirs"], opts["incidence_tol"]
+        pts, planes, tuple(opts["levels"]), opts["seed"], opts["ndirs"], opts["incidence_tol"]
     )
-    _write_json(out_dir, "spreadify_report.json", report.as_dict())
-    _write_text(out_dir, "spreadify_points.csv", points_to_csv(mapped_pts))
-    _write_text(out_dir, "spreadify_hyperplanes.csv", hyperplanes_to_csv(mapped_planes))
+    artifacts = {
+        "spreadify_report.json": _json(report.as_dict()),
+        "spreadify_points.csv": points_to_csv(mapped_pts),
+        "spreadify_hyperplanes.csv": hyperplanes_to_csv(mapped_planes),
+    }
     print(
         f"direction dimension {report.initial_direction_dimension:.3f} -> "
         f"{report.final_direction_dimension:.3f}; incidences "
         f"{report.incidences_before} -> {report.incidences_after}"
     )
-    if report.incidences_before != report.incidences_after:
-        raise InvariantBreach("incidence count not preserved")
-    return EXIT_OK
+    preserved = report.incidences_before == report.incidences_after
+    return artifacts, None if preserved else "incidence count not preserved"
 
 
 def _construct_grid(opts):
     kind = opts["kind"]
+    if opts["n"] is None:
+        raise SchemaError("construction keys need 'n'")
     if kind == "cantor":
         grid = cantor_grid(opts["n"], opts["base"], opts["keep"], opts["depth"])
         return grid, {"kind": kind}
@@ -333,35 +329,34 @@ def _construct_grid(opts):
     raise SchemaError(f"unknown construction kind: {kind}")
 
 
+def _keep(v):
+    """One list of digits, or one per axis."""
+    if isinstance(v, list) and v and all(isinstance(p, list) for p in v):
+        return [_list_of(_int)(p) for p in v]
+    return _list_of(_int)(v)
+
+
 _CONSTRUCT_SCHEMA = {
     "kind": (_str, _REQUIRED),
     "n": (_int, _REQUIRED),
     "base": (_int, 3),
-    "keep": (lambda v: v, [0, 2]),
+    "keep": (_keep, [0, 2]),
     "depth": (_int, 6),
     "k": (_int, 1),
     "s": (_num, 0.6309297535714574),
 }
 
 
-def cmd_dimension_construct(cfg, out_dir, seed):
-    opts = _validate(cfg, _CONSTRUCT_SCHEMA)
+def cmd_dimension_construct(opts):
     grid, meta = _construct_grid(opts)
-    (out_dir / "grid.rle").write_bytes(grid.to_rle())
-    _write_text(out_dir, "grid.csv", grid.to_csv())
     meta.update({"cells": len(grid), "level": grid.level, "n": grid.n})
-    _write_json(out_dir, "dimension_construct.json", meta)
+    artifacts = {"grid.rle": grid.to_rle(), "grid.csv": grid.to_csv(),
+                 "dimension_construct.json": _json(meta)}
     print(f"constructed {meta['cells']} cells at level {meta['level']}")
-    return EXIT_OK
+    return artifacts, None
 
 
-def cmd_dimension_estimate(cfg, out_dir, seed):
-    schema = dict(_CONSTRUCT_SCHEMA)
-    schema["grid"] = (_opt(_str), None)
-    schema["kind"] = (_opt(_str), None)
-    schema["n"] = (_opt(_int), None)
-    schema["levels"] = (_pair_of_ints, _REQUIRED)
-    opts = _validate(cfg, schema)
+def cmd_dimension_estimate(opts):
     if opts["grid"] is not None:
         grid = GridSet.from_rle(_read_input(opts["grid"]))
         meta = {"kind": "file"}
@@ -372,9 +367,9 @@ def cmd_dimension_estimate(cfg, out_dir, seed):
     est = estimate_dimension(grid, *opts["levels"])
     payload = {"estimate": est.as_dict(), "cells": len(grid), "level": grid.level}
     payload.update(meta)
-    _write_json(out_dir, "dimension_estimate.json", payload)
+    artifacts = {"dimension_estimate.json": _json(payload)}
     print(f"slope {est.slope:.4f} (r2 {est.r2:.4f}) over levels {opts['levels']}")
-    return EXIT_OK
+    return artifacts, None
 
 
 def _points_list(v):
@@ -383,18 +378,7 @@ def _points_list(v):
     return [tuple(_int(c) for c in p) for p in v]
 
 
-def cmd_ff_verify(cfg, out_dir, seed):
-    opts = _validate(
-        cfg,
-        {
-            "q": (_int, _REQUIRED),
-            "n": (_int, _REQUIRED),
-            "k": (_int, 1),
-            "points": (_opt(_points_list), None),
-            "set_csv": (_opt(_str), None),
-            "spread": (_opt(_object), None),
-        },
-    )
+def cmd_ff_verify(opts):
     q, n, k = opts["q"], opts["n"], opts["k"]
     dirs = ff_directions(q, n, k)
     expected = gaussian_binomial(n, k, q)
@@ -416,31 +400,17 @@ def cmd_ff_verify(cfg, out_dir, seed):
         payload["set_size"] = len(fset)
         payload["pigeonhole"] = ff_pigeonhole_verify(fset, k)
         payload["is_kakeya"] = ff_is_kakeya(fset)
-        if opts["spread"] is not None:
-            sp = _validate(opts["spread"], {"m": (_int, _REQUIRED), "M": (_int, _REQUIRED)})
-            payload["is_spread_furstenberg"] = ff_is_spread_furstenberg(
-                fset, k, sp["m"], sp["M"]
-            )
-    _write_json(out_dir, "ff_verify.json", payload)
+        sp = opts["spread"]
+        if sp is not None:
+            payload["is_spread_furstenberg"] = ff_is_spread_furstenberg(fset, k, sp["m"], sp["M"])
+    artifacts = {"ff_verify.json": _json(payload)}
     for key, val in sorted(payload.items()):
         print(f"  {key}: {val}")
-    if not payload["directions_match"] or payload.get("pigeonhole") is False:
-        raise InvariantBreach("finite-field verification failed")
-    return EXIT_OK
+    failed = not payload["directions_match"] or payload.get("pigeonhole") is False
+    return artifacts, "finite-field verification failed" if failed else None
 
 
-def cmd_ff_search(cfg, out_dir, seed):
-    opts = _validate(
-        cfg,
-        {
-            "q": (_int, _REQUIRED),
-            "n": (_int, _REQUIRED),
-            "mode": (_str, "kakeya"),
-            "k": (_int, 1),
-            "m": (_opt(_int), None),
-            "node_cap": (_opt(_int), None),
-        },
-    )
+def cmd_ff_search(opts):
     if opts["mode"] == "kakeya":
         result = ff_min_kakeya(opts["q"], opts["n"], opts["node_cap"])
     elif opts["mode"] == "spread":
@@ -452,9 +422,9 @@ def cmd_ff_search(cfg, out_dir, seed):
     payload = {"q": opts["q"], "n": opts["n"], "mode": opts["mode"], **result.as_dict()}
     if opts["mode"] == "spread":
         payload.update({"k": opts["k"], "m": opts["m"]})
-    _write_json(out_dir, "ff_search.json", payload)
-    print(f"minimal size {result.size} ({result.nodes_explored} nodes)", file=sys.stdout)
-    return EXIT_OK
+    artifacts = {"ff_search.json": _json(payload)}
+    print(f"minimal size {result.size} ({result.nodes_explored} nodes)")
+    return artifacts, None
 
 
 _PLOT_SCRIPT = """\
@@ -477,36 +447,53 @@ plt.savefig("maximal_scan.png", dpi=150)
 """
 
 
-def cmd_maximal_scan(cfg, out_dir, seed):
-    opts = _validate(
-        cfg,
-        {
-            "deltas": (_list_of(_num), [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7]),
-            "ntubes": (_positive_int, 50),
-            "p": (_num, 2.0),
-            "ndirs": (_positive_int, 20),
-            "seed": (_int, 0),
-        },
-    )
-    seed = opts["seed"] if seed is None else seed
-    rows = delta_scan(opts["deltas"], opts["ntubes"], opts["p"], opts["ndirs"], seed)
-    _write_text(out_dir, "maximal_scan.csv", table.to_csv(["delta", "norm"], rows))
-    _write_text(out_dir, "maximal_scan_plot.py", _PLOT_SCRIPT)
-    _write_json(out_dir, "maximal_scan.json", {"seed": seed, "rows": [list(r) for r in rows]})
+def cmd_maximal_scan(opts):
+    rows = delta_scan(opts["deltas"], opts["ntubes"], opts["p"], opts["ndirs"], opts["seed"])
+    artifacts = {
+        "maximal_scan.csv": table.to_csv(["delta", "norm"], rows),
+        "maximal_scan_plot.py": _PLOT_SCRIPT,
+        "maximal_scan.json": _json({"seed": opts["seed"], "rows": [list(r) for r in rows]}),
+    }
     for d, v in rows:
         print(f"  delta={d:.6g}  norm={v:.6g}")
-    return EXIT_OK
+    return artifacts, None
 
 
+# (group, action) -> (config schema, run function).
 _COMMANDS = {
-    ("bounds", "eval"): cmd_bounds_eval,
-    ("grassmann", "verify"): cmd_grassmann_verify,
-    ("duality", "spreadify"): cmd_duality_spreadify,
-    ("dimension", "construct"): cmd_dimension_construct,
-    ("dimension", "estimate"): cmd_dimension_estimate,
-    ("ff", "verify"): cmd_ff_verify,
-    ("ff", "search"): cmd_ff_search,
-    ("maximal", "scan"): cmd_maximal_scan,
+    ("bounds", "eval"): ({
+        "tuples": (_list_of(_tuple_entry), _REQUIRED),
+        "ff_exponents": (_opt(_list_of(_ff_exponents_entry)), None),
+    }, cmd_bounds_eval),
+    ("grassmann", "verify"): ({
+        "pairs": (_list_of(_pair_of_ints), [[3, 1], [4, 2], [5, 3]]),
+        "samples": (_positive_int, 1000), "subflat_samples": (_positive_int, 200),
+        "ball_scaling": (_opt(_ball_scaling_entry), None), "seed": (_int, 0),
+    }, cmd_grassmann_verify),
+    ("duality", "spreadify"): ({
+        "points": (_str, _REQUIRED), "hyperplanes": (_str, _REQUIRED),
+        "levels": (_pair_of_ints, [2, 6]), "ndirs": (_int, 32),
+        "incidence_tol": (_num, 1e-6), "seed": (_int, 0),
+    }, cmd_duality_spreadify),
+    ("dimension", "construct"): (_CONSTRUCT_SCHEMA, cmd_dimension_construct),
+    ("dimension", "estimate"): ({
+        **_CONSTRUCT_SCHEMA, "grid": (_opt(_str), None), "kind": (_opt(_str), None),
+        "n": (_opt(_int), None), "levels": (_pair_of_ints, _REQUIRED),
+    }, cmd_dimension_estimate),
+    ("ff", "verify"): ({
+        "q": (_int, _REQUIRED), "n": (_int, _REQUIRED), "k": (_int, 1),
+        "points": (_opt(_points_list), None), "set_csv": (_opt(_str), None),
+        "spread": (_opt(_spread_entry), None),
+    }, cmd_ff_verify),
+    ("ff", "search"): ({
+        "q": (_int, _REQUIRED), "n": (_int, _REQUIRED), "mode": (_str, "kakeya"),
+        "k": (_int, 1), "m": (_opt(_int), None), "node_cap": (_opt(_int), None),
+    }, cmd_ff_search),
+    ("maximal", "scan"): ({
+        "deltas": (_list_of(_num), [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7]),
+        "ntubes": (_positive_int, 50), "p": (_num, 2.0), "ndirs": (_positive_int, 20),
+        "seed": (_int, 0),
+    }, cmd_maximal_scan),
 }
 
 
@@ -530,23 +517,31 @@ def main(argv=None) -> int:
     if key not in _COMMANDS:
         print(f"unknown subcommand: {args.group} {args.action}", file=sys.stderr)
         return EXIT_SCHEMA
+    schema, run = _COMMANDS[key]
     out_dir = Path(args.out)
     try:
         cfg = _load_config(args.config)
         out_dir.mkdir(parents=True, exist_ok=True)
+        opts = _validate(cfg, schema)
+        if args.seed is not None and "seed" in schema:
+            opts["seed"] = args.seed
         t0 = time.perf_counter()
-        code = _COMMANDS[key](cfg, out_dir, args.seed)
-        print(f"wall_time: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
-        return code
+        artifacts, breach = run(opts)
+        _write_artifacts(out_dir, artifacts)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except OSError as exc:  # inputs that cannot be read raise SchemaError
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except SearchBudgetExceeded as exc:
         print(f"runtime cap exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except InvariantBreach as exc:
-        print(f"invariant breach: {exc}", file=sys.stderr)
+    if breach is not None:
+        print(f"invariant breach: {breach}", file=sys.stderr)
         return EXIT_INVARIANT
+    print(f"wall_time: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

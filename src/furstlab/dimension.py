@@ -234,6 +234,19 @@ def _axis_cells(base: int, digits: Sequence[int], depth: int, level: int) -> np.
     return np.unique(((2 * idx + 1) * (1 << level)) // (2 * bd))
 
 
+def _check_construction_size(n: int, base: int, depth: int):
+    """Reject `depth` base-`base` digits on each of n axes past the 2^24
+    cell cap, before any per-axis pattern is built."""
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if depth * math.log2(base) > 24 / n + 1e-9:
+        raise ValueError(f"depth {depth} at base {base} overflows the 2^24 cell cap")
+
+
 def cantor_grid(n: int, base: int, keep, depth: int) -> GridSet:
     """Iterated digit-restriction set: per axis, keep the base-`base` digits
     in the axis pattern, iterate `depth` times, rasterize to the finest
@@ -243,15 +256,8 @@ def cantor_grid(n: int, base: int, keep, depth: int) -> GridSet:
     one containing its center), so the stored cell count equals the product
     over axes of |keep_axis|^depth.
     """
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_construction_size(n, base, depth)
     patterns = _normalize_keep(base, keep, n)
-    if depth * math.log2(base) > 24 / n + 1e-9:
-        raise ValueError(f"depth {depth} at base {base} overflows the 2^24 cell cap")
     level = math.ceil(depth * math.log2(base))
     axes = [_axis_cells(base, pat, depth, level) for pat in patterns]
     total = 1
@@ -340,6 +346,7 @@ def sharp_hyperplane_example(n: int, s: float, depth: int) -> SharpHyperplaneExa
         raise ValueError("need n >= 3")
     if not (1 < s <= n - 1):
         raise ValueError(f"need 1 < s <= n-1, got s={s}")
+    _check_construction_size(n, 3, depth)
     m = math.ceil(s)
     pats, achieved = _base3_patterns_for(s, m)
     patterns = pats + [[0]] * (n - m)
@@ -371,6 +378,7 @@ def slicing_product_example(n: int, k: int, s: float, depth: int) -> SlicingProd
         raise ValueError(f"need 1 <= k <= n-1, got k={k}")
     if not (0 < s <= k):
         raise ValueError(f"need 0 < s <= k, got s={s}")
+    _check_construction_size(n, 3, depth)
     pats, achieved = _base3_patterns_for(float(s), k)
     patterns = pats + [[0, 1, 2]] * (n - k)
     grid = cantor_grid(n, 3, patterns, depth)

@@ -296,9 +296,12 @@ def spreadify(
 
     Returns (mapped points, mapped hyperplanes as GraphHyperplanes, report).
     Raises VerticalHyperplaneError if an image plane is vertical, and
-    ValueError if the data's bounding radius or a mapped value overflows.
+    ValueError unless incidence_tol > 0 or if the data's bounding radius or
+    a mapped value overflows.
     """
     l_min, l_max = levels
+    if not incidence_tol > 0:
+        raise ValueError(f"incidence_tol must be positive, got {incidence_tol!r}")
     planes = list(planes)
     if not planes:
         raise ValueError("need at least one hyperplane")

@@ -182,6 +182,35 @@ class FFSet:
         return cls(q, pts.shape[1], frozenset(map(tuple, pts.tolist())))
 
 
+def _direction_count(q: int, n: int, k: int) -> int:
+    """Number of k-subspaces of F_q^n, 1 <= k <= n-1, at most MAX_DIRECTIONS.
+
+    The count is at least 2^(k(n-k)), so that bound rejects a large n
+    before the Gaussian binomial computes q**n.
+    """
+    if not (1 <= k <= n - 1):
+        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+    if k * (n - k) < MAX_DIRECTIONS.bit_length():
+        count = gaussian_binomial(n, k, q)
+        if count <= MAX_DIRECTIONS:
+            return count
+    raise ValueError(f"more than 10^6 {k}-subspaces exceeds the direction cap")
+
+
+def _capped_directions(q: int, n: int, k: int, npoints: Optional[int] = None) -> List[FFSubspace]:
+    """The k-directions of F_q^n, once their label table is known to fit
+    under the cap: one row per direction, and a column per coset or per
+    point (all q^n points when npoints is None), whichever is more."""
+    ndirs = _direction_count(q, n, k)
+    width = q ** n if npoints is None else max(q ** (n - k), npoints)
+    if ndirs * width > _MAX_COUNT_TABLE:
+        raise ValueError(
+            f"{ndirs} directions x {width} cosets or points exceeds the "
+            f"count table cap {_MAX_COUNT_TABLE}"
+        )
+    return ff_directions(q, n, k)
+
+
 def ff_directions(q: int, n: int, k: int) -> List[FFSubspace]:
     """All k-subspaces of F_q^n in canonical RREF.
 
@@ -189,11 +218,7 @@ def ff_directions(q: int, n: int, k: int) -> List[FFSubspace]:
     Gaussian binomial coefficient.
     """
     _require_prime(q)
-    if not (1 <= k <= n - 1):
-        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    count = gaussian_binomial(n, k, q)
-    if count > MAX_DIRECTIONS:
-        raise ValueError(f"{count} subspaces exceeds cap {MAX_DIRECTIONS}")
+    count = _direction_count(q, n, k)
     out = []
     for pivots in itertools.combinations(range(n), k):
         free_cols = [
@@ -240,16 +265,9 @@ def _coset_counts(labels: np.ndarray, ncosets: int) -> np.ndarray:
 
 def _max_counts(f: FFSet, k: int) -> np.ndarray:
     """Largest coset count of the set in each k-direction."""
-    dirs = ff_directions(f.q, f.n, k)
-    ncosets = f.q ** (f.n - k)
-    width = max(ncosets, len(f))
-    if len(dirs) * width > _MAX_COUNT_TABLE:
-        raise ValueError(
-            f"{len(dirs)} directions x {width} cosets or points exceeds the "
-            f"count table cap {_MAX_COUNT_TABLE}"
-        )
+    dirs = _capped_directions(f.q, f.n, k, len(f))
     labels = _coset_labels(f.q, f.n, dirs, list(f.points))
-    return _coset_counts(labels, ncosets).max(axis=1)
+    return _coset_counts(labels, f.q ** (f.n - k)).max(axis=1)
 
 
 def ff_coset_profile(f: FFSet, p: FFSubspace):
@@ -316,8 +334,11 @@ def _min_set_meeting(q: int, n: int, k: int, m: int, node_cap: Optional[int]) ->
     it is deterministic but only guarantees a minimal-size witness.  Nodes
     are sorted tuples of indices into the sorted universe.
     """
+    dirs = _capped_directions(q, n, k)
+    if not (1 <= m <= q ** k):
+        raise ValueError(f"need 1 <= m <= q^k = {q ** k}, got m={m}")
     universe = sorted(itertools.product(range(q), repeat=n))
-    labels = _coset_labels(q, n, ff_directions(q, n, k), universe)
+    labels = _coset_labels(q, n, dirs, universe)
     ncosets = q ** (n - k)
     nodes = 0
 
@@ -379,6 +400,4 @@ def ff_min_spread(q: int, n: int, k: int, m: int, node_cap: Optional[int] = None
     """Minimal size of a set with a coset of >= m points in every
     k-direction (the full-direction-family case)."""
     _require_prime(q)
-    if not (1 <= m <= q ** k):
-        raise ValueError(f"need 1 <= m <= q^k = {q ** k}, got m={m}")
     return _min_set_meeting(q, n, k, m, node_cap)

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,6 +285,20 @@ CSV_INPUTS = {
         (["bounds", "eval"], {"tuples": [{"n": 10**400, "k": 1, "s": 1, "t": 1}]}),
         (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": "1/2", "t": 1}],
                               "ff_exponents": [{"n": 10**400, "k": 1, "s": 1}]}),
+        # json.load reads NaN and Infinity.
+        (["grassmann", "verify"], {"pairs": [], "ball_scaling": {"delta": math.nan, "samples": 100}}),
+        (["grassmann", "verify"], {"pairs": [], "ball_scaling": {"delta": math.inf, "samples": 100}}),
+        (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "planes.csv",
+                                    "incidence_tol": math.nan}),
+        (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "planes.csv",
+                                    "incidence_tol": 0.0}),
+        # An integer past the float range.
+        (["maximal", "scan"], {"deltas": [0.0625], "p": 10**400}),
+        (["dimension", "construct"], {"kind": "cantor", "n": 1, "keep": 5, "depth": 2}),
+        (["dimension", "construct"], {"kind": "cantor", "n": 2, "keep": [[0], 1], "depth": 2}),
+        # Rejected before a per-axis pattern list of n - k entries is built.
+        (["dimension", "construct"], {"kind": "product", "n": 10**400, "k": 1, "s": 0.5}),
+        (["dimension", "construct"], {"kind": "sharp_hyperplane", "n": 10**400, "s": 1.5}),
     ],
     ids=["depth30", "composite_q", "missing_csv", "ff_exponents_without_s",
          "bounds_zero_denominator", "bounds_infinite", "ff_exponents_zero_denominator",
@@ -292,7 +308,10 @@ CSV_INPUTS = {
          "scan_delta_above_half", "scan_zero_ndirs", "scan_p_below_1",
          "scan_p_infinite", "scan_p_huge", "nan_plane", "inf_point", "huge_slope", "huge_spread",
          "single_column", "ragged", "ff_verify_csv_narrow", "ff_verify_csv_ragged",
-         "bounds_huge_n", "ff_exponents_huge_n"],
+         "bounds_huge_n", "ff_exponents_huge_n", "ball_scaling_delta_nan",
+         "ball_scaling_delta_inf", "incidence_tol_nan", "incidence_tol_zero", "scan_p_huge_int",
+         "construct_keep_int", "construct_keep_mixed", "construct_product_huge_n",
+         "construct_sharp_huge_n"],
 )
 def test_malformed_config_exits_2_writes_nothing(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)
@@ -320,6 +339,101 @@ def test_bad_rle_exits_2_writes_nothing(tmp_path, blob):
     out = tmp_path / "out"
     assert run_cli(["dimension", "estimate", "--config", cfg, "--out", str(out)]) == 2
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [{"q": 2, "n": 20}, {"q": 3, "n": 9}, {"q": 2, "n": 10**400},
+     {"q": 3, "n": 7, "mode": "spread", "k": 2, "m": 2}],
+    ids=["direction_cap", "count_table_cap", "huge_n", "spread_count_table_cap"],
+)
+def test_search_caps_exit_2_before_building_tables(tmp_path, monkeypatch, cfg):
+    # 2^20 - 1 directions; 9841 x 3^9 and 99463 x 3^7 label tables; n past any cap.
+    import furstlab.finitefield as ff
+
+    def never(*args):
+        raise AssertionError("search tables built past their caps")
+
+    monkeypatch.setattr(ff, "ff_directions", never)
+    monkeypatch.setattr(ff, "_coset_labels", never)
+    path = write_config(tmp_path, "s.json", cfg)
+    out = tmp_path / "out"
+    assert run_cli(["ff", "search", "--config", path, "--out", str(out)]) == 2
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [(["ff", "verify"], {"q": 2, "n": 10**400}),
+     (["ff", "search"], {"q": 2, "n": 3, "mode": "spread", "k": 10**400, "m": 1})],
+    ids=["verify_huge_n", "spread_huge_k"],
+)
+def test_huge_exponent_exits_2_within_a_second(tmp_path, argv, cfg):
+    # In a child process, which the timeout stops if q**n is ever computed.
+    child = ("import sys, time; from furstlab.cli import main; t = time.perf_counter(); "
+             "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)")
+    path = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", child, *argv, "--config", path, "--out", str(out)],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert float(proc.stdout) < 1.0
+    assert not list(out.iterdir())
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("target", [(os, "replace"), (Path, "write_bytes")],
+                             ids=["rename", "write"])
+    def test_failed_second_write_leaves_nothing(self, tmp_path, monkeypatch, target):
+        owner, name = target
+        real, calls = getattr(owner, name), []
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("no space left on device")
+            return real(*args)
+
+        cfg = write_config(tmp_path, "c.json", {"kind": "cantor", "n": 1, "depth": 4})
+        out = tmp_path / "out"
+        monkeypatch.setattr(owner, name, second_fails)
+        assert run_cli(["dimension", "construct", "--config", cfg, "--out", str(out)]) == 2
+        assert len(calls) == 2
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_file"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, sub):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        cfg = write_config(tmp_path, "b.json", {"tuples": [{"n": 3, "k": 1, "s": "1/2", "t": 1}]})
+        assert run_cli(["bounds", "eval", "--config", cfg, "--out", str(taken / sub)]) == 2
+        assert taken.read_text() == "kept"
+        assert "cannot write output" in capsys.readouterr().err
+
+    def test_spread_block_checked_before_any_pass(self, tmp_path, monkeypatch):
+        import furstlab.cli as cli
+
+        def never(*args):
+            raise AssertionError("a verification pass ran before the spread block was validated")
+
+        monkeypatch.setattr(cli, "ff_pigeonhole_verify", never)
+        monkeypatch.setattr(cli, "ff_is_kakeya", never)
+        cfg = write_config(tmp_path, "v.json", {"q": 3, "n": 2, "points": [[0, 0]], "spread": {"m": "x"}})
+        out = tmp_path / "out"
+        assert run_cli(["ff", "verify", "--config", cfg, "--out", str(out)]) == 2
+        assert not list(out.iterdir())
+
+    def test_breach_exits_4_after_writing_report(self, tmp_path, monkeypatch):
+        import furstlab.checks as checks
+
+        monkeypatch.setattr(checks, "check_ball_scaling",
+                            lambda *args: checks.CheckResult("ball_scaling", 10, 1, 2.0, 1.0))
+        cfg = write_config(tmp_path, "g.json", {"pairs": [[3, 1]], "samples": 20, "ball_scaling": {}})
+        out = tmp_path / "out"
+        assert run_cli(["grassmann", "verify", "--config", cfg, "--out", str(out)]) == 4
+        assert [p.name for p in out.iterdir()] == ["grassmann_verify.json"]
+        results = json.loads((out / "grassmann_verify.json").read_text())["results"]
+        assert [r["passed"] for r in results] == [True, True, True, False]
 
 
 class TestEntryPoint:

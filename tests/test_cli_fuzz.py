@@ -1,10 +1,10 @@
-"""Property tests: any `grassmann verify`, `maximal scan` or `bounds eval`
-config, any pair of `duality spreadify` input CSVs and any `ff verify`
-set_csv, however malformed, ends in a documented exit code with no
-traceback; a count below 1 (or a scan delta outside [2^-8, 1/2]) is a schema
-error (exit 2), a schema error writes nothing, a successful spreadify writes
-only finite numbers, and `ff verify` accepts exactly the int64 tables of
-width n."""
+"""Property tests: any config of any subcommand, any pair of `duality
+spreadify` input CSVs and any `ff verify` set_csv, however malformed, ends in
+a documented exit code with no traceback; a count below 1 (or a scan delta
+outside [2^-8, 1/2]) is a schema error (exit 2), a schema error or an
+exceeded search budget writes nothing, a successful spreadify writes only
+finite numbers, and `ff verify` accepts exactly the int64 tables of width
+n."""
 
 import json
 import math
@@ -206,3 +206,163 @@ def test_ff_verify_set_csv_fuzz(case):
             payload = json.loads((out / "ff_verify.json").read_text())
             assert payload["n"] == width
             assert payload["set_size"] == len({tuple(int(v) % q for v in r) for r in rows})
+
+
+def run_config(argv, cfg):
+    """(exit code, {file name: bytes}) of one run in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = Path(tmp) / "out"
+        code = main(argv + ["--config", str(path), "--out", str(out)])
+        return code, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def spoiled_configs(data, valid, bad):
+    """A config drawn from `valid`, then one per key of `bad` with that key
+    set to a draw from bad[key], so that every example spoils every key."""
+    yield data.draw(valid)
+    for key, values in bad.items():
+        cfg, value = data.draw(st.tuples(valid, values))
+        yield {**cfg, key: value}
+
+
+def _int_at_least(v, low):
+    return type(v) is int and v >= low
+
+
+# Wrong values other than None, which an optional key reads as absent.
+NOT_NONE = WRONG.filter(lambda v: v is not None)
+HUGE = 10**400
+
+
+@st.composite
+def search_config(draw):
+    """A search of F_q^n, q prime, n <= 3, under a node_cap that bounds it."""
+    cfg = {"q": draw(st.sampled_from([2, 3, 5])), "n": draw(st.integers(2, 3)),
+           "node_cap": draw(st.integers(-1, 500))}
+    if draw(st.booleans()):
+        cfg.update(mode="spread", k=draw(st.integers(1, cfg["n"] - 1)), m=draw(st.integers(1, 4)))
+    return cfg
+
+
+SEARCH_BAD = {
+    "q": st.one_of(st.just(4), WRONG), "n": st.one_of(st.integers(-1, 1), st.just(HUGE), WRONG),
+    "mode": st.one_of(st.just("lines"), WRONG), "k": st.one_of(st.integers(-1, 3), WRONG),
+    "m": st.one_of(st.integers(-1, 5), WRONG), "node_cap": NOT_NONE}
+
+
+@hypothesis.settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_ff_search_config_fuzz(data):
+    for cfg in spoiled_configs(data, search_config(), SEARCH_BAD):
+        code, files = run_config(["ff", "search"], cfg)
+        assert code in (0, 2, 3)
+        if cfg["q"] not in (2, 3, 5) or not (type(cfg["n"]) is int and 2 <= cfg["n"] <= 3) or \
+                cfg.get("mode", "kakeya") not in ("kakeya", "spread"):
+            assert code == 2
+        if code == 0:
+            payload = json.loads(files["ff_search.json"])
+            assert payload["size"] == len(payload["witness"]) >= 1
+            assert payload["nodes_explored"] <= cfg["node_cap"]
+        else:
+            assert not files
+
+
+@st.composite
+def ff_verify_config(draw):
+    """F_q^n, q prime, n <= 3, with or without a set and a spread block."""
+    q, n = draw(st.sampled_from([2, 3, 5])), draw(st.integers(2, 3))
+    cfg = {"q": q, "n": n, "k": draw(st.integers(1, n - 1))}
+    if draw(st.booleans()):
+        cfg["points"] = draw(st.lists(st.lists(st.integers(-3, 7), min_size=n, max_size=n), max_size=6))
+        if draw(st.booleans()):
+            cfg["spread"] = {"m": draw(st.integers(1, 6)), "M": draw(st.integers(1, 30))}
+    return cfg
+
+
+# A huge n is left to tests/test_cli.py, which runs it in a child process.
+FF_VERIFY_BAD = {
+    "q": st.one_of(st.just(4), WRONG), "n": st.one_of(st.integers(-1, 1), WRONG),
+    "k": st.one_of(st.integers(-1, 0), st.integers(3, 4), WRONG),
+    "points": st.one_of(NOT_NONE, st.lists(st.one_of(st.lists(st.integers(0, 2), max_size=4), WRONG),
+                                           min_size=1, max_size=3)),
+    "spread": st.one_of(NOT_NONE, st.fixed_dictionaries(
+        {"m": st.one_of(st.integers(-1, 0), WRONG), "M": st.integers(-1, 3)}))}
+
+
+@hypothesis.settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_ff_verify_config_fuzz(data):
+    for cfg in spoiled_configs(data, ff_verify_config(), FF_VERIFY_BAD):
+        code, files = run_config(["ff", "verify"], cfg)
+        # The pigeonhole guarantee is a theorem: exit 4 would be a bug.
+        assert code in (0, 2)
+        spread = cfg.get("spread")
+        if spread is not None and not (isinstance(spread, dict) and _int_at_least(spread["m"], 1)
+                                       and _int_at_least(spread["M"], 1)):
+            assert code == 2
+        if cfg["q"] not in (2, 3, 5) or not (type(cfg["n"]) is int and 2 <= cfg["n"] <= 3):
+            assert code == 2
+        if code == 0:
+            payload = json.loads(files["ff_verify.json"])
+            assert payload["directions_match"] and payload.get("pigeonhole", True) is True
+            has_set = cfg.get("points") is not None
+            assert ("is_spread_furstenberg" in payload) == (has_set and spread is not None)
+        else:
+            assert not files
+
+
+@st.composite
+def construct_config(draw):
+    """A cantor, product or sharp_hyperplane construction of depth <= 4."""
+    kind = draw(st.sampled_from(["cantor", "product", "sharp_hyperplane"]))
+    cfg = {"kind": kind, "depth": draw(st.integers(1, 4))}
+    if kind == "cantor":
+        base = draw(st.integers(2, 4))
+        digits = st.lists(st.integers(0, base - 1), min_size=1, max_size=base)
+        cfg.update(n=draw(st.integers(1, 3)), base=base, keep=draw(digits))
+    elif kind == "product":
+        cfg["n"] = draw(st.integers(2, 3))
+        cfg["k"] = draw(st.integers(1, cfg["n"] - 1))
+        cfg["s"] = draw(st.floats(0.1, cfg["k"]))
+    else:
+        cfg["n"] = draw(st.integers(3, 4))
+        cfg["s"] = draw(st.floats(1.1, cfg["n"] - 1))
+    return cfg
+
+
+CONSTRUCT_BAD = {
+    "kind": st.one_of(st.just("dust"), WRONG), "n": st.one_of(st.integers(-1, 0), st.just(HUGE), WRONG),
+    "depth": st.one_of(st.integers(-1, 0), WRONG), "base": st.one_of(st.integers(-1, 1), WRONG),
+    "keep": st.one_of(st.just([]), st.just([[0], 1]), st.just([0, 9]), WRONG),
+    "k": st.one_of(st.integers(-1, 4), WRONG),
+    "s": st.one_of(st.sampled_from([math.nan, math.inf, 1e300, -1.0]), WRONG)}
+# An estimate over levels [1, depth] of a grid of depth >= 2, whose level is
+# at least its depth.
+ESTIMATE = construct_config().map(
+    lambda c: {**c, "depth": max(c["depth"], 2), "levels": [1, max(c["depth"], 2)]})
+ESTIMATE_BAD = {**CONSTRUCT_BAD, "levels": st.one_of(st.just([2, 1]), st.just([0, 3]), WRONG)}
+
+
+@hypothesis.settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_dimension_config_fuzz(data):
+    runs = [("construct", cfg) for cfg in spoiled_configs(data, construct_config(), CONSTRUCT_BAD)]
+    runs += [("estimate", cfg) for cfg in spoiled_configs(data, ESTIMATE, ESTIMATE_BAD)]
+    for action, cfg in runs:
+        code, files = run_config(["dimension", action], cfg)
+        assert code in (0, 2)
+        s = cfg.get("s", 0.5)
+        if cfg["kind"] not in ("cantor", "product", "sharp_hyperplane") or \
+                not _int_at_least(cfg["n"], 1) or not _int_at_least(cfg["depth"], 1) or \
+                (type(s) is float and not math.isfinite(s)):
+            assert code == 2
+        if code == 2:
+            assert not files
+        elif action == "estimate":
+            payload = json.loads(files["dimension_estimate.json"])
+            assert payload["kind"] == cfg["kind"] and payload["cells"] >= 1
+        else:
+            meta = json.loads(files["dimension_construct.json"])
+            assert meta["cells"] == files["grid.csv"].count(b"\n") - 1 >= 1
