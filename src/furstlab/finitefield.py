@@ -5,8 +5,10 @@ representation identity, which keeps the exhaustive loops cheap.  Every coset
 of a k-subspace has a canonical representative with its pivot coordinates
 zeroed; its integer label is the base-q code of the free coordinates, so
 labels sort like representatives.  One vectorized kernel labels a batch of
-points in every direction at once, and all coset counting is a bincount over
-those labels.
+points in every direction at once.  Set checks count cosets with a bincount
+over those labels; the exhaustive search sums 0/1 point-by-coset incidence
+rows for a chunk of subsets at once; the branch and bound keeps its coset
+counts in plain lists that it updates point by point.
 
 Only prime q is accepted: over proper prime powers the subfield structure
 breaks the size conjectures this module is used to probe.
@@ -15,6 +17,7 @@ breaks the size conjectures this module is used to probe.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -31,7 +34,8 @@ _MAX_COUNT_TABLE = 1 << 24
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """An exhaustive search exceeded its node budget."""
+    """A minimal-set search (exhaustive or branch and bound) exceeded its
+    node budget."""
 
 
 def is_prime(q: int) -> bool:
@@ -46,6 +50,10 @@ def is_prime(q: int) -> bool:
 
 
 def _require_prime(q: int):
+    # F_q^n, n >= 2, has at least q + 1 directions, so a q at the direction
+    # cap is refused before trial division, which would take ~sqrt(q) steps.
+    if q >= MAX_DIRECTIONS:
+        raise ValueError(f"q = {q} is past the direction cap: F_q^n, n >= 2, has over 10^6 directions")
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
 
@@ -328,11 +336,13 @@ class SearchResult:
 def _min_set_meeting(q: int, n: int, k: int, m: int, node_cap: Optional[int]) -> SearchResult:
     """Smallest set with a coset of >= m points in every k-direction.
 
-    Exhaustive lexicographic scan by increasing size for q^n <= 16, which
-    returns the lexicographically smallest witness of minimal size.  Larger
-    spaces use a depth-first completion search with direction-based pruning;
-    it is deterministic but only guarantees a minimal-size witness.  Nodes
-    are sorted tuples of indices into the sorted universe.
+    For q^n <= EXHAUSTIVE_POINT_CAP a scan by increasing size, lexicographic
+    within a size, returns the lexicographically smallest witness of minimal
+    size (`_exhaustive_scan`).  Larger spaces use a depth-first completion
+    search with direction-based pruning (`_branch_and_bound`); it is
+    deterministic but only guarantees a minimal-size witness.
+    nodes_explored counts every subset tested and every search node
+    visited, so a node_cap equal to it lets the same search finish.
     """
     dirs = _capped_directions(q, n, k)
     if not (1 <= m <= q ** k):
@@ -340,54 +350,122 @@ def _min_set_meeting(q: int, n: int, k: int, m: int, node_cap: Optional[int]) ->
     universe = sorted(itertools.product(range(q), repeat=n))
     labels = _coset_labels(q, n, dirs, universe)
     ncosets = q ** (n - k)
-    nodes = 0
 
-    def visit():
-        nonlocal nodes
-        nodes += 1
-        if node_cap is not None and nodes > node_cap:
-            raise SearchBudgetExceeded(f"node cap {node_cap} exceeded")
-
-    def result(node) -> SearchResult:
+    def result(node, nodes: int) -> SearchResult:
         witness = FFSet(q, n, frozenset(universe[i] for i in node))
         return SearchResult(len(node), witness, nodes)
 
-    if q ** n <= EXHAUSTIVE_POINT_CAP:
-        for size in range(m, q ** n + 1):
-            for node in itertools.combinations(range(q ** n), size):
-                visit()
-                if _coset_counts(labels[:, node], ncosets).max(axis=1).min() >= m:
-                    return result(node)
-        raise RuntimeError("search exhausted without a witness")
+    def over_cap(nodes: int):
+        if node_cap is not None and nodes > node_cap:
+            raise SearchBudgetExceeded(f"node cap {node_cap} exceeded")
 
-    # Branch and bound: complete each coset of the first direction with the
-    # largest deficit up to m points, fullest cosets and smallest additions
-    # first.  Only a strictly smaller set replaces the incumbent.
+    if len(universe) <= EXHAUSTIVE_POINT_CAP:
+        return _exhaustive_scan(labels, ncosets, m, over_cap, result)
+    return _branch_and_bound(labels, ncosets, m, over_cap, result)
+
+
+# Subsets tested per batch in the exhaustive scan.
+_SCAN_CHUNK = 2048
+
+
+def _exhaustive_scan(labels: np.ndarray, ncosets: int, m: int, over_cap, result) -> SearchResult:
+    """The first subset, by size and then lexicographically, that has a
+    coset of >= m points in every direction.
+
+    Column lab * ndirs + d of a point's incidence row is 1 when the point
+    lies in coset lab of direction d; a subset's coset counts are the sum of
+    its points' rows, taken for a whole chunk of subsets at once.
+    """
+    ndirs, npoints = labels.shape
+    incidence = np.zeros((npoints, ncosets * ndirs), dtype=np.uint8)
+    incidence[np.arange(npoints)[:, None], labels.T * ndirs + np.arange(ndirs)] = 1
+    nodes = 0
+    for size in range(m, npoints + 1):
+        subsets = itertools.combinations(range(npoints), size)
+        while True:
+            flat = itertools.chain.from_iterable(itertools.islice(subsets, _SCAN_CHUNK))
+            chunk = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
+            if not len(chunk):
+                break
+            counts = incidence[chunk[:, 0]]
+            for j in range(1, size):
+                counts += incidence[chunk[:, j]]
+            meets = (counts.reshape(len(chunk), ncosets, ndirs) >= m).any(axis=1).all(axis=1)
+            hits = np.flatnonzero(meets)
+            if len(hits):
+                nodes += int(hits[0]) + 1
+                over_cap(nodes)
+                return result(chunk[hits[0]].tolist(), nodes)
+            nodes += len(chunk)
+            over_cap(nodes)
+    raise RuntimeError("search exhausted without a witness")
+
+
+def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, over_cap, result) -> SearchResult:
+    """Complete each coset of the first direction with the largest deficit
+    up to m points, fullest cosets and smallest additions first.  Only a
+    strictly smaller set replaces the incumbent.
+
+    A child no smaller than the incumbent is cut as soon as it is visited,
+    and so is every later child of the same node (later cosets need at
+    least as many points), so those are counted, not built.
+    """
+    ndirs, npoints = labels.shape
+    point_labels = labels.T.tolist()
+    cosets = [[[] for _ in range(ncosets)] for _ in range(ndirs)]
+    for i, row in enumerate(point_labels):
+        for d, lab in enumerate(row):
+            cosets[d][lab].append(i)
+    coset_size = npoints // ncosets
+    counts = [[0] * ncosets for _ in range(ndirs)]
+    # The count row and the coset label of each point in each direction.
+    point_cells = [list(zip(counts, labs)) for labs in point_labels]
+    members = [False] * npoints
+    size = 0
+    nodes = 1  # the root, the empty set
+    over_cap(nodes)
     best: Optional[Tuple[int, ...]] = None
 
-    def dfs(node: Tuple[int, ...]):
-        nonlocal best
-        visit()
-        if best is not None and len(node) >= len(best):
-            return
-        counts = _coset_counts(labels[:, node], ncosets)
-        deficits = m - counts.max(axis=1)
-        d = int(np.argmax(deficits))
-        if deficits[d] <= 0:
-            best = node
-            return
-        if best is not None and len(node) + deficits[d] >= len(best):
-            return
-        members = set(node)
-        for lab in np.argsort(-counts[d], kind="stable"):
-            missing = [i for i in np.flatnonzero(labels[d] == lab).tolist() if i not in members]
-            for addition in itertools.combinations(missing, m - int(counts[d, lab])):
-                dfs(tuple(sorted(members.union(addition))))
+    def toggle(points, step: int):
+        nonlocal size
+        for i in points:
+            members[i] = step > 0
+            for row, lab in point_cells[i]:
+                row[lab] += step
+        size += step * len(points)
 
-    dfs(())
+    def dfs():
+        nonlocal nodes, best
+        fullest = list(map(max, counts))
+        d = fullest.index(min(fullest))
+        deficit = m - fullest[d]
+        if deficit <= 0:
+            best = tuple(i for i in range(npoints) if members[i])
+            return
+        if best is not None and size + deficit >= len(best):
+            return
+        row = counts[d]
+        order = sorted(range(ncosets), key=row.__getitem__, reverse=True)
+        for pos, lab in enumerate(order):
+            need = m - row[lab]
+            missing = [i for i in cosets[d][lab] if not members[i]]
+            for tried, addition in enumerate(itertools.combinations(missing, need)):
+                if best is not None and size + need >= len(best):
+                    nodes += math.comb(len(missing), need) - tried + sum(
+                        math.comb(coset_size - row[c], m - row[c]) for c in order[pos + 1:]
+                    )
+                    over_cap(nodes)
+                    return
+                nodes += 1
+                over_cap(nodes)
+                toggle(addition, 1)
+                dfs()
+                toggle(addition, -1)
+
+    dfs()
     if best is None:
         raise RuntimeError("search found no witness")
-    return result(best)
+    return result(best, nodes)
 
 
 def ff_min_kakeya(q: int, n: int, node_cap: Optional[int] = None) -> SearchResult:

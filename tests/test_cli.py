@@ -365,11 +365,14 @@ def test_search_caps_exit_2_before_building_tables(tmp_path, monkeypatch, cfg):
 @pytest.mark.parametrize(
     "argv, cfg",
     [(["ff", "verify"], {"q": 2, "n": 10**400}),
-     (["ff", "search"], {"q": 2, "n": 3, "mode": "spread", "k": 10**400, "m": 1})],
-    ids=["verify_huge_n", "spread_huge_k"],
+     (["ff", "search"], {"q": 2, "n": 3, "mode": "spread", "k": 10**400, "m": 1}),
+     (["ff", "verify"], {"q": 2**61 - 1, "n": 2}),
+     (["ff", "search"], {"q": 2**61 - 1, "n": 2})],
+    ids=["verify_huge_n", "spread_huge_k", "verify_huge_prime_q", "search_huge_prime_q"],
 )
 def test_huge_exponent_exits_2_within_a_second(tmp_path, argv, cfg):
-    # In a child process, which the timeout stops if q**n is ever computed.
+    # In a child process, which the timeout stops if q**n is ever computed
+    # or a prime q near 2^61 is tested by trial division.
     child = ("import sys, time; from furstlab.cli import main; t = time.perf_counter(); "
              "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)")
     path = write_config(tmp_path, "c.json", cfg)

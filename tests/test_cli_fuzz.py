@@ -247,7 +247,8 @@ def search_config(draw):
 
 
 SEARCH_BAD = {
-    "q": st.one_of(st.just(4), WRONG), "n": st.one_of(st.integers(-1, 1), st.just(HUGE), WRONG),
+    "q": st.one_of(st.sampled_from([4, 2**61 - 1]), WRONG),
+    "n": st.one_of(st.integers(-1, 1), st.just(HUGE), WRONG),
     "mode": st.one_of(st.just("lines"), WRONG), "k": st.one_of(st.integers(-1, 3), WRONG),
     "m": st.one_of(st.integers(-1, 5), WRONG), "node_cap": NOT_NONE}
 

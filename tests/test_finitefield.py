@@ -161,6 +161,24 @@ class TestPigeonhole:
             assert count >= need
 
 
+# (q, n, k, m) -> size, nodes_explored and witness (points as digit strings)
+# of the exhaustive scan; the large cases cross many chunk boundaries.
+EXHAUSTIVE_PINS = {
+    (2, 2, 1, 2): (3, 7, "00 01 10"),
+    (2, 3, 1, 2): (5, 155, "000 001 010 011 100"),
+    (2, 3, 2, 3): (5, 127, "000 001 010 011 100"),
+    (2, 3, 2, 4): (7, 155, "000 001 010 011 100 101 110"),
+    (2, 4, 1, 2): (6, 6968, "0000 0001 0010 0100 1000 1111"),
+    (2, 4, 2, 2): (5, 2501, "0000 0001 0010 0011 0100"),
+    (2, 4, 2, 3): (9, 39067, "0000 0001 0010 0011 0100 0101 0110 0111 1000"),
+    (2, 4, 2, 4): (13, 64143, "0000 0001 0010 0011 0100 0101 0110 0111 1000 1001 1010 1011 1100"),
+    (2, 4, 3, 5): (9, 36687, "0000 0001 0010 0011 0100 0101 0110 0111 1000"),
+    (2, 4, 3, 8): (15, 39187, "0000 0001 0010 0011 0100 0101 0110 0111 1000 1001 1010 1011 1100 1101 1110"),
+    (3, 2, 1, 2): (4, 121, "00 01 02 10"),
+    (3, 2, 1, 3): (7, 421, "00 01 02 10 11 12 20"),
+}
+
+
 class TestMinSearch:
     def test_min_kakeya_2_2(self):
         res = ff_min_kakeya(2, 2)
@@ -181,6 +199,31 @@ class TestMinSearch:
         assert sorted(ff_min_spread(5, 2, 1, 2).witness.points) == [
             (0, 0), (1, 0), (1, 1), (2, 4),
         ]
+        assert sorted(ff_min_spread(5, 2, 1, 3).witness.points) == [
+            (0, 0), (1, 0), (1, 1), (1, 3), (2, 0), (2, 2), (3, 4),
+        ]
+
+    @pytest.mark.parametrize("search, args, size, nodes", [
+        (ff_min_kakeya, (5, 2), 17, 3786),
+        (ff_min_spread, (5, 2, 1, 2), 4, 2029),
+        (ff_min_spread, (5, 2, 1, 3), 7, 14426),
+    ])
+    def test_branch_and_bound_pins(self, search, args, size, nodes):
+        res = search(*args)
+        assert (res.size, res.nodes_explored) == (size, nodes)
+        assert search(*args, node_cap=nodes) == res
+        with pytest.raises(SearchBudgetExceeded):
+            search(*args, node_cap=nodes - 1)
+
+    @pytest.mark.parametrize("case", sorted(EXHAUSTIVE_PINS), ids=lambda c: "-".join(map(str, c)))
+    def test_exhaustive_pins(self, case):
+        size, nodes, witness = EXHAUSTIVE_PINS[case]
+        res = ff_min_spread(*case)
+        assert (res.size, res.nodes_explored) == (size, nodes)
+        assert sorted(res.witness.points) == [tuple(map(int, p)) for p in witness.split()]
+        assert ff_min_spread(*case, node_cap=nodes) == res
+        with pytest.raises(SearchBudgetExceeded):
+            ff_min_spread(*case, node_cap=nodes - 1)
 
     @pytest.mark.parametrize("q", [2, 5])  # exhaustive, branch and bound
     def test_nodes_explored_is_total(self, q):
@@ -222,6 +265,8 @@ class TestMinSearch:
                 ff_min_kakeya(2, 2).size,
                 ff_min_spread(2, 2, 1, 1).size,
                 ff_min_kakeya(3, 2).size,
+                ff_min_spread(2, 3, 2, 3).size,
+                ff_min_spread(2, 4, 3, 5).size,
             )
         assert sizes["exhaustive"] == sizes["bb"]
 
