@@ -9,7 +9,11 @@ claims to compute Hausdorff dimension of arbitrary sets.
 A GridSet holds the occupied dyadic cells of a subset of [0,1]^n at a fixed
 depth, in Z-order, where every coarser box is a run of adjacent cells; the
 box counts at all coarser levels come from one pass over neighbouring
-cells.  Digit-restriction sets are rasterized by marking, per kept
+cells.  That pass also keeps, per pair of neighbours, the level at which
+they split, so flat_slice finds the boxes of side about rho as runs of
+cells, drops every box too far from the flat (distance to a flat is
+1-Lipschitz), and runs its exact per-cell test only on the cells left.
+Digit-restriction sets are rasterized by marking, per kept
 base-b cell, the dyadic cell containing its center (one marked cell per
 construction cell, so the construction's own count law is preserved
 exactly).
@@ -26,6 +30,7 @@ import numpy as np
 
 from . import table
 from .grassmann import AffineFlat, Subspace, haar_sample
+from .tolerances import TOL_EXACT
 
 MAX_CELLS = 1 << 24
 _RLE_HEAD = struct.Struct("<4sBBQ")
@@ -39,6 +44,12 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
         out += s * high
         x = np.where(high, x >> s, x)
     return out + (x != 0)
+
+
+def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integers of the runs [start, start + length), run after run."""
+    offsets = starts - (np.cumsum(lengths) - lengths)
+    return np.repeat(offsets, lengths) + np.arange(lengths.sum())
 
 
 def _morton_order(cells: np.ndarray, level: int) -> np.ndarray:
@@ -73,6 +84,7 @@ class GridSet:
     level: int
     cells: np.ndarray
     _counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _split: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.cells, dtype=np.int64)
@@ -84,20 +96,23 @@ class GridSet:
         # In Z-order every coarser box is a run of adjacent cells.  A pair of
         # neighbours whose highest differing bit has length d (0 for a
         # duplicate) starts a new box at every level l > level - d, so
-        # counts[l] = 1 + #{pairs with d >= level - l + 1}.
+        # counts[l] = 1 + #{pairs with d >= level - l + 1}.  split[i] is d for
+        # deduplicated cells i and i+1.
         diff = np.zeros(max(len(c) - 1, 0), dtype=np.int64)
         for j in range(self.n):
             diff |= c[1:, j] ^ c[:-1, j]
         c = c[np.concatenate([[True], diff != 0])[: len(c)]]
         if len(c) > MAX_CELLS:
             raise ValueError(f"cell count {len(c)} exceeds cap {MAX_CELLS}")
-        hist = np.bincount(_bit_length(diff[diff != 0]), minlength=self.level + 2)
+        split = _bit_length(diff[diff != 0]).astype(np.int8)
+        hist = np.bincount(split, minlength=self.level + 2)
         above = np.cumsum(hist[::-1])[::-1]
         counts = np.zeros(self.level + 1, dtype=np.int64)
         if len(c):
             counts = 1 + above[self.level + 1 : 0 : -1]
         object.__setattr__(self, "cells", c)
         object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_split", split)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -107,11 +122,6 @@ class GridSet:
         c = self.cells + 0.5
         c /= 1 << self.level
         return c
-
-    def downsample(self, level: int) -> "GridSet":
-        if not (0 <= level <= self.level):
-            raise ValueError(f"level {level} not in [0, {self.level}]")
-        return GridSet(self.n, level, self.cells >> (self.level - level))
 
     # -- serialization ----------------------------------------------------
 
@@ -158,9 +168,7 @@ class GridSet:
         limit = np.uint64(1 << (n * level))
         if ((starts >= limit) | (lengths > limit - starts)).any():
             raise ValueError("RLE run leaves the grid")
-        lengths = lengths.astype(np.int64)
-        offsets = starts.astype(np.int64) - (np.cumsum(lengths) - lengths)
-        lin = np.repeat(offsets, lengths) + np.arange(lengths.sum())
+        lin = _expand_runs(starts.astype(np.int64), lengths.astype(np.int64))
         shifts = level * np.arange(n - 1, -1, -1)
         return cls(n, level, (lin[:, None] >> shifts) & ((1 << level) - 1))
 
@@ -392,16 +400,37 @@ def flat_slice(g: GridSet, w: AffineFlat, rho: float) -> GridSet:
     The distance of a cell centre x is |(x - a) N| for an orthonormal basis
     N of the flat's orthogonal complement.
 
+    The boxes of side 2^-l, l = clamp(floor(log2(1/rho)), 0, level), are
+    runs of g's Z-ordered cells, so their starts come from the stored split
+    levels.  Distance to a flat is 1-Lipschitz and a cell centre lies within
+    half a box diagonal, sqrt(n)/2 * 2^-l, of its box's centre, so a box
+    whose centre is farther than rho plus that (plus roundoff slack) holds
+    no cell within rho; such boxes are dropped without touching their cells.
+    The cull keeps cells up to about 2 rho away, so the surviving cells
+    still get the exact per-centre test above, with the same floating-point
+    operations as on the whole grid: the slice is cell for cell the one that
+    testing every cell gives.  The cost is the number of boxes plus the
+    number of surviving cells; rho >= 1 keeps the single level-0 box and
+    tests every cell.
+
     Flat coordinates are shifted/scaled by a power of two exactly as in
     grid_from_points, which preserves dimension slopes.
     """
-    if rho < 2.0 ** (-g.level):
+    if not rho >= 2.0 ** (-g.level):
         raise ValueError("rho must be at least one cell width")
     if w.n != g.n:
         raise ValueError("ambient dimension mismatch")
-    rel = g.centers()
+    normal = w.direction.complement_basis()
+    lv = 0 if rho >= 1 else min(g.level, math.floor(-math.log2(rho)))
+    starts = np.concatenate([[0], 1 + np.flatnonzero(g._split >= g.level - lv + 1)])[: len(g)]
+    box = (g.cells[starts] >> (g.level - lv)) + 0.5
+    box /= 1 << lv
+    reach = rho + math.sqrt(g.n) / 2 * 2.0**-lv + TOL_EXACT * (1 + np.abs(w.offset).sum())
+    keep = np.linalg.norm((box - w.offset) @ normal, axis=1) <= reach
+    rel = g.cells[_expand_runs(starts[keep], np.diff(starts, append=len(g))[keep])] + 0.5
+    rel /= 1 << g.level
     rel -= w.offset
-    near = np.linalg.norm(rel @ w.direction.complement_basis(), axis=1) <= rho
+    near = np.linalg.norm(rel @ normal, axis=1) <= rho
     if not near.any():
         return GridSet(w.k, g.level, np.zeros((0, w.k), dtype=np.int64))
     return grid_from_points(rel[near] @ w.direction.basis, g.level)

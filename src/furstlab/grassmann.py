@@ -87,6 +87,8 @@ class AffineFlat:
         a = np.asarray(self.offset, dtype=float)
         if a.shape != (self.direction.n,):
             raise ValueError(f"offset shape {a.shape} != ({self.direction.n},)")
+        if not np.isfinite(a).all():
+            raise ValueError("offset must be finite")
         if np.linalg.norm(self.direction.project(a)) > TOL_EXACT:
             raise ValueError("offset is not orthogonal to the direction")
         object.__setattr__(self, "offset", a)

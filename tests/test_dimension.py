@@ -20,6 +20,8 @@ from furstlab.dimension import (
 from furstlab.grassmann import AffineFlat, Subspace, haar_sample
 
 LOG32 = math.log(2) / math.log(3)
+CANTOR3 = cantor_grid(3, 3, [[0, 2], [0, 1, 2], [0, 1, 2]], 3)
+PRODUCT5 = slicing_product_example(2, 1, LOG32, 5).grid
 
 
 def full_cube(n, level):
@@ -37,8 +39,9 @@ class TestGridSet:
 
     def test_downsample_parents_occupied(self):
         g = cantor_grid(2, 3, [0, 2], 4)
-        coarse = g.downsample(g.level - 1)
-        parents = {tuple(c) for c in coarse.cells}
+        coarse = unique_at(g.cells, 1)
+        assert len(coarse) == box_count(g, g.level - 1)
+        parents = {tuple(c) for c in coarse}
         for cell in g.cells:
             assert tuple(cell >> 1) in parents
 
@@ -60,6 +63,16 @@ class TestGridSet:
             g2 = GridSet.from_rle(g.to_rle())
             assert (g2.n, g2.level) == (g.n, g.level)
             assert np.array_equal(g.cells, g2.cells)
+
+
+def reference_flat_slice(g, w, rho):
+    """flat_slice without the box cull: the exact test on every cell centre."""
+    rel = g.centers()
+    rel -= w.offset
+    near = np.linalg.norm(rel @ w.direction.complement_basis(), axis=1) <= rho
+    if not near.any():
+        return GridSet(w.k, g.level, np.zeros((0, w.k), dtype=np.int64))
+    return grid_from_points(rel[near] @ w.direction.basis, g.level)
 
 
 def unique_at(cells, shift):
@@ -88,8 +101,10 @@ class TestAllLevelCounts:
         for lv in range(level + 1):
             oracle = unique_at(cells, level - lv)
             assert box_count(g, lv) == len(oracle)
-            coarse = g.downsample(lv)
-            assert set(map(tuple, coarse.cells.tolist())) == set(map(tuple, oracle.tolist()))
+            # The box heads found from the split levels are the occupied boxes.
+            heads = np.concatenate([[0], 1 + np.flatnonzero(g._split >= level - lv + 1)])
+            coarse = g.cells[heads] >> (level - lv)
+            assert set(map(tuple, coarse.tolist())) == set(map(tuple, oracle.tolist()))
 
     def test_empty_and_one_cell(self):
         empty = GridSet(3, 5, np.zeros((0, 3), dtype=np.int64))
@@ -373,31 +388,80 @@ class TestFlatSlice:
         assert counts == sorted(counts)
 
     @pytest.mark.parametrize(
-        "grid, seed, rho",
-        [(slicing_product_example(2, 1, LOG32, 5).grid, 4, 2.0**-5),
-         (cantor_grid(3, 3, [[0, 2], [0, 1, 2], [0, 1, 2]], 3), 6, 0.15)],
-        ids=["line_in_R2", "line_in_R3"],
+        "grid, k, seed, rho, shift, hits",
+        [(PRODUCT5, 1, 4, 2.0**-5, 0.0, 5),
+         (CANTOR3, 1, 6, 0.15, 0.0, 5),
+         (CANTOR3, 2, 7, 0.1, 0.0, 5),
+         (cantor_grid(4, 3, [[0, 2]] + [[0, 1, 2]] * 3, 2), 1, 8, 0.2, 0.0, 5),
+         (PRODUCT5, 1, 9, 2.0**-8, 0.0, 5),
+         (CANTOR3, 1, 10, 1.5, 0.0, 5),
+         (CANTOR3, 2, 11, 0.15, 3.0, 0),
+         (GridSet(3, 5, np.zeros((0, 3), dtype=np.int64)), 1, 12, 0.1, 0.0, 0),
+         (GridSet(3, 5, np.array([[31, 0, 17]])), 1, 13, 0.5, 0.0, 1)],
+        ids=["line_in_R2", "line_in_R3", "plane_in_R3", "line_in_R4", "rho_one_cell",
+             "rho_at_least_one", "offset_outside_cube", "empty_grid", "one_cell"],
     )
-    def test_matches_projection_residual(self, grid, seed, rho):
-        # Brute force: distance |rel - P_U rel| of every cell centre.
+    def test_matches_projection_residual(self, grid, k, seed, rho, shift, hits):
+        # Brute force: distance |rel - P_U rel| of every cell centre.  The
+        # boxes culled by flat_slice must not change a single cell against
+        # the reference that tests every centre.  `shift` moves the flat that
+        # far along a normal, off the unit cube; `hits` counts the draws
+        # with a nonempty slice.
         rng = np.random.default_rng(seed)
+        nonempty = 0
         for _ in range(5):
-            u = haar_sample(grid.n, 1, rng)
-            flat = AffineFlat.through(u, rng.random(grid.n))
+            u = haar_sample(grid.n, k, rng)
+            flat = AffineFlat.through(u, rng.random(grid.n) + shift * u.complement_basis()[:, 0])
             rel = grid.centers() - flat.offset
-            dist = np.array([np.linalg.norm(r - u.projector() @ r) for r in rel])
-            assert np.abs(dist - rho).min() > 1e-9  # no cell on the boundary
+            proj = u.projector()
+            dist = np.array([np.linalg.norm(r - proj @ r) for r in rel])
+            assert (np.abs(dist - rho) > 1e-9).all()  # no cell on the boundary
             near = dist <= rho
-            expect = grid_from_points(rel[near] @ u.basis, grid.level)
             got = flat_slice(grid, flat, rho)
-            assert near.any()
-            assert np.array_equal(got.cells, expect.cells)
+            assert (got.n, got.level) == (k, grid.level)
+            assert np.array_equal(got.cells, reference_flat_slice(grid, flat, rho).cells)
+            if near.any():
+                nonempty += 1
+                expect = grid_from_points(rel[near] @ u.basis, grid.level)
+                assert np.array_equal(got.cells, expect.cells)
+            else:
+                assert len(got) == 0
+        assert nonempty == hits
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bench_translates_match_reference(self, seed):
+        # The benchmark's slice loop: 22 parallel translates at rho = 2^-8
+        # on the 280k-cell product grid.
+        grid = slicing_product_example(2, 1, LOG32, 7).grid
+        u = haar_sample(2, 1, np.random.default_rng(seed))
+        w = u.complement_basis()[:, 0]
+        nonempty = 0
+        for tau in np.linspace(-0.7, 1.4, 22):
+            flat = AffineFlat(u, w * tau)
+            got = flat_slice(grid, flat, 2.0**-8)
+            assert np.array_equal(got.cells, reference_flat_slice(grid, flat, 2.0**-8).cells)
+            nonempty += len(got) > 0
+        assert nonempty >= 10
 
     def test_rho_validation(self):
         g = full_cube(2, 5)
         e1 = Subspace(2, 1, np.array([[1.0], [0.0]]))
         with pytest.raises(ValueError):
             flat_slice(g, AffineFlat(e1, np.zeros(2)), rho=2.0**-9)
+
+    def test_nan_rho_rejected(self):
+        g = full_cube(2, 5)
+        e1 = Subspace(2, 1, np.array([[1.0], [0.0]]))
+        with pytest.raises(ValueError, match="cell width"):
+            flat_slice(g, AffineFlat(e1, np.array([0.0, 0.5])), rho=math.nan)
+
+    def test_infinite_rho_projects_every_cell(self):
+        g = cantor_grid(2, 3, [0, 2], 5)
+        flat = AffineFlat.through(haar_sample(2, 1, seed=3), np.array([0.4, 0.5]))
+        got = flat_slice(g, flat, math.inf)
+        every = grid_from_points((g.centers() - flat.offset) @ flat.direction.basis, g.level)
+        assert np.array_equal(got.cells, every.cells)
+        assert np.array_equal(got.cells, reference_flat_slice(g, flat, math.inf).cells)
 
 
 class TestFamilyDimension:

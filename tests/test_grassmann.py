@@ -64,6 +64,12 @@ class TestAffineFlat:
         with pytest.raises(ValueError):
             AffineFlat(E1, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_offset_must_be_finite(self, bad):
+        # NaN compares false against the orthogonality tolerance.
+        with pytest.raises(ValueError, match="finite"):
+            AffineFlat(E1, np.array([0.0, bad]))
+
     def test_through_reorthogonalizes(self):
         flat = AffineFlat.through(E1, np.array([3.0, 5.0]))
         assert np.allclose(flat.offset, [0.0, 5.0])
@@ -286,6 +292,25 @@ class TestBallMeasure:
         a = ball_measure_estimate(u, 0.3, 2000, seed=77)
         b = ball_measure_estimate(u, 0.3, 2000, seed=77)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "n, exact",
+        [(3, lambda d: 1 - math.sqrt(1 - d * d)),
+         (4, lambda d: 2 / math.pi * (math.asin(d) - d * math.sqrt(1 - d * d)))],
+        ids=["lines_in_R3", "lines_in_R4"],
+    )
+    def test_lines_match_closed_form(self, n, exact):
+        # A Haar line at angle theta to U has grass_distance sin(theta) and
+        # cos^2(theta) ~ Beta(1/2, (n-1)/2), so mu(d <= delta) is the
+        # incomplete beta I_{delta^2}((n-1)/2, 1/2), closed form for n = 3, 4.
+        if n == 4:
+            assert exact(0.2) == pytest.approx(0.0034369, abs=1e-7)
+        u = haar_sample(n, 1, seed=n)
+        samples = 200_000
+        for delta in (0.2, 0.1):
+            p = exact(delta)
+            est = ball_measure_estimate(u, delta, samples, seed=2024)
+            assert abs(est - p) <= 4 * math.sqrt(p * (1 - p) / samples)
 
     def test_ball_scaling_counts_both_radii_on_one_sample(self, monkeypatch):
         rows = []
