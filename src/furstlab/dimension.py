@@ -7,12 +7,15 @@ here it coincides with Hausdorff dimension, and nothing in this module
 claims to compute Hausdorff dimension of arbitrary sets.
 
 A GridSet holds the occupied dyadic cells of a subset of [0,1]^n at a fixed
-depth, in Z-order, where every coarser box is a run of adjacent cells; the
-box counts at all coarser levels come from one pass over neighbouring
-cells.  That pass also keeps, per pair of neighbours, the level at which
-they split, so flat_slice finds the boxes of side about rho as runs of
-cells, drops every box too far from the flat (distance to a flat is
-1-Lipschitz), and runs its exact per-cell test only on the cells left.
+depth, in Z-order, where every coarser box is a run of adjacent cells.
+Construction builds one bit-interleaved key per cell, in uint64 words that
+each take a chunk of every coordinate's bits spread out by log-step
+shifts, sorts the cells by it, and reads the level at which each pair of
+neighbours splits off the first key word where they differ; the box counts
+at all coarser levels follow from those split levels.  flat_slice finds
+the boxes of side about rho as runs of cells from the same split levels,
+drops every box too far from the flat (distance to a flat is 1-Lipschitz),
+and runs its exact per-cell test only on the cells left.
 Digit-restriction sets are rasterized by marking, per kept
 base-b cell, the dyadic cell containing its center (one marked cell per
 construction cell, so the construction's own count law is preserved
@@ -37,13 +40,13 @@ _RLE_HEAD = struct.Struct("<4sBBQ")
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Exact bit length of each nonnegative int64, by halving shifts."""
-    out = np.zeros(len(x), dtype=np.int64)
-    for s in (32, 16, 8, 4, 2, 1):
-        high = (x >> s) != 0
-        out += s * high
-        x = np.where(high, x >> s, x)
-    return out + (x != 0)
+    """Exact bit length of each uint64, read as a float64 exponent.
+
+    Clearing every set bit just below another set bit keeps the top bit and
+    leaves no run of ones after it, so the conversion cannot round up to
+    the next power of two.
+    """
+    return np.frexp((x & ~(x >> np.uint64(1))).astype(np.float64))[1]
 
 
 def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -52,22 +55,46 @@ def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(offsets, lengths) + np.arange(lengths.sum())
 
 
-def _morton_order(cells: np.ndarray, level: int) -> np.ndarray:
-    """Permutation sorting the cells by their bit-interleaved (Z-order) key.
+def _morton_keys(cells: np.ndarray, level: int) -> tuple:
+    """Bit-interleaved (Z-order) keys of the cells as uint64 words, most
+    significant first.
 
-    Bit b of coordinate j is key bit b*n + n-1-j; the key is packed into
-    ceil(n*level/64) uint64 words, most significant word first.
+    A word holds g = min(n, 63) coordinates and w = 63 // g bits of each, so
+    it stays below 2^63: bit i*w + r of coordinate j is bit
+    r*g + g-1-(j mod g) of the word of chunk i and group j // g.  Words run
+    by falling chunk, then rising group (only n > 63 needs several groups,
+    with w = 1).  A chunk is spread by log-step shifts: for s = ..., 2, 1
+    the upper half of every 2s-bit block moves up by s*(g-1).
+
+    Returns (words, g, base), base[i] being the number of coordinate bits
+    below word i's chunk: keys that first differ in word i, at bit length
+    b, first differ in coordinate bit base[i] + ceil(b / g).
     """
     m, n = cells.shape
-    nwords = max(1, -(-n * level // 64))
-    words = np.zeros((nwords, m), dtype=np.uint64)
-    cols = cells.T.astype(np.uint64)
-    for j in range(n):
-        for b in range(level):
-            pos = b * n + n - 1 - j
-            bit = (cols[j] >> np.uint64(b)) & np.uint64(1)
-            words[nwords - 1 - pos // 64] |= bit << np.uint64(pos % 64)
-    return np.lexsort(words[::-1])
+    g = min(n, 63)
+    w = 63 // g
+    groups = -(-n // g)
+    bits = min(level, 63)  # int64 cells have no higher bit
+    nchunks = max(1, -(-bits // w))
+    width = max(1, min(w, bits))
+    steps = []
+    s = (1 << (width - 1).bit_length()) >> 1
+    while g > 1 and s:
+        mask = sum(1 << (r // s * s * g + r % s) for r in range(width))
+        steps.append((np.uint64(s * (g - 1)), np.uint64(mask)))
+        s >>= 1
+    low = np.uint64((1 << w) - 1)
+    cols = cells.view(np.uint64)
+    words = np.zeros((nchunks * groups, m), dtype=np.uint64)
+    for i in range(nchunks):
+        for j in range(n):
+            x = (cols[:, j] >> np.uint64(i * w)) & low
+            for shift, mask in steps:
+                x |= x << shift
+                x &= mask
+            words[(nchunks - 1 - i) * groups + j // g] |= x << np.uint64(g - 1 - j % g)
+    base = w * (nchunks - 1 - np.arange(len(words)) // groups)
+    return words, g, base[:, None]
 
 
 @dataclass(frozen=True)
@@ -76,8 +103,11 @@ class GridSet:
 
     cells is an (m, n) int64 array of deduplicated cell indices in
     [0, 2^level)^n in Z-order (sorted by bit-interleaved coordinates), so
-    the cells of every coarser box are contiguous and the box counts at all
-    levels come from one pass over adjacent cells at construction.
+    the cells of every coarser box are contiguous.  Construction sorts the
+    cells by their `_morton_keys` words (stable, so a duplicate keeps its
+    first row), reads each neighbour pair's split level off the first word
+    where their keys differ, drops duplicates (split level 0), and counts
+    the boxes at every level from the split levels.
     """
 
     n: int
@@ -92,19 +122,23 @@ class GridSet:
             raise ValueError(f"cells shape {c.shape} incompatible with n={self.n}")
         if c.size and (c.min() < 0 or c.max() >= (1 << self.level)):
             raise ValueError("cell index out of range for level")
-        c = c[_morton_order(c, self.level)]
+        words, g, base = _morton_keys(c, self.level)
+        order = np.lexsort(words[::-1])
+        c, words = np.take(c, order, axis=0), np.take(words, order, axis=1)
         # In Z-order every coarser box is a run of adjacent cells.  A pair of
         # neighbours whose highest differing bit has length d (0 for a
         # duplicate) starts a new box at every level l > level - d, so
-        # counts[l] = 1 + #{pairs with d >= level - l + 1}.  split[i] is d for
+        # counts[l] = 1 + #{pairs with d >= level - l + 1}.  d is read off
+        # the first word where the keys differ; split[i] is d for
         # deduplicated cells i and i+1.
-        diff = np.zeros(max(len(c) - 1, 0), dtype=np.int64)
-        for j in range(self.n):
-            diff |= c[1:, j] ^ c[:-1, j]
-        c = c[np.concatenate([[True], diff != 0])[: len(c)]]
+        b = _bit_length(words[:, 1:] ^ words[:, :-1])
+        d = np.where(b > 0, base + (b + g - 1) // g, 0).max(axis=0)
+        if not d.all():
+            c = c[np.concatenate([[True], d != 0])]
+            d = d[d != 0]
         if len(c) > MAX_CELLS:
             raise ValueError(f"cell count {len(c)} exceeds cap {MAX_CELLS}")
-        split = _bit_length(diff[diff != 0]).astype(np.int8)
+        split = d.astype(np.int8)
         hist = np.bincount(split, minlength=self.level + 2)
         above = np.cumsum(hist[::-1])[::-1]
         counts = np.zeros(self.level + 1, dtype=np.int64)
@@ -116,12 +150,6 @@ class GridSet:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    def centers(self) -> np.ndarray:
-        """Cell-center coordinates, shape (m, n)."""
-        c = self.cells + 0.5
-        c /= 1 << self.level
-        return c
 
     # -- serialization ----------------------------------------------------
 

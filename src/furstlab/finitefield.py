@@ -35,7 +35,20 @@ _MAX_COUNT_TABLE = 1 << 24
 
 class SearchBudgetExceeded(RuntimeError):
     """A minimal-set search (exhaustive or branch and bound) exceeded its
-    node budget."""
+    node budget.
+
+    lower_bound is a size no minimal set is below, proved before the cap
+    was hit; incumbent is the size of the smallest set found by then, or
+    None.
+    """
+
+    def __init__(self, node_cap: int, lower_bound: int, incumbent: Optional[int]):
+        self.lower_bound = lower_bound
+        self.incumbent = incumbent
+        found = "none" if incumbent is None else incumbent
+        super().__init__(
+            f"node cap {node_cap} exceeded; minimal size >= {lower_bound}, incumbent {found}"
+        )
 
 
 def is_prime(q: int) -> bool:
@@ -355,20 +368,17 @@ def _min_set_meeting(q: int, n: int, k: int, m: int, node_cap: Optional[int]) ->
         witness = FFSet(q, n, frozenset(universe[i] for i in node))
         return SearchResult(len(node), witness, nodes)
 
-    def over_cap(nodes: int):
-        if node_cap is not None and nodes > node_cap:
-            raise SearchBudgetExceeded(f"node cap {node_cap} exceeded")
-
+    cap = math.inf if node_cap is None else node_cap
     if len(universe) <= EXHAUSTIVE_POINT_CAP:
-        return _exhaustive_scan(labels, ncosets, m, over_cap, result)
-    return _branch_and_bound(labels, ncosets, m, over_cap, result)
+        return _exhaustive_scan(labels, ncosets, m, cap, result)
+    return _branch_and_bound(labels, ncosets, m, cap, result)
 
 
 # Subsets tested per batch in the exhaustive scan.
 _SCAN_CHUNK = 2048
 
 
-def _exhaustive_scan(labels: np.ndarray, ncosets: int, m: int, over_cap, result) -> SearchResult:
+def _exhaustive_scan(labels: np.ndarray, ncosets: int, m: int, cap, result) -> SearchResult:
     """The first subset, by size and then lexicographically, that has a
     coset of >= m points in every direction.
 
@@ -394,14 +404,16 @@ def _exhaustive_scan(labels: np.ndarray, ncosets: int, m: int, over_cap, result)
             hits = np.flatnonzero(meets)
             if len(hits):
                 nodes += int(hits[0]) + 1
-                over_cap(nodes)
+                if nodes > cap:
+                    raise SearchBudgetExceeded(cap, size, None)
                 return result(chunk[hits[0]].tolist(), nodes)
             nodes += len(chunk)
-            over_cap(nodes)
+            if nodes > cap:  # every smaller size is ruled out
+                raise SearchBudgetExceeded(cap, size, None)
     raise RuntimeError("search exhausted without a witness")
 
 
-def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, over_cap, result) -> SearchResult:
+def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap, result) -> SearchResult:
     """Complete each coset of the first direction with the largest deficit
     up to m points, fullest cosets and smallest additions first.  Only a
     strictly smaller set replaces the incumbent.
@@ -423,8 +435,14 @@ def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, over_cap, result
     members = [False] * npoints
     size = 0
     nodes = 1  # the root, the empty set
-    over_cap(nodes)
     best: Optional[Tuple[int, ...]] = None
+
+    def exceeded() -> SearchBudgetExceeded:
+        # The root bound: the empty set lacks m points in every direction.
+        return SearchBudgetExceeded(cap, m, None if best is None else len(best))
+
+    if nodes > cap:
+        raise exceeded()
 
     def toggle(points, step: int):
         nonlocal size
@@ -454,10 +472,12 @@ def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, over_cap, result
                     nodes += math.comb(len(missing), need) - tried + sum(
                         math.comb(coset_size - row[c], m - row[c]) for c in order[pos + 1:]
                     )
-                    over_cap(nodes)
+                    if nodes > cap:
+                        raise exceeded()
                     return
                 nodes += 1
-                over_cap(nodes)
+                if nodes > cap:
+                    raise exceeded()
                 toggle(addition, 1)
                 dfs()
                 toggle(addition, -1)

@@ -15,6 +15,7 @@ import pytest
 import furstlab as fl
 from furstlab import checks
 from furstlab.bounds import BoundParams, as_fraction
+from reference import centers
 
 LOG32 = math.log(2) / math.log(3)
 
@@ -134,9 +135,9 @@ def test_ac09_dimension_estimates():
 
 def test_ac10_sharp_hyperplane_example():
     ex = fl.sharp_hyperplane_example(4, 1.5, depth=3)
-    centers = ex.grid.centers()
+    pts = centers(ex.grid)
     containment = max(
-        float(np.abs(centers @ f.direction.complement_basis()[:, 0]).max())
+        float(np.abs(pts @ f.direction.complement_basis()[:, 0]).max())
         for f in ex.flats
     )
     ok = containment <= 2.0**-3
@@ -173,12 +174,12 @@ def test_ac11_finite_field_suite():
 
 def test_ac12_marstrand_projections():
     dust = fl.cantor_grid(2, 3, [0, 2], 7)
-    centers = dust.centers()
+    pts = centers(dust)
     rng = np.random.default_rng(7)
     good = 0
     for _ in range(100):
         u = fl.haar_sample(2, 1, rng)
-        proj = fl.marstrand_project(centers, u)
+        proj = fl.marstrand_project(pts, u)
         est = fl.estimate_dimension(fl.grid_from_points(proj, 10), 5, 10)
         good += abs(est.slope - 1.0) <= 0.12
     report(

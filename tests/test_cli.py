@@ -169,11 +169,23 @@ class TestFF:
         payload = json.loads(blobs[0])
         assert payload["size"] == 3
 
-    def test_search_node_cap_exits_3(self, tmp_path):
-        cfg = write_config(
-            tmp_path, "s.json", {"q": 3, "n": 2, "mode": "kakeya", "node_cap": 5}
-        )
-        assert run_cli(["ff", "search", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    def test_search_node_cap_exits_3(self, tmp_path, capsys):
+        # Exit 3 writes nothing and reports the size proved so far and the
+        # incumbent, on both search paths.
+        cases = [
+            (3, 5, "minimal size >= 3, incumbent none"),  # exhaustive, F_3^2
+            (3, 84, "minimal size >= 4, incumbent none"),  # all 84 3-sets ruled out
+            (5, 5, "minimal size >= 5, incumbent none"),  # branch and bound, F_5^2
+            (5, 100, "minimal size >= 5, incumbent 17"),
+        ]
+        for q, cap, proved in cases:
+            cfg = write_config(
+                tmp_path, "s.json", {"q": q, "n": 2, "mode": "kakeya", "node_cap": cap}
+            )
+            out = tmp_path / f"o{q}_{cap}"
+            assert run_cli(["ff", "search", "--config", cfg, "--out", str(out)]) == 3
+            assert f"node cap {cap} exceeded; {proved}" in capsys.readouterr().err
+            assert not any(out.iterdir())
 
     def test_verify_count_table_cap_exits_2_before_counting(self, tmp_path, monkeypatch):
         # q = 97, n = 3, k = 1 asks for 9507 directions x 9409 cosets.

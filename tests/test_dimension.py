@@ -8,6 +8,7 @@ import pytest
 from furstlab.bounds import as_fraction, bound_spread_hyperplane
 from furstlab.dimension import (
     GridSet,
+    _bit_length,
     box_count,
     cantor_grid,
     estimate_dimension,
@@ -18,6 +19,7 @@ from furstlab.dimension import (
     slicing_product_example,
 )
 from furstlab.grassmann import AffineFlat, Subspace, haar_sample
+import reference
 
 LOG32 = math.log(2) / math.log(3)
 CANTOR3 = cantor_grid(3, 3, [[0, 2], [0, 1, 2], [0, 1, 2]], 3)
@@ -67,7 +69,7 @@ class TestGridSet:
 
 def reference_flat_slice(g, w, rho):
     """flat_slice without the box cull: the exact test on every cell centre."""
-    rel = g.centers()
+    rel = reference.centers(g)
     rel -= w.offset
     near = np.linalg.norm(rel @ w.direction.complement_basis(), axis=1) <= rho
     if not near.any():
@@ -133,6 +135,62 @@ class TestAllLevelCounts:
         for lv in (-1, 4):
             with pytest.raises(ValueError):
                 box_count(g, lv)
+
+
+def reference_case_cells(n, level, seed):
+    """Seeded cells mixing uniform draws, a tight cluster sharing all but its
+    low bits, and repeats of both, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    top = 1 << level
+    spread = rng.integers(0, 1 << min(level, 5), (120, n))
+    cluster = np.minimum(rng.integers(0, top, n) + spread, top - 1)
+    cells = np.vstack([rng.integers(0, top, (120, n)), cluster])
+    cells = np.vstack([cells, cells[rng.integers(0, len(cells), 160)]])
+    return cells[rng.permutation(len(cells))]
+
+
+def assert_matches_reference(n, level, cells):
+    g = GridSet(n, level, cells)
+    ref_cells, ref_counts, ref_split = reference.construct(cells, n, level)
+    assert np.array_equal(g.cells, ref_cells)
+    assert np.array_equal(g._counts, ref_counts)
+    assert g._split.dtype == np.int8
+    assert np.array_equal(g._split, ref_split)
+
+
+class TestConstructionReference:
+    """Cells, counts and split levels against the bit-at-a-time reference
+    in tests/reference.py."""
+
+    @pytest.mark.parametrize("level", [0, 1, 7, 31, 62])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 16])
+    def test_random_grids(self, n, level):
+        assert_matches_reference(n, level, reference_case_cells(n, level, seed=100 * n + level))
+
+    @pytest.mark.parametrize("n, level", [(64, 3), (70, 5), (127, 2)])
+    def test_more_coordinates_than_a_word_holds(self, n, level):
+        assert_matches_reference(n, level, reference_case_cells(n, level, seed=n))
+
+    @pytest.mark.parametrize("n, level", [(1, 0), (2, 12), (9, 7), (16, 62)])
+    def test_empty_one_cell_and_heavy_duplication(self, n, level):
+        rng = np.random.default_rng(level)
+        assert_matches_reference(n, level, np.zeros((0, n), dtype=np.int64))
+        assert_matches_reference(n, level, rng.integers(0, 1 << level, (1, n)))
+        three = rng.integers(0, 1 << level, (3, n))
+        assert_matches_reference(n, level, three[rng.integers(0, 3, 1000)])
+
+    def test_row_major_construction(self):
+        cells = PRODUCT5.cells[np.lexsort(PRODUCT5.cells.T[::-1])]
+        assert_matches_reference(2, PRODUCT5.level, cells)
+        assert_matches_reference(2, PRODUCT5.level, np.asfortranarray(cells))
+
+    def test_bit_length(self):
+        vals = [0, 1, 2**52 - 1, 2**53 + 1, 2**54 - 1, 2**62, 2**63 - 1]
+        got = _bit_length(np.array(vals, dtype=np.uint64))
+        assert got.tolist() == [v.bit_length() for v in vals]
+        x = np.random.default_rng(0).integers(0, 2**63 - 1, 5000, dtype=np.int64, endpoint=True)
+        x >>= np.arange(len(x)) % 63
+        assert np.array_equal(_bit_length(x.view(np.uint64)), reference.bit_length(x))
 
 
 # sha256 of to_rle() and to_csv(), pinned from the lexicographic-order
@@ -297,10 +355,10 @@ class TestGridFromPoints:
 class TestSharpHyperplaneExample:
     def test_containment(self):
         ex = sharp_hyperplane_example(4, 1.5, depth=3)
-        centers = ex.grid.centers()
+        pts = reference.centers(ex.grid)
         for flat in ex.flats:
             nu = flat.direction.complement_basis()[:, 0]
-            assert np.abs(centers @ nu).max() <= 2.0**-3
+            assert np.abs(pts @ nu).max() <= 2.0**-3
 
     def test_family_dimension_near_one(self):
         ex = sharp_hyperplane_example(4, 1.5, depth=3)
@@ -327,7 +385,7 @@ class TestSharpHyperplaneExample:
         ex = sharp_hyperplane_example(3, 1.5, depth=3)
         assert len(ex.flats) == 1
         nu = ex.flats[0].direction.complement_basis()[:, 0]
-        assert np.abs(ex.grid.centers() @ nu).max() <= 2.0**-3
+        assert np.abs(reference.centers(ex.grid) @ nu).max() <= 2.0**-3
 
 
 class TestSlicingProductExample:
@@ -412,7 +470,7 @@ class TestFlatSlice:
         for _ in range(5):
             u = haar_sample(grid.n, k, rng)
             flat = AffineFlat.through(u, rng.random(grid.n) + shift * u.complement_basis()[:, 0])
-            rel = grid.centers() - flat.offset
+            rel = reference.centers(grid) - flat.offset
             proj = u.projector()
             dist = np.array([np.linalg.norm(r - proj @ r) for r in rel])
             assert (np.abs(dist - rho) > 1e-9).all()  # no cell on the boundary
@@ -459,7 +517,8 @@ class TestFlatSlice:
         g = cantor_grid(2, 3, [0, 2], 5)
         flat = AffineFlat.through(haar_sample(2, 1, seed=3), np.array([0.4, 0.5]))
         got = flat_slice(g, flat, math.inf)
-        every = grid_from_points((g.centers() - flat.offset) @ flat.direction.basis, g.level)
+        rel = reference.centers(g) - flat.offset
+        every = grid_from_points(rel @ flat.direction.basis, g.level)
         assert np.array_equal(got.cells, every.cells)
         assert np.array_equal(got.cells, reference_flat_slice(g, flat, math.inf).cells)
 

@@ -229,8 +229,27 @@ class TestMinSearch:
     def test_nodes_explored_is_total(self, q):
         res = ff_min_kakeya(q, 2)
         assert ff_min_kakeya(q, 2, node_cap=res.nodes_explored) == res
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(SearchBudgetExceeded) as exc:
             ff_min_kakeya(q, 2, node_cap=res.nodes_explored - 1)
+        # The scan stops on its witness's size; the branch and bound holds
+        # its root bound q and, by its last node, the minimal set.
+        proved = (res.size, None) if q == 2 else (q, res.size)
+        assert (exc.value.lower_bound, exc.value.incumbent) == proved
+
+    def test_kakeya_3_3_minimum(self):
+        res = ff_min_kakeya(3, 3)
+        assert (res.size, res.nodes_explored) == (13, 308683)
+        # Independent line check: for each of the 13 directions v (first
+        # nonzero coordinate 1), some line {a + t v} lies in the witness.
+        pts = set(res.witness.points)
+        dirs = [v for v in itertools.product(range(3), repeat=3)
+                if any(v) and v[next(i for i in range(3) if v[i])] == 1]
+        assert len(dirs) == 13
+        for v in dirs:
+            assert any(
+                all(tuple((a[i] + t * v[i]) % 3 for i in range(3)) in pts for t in range(3))
+                for a in pts
+            )
 
     def test_kakeya_contains_line(self):
         for q, n in [(2, 2), (3, 2), (2, 3)]:
