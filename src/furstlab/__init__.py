@@ -64,7 +64,6 @@ from .grassmann import (
     grass_distance,
     haar_sample,
     min_rotation,
-    project_point,
     sample_subflat,
 )
 from .maximal import (

@@ -9,7 +9,6 @@ survey catches those and flags the entry instead.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,9 +99,6 @@ class BoundReport:
                 "value_exact": str(self.best_value),
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
 @dataclass(frozen=True)

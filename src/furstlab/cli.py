@@ -472,7 +472,7 @@ _COMMANDS = {
     }, cmd_grassmann_verify),
     ("duality", "spreadify"): ({
         "points": (_str, _REQUIRED), "hyperplanes": (_str, _REQUIRED),
-        "levels": (_pair_of_ints, [2, 6]), "ndirs": (_int, 32),
+        "levels": (_pair_of_ints, [2, 6]), "ndirs": (_positive_int, 32),
         "incidence_tol": (_num, 1e-6), "seed": (_int, 0),
     }, cmd_duality_spreadify),
     ("dimension", "construct"): (_CONSTRUCT_SCHEMA, cmd_dimension_construct),

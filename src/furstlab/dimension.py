@@ -117,6 +117,8 @@ class GridSet:
     _split: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 1 or self.level < 0:
+            raise ValueError(f"need n >= 1 and level >= 0, got n={self.n}, level={self.level}")
         c = np.asarray(self.cells, dtype=np.int64)
         if c.ndim != 2 or c.shape[1] != self.n:
             raise ValueError(f"cells shape {c.shape} incompatible with n={self.n}")
@@ -451,11 +453,12 @@ def flat_slice(g: GridSet, w: AffineFlat, rho: float) -> GridSet:
     normal = w.direction.complement_basis()
     lv = 0 if rho >= 1 else min(g.level, math.floor(-math.log2(rho)))
     starts = np.concatenate([[0], 1 + np.flatnonzero(g._split >= g.level - lv + 1)])[: len(g)]
-    box = (g.cells[starts] >> (g.level - lv)) + 0.5
+    box = (np.take(g.cells, starts, axis=0) >> (g.level - lv)) + 0.5
     box /= 1 << lv
     reach = rho + math.sqrt(g.n) / 2 * 2.0**-lv + TOL_EXACT * (1 + np.abs(w.offset).sum())
     keep = np.linalg.norm((box - w.offset) @ normal, axis=1) <= reach
-    rel = g.cells[_expand_runs(starts[keep], np.diff(starts, append=len(g))[keep])] + 0.5
+    rows = _expand_runs(starts[keep], np.diff(starts, append=len(g))[keep])
+    rel = np.take(g.cells, rows, axis=0) + 0.5
     rel /= 1 << g.level
     rel -= w.offset
     near = np.linalg.norm(rel @ normal, axis=1) <= rho

@@ -83,16 +83,6 @@ class GraphHyperplane:
         point[-1] = self.c
         return AffineFlat.through(direction, point)
 
-    @classmethod
-    def from_flat(cls, flat: AffineFlat) -> "GraphHyperplane":
-        if flat.k != flat.n - 1:
-            raise ValueError("expected a hyperplane")
-        nu = flat.direction.complement_basis()[:, 0]
-        if abs(nu[-1]) <= TOL_EXACT:
-            raise VerticalHyperplaneError("hyperplane is vertical, no graph form")
-        d = float(np.dot(nu, flat.offset))
-        return cls(-nu[:-1] / nu[-1], d / nu[-1])
-
 
 def dualize_point(x) -> GraphHyperplane:
     """D: the point x becomes the hyperplane {y_n = <x', y'> + x_n}."""
@@ -145,9 +135,6 @@ class ProjectiveMap:
             raise MapsToInfinityError("point maps to infinity")
         images = hom[:, :-1] / w
         return images if x.ndim == 2 else images[0]
-
-    def inverse(self) -> "ProjectiveMap":
-        return ProjectiveMap(np.linalg.inv(self.matrix))
 
 
 def projective_to_infinity(u, h: float) -> ProjectiveMap:
@@ -296,10 +283,12 @@ def spreadify(
 
     Returns (mapped points, mapped hyperplanes as GraphHyperplanes, report).
     Raises VerticalHyperplaneError if an image plane is vertical, and
-    ValueError unless incidence_tol > 0 or if the data's bounding radius or
-    a mapped value overflows.
+    ValueError unless ndirs >= 1 and incidence_tol > 0 or if the data's
+    bounding radius or a mapped value overflows.
     """
     l_min, l_max = levels
+    if ndirs < 1:
+        raise ValueError(f"ndirs must be >= 1, got {ndirs}")
     if not incidence_tol > 0:
         raise ValueError(f"incidence_tol must be positive, got {incidence_tol!r}")
     planes = list(planes)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,60 +116,6 @@ class FFSubspace:
     def pivots(self) -> Tuple[int, ...]:
         return tuple(next(j for j, v in enumerate(row) if v != 0) for row in self.basis)
 
-    @classmethod
-    def from_rows(cls, q: int, rows: Iterable[Point]) -> "FFSubspace":
-        """Row-reduce arbitrary spanning rows into the canonical subspace."""
-        _require_prime(q)
-        mat = [list(int(v) % q for v in r) for r in rows]
-        n = len(mat[0])
-        rref = _rref_mod(mat, q)
-        return cls(q, n, len(rref), tuple(tuple(r) for r in rref))
-
-    def coset_of(self, x: Point) -> Point:
-        """Canonical coset representative: zero out the pivot coordinates."""
-        v = [int(c) % self.q for c in x]
-        for row, p in zip(self.basis, self.pivots):
-            coef = v[p]
-            if coef:
-                for j in range(self.n):
-                    v[j] = (v[j] - coef * row[j]) % self.q
-        return tuple(v)
-
-    def points(self) -> List[Point]:
-        """All q^k points of the subspace."""
-        out = []
-        for coeffs in itertools.product(range(self.q), repeat=self.k):
-            v = [0] * self.n
-            for c, row in zip(coeffs, self.basis):
-                for j in range(self.n):
-                    v[j] = (v[j] + c * row[j]) % self.q
-            out.append(tuple(v))
-        return out
-
-
-def _rref_mod(mat: List[List[int]], q: int) -> List[List[int]]:
-    rows = [r[:] for r in mat]
-    n = len(rows[0]) if rows else 0
-    out: List[List[int]] = []
-    pivot_col = 0
-    while rows and pivot_col < n:
-        pivot_row = next((r for r in rows if r[pivot_col] % q != 0), None)
-        if pivot_row is None:
-            pivot_col += 1
-            continue
-        rows.remove(pivot_row)
-        inv = pow(pivot_row[pivot_col], q - 2, q)
-        pivot_row = [(v * inv) % q for v in pivot_row]
-        for r in rows + out:
-            coef = r[pivot_col] % q
-            if coef:
-                for j in range(n):
-                    r[j] = (r[j] - coef * pivot_row[j]) % q
-        out.append(pivot_row)
-        pivot_col += 1
-    out.sort(key=lambda r: next((j for j, v in enumerate(r) if v), n))
-    return out
-
 
 @dataclass(frozen=True)
 class FFSet:
@@ -188,10 +134,6 @@ class FFSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @classmethod
-    def full_space(cls, q: int, n: int) -> "FFSet":
-        return cls(q, n, frozenset(itertools.product(range(q), repeat=n)))
 
     def to_csv(self) -> str:
         return table.to_csv([f"x{j}" for j in range(self.n)], sorted(self.points))

@@ -49,18 +49,6 @@ class Subspace:
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
-    @classmethod
-    def from_spanning(cls, vectors) -> "Subspace":
-        """Orthonormalize spanning vectors (columns) into a Subspace."""
-        v = np.atleast_2d(np.asarray(vectors, dtype=float))
-        if v.ndim != 2:
-            raise ValueError("expected a matrix of column vectors")
-        q, r = np.linalg.qr(v)
-        rank = int((np.abs(np.diag(r)) > 1e-12).sum())
-        if rank < v.shape[1]:
-            raise ValueError("spanning vectors are linearly dependent")
-        return cls(v.shape[0], v.shape[1], q)
-
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
 
@@ -109,10 +97,6 @@ class AffineFlat:
     @property
     def k(self) -> int:
         return self.direction.k
-
-    def point_at(self, coords) -> np.ndarray:
-        """The flat point offset + basis @ coords."""
-        return self.offset + self.direction.basis @ np.asarray(coords, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -200,14 +184,6 @@ def affine_distance(w: AffineFlat, w2: AffineFlat) -> float:
     """Subspace distance of the directions plus the offset gap."""
     d = grass_distance(w.direction, w2.direction)
     return d + float(np.linalg.norm(w.offset - w2.offset))
-
-
-def project_point(w: AffineFlat, x) -> np.ndarray:
-    """Euclidean-nearest point of the flat to x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (w.n,):
-        raise ValueError(f"point shape {x.shape} != ({w.n},)")
-    return w.offset + w.direction.project(x)
 
 
 def _grass_distance_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -3,9 +3,19 @@
 The GridSet construction here is the bit-at-a-time one: a Z-order key
 built one coordinate bit per pass, the split level of two neighbours from
 the OR of their per-coordinate XORs, and bit lengths by halving shifts.
+The finite-field coset representative and subspace points are the scalar
+loops behind ff_coset_profile's vectorized labels; the graph form of a
+hyperplane reads the AffineFlat images of apply_projective.
 """
 
+import itertools
+
 import numpy as np
+
+from furstlab.duality import GraphHyperplane, VerticalHyperplaneError
+from furstlab.finitefield import FFSet
+from furstlab.grassmann import Subspace
+from furstlab.tolerances import TOL_EXACT
 
 
 def bit_length(x) -> np.ndarray:
@@ -61,3 +71,55 @@ def centers(g) -> np.ndarray:
     c = g.cells + 0.5
     c /= 1 << g.level
     return c
+
+
+def subspace_from_spanning(vectors) -> Subspace:
+    """The Subspace spanned by the columns of vectors, orthonormalized by QR."""
+    v = np.atleast_2d(np.asarray(vectors, dtype=float))
+    if v.ndim != 2:
+        raise ValueError("expected a matrix of column vectors")
+    q, r = np.linalg.qr(v)
+    rank = int((np.abs(np.diag(r)) > 1e-12).sum())
+    if rank < v.shape[1]:
+        raise ValueError("spanning vectors are linearly dependent")
+    return Subspace(v.shape[0], v.shape[1], q)
+
+
+def graph_from_flat(flat) -> GraphHyperplane:
+    """The graph form {y_n = <a, y'> + c} of an AffineFlat hyperplane."""
+    if flat.k != flat.n - 1:
+        raise ValueError("expected a hyperplane")
+    nu = flat.direction.complement_basis()[:, 0]
+    if abs(nu[-1]) <= TOL_EXACT:
+        raise VerticalHyperplaneError("hyperplane is vertical, no graph form")
+    d = float(np.dot(nu, flat.offset))
+    return GraphHyperplane(-nu[:-1] / nu[-1], d / nu[-1])
+
+
+def coset_of(sub, x) -> tuple:
+    """Canonical coset representative of x modulo the FFSubspace sub: x with
+    the pivot coordinates zeroed by subtracting basis rows."""
+    v = [int(c) % sub.q for c in x]
+    for row, p in zip(sub.basis, sub.pivots):
+        coef = v[p]
+        if coef:
+            for j in range(sub.n):
+                v[j] = (v[j] - coef * row[j]) % sub.q
+    return tuple(v)
+
+
+def subspace_points(sub) -> list:
+    """All q^k points of the FFSubspace sub."""
+    out = []
+    for coeffs in itertools.product(range(sub.q), repeat=sub.k):
+        v = [0] * sub.n
+        for c, row in zip(coeffs, sub.basis):
+            for j in range(sub.n):
+                v[j] = (v[j] + c * row[j]) % sub.q
+        out.append(tuple(v))
+    return out
+
+
+def ff_full_space(q: int, n: int) -> FFSet:
+    """All q^n points of F_q^n."""
+    return FFSet(q, n, frozenset(itertools.product(range(q), repeat=n)))

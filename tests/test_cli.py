@@ -251,6 +251,8 @@ CSV_INPUTS = {
     "ff_narrow.csv": "x0,x1\n0,0\n1,1\n2,2\n",
     "ff_ragged.csv": "x0,x1,x2\n0,0\n1,1\n",
 }
+# A grid header with n = 0: no cell has a coordinate to key on.
+RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
 
 
 @pytest.mark.parametrize(
@@ -311,6 +313,9 @@ CSV_INPUTS = {
         # Rejected before a per-axis pattern list of n - k entries is built.
         (["dimension", "construct"], {"kind": "product", "n": 10**400, "k": 1, "s": 0.5}),
         (["dimension", "construct"], {"kind": "sharp_hyperplane", "n": 10**400, "s": 1.5}),
+        (["dimension", "estimate"], {"grid": "zero_n.rle", "levels": [1, 2]}),
+        (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "planes.csv",
+                                    "ndirs": 0}),
     ],
     ids=["depth30", "composite_q", "missing_csv", "ff_exponents_without_s",
          "bounds_zero_denominator", "bounds_infinite", "ff_exponents_zero_denominator",
@@ -323,12 +328,14 @@ CSV_INPUTS = {
          "bounds_huge_n", "ff_exponents_huge_n", "ball_scaling_delta_nan",
          "ball_scaling_delta_inf", "incidence_tol_nan", "incidence_tol_zero", "scan_p_huge_int",
          "construct_keep_int", "construct_keep_mixed", "construct_product_huge_n",
-         "construct_sharp_huge_n"],
+         "construct_sharp_huge_n", "estimate_rle_zero_n", "spreadify_zero_ndirs"],
 )
 def test_malformed_config_exits_2_writes_nothing(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)
     for name, text in CSV_INPUTS.items():
         (tmp_path / name).write_text(text)
+    for name, blob in RLE_INPUTS.items():
+        (tmp_path / name).write_bytes(blob)
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, "bad.json", cfg)
     assert run_cli(argv + ["--config", cfg_path, "--out", str(out)]) == 2

@@ -39,6 +39,11 @@ class TestGridSet:
         with pytest.raises(ValueError):
             GridSet(2, 3, np.array([[-1, 0]]))
 
+    @pytest.mark.parametrize("n, level", [(0, 3), (-1, 3), (2, -1)])
+    def test_rejects_empty_dimension_and_negative_level(self, n, level):
+        with pytest.raises(ValueError, match="n >= 1 and level >= 0"):
+            GridSet(n, level, np.zeros((0, max(n, 0)), dtype=np.int64))
+
     def test_downsample_parents_occupied(self):
         g = cantor_grid(2, 3, [0, 2], 4)
         coarse = unique_at(g.cells, 1)
@@ -241,9 +246,10 @@ class TestFileBoundary:
             + struct.pack("<QQQQ", 0, 1 << 23, 1 << 24, (1 << 23) + 1),
             struct.pack("<4sBBQ", b"GRLE", 1, 3, 1) + struct.pack("<QQ", 6, 3),
             struct.pack("<4sBBQ", b"GRLE", 1, 3, 1) + struct.pack("<QQ", 1 << 63, 1),
+            struct.pack("<4sBBQ", b"GRLE", 0, 3, 0),
         ],
         ids=["short_header", "magic", "truncated", "overflow", "huge_run", "huge_total",
-             "run_past_end", "start_past_end"],
+             "run_past_end", "start_past_end", "zero_n"],
     )
     def test_from_rle_rejects(self, blob):
         with pytest.raises(ValueError):

