@@ -57,7 +57,6 @@ from .finitefield import (
 )
 from .grassmann import (
     AffineFlat,
-    Rotation,
     Subspace,
     affine_distance,
     ball_measure_estimate,

@@ -150,7 +150,10 @@ def check_subflat_transport(n: int, k: int, k2: int, samples: int, seed=None) ->
 def check_ball_scaling(n: int, k: int, delta: float, samples: int, seed=None) -> CheckResult:
     """The Haar measure of B(U, delta) scales like delta^(k(n-k)):
     estimate(delta) / estimate(delta/2) should be within the relative
-    window of 2^(k(n-k))."""
+    window of 2^(k(n-k)).  delta must be in (0, 1): every subspace lies
+    within distance 1 of U."""
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
     u = haar_sample(n, k, seed=12345)
     big, small = (hits / samples for hits in _ball_hits(u, (delta, delta / 2), samples, seed))
     ratio = big / small if small > 0 else float("inf")

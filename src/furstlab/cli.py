@@ -25,6 +25,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -128,9 +129,19 @@ def _num(v):
     return float(v)
 
 
+# Fraction builds 10**|exponent| for a decimal string, so a string's exponent
+# is capped at Python's int digit limit, which already bounds its digits.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
 def _rational(v):
-    """An int, a finite float (at its binary value) or a "p/q" string."""
+    """An int, a finite float (at its binary value) or a "p/q" or decimal
+    string whose exponent is at most _MAX_EXPONENT in magnitude."""
     if isinstance(v, str):
+        exp = _EXPONENT.search(v)
+        if exp and abs(int(exp[1])) > _MAX_EXPONENT:
+            raise ValueError(f"exponent of {v!r} exceeds {_MAX_EXPONENT} in magnitude")
         try:
             return Fraction(v)
         except ZeroDivisionError:
@@ -140,6 +151,12 @@ def _rational(v):
     if not math.isfinite(v):
         raise ValueError(f"expected a finite rational, got {v!r}")
     return as_fraction(v)
+
+
+def _open_unit(v):
+    if not 0 < _num(v) < 1:
+        raise ValueError(f"expected a number in (0, 1), got {v!r}")
+    return float(v)
 
 
 def _str(v):
@@ -220,7 +237,7 @@ def _ff_exponents_entry(v):
 
 
 def _ball_scaling_entry(v):
-    return _validate(_object(v), {"n": (_int, 3), "k": (_int, 1), "delta": (_num, 0.2),
+    return _validate(_object(v), {"n": (_int, 3), "k": (_int, 1), "delta": (_open_unit, 0.2),
                                   "samples": (_positive_int, 100000)})
 
 
@@ -324,7 +341,7 @@ def _construct_grid(opts):
             "kind": kind,
             "achieved_dimension": ex.achieved_dimension,
             "target_dimension": ex.target_dimension,
-            "family_size": len(ex.flats),
+            "family_size": len(ex.bases),
         }
     raise SchemaError(f"unknown construction kind: {kind}")
 

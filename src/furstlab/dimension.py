@@ -1,5 +1,5 @@
 """Dyadic box counting, digit-restriction fractal constructors, and
-dimension estimates for sets and for families of flats.
+dimension estimates for sets and for families of subspaces.
 
 Box-counting (Minkowski) dimension is the computational proxy used
 throughout: for the self-similar digit-restriction constructions produced
@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import table
-from .grassmann import AffineFlat, Subspace, haar_sample
+from .grassmann import AffineFlat, haar_projector_batch
 from .tolerances import TOL_EXACT
 
 MAX_CELLS = 1 << 24
@@ -329,11 +329,11 @@ def grid_from_points(points, level: int) -> GridSet:
 
 @dataclass(frozen=True)
 class SharpHyperplaneExample:
-    """A low-dimensional set inside a coordinate subspace together with a
-    family of hyperplanes containing that subspace (AffineFlats, in `flats`)."""
+    """A low-dimensional set inside a coordinate subspace together with the
+    hyperplanes containing it, as a (count, n, n-1) stack of bases `bases`."""
 
     grid: GridSet
-    flats: tuple
+    bases: np.ndarray
     achieved_dimension: float
     target_dimension: float
 
@@ -377,8 +377,8 @@ def sharp_hyperplane_example(n: int, s: float, depth: int) -> SharpHyperplaneExa
     dense sample of 256 hyperplanes containing that subspace.
 
     The family is parametrized by the (n-1-ceil(s))-subspaces of the
-    orthogonal complement and sampled with a fixed internal seed, so the
-    output is deterministic.
+    orthogonal complement and drawn as one Haar batch with a fixed seed,
+    so the output is deterministic.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -393,19 +393,12 @@ def sharp_hyperplane_example(n: int, s: float, depth: int) -> SharpHyperplaneExa
     # Hyperplanes containing span{e_1..e_m}: the coordinate block plus an
     # (n-1-m)-subspace of the complement.  For m = n-1 the family collapses
     # to the single coordinate hyperplane.
-    flats = []
-    if m == n - 1:
-        basis = np.eye(n)[:, : n - 1]
-        flats.append(AffineFlat(Subspace(n, n - 1, basis), np.zeros(n)))
-    else:
-        rng = np.random.default_rng(20240 + n * 16 + m)
-        for _ in range(256):
-            sub = haar_sample(n - m, n - 1 - m, rng)
-            basis = np.zeros((n, n - 1))
-            basis[:m, :m] = np.eye(m)
-            basis[m:, m:] = sub.basis
-            flats.append(AffineFlat(Subspace(n, n - 1, basis), np.zeros(n)))
-    return SharpHyperplaneExample(grid, tuple(flats), achieved, float(s))
+    count = 1 if m == n - 1 else 256
+    bases = np.zeros((count, n, n - 1))
+    bases[:, :m, :m] = np.eye(m)
+    if m < n - 1:
+        bases[:, m:, m:] = haar_projector_batch(n - m, n - 1 - m, count, 20240 + n * 16 + m)
+    return SharpHyperplaneExample(grid, bases, achieved, float(s))
 
 
 def slicing_product_example(n: int, k: int, s: float, depth: int) -> SlicingProductExample:
@@ -467,33 +460,16 @@ def flat_slice(g: GridSet, w: AffineFlat, rho: float) -> GridSet:
     return grid_from_points(rel[near] @ w.direction.basis, g.level)
 
 
-def _embed_flats(flats) -> np.ndarray:
-    first = flats[0]
-    if isinstance(first, Subspace):
-        if any(not isinstance(f, Subspace) or (f.n, f.k) != (first.n, first.k) for f in flats):
-            raise ValueError("mixed or inconsistent subspace types")
-        return np.stack([f.projector().ravel() for f in flats])
-    if isinstance(first, AffineFlat):
-        if any(
-            not isinstance(f, AffineFlat) or (f.n, f.k) != (first.n, first.k)
-            for f in flats
-        ):
-            raise ValueError("mixed or inconsistent flat types")
-        return np.stack(
-            [np.concatenate([f.direction.projector().ravel(), f.offset]) for f in flats]
-        )
-    raise ValueError("expected Subspace or AffineFlat elements")
+def family_dimension(projectors: np.ndarray, l_min: int, l_max: int) -> DimensionEstimate:
+    """Box-counting dimension of a family of subspaces, given as a nonempty
+    (m, n, n) stack of their orthogonal projectors.
 
-
-def family_dimension(flats, l_min: int, l_max: int) -> DimensionEstimate:
-    """Box-counting dimension of a family of subspaces or affine flats.
-
-    Each element is embedded as its projector entries (plus the offset for
-    affine flats) and counted with max-norm boxes; that embedding is
-    bi-Lipschitz-equivalent to the projector-metric up to dimension
-    constants, so the slope estimates the family's metric dimension.
+    Each projector is embedded as its n^2 entries and counted with max-norm
+    boxes; that embedding is bi-Lipschitz-equivalent to the projector
+    metric up to dimension constants, so the slope estimates the family's
+    metric dimension.
     """
-    if not flats:
-        raise ValueError("family must be nonempty")
-    emb = _embed_flats(list(flats))
-    return estimate_dimension(grid_from_points(emb, l_max), l_min, l_max)
+    p = np.asarray(projectors, dtype=float)
+    if p.ndim != 3 or p.shape[1] != p.shape[2] or not len(p):
+        raise ValueError(f"need a nonempty (m, n, n) stack of projectors, got shape {p.shape}")
+    return estimate_dimension(grid_from_points(p.reshape(len(p), -1), l_max), l_min, l_max)

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import table
-from .dimension import DimensionEstimate, estimate_dimension, grid_from_points
-from .grassmann import AffineFlat, Subspace, haar_sample
+from .dimension import DimensionEstimate, estimate_dimension, family_dimension, grid_from_points
+from .grassmann import AffineFlat, Subspace, haar_projector_batch
 from .tolerances import TOL_EXACT, TOL_PROJECTIVE
 
 
@@ -254,13 +254,11 @@ def _incidence_count(points: np.ndarray, a: np.ndarray, c: np.ndarray, tol: floa
 
 def _direction_dimension(a: np.ndarray, l_min: int, l_max: int) -> DimensionEstimate:
     """Box dimension of the directions of the planes {y_n = <a, y'> + c},
-    one row of a per plane: their projectors I - nu nu^T, embedded and
-    counted as family_dimension counts a family of subspaces."""
+    one row of a per plane: the family_dimension of their projectors
+    I - nu nu^T."""
     nu = np.column_stack([-a, np.ones(len(a))])
     nu /= _row_norms(nu)[:, None]
-    m, n = nu.shape
-    proj = np.eye(n) - nu[:, :, None] * nu[:, None, :]
-    return estimate_dimension(grid_from_points(proj.reshape(m, n * n), l_max), l_min, l_max)
+    return family_dimension(np.eye(nu.shape[1]) - nu[:, :, None] * nu[:, None, :], l_min, l_max)
 
 
 def spreadify(
@@ -301,7 +299,6 @@ def spreadify(
     if pts.shape[1] != n:
         raise ValueError("point dimension mismatch")
     seed_val = seed if isinstance(seed, (int, np.integer)) or seed is None else None
-    rng = np.random.default_rng(seed)
 
     duals = np.column_stack([-a, c])
     initial = _direction_dimension(a, l_min, l_max)
@@ -320,15 +317,11 @@ def spreadify(
     h = 2.0 * max(float(_row_norms(np.vstack([duals, pts])).max()), 1.0)
     if not h < 2.0**1022:
         raise ValueError("the data's bounding radius overflows; input values are too large")
-    candidates = [haar_sample(n, n - 1, rng) for _ in range(ndirs)]
-    dims = []
-    for cand in candidates:
-        proj = marstrand_project(duals, cand)
-        est = estimate_dimension(grid_from_points(proj, l_max), l_min, l_max)
-        dims.append(est.slope)
+    candidates = haar_projector_batch(n, n - 1, ndirs, seed)
+    dims = [estimate_dimension(grid_from_points(duals @ b, l_max), l_min, l_max).slope
+            for b in candidates]
     best_idx = int(np.argmax(dims))  # ties: lowest index wins
-    chosen = candidates[best_idx]
-    u = chosen.complement_basis()[:, 0]
+    u = Subspace(n, n - 1, candidates[best_idx]).complement_basis()[:, 0]
 
     pmap = projective_to_infinity(u, h)
 

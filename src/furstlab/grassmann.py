@@ -99,28 +99,6 @@ class AffineFlat:
         return self.direction.k
 
 
-@dataclass(frozen=True)
-class Rotation:
-    """An orthogonal n x n matrix."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("rotation matrix must be square")
-        if not np.allclose(m.T @ m, np.eye(m.shape[0]), atol=TOL_EXACT):
-            raise ValueError("matrix is not orthogonal")
-        det = np.linalg.det(m)
-        if min(abs(det - 1.0), abs(det + 1.0)) > 1e-6:
-            raise ValueError("determinant is not +-1")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
 def haar_sample(n: int, k: int, seed=None) -> Subspace:
     """Draw a uniform (Haar) random k-subspace of R^n.
 
@@ -218,8 +196,9 @@ def _direct_rotation_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
             + (w * c1 - a * s) @ np.swapaxes(w, -1, -2))
 
 
-def min_rotation(u: Subspace, v: Subspace) -> Rotation:
-    """Direct rotation R with R(span U) = span V and minimal ||I - R||.
+def min_rotation(u: Subspace, v: Subspace) -> np.ndarray:
+    """Direct rotation R, an orthogonal (n, n) matrix, with R(span U) = span V
+    and minimal ||I - R||.
 
     The principal vector pairs are rotated within their mutually orthogonal
     2-planes by the principal angles, and the common orthogonal complement
@@ -229,7 +208,7 @@ def min_rotation(u: Subspace, v: Subspace) -> Rotation:
     principal angles lie in [0, pi/2].
     """
     _check_same_shape(u, v)
-    return Rotation(_direct_rotation_batch(u.basis, v.basis))
+    return _direct_rotation_batch(u.basis, v.basis)
 
 
 def _subflat_batch(basis: np.ndarray, offset: np.ndarray, k2: int, r: np.ndarray, rng):

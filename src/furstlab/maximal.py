@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import Subspace, haar_sample
+from .grassmann import Subspace, haar_projector_batch, haar_sample
 
 MAX_FIELD_DIM = 4
 MIN_DELTA = 2.0 ** -8
@@ -325,11 +325,9 @@ def maximal_lp_norm(
     step = delta / 2
     _check_search(f, delta, step)
     cells = _sweep_cells(f) if k < f.n else None  # shared by every direction
-    rng = np.random.default_rng(seed)
     acc = top = 0.0
-    for _ in range(ndirs):
-        u = haar_sample(f.n, k, rng)
-        value = _direction_maximal(f, cells, u, delta, step)
+    for b in haar_projector_batch(f.n, k, ndirs, seed):
+        value = _direction_maximal(f, cells, Subspace(f.n, k, b), delta, step)
         acc += value**p
         top = max(top, value)
     if acc == 0 < top:
@@ -366,6 +364,8 @@ def delta_scan(
     of ntubes random delta-tubes at the matching resolution.  Every argument
     is checked before the first field is built.
     """
+    if not deltas:
+        raise ValueError("need at least one delta")
     for delta in deltas:
         if not MIN_DELTA <= delta <= 0.5:
             raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")

@@ -108,11 +108,14 @@ class TestDualitySpreadify:
         report = json.loads((out / "spreadify_report.json").read_text())
         assert report["incidences_preserved"]
         assert report["final_direction_dimension"] > report["initial_direction_dimension"]
-        # Pinned bytes, which the CSV writers must reproduce exactly.
+        # Pinned bytes, which the CSV and JSON writers must reproduce exactly;
+        # the report holds every candidate direction's dimension.
         for name, sha in [
             ("spreadify_points.csv", "46f2b170c27cede05abe5bdcd8e9e0415d789d5c665718fb01b596acc07dfe68"),
             ("spreadify_hyperplanes.csv",
              "4a5e140fc9210a98932af042413674e3915cd1978b8fa84dcf181b3e11578964"),
+            ("spreadify_report.json",
+             "3b1eec73ce6c26aa20e1adbbba239553f54cad5007395c0c345aa217ed42423c"),
         ]:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha
 
@@ -136,6 +139,16 @@ class TestDimension:
         assert run_cli(["dimension", "estimate", "--config", cfg2, "--out", str(out2)]) == 0
         est = json.loads((out2 / "dimension_estimate.json").read_text())
         assert abs(est["estimate"]["slope"] - 0.6309297535714574) <= 0.05
+
+    @pytest.mark.parametrize("n, size", [(4, 256), (3, 1)])
+    def test_sharp_hyperplane_family_size(self, tmp_path, n, size):
+        # 256 hyperplanes through span{e1, e2} in R^4; in R^3 only the
+        # coordinate plane contains it.
+        cfg = write_config(tmp_path, "c.json",
+                           {"kind": "sharp_hyperplane", "n": n, "s": 1.5, "depth": 3})
+        out = tmp_path / "out"
+        assert run_cli(["dimension", "construct", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "dimension_construct.json").read_text())["family_size"] == size
 
     def test_estimate_needs_source(self, tmp_path):
         cfg = write_config(tmp_path, "e.json", {"levels": [2, 4]})
@@ -316,6 +329,10 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
         (["dimension", "estimate"], {"grid": "zero_n.rle", "levels": [1, 2]}),
         (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "planes.csv",
                                     "ndirs": 0}),
+        # Every subspace is within distance 1 of U, so no delta >= 1 scales.
+        (["grassmann", "verify"], {"pairs": [], "ball_scaling": {"delta": 5, "samples": 10}}),
+        (["grassmann", "verify"], {"pairs": [[3, 1]], "ball_scaling": {"delta": 1.0}}),
+        (["maximal", "scan"], {"deltas": []}),
     ],
     ids=["depth30", "composite_q", "missing_csv", "ff_exponents_without_s",
          "bounds_zero_denominator", "bounds_infinite", "ff_exponents_zero_denominator",
@@ -328,7 +345,8 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
          "bounds_huge_n", "ff_exponents_huge_n", "ball_scaling_delta_nan",
          "ball_scaling_delta_inf", "incidence_tol_nan", "incidence_tol_zero", "scan_p_huge_int",
          "construct_keep_int", "construct_keep_mixed", "construct_product_huge_n",
-         "construct_sharp_huge_n", "estimate_rle_zero_n", "spreadify_zero_ndirs"],
+         "construct_sharp_huge_n", "estimate_rle_zero_n", "spreadify_zero_ndirs",
+         "ball_scaling_delta_above_1", "ball_scaling_delta_1", "scan_no_deltas"],
 )
 def test_malformed_config_exits_2_writes_nothing(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)
@@ -386,12 +404,16 @@ def test_search_caps_exit_2_before_building_tables(tmp_path, monkeypatch, cfg):
     [(["ff", "verify"], {"q": 2, "n": 10**400}),
      (["ff", "search"], {"q": 2, "n": 3, "mode": "spread", "k": 10**400, "m": 1}),
      (["ff", "verify"], {"q": 2**61 - 1, "n": 2}),
-     (["ff", "search"], {"q": 2**61 - 1, "n": 2})],
-    ids=["verify_huge_n", "spread_huge_k", "verify_huge_prime_q", "search_huge_prime_q"],
+     (["ff", "search"], {"q": 2**61 - 1, "n": 2}),
+     (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": "1", "t": "1e-99999999"}]}),
+     (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": "1e99999999", "t": 1}]})],
+    ids=["verify_huge_n", "spread_huge_k", "verify_huge_prime_q", "search_huge_prime_q",
+         "bounds_tiny_t_exponent", "bounds_huge_s_exponent"],
 )
 def test_huge_exponent_exits_2_within_a_second(tmp_path, argv, cfg):
-    # In a child process, which the timeout stops if q**n is ever computed
-    # or a prime q near 2^61 is tested by trial division.
+    # In a child process, which the timeout stops if q**n is ever computed,
+    # a prime q near 2^61 is tested by trial division or a decimal string's
+    # 10**exponent is built.
     child = ("import sys, time; from furstlab.cli import main; t = time.perf_counter(); "
              "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)")
     path = write_config(tmp_path, "c.json", cfg)

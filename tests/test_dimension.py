@@ -358,17 +358,26 @@ class TestGridFromPoints:
         assert abs(s1 - s2) <= 0.1
 
 
+def plane_distances(bases, pts):
+    """Distance ||x - B B^T x|| of each point to each hyperplane span(B),
+    shape (count, m)."""
+    coords = pts @ bases  # (count, m, n-1)
+    return np.linalg.norm(pts - coords @ bases.transpose(0, 2, 1), axis=-1)
+
+
+def projectors(bases):
+    return bases @ bases.transpose(0, 2, 1)
+
+
 class TestSharpHyperplaneExample:
     def test_containment(self):
         ex = sharp_hyperplane_example(4, 1.5, depth=3)
-        pts = reference.centers(ex.grid)
-        for flat in ex.flats:
-            nu = flat.direction.complement_basis()[:, 0]
-            assert np.abs(pts @ nu).max() <= 2.0**-3
+        assert ex.bases.shape == (256, 4, 3)
+        assert plane_distances(ex.bases, reference.centers(ex.grid)).max() <= 2.0**-3
 
     def test_family_dimension_near_one(self):
         ex = sharp_hyperplane_example(4, 1.5, depth=3)
-        est = family_dimension([f.direction for f in ex.flats], 2, 6)
+        est = family_dimension(projectors(ex.bases), 2, 6)
         assert abs(est.slope - 1.0) <= 0.15
 
     def test_sharpness_identity_exact(self):
@@ -389,9 +398,8 @@ class TestSharpHyperplaneExample:
 
     def test_ceil_s_equals_n_minus_one_single_plane(self):
         ex = sharp_hyperplane_example(3, 1.5, depth=3)
-        assert len(ex.flats) == 1
-        nu = ex.flats[0].direction.complement_basis()[:, 0]
-        assert np.abs(reference.centers(ex.grid) @ nu).max() <= 2.0**-3
+        assert ex.bases.shape == (1, 3, 2)
+        assert plane_distances(ex.bases, reference.centers(ex.grid)).max() <= 2.0**-3
 
 
 class TestSlicingProductExample:
@@ -532,31 +540,18 @@ class TestFlatSlice:
 class TestFamilyDimension:
     def test_single_subspace_zero(self):
         u = haar_sample(3, 1, seed=0)
-        assert family_dimension([u], 2, 6).slope == pytest.approx(0.0, abs=1e-12)
+        assert family_dimension(u.projector()[None], 2, 6).slope == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_circle_of_lines(self):
-        subs = [
-            Subspace(2, 1, np.array([[math.cos(t)], [math.sin(t)]]))
-            for t in np.linspace(0, math.pi, 1000, endpoint=False)
-        ]
-        est = family_dimension(subs, 2, 6)
+        t = np.linspace(0, math.pi, 1000, endpoint=False)
+        lines = np.stack([np.cos(t), np.sin(t)], axis=1)[:, :, None]
+        est = family_dimension(projectors(lines), 2, 6)
         assert abs(est.slope - 1.0) <= 0.15
 
-    def test_horizontal_lines_family(self):
-        e1 = Subspace(2, 1, np.array([[1.0], [0.0]]))
-        rng = np.random.default_rng(5)
-        b = (np.arange(1000) + 0.05 + 0.9 * rng.random(1000)) / 1000
-        flats = [AffineFlat(e1, np.array([0.0, float(v)])) for v in b]
-        est = family_dimension(flats, 2, 6)
-        assert abs(est.slope - 1.0) <= 0.15
-
-    def test_mixed_types_rejected(self):
-        u = haar_sample(3, 1, seed=0)
-        flat = AffineFlat(u, np.zeros(3))
-        with pytest.raises(ValueError):
-            family_dimension([u, flat], 2, 6)
-        with pytest.raises(ValueError):
-            family_dimension([], 2, 6)
+    def test_empty_family_rejected(self):
+        for family in ([], np.zeros((0, 3, 3))):
+            with pytest.raises(ValueError):
+                family_dimension(family, 2, 6)
 
     def test_max_entry_norm_equivalence(self):
         # max-entry distance <= operator distance <= n * max-entry distance,

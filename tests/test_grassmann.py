@@ -95,6 +95,15 @@ class TestHaarSample:
             for _ in range(20):
                 assert np.array_equal(haar_sample(n, k, r1).basis, haar_projector_batch(n, k, 1, r2)[0])
 
+    @pytest.mark.parametrize("n,k,count", [(3, 2, 32), (4, 1, 256), (3, 2, 256), (2, 1, 20)])
+    def test_batch_is_successive_draws(self, n, k, count):
+        # A family drawn as one batch is, bit for bit, `count` successive
+        # haar_sample draws, and leaves the generator in the same state.
+        r1, r2 = np.random.default_rng(11), np.random.default_rng(11)
+        batch = haar_projector_batch(n, k, count, r1)
+        assert np.array_equal(batch, np.stack([haar_sample(n, k, r2).basis for _ in range(count)]))
+        assert r1.random() == r2.random()
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             haar_sample(3, 4, seed=0)
@@ -194,13 +203,13 @@ class TestMinRotation:
     def test_identity_for_equal(self):
         u = haar_sample(4, 2, seed=9)
         r = min_rotation(u, u)
-        assert np.allclose(r.matrix, np.eye(4), atol=1e-9)
+        assert np.allclose(r, np.eye(4), atol=1e-9)
 
     @pytest.mark.parametrize("theta", [0.1, math.pi / 6, math.pi / 3, math.pi / 2])
     def test_planar_rotation_norm(self, theta):
         v = span([math.cos(theta), math.sin(theta)])
         r = min_rotation(E1, v)
-        opnorm = np.linalg.svd(np.eye(2) - r.matrix, compute_uv=False)[0]
+        opnorm = np.linalg.svd(np.eye(2) - r, compute_uv=False)[0]
         assert opnorm == pytest.approx(2 * math.sin(theta / 2), abs=1e-9)
 
     def test_maps_basis_into_target(self):
@@ -209,7 +218,7 @@ class TestMinRotation:
             u = haar_sample(5, 2, rng)
             v = haar_sample(5, 2, rng)
             r = min_rotation(u, v)
-            residual = (np.eye(5) - v.projector()) @ (r.matrix @ u.basis)
+            residual = (np.eye(5) - v.projector()) @ (r @ u.basis)
             assert np.abs(residual).max() <= 1e-9
         # The batched kernel against the defining properties of the direct
         # rotation, every tenth pair identical.
@@ -235,7 +244,7 @@ class TestMinRotation:
             u = haar_sample(4, 2, rng)
             v = haar_sample(4, 2, rng)
             r = min_rotation(u, v)
-            opnorm = np.linalg.svd(np.eye(4) - r.matrix, compute_uv=False)[0]
+            opnorm = np.linalg.svd(np.eye(4) - r, compute_uv=False)[0]
             assert opnorm <= math.sqrt(2) * grass_distance(u, v) + 1e-8
 
 
@@ -331,6 +340,17 @@ class TestBallMeasure:
         u = haar_sample(3, 1, seed=12345)
         ratio = ball_measure_estimate(u, 0.2, 5000, seed=7) / ball_measure_estimate(u, 0.1, 5000, seed=7)
         assert res.measured_constant == ratio
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 1.0, 5.0])
+    def test_ball_scaling_delta_outside_unit_rejected(self, monkeypatch, delta):
+        # Every subspace is within distance 1 of U, so delta >= 1 measures
+        # nothing; the check raises before drawing.
+        def never(*args):
+            raise AssertionError("ball_scaling drew samples for a delta outside (0, 1)")
+
+        monkeypatch.setattr(gr, "haar_projector_batch", never)
+        with pytest.raises(ValueError):
+            check_ball_scaling(3, 1, delta, 100, seed=0)
 
     def test_batch_distance_matches_projector_svd(self):
         rng = np.random.default_rng(31)
