@@ -44,7 +44,6 @@ from .duality import (
 )
 from .finitefield import (
     FFSet,
-    FFSubspace,
     SearchBudgetExceeded,
     ff_coset_profile,
     ff_directions,

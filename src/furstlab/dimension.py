@@ -97,7 +97,7 @@ def _morton_keys(cells: np.ndarray, level: int) -> tuple:
     return words, g, base[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSet:
     """Occupied dyadic cells of a subset of [0,1]^n at depth `level`.
 
@@ -113,8 +113,8 @@ class GridSet:
     n: int
     level: int
     cells: np.ndarray
-    _counts: np.ndarray = field(init=False, repr=False, compare=False)
-    _split: np.ndarray = field(init=False, repr=False, compare=False)
+    _counts: np.ndarray = field(init=False, repr=False)
+    _split: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.level < 0:
@@ -327,7 +327,7 @@ def grid_from_points(points, level: int) -> GridSet:
     return GridSet(pts.shape[1], level, idx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SharpHyperplaneExample:
     """A low-dimensional set inside a coordinate subspace together with the
     hyperplanes containing it, as a (count, n, n-1) stack of bases `bases`."""
@@ -338,7 +338,7 @@ class SharpHyperplaneExample:
     target_dimension: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlicingProductExample:
     """Product of a digit-restriction set with a full cube.
 

@@ -47,7 +47,7 @@ class MapsToInfinityError(ValueError):
     """The object lies on the exceptional hyperplane of a projective map."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphHyperplane:
     """The hyperplane {y_n = <a, y'> + c} in R^n, n = len(a) + 1."""
 
@@ -103,7 +103,7 @@ def incident(x, plane: GraphHyperplane, tol: float) -> bool:
     return abs(float(x[-1]) - plane.height(x[:-1])) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveMap:
     """An invertible map on homogeneous coordinates [x : 1] in R^n."""
 
@@ -211,7 +211,7 @@ def marstrand_project(points, u: Subspace) -> np.ndarray:
     return pts @ u.basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpreadifyReport:
     """What the direction-spreading pipeline did and measured."""
 

@@ -1,14 +1,16 @@
 """Exact Kakeya / spread-Furstenberg combinatorics over F_q^n, q prime.
 
-Subspaces are kept in reduced row-echelon form so that subspace identity is
-representation identity, which keeps the exhaustive loops cheap.  Every coset
-of a k-subspace has a canonical representative with its pivot coordinates
-zeroed; its integer label is the base-q code of the free coordinates, so
-labels sort like representatives.  One vectorized kernel labels a batch of
-points in every direction at once.  Set checks count cosets with a bincount
-over those labels; the exhaustive search sums 0/1 point-by-coset incidence
-rows for a chunk of subsets at once; the branch and bound keeps its coset
-counts in plain lists that it updates point by point.
+A k-subspace is its k x n canonical reduced row-echelon basis, so subspace
+identity is representation identity, and the k-directions of F_q^n are one
+(count, k, n) int64 stack of those bases; pivots are read off the stack as
+each row's first nonzero column.  Every coset of a k-subspace has a
+canonical representative with its pivot coordinates zeroed; its integer
+label is the base-q code of the free coordinates, so labels sort like
+representatives.  One vectorized kernel labels a batch of points in every
+direction at once.  Set checks count cosets with a bincount over those
+labels; the exhaustive search sums 0/1 point-by-coset incidence rows for a
+chunk of subsets at once; the branch and bound keeps its coset counts in
+plain lists that it updates point by point.
 
 Only prime q is accepted: over proper prime powers the subfield structure
 breaks the size conjectures this module is used to probe.
@@ -19,13 +21,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import table
-
-Point = Tuple[int, ...]
 
 MAX_DIRECTIONS = 10 ** 6
 EXHAUSTIVE_POINT_CAP = 16
@@ -84,40 +84,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 @dataclass(frozen=True)
-class FFSubspace:
-    """A k-subspace of F_q^n given by its canonical RREF basis (k x n)."""
-
-    q: int
-    n: int
-    k: int
-    basis: Tuple[Point, ...]
-
-    def __post_init__(self):
-        _require_prime(self.q)
-        b = tuple(tuple(int(v) % self.q for v in row) for row in self.basis)
-        if len(b) != self.k or any(len(r) != self.n for r in b):
-            raise ValueError("basis shape mismatch")
-        if not self._is_canonical_rref(b):
-            raise ValueError("basis is not in canonical RREF")
-        object.__setattr__(self, "basis", b)
-
-    def _is_canonical_rref(self, rows) -> bool:
-        last_pivot = -1
-        for row in rows:
-            pivot = next((j for j, v in enumerate(row) if v != 0), None)
-            if pivot is None or pivot <= last_pivot or row[pivot] != 1:
-                return False
-            if any(other[pivot] != 0 for other in rows if other is not row):
-                return False
-            last_pivot = pivot
-        return True
-
-    @property
-    def pivots(self) -> Tuple[int, ...]:
-        return tuple(next(j for j, v in enumerate(row) if v != 0) for row in self.basis)
-
-
-@dataclass(frozen=True)
 class FFSet:
     """A finite point set in F_q^n."""
 
@@ -160,7 +126,7 @@ def _direction_count(q: int, n: int, k: int) -> int:
     raise ValueError(f"more than 10^6 {k}-subspaces exceeds the direction cap")
 
 
-def _capped_directions(q: int, n: int, k: int, npoints: Optional[int] = None) -> List[FFSubspace]:
+def _capped_directions(q: int, n: int, k: int, npoints: Optional[int] = None) -> np.ndarray:
     """The k-directions of F_q^n, once their label table is known to fit
     under the cap: one row per direction, and a column per coset or per
     point (all q^n points when npoints is None), whichever is more."""
@@ -174,47 +140,48 @@ def _capped_directions(q: int, n: int, k: int, npoints: Optional[int] = None) ->
     return ff_directions(q, n, k)
 
 
-def ff_directions(q: int, n: int, k: int) -> List[FFSubspace]:
-    """All k-subspaces of F_q^n in canonical RREF.
+def _digits(q: int, width: int) -> np.ndarray:
+    """All q^width base-q digit rows, in itertools.product order."""
+    return np.indices((q,) * width).reshape(width, q ** width).T
 
-    Enumerates pivot-column patterns and free entries; the count equals the
-    Gaussian binomial coefficient.
+
+def ff_directions(q: int, n: int, k: int) -> np.ndarray:
+    """All k-subspaces of F_q^n as a (count, k, n) int64 stack of canonical
+    RREF bases; the count is the Gaussian binomial coefficient.
+
+    Pivot patterns come in itertools.combinations order; within one, the
+    free entries (row by row, each right of its row's pivot and off every
+    pivot column) run through itertools.product order.
     """
     _require_prime(q)
-    count = _direction_count(q, n, k)
-    out = []
+    out = np.zeros((_direction_count(q, n, k), k, n), dtype=np.int64)
+    start = 0
     for pivots in itertools.combinations(range(n), k):
-        free_cols = [
-            (i, j)
-            for i in range(k)
-            for j in range(n)
-            if j > pivots[i] and j not in pivots
-        ]
-        for values in itertools.product(range(q), repeat=len(free_cols)):
-            rows = [[0] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free_cols, values):
-                rows[i][j] = v
-            out.append(FFSubspace(q, n, k, tuple(tuple(r) for r in rows)))
-    assert len(out) == count
+        rows, cols = np.array(
+            [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots],
+            dtype=np.intp,
+        ).reshape(-1, 2).T
+        block = out[start:start + q ** len(rows)]
+        block[:, np.arange(k), pivots] = 1
+        block[:, rows, cols] = _digits(q, len(rows))
+        start += len(block)
     return out
 
 
-def _coset_labels(q: int, n: int, directions: Sequence[FFSubspace], points) -> np.ndarray:
-    """Coset label of each point in each direction, shape (ndirs, m): the
-    base-q code of the free coordinates of the canonical representative."""
+def _coset_labels(q: int, n: int, bases: np.ndarray, points) -> np.ndarray:
+    """Coset label of each point in each direction of the (ndirs, k, n) RREF
+    stack, shape (ndirs, m): the base-q code of the free coordinates of the
+    canonical representative."""
     x = np.asarray(points, dtype=np.int64).reshape(-1, n).T
-    basis = np.array([d.basis for d in directions], dtype=np.int64)
-    pivots = np.array([d.pivots for d in directions], dtype=np.int64)
+    pivots = (bases != 0).argmax(axis=2)
     coef = x[pivots]
-    free = np.ones((len(directions), n), dtype=np.int64)
+    free = np.ones((len(bases), n), dtype=np.int64)
     np.put_along_axis(free, pivots, 0, axis=1)
     # q ** (number of free columns right of j) on free columns, 0 on pivots
     weight = free * q ** (np.cumsum(free[:, ::-1], axis=1)[:, ::-1] - free)
-    labels = np.zeros((len(directions), x.shape[1]), dtype=np.int64)
+    labels = np.zeros((len(bases), x.shape[1]), dtype=np.int64)
     for j in range(n):
-        rep = (x[j] - (basis[:, :, j, None] * coef).sum(axis=1)) % q
+        rep = (x[j] - (bases[:, :, j, None] * coef).sum(axis=1)) % q
         labels += weight[:, j, None] * rep
     return labels
 
@@ -233,19 +200,38 @@ def _max_counts(f: FFSet, k: int) -> np.ndarray:
     return _coset_counts(labels, f.q ** (f.n - k)).max(axis=1)
 
 
-def ff_coset_profile(f: FFSet, p: FFSubspace):
-    """Distribution of the set over the q^(n-k) cosets of the subspace.
+def _canonical_basis(q: int, n: int, basis) -> np.ndarray:
+    """basis with entries reduced mod q, checked to be a k x n canonical RREF
+    basis: each row's first nonzero entry is 1, strictly right of the row
+    above's, and the only nonzero entry of its column."""
+    b = np.asarray(basis, dtype=np.int64) % q
+    if b.ndim != 2 or b.shape[1] != n:
+        raise ValueError(f"basis of shape {b.shape} is not k x {n}")
+    nonzero = b != 0
+    pivots = nonzero.argmax(axis=1)
+    if not (
+        nonzero.any(axis=1).all()
+        and (np.diff(pivots) > 0).all()
+        and (b[np.arange(len(b)), pivots] == 1).all()
+        and (nonzero[:, pivots].sum(axis=0) == 1).all()
+    ):
+        raise ValueError("basis is not in canonical RREF")
+    return b
+
+
+def ff_coset_profile(f: FFSet, basis):
+    """Distribution of the set over the q^(n-k) cosets of the subspace with
+    the k x n canonical RREF basis (entries taken mod q).
 
     Returns (best_offset, max_count, histogram) where histogram maps every
     coset representative to its point count (zeros included) and best_offset
     is the lexicographically smallest representative attaining the maximum.
     """
-    if (f.q, f.n) != (p.q, p.n):
-        raise ValueError("FFSet and FFSubspace live in different spaces")
-    free = [j for j in range(p.n) if j not in p.pivots]
-    reps = np.zeros((p.q ** len(free), p.n), dtype=np.int64)
-    reps[:, free] = list(itertools.product(range(p.q), repeat=len(free)))
-    counts = _coset_counts(_coset_labels(p.q, p.n, [p], list(f.points)), len(reps))[0]
+    b = _canonical_basis(f.q, f.n, basis)
+    free = np.setdiff1d(np.arange(f.n), (b != 0).argmax(axis=1))
+    reps = np.zeros((f.q ** len(free), f.n), dtype=np.int64)
+    reps[:, free] = _digits(f.q, len(free))
+    counts = _coset_counts(_coset_labels(f.q, f.n, b[None], list(f.points)), len(reps))[0]
     histogram = dict(zip(map(tuple, reps.tolist()), counts.tolist()))
     best_offset = min(histogram, key=lambda r: (-histogram[r], r))
     return best_offset, histogram[best_offset], histogram

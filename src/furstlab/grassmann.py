@@ -24,12 +24,13 @@ MAX_AMBIENT_DIM = 16
 _CHUNK = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A k-dimensional linear subspace of R^n with an orthonormal basis.
 
-    basis has shape (n, k) with orthonormal columns.  Equality of subspaces
-    means equality of projectors, not of bases.
+    basis has shape (n, k) with orthonormal columns.  `==` is identity:
+    two bases of one subspace differ, so compare subspaces by
+    grass_distance (0 for equal projectors).
     """
 
     n: int
@@ -64,7 +65,7 @@ class Subspace:
         return q[:, self.k:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineFlat:
     """An affine k-flat U + a with a orthogonal to U."""
 

@@ -39,7 +39,7 @@ MAX_FIELD_DIM = 4
 MIN_DELTA = 2.0 ** -8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaximalField:
     """Nonnegative values on the dyadic cells of [-1,1]^n at side 2^-level."""
 
@@ -117,7 +117,7 @@ class MaximalField:
         return MaximalField(self.n, self.level, v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TubeSpec:
     """The delta-neighborhood of (U + a) within B(a, 1/2)."""
 

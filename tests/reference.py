@@ -3,9 +3,10 @@
 The GridSet construction here is the bit-at-a-time one: a Z-order key
 built one coordinate bit per pass, the split level of two neighbours from
 the OR of their per-coordinate XORs, and bit lengths by halving shifts.
-The finite-field coset representative and subspace points are the scalar
-loops behind ff_coset_profile's vectorized labels; the graph form of a
-hyperplane reads the AffineFlat images of apply_projective.
+The finite-field directions are enumerated one RREF basis at a time, and
+the coset representative and subspace points are the scalar loops behind
+ff_coset_profile's vectorized labels; the graph form of a hyperplane reads
+the AffineFlat images of apply_projective.
 """
 
 import itertools
@@ -96,26 +97,55 @@ def graph_from_flat(flat) -> GraphHyperplane:
     return GraphHyperplane(-nu[:-1] / nu[-1], d / nu[-1])
 
 
-def coset_of(sub, x) -> tuple:
-    """Canonical coset representative of x modulo the FFSubspace sub: x with
-    the pivot coordinates zeroed by subtracting basis rows."""
-    v = [int(c) % sub.q for c in x]
-    for row, p in zip(sub.basis, sub.pivots):
+def ff_directions_loop(q: int, n: int, k: int) -> np.ndarray:
+    """The (count, k, n) stack of ff_directions, one RREF basis at a time:
+    pivot patterns by itertools.combinations, then the free entries, row by
+    row, by itertools.product."""
+    out = []
+    for pivots in itertools.combinations(range(n), k):
+        free_cols = [
+            (i, j)
+            for i in range(k)
+            for j in range(n)
+            if j > pivots[i] and j not in pivots
+        ]
+        for values in itertools.product(range(q), repeat=len(free_cols)):
+            rows = [[0] * n for _ in range(k)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, j), v in zip(free_cols, values):
+                rows[i][j] = v
+            out.append(rows)
+    return np.array(out, dtype=np.int64).reshape(-1, k, n)
+
+
+def _pivots(basis) -> list:
+    return [next(j for j, v in enumerate(row) if v) for row in basis]
+
+
+def coset_of(q: int, basis, x) -> tuple:
+    """Canonical coset representative of x modulo the span of the RREF
+    basis rows over F_q: x with the pivot coordinates zeroed by subtracting
+    basis rows."""
+    n = len(x)
+    v = [int(c) % q for c in x]
+    for row, p in zip(basis, _pivots(basis)):
         coef = v[p]
         if coef:
-            for j in range(sub.n):
-                v[j] = (v[j] - coef * row[j]) % sub.q
+            for j in range(n):
+                v[j] = (v[j] - coef * row[j]) % q
     return tuple(v)
 
 
-def subspace_points(sub) -> list:
-    """All q^k points of the FFSubspace sub."""
+def subspace_points(q: int, basis) -> list:
+    """All q^k points of the span of the k basis rows over F_q."""
+    n = len(basis[0])
     out = []
-    for coeffs in itertools.product(range(sub.q), repeat=sub.k):
-        v = [0] * sub.n
-        for c, row in zip(coeffs, sub.basis):
-            for j in range(sub.n):
-                v[j] = (v[j] + c * row[j]) % sub.q
+    for coeffs in itertools.product(range(q), repeat=len(basis)):
+        v = [0] * n
+        for c, row in zip(coeffs, basis):
+            for j in range(n):
+                v[j] = (v[j] + c * row[j]) % q
         out.append(tuple(v))
     return out
 

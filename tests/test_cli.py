@@ -171,6 +171,15 @@ class TestFF:
         assert payload["is_kakeya"] is False
         assert payload["is_spread_furstenberg"] is True
 
+    def test_verify_large_direction_family(self, tmp_path):
+        # 2^17 - 1 lines of F_2^17, enumerated as one stack.
+        cfg = write_config(tmp_path, "v.json", {"q": 2, "n": 17})
+        out = tmp_path / "out"
+        assert run_cli(["ff", "verify", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "ff_verify.json").read_text())
+        assert payload["directions"] == 131071
+        assert payload["directions_match"] is True
+
     def test_search_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, "s.json", {"q": 2, "n": 2, "mode": "kakeya"})
         blobs = []

@@ -3,12 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from reference import coset_of, ff_full_space, subspace_points
+from reference import coset_of, ff_directions_loop, ff_full_space, subspace_points
 
 from furstlab import finitefield as ff
 from furstlab.finitefield import (
     FFSet,
-    FFSubspace,
     SearchBudgetExceeded,
     ff_coset_profile,
     ff_directions,
@@ -53,7 +52,16 @@ class TestDirections:
 
     def test_distinct_canonical(self):
         dirs = ff_directions(3, 3, 2)
-        assert len({d.basis for d in dirs}) == len(dirs)
+        assert len(np.unique(dirs, axis=0)) == len(dirs)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stack_matches_loop(self, q, n):
+        for k in range(1, n):
+            dirs = ff_directions(q, n, k)
+            assert dirs.shape == (gaussian_binomial(n, k, q), k, n)
+            assert dirs.dtype == np.int64
+            np.testing.assert_array_equal(dirs, ff_directions_loop(q, n, k))
 
     def test_composite_q_rejected(self):
         with pytest.raises(ValueError):
@@ -71,7 +79,7 @@ class TestCosetProfile:
         p = ff_directions(3, 2, 1)[0]
         offset = (1, 2)
         coset = frozenset(
-            tuple((a + b) % 3 for a, b in zip(pt, offset)) for pt in subspace_points(p)
+            tuple((a + b) % 3 for a, b in zip(pt, offset)) for pt in subspace_points(3, p)
         )
         f = FFSet(3, 2, coset)
         best, count, hist = ff_coset_profile(f, p)
@@ -102,13 +110,40 @@ class TestCosetProfile:
             f = FFSet(q, n, frozenset(pts))
             for p in ff_directions(q, n, k):
                 _, count, hist = ff_coset_profile(f, p)
-                scalar = Counter(coset_of(p, x) for x in pts)
+                scalar = Counter(coset_of(q, p, x) for x in pts)
                 assert {r: c for r, c in hist.items() if c} == dict(scalar)
                 assert count == max(scalar.values(), default=0)
 
     def test_space_mismatch(self):
         with pytest.raises(ValueError):
             ff_coset_profile(FFSet(3, 2, frozenset()), ff_directions(3, 3, 1)[0])
+
+    @pytest.mark.parametrize("n, basis", [
+        (2, [[2, 0]]),
+        (3, [[1, 1, 0], [0, 1, 0]]),
+        (3, [[1, 0, 0], [0, 0, 0]]),
+        (3, [[1, 0]]),
+    ], ids=["pivot_not_one", "nonzero_above_pivot", "zero_row", "width_not_n"])
+    def test_rejects_non_canonical_basis(self, n, basis):
+        f = FFSet(3, n, frozenset([(0,) * n]))
+        with pytest.raises(ValueError):
+            ff_coset_profile(f, basis)
+
+    def test_entries_reduced_mod_q(self):
+        f = FFSet(3, 2, frozenset([(0, 1), (1, 1), (2, 0)]))
+        assert ff_coset_profile(f, [[1, 3]]) == ff_coset_profile(f, [[1, 0]])
+        assert ff_coset_profile(f, [[4, -3]]) == ff_coset_profile(f, [[1, 0]])
+
+    def test_coset_of_zeroes_pivots(self):
+        basis = [[1, 2, 0]]
+        x = (2, 2, 1)
+        rep = coset_of(3, basis, x)
+        assert rep[0] == 0
+        # representative is in the same coset: difference lies in the span
+        diff = tuple((a - b) % 3 for a, b in zip(x, rep))
+        assert diff in set(subspace_points(3, basis))
+        # idempotent
+        assert coset_of(3, basis, rep) == rep
 
 
 class TestIsKakeya:
@@ -304,22 +339,3 @@ class TestFFSetCsv:
     def test_text_pinned(self):
         f = FFSet(3, 2, frozenset([(1, 0), (0, 2), (4, -2), (-3, 5)]))
         assert f.to_csv() == "x0,x1\n0,2\n1,0\n1,1\n"
-
-
-class TestRref:
-    def test_canonical_form_enforced(self):
-        with pytest.raises(ValueError):
-            FFSubspace(3, 2, 1, ((2, 0),))  # pivot not 1
-        with pytest.raises(ValueError):
-            FFSubspace(3, 3, 2, ((1, 1, 0), (0, 1, 0)))  # nonzero above pivot
-
-    def test_coset_of_zeroes_pivots(self):
-        sub = FFSubspace(3, 3, 1, ((1, 2, 0),))
-        x = (2, 2, 1)
-        rep = coset_of(sub, x)
-        assert rep[0] == 0
-        # representative is in the same coset: difference lies in the span
-        diff = tuple((a - b) % 3 for a, b in zip(x, rep))
-        assert diff in set(subspace_points(sub))
-        # idempotent
-        assert coset_of(sub, rep) == rep
