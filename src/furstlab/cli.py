@@ -52,12 +52,12 @@ from .duality import (
 from .finitefield import (
     FFSet,
     SearchBudgetExceeded,
+    _capped_directions,
+    _set_verdicts,
     ff_directions,
     ff_is_kakeya,
-    ff_is_spread_furstenberg,
     ff_min_kakeya,
     ff_min_spread,
-    ff_pigeonhole_verify,
     gaussian_binomial,
 )
 from .maximal import delta_scan
@@ -390,14 +390,25 @@ def cmd_dimension_estimate(opts):
 
 
 def _points_list(v):
+    # Every coordinate an int64, as set_csv requires.
     if not isinstance(v, list):
         raise ValueError("expected a list of points")
-    return [tuple(_int(c) for c in p) for p in v]
+    if not all(-(2 ** 63) <= _int(c) < 2 ** 63 for p in v for c in p):
+        raise ValueError("every point coordinate must fit in int64")
+    return v
 
 
 def cmd_ff_verify(opts):
     q, n, k = opts["q"], opts["n"], opts["k"]
-    dirs = ff_directions(q, n, k)
+    fset = None
+    if opts["points"] is not None:
+        fset = FFSet(q, n, opts["points"])
+    elif opts["set_csv"] is not None:
+        fset = FFSet.from_csv(q, _read_input(opts["set_csv"]).decode("utf-8"))
+        if fset.n != n:
+            raise SchemaError(f"set_csv has {fset.n} columns; points of F_q^{n} need {n}")
+    # With a set, the one stack is built once the set's count table fits.
+    dirs = ff_directions(q, n, k) if fset is None else _capped_directions(q, n, k, n - k)
     expected = gaussian_binomial(n, k, q)
     payload = {
         "q": q,
@@ -407,19 +418,10 @@ def cmd_ff_verify(opts):
         "gaussian_binomial": int(expected),
         "directions_match": len(dirs) == expected,
     }
-    if opts["points"] is not None or opts["set_csv"] is not None:
-        if opts["points"] is not None:
-            fset = FFSet(q, n, frozenset(opts["points"]))
-        else:
-            fset = FFSet.from_csv(q, _read_input(opts["set_csv"]).decode("utf-8"))
-            if fset.n != n:
-                raise SchemaError(f"set_csv has {fset.n} columns; points of F_q^{n} need {n}")
-        payload["set_size"] = len(fset)
-        payload["pigeonhole"] = ff_pigeonhole_verify(fset, k)
-        payload["is_kakeya"] = ff_is_kakeya(fset)
-        sp = opts["spread"]
-        if sp is not None:
-            payload["is_spread_furstenberg"] = ff_is_spread_furstenberg(fset, k, sp["m"], sp["M"])
+    if fset is not None:
+        payload.update(_set_verdicts(fset, dirs, opts["spread"]))
+        if k > 1:
+            payload["is_kakeya"] = ff_is_kakeya(fset)
     artifacts = {"ff_verify.json": _json(payload)}
     for key, val in sorted(payload.items()):
         print(f"  {key}: {val}")

@@ -1,16 +1,17 @@
 """Exact Kakeya / spread-Furstenberg combinatorics over F_q^n, q prime.
 
-A k-subspace is its k x n canonical reduced row-echelon basis, so subspace
-identity is representation identity, and the k-directions of F_q^n are one
-(count, k, n) int64 stack of those bases; pivots are read off the stack as
-each row's first nonzero column.  Every coset of a k-subspace has a
-canonical representative with its pivot coordinates zeroed; its integer
-label is the base-q code of the free coordinates, so labels sort like
-representatives.  One vectorized kernel labels a batch of points in every
-direction at once.  Set checks count cosets with a bincount over those
-labels; the exhaustive search sums 0/1 point-by-coset incidence rows for a
-chunk of subsets at once; the branch and bound keeps its coset counts in
-plain lists that it updates point by point.
+A point set is one sorted, unique (m, n) int64 array of coordinates
+reduced mod q.  A k-subspace is its k x n canonical reduced row-echelon
+basis, and the k-directions of F_q^n are one (count, k, n) int64 stack of
+those bases.  Every coset of a k-subspace has a canonical representative
+with its pivot coordinates zeroed; its integer label is the base-q code of
+the free coordinates, so labels sort like representatives.  One vectorized
+kernel labels a batch of points in every direction at once.  Set checks
+count cosets with a bincount over those labels, a chunk of points at a
+time, and read every verdict off one labeling per direction family; the
+exhaustive search sums 0/1 point-by-coset incidence rows for a chunk of
+subsets at once; the branch and bound keeps its coset counts in plain
+lists that it updates point by point.
 
 Only prime q is accepted: over proper prime powers the subfield structure
 breaks the size conjectures this module is used to probe.
@@ -51,23 +52,12 @@ class SearchBudgetExceeded(RuntimeError):
         )
 
 
-def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _require_prime(q: int):
     # F_q^n, n >= 2, has at least q + 1 directions, so a q at the direction
     # cap is refused before trial division, which would take ~sqrt(q) steps.
     if q >= MAX_DIRECTIONS:
         raise ValueError(f"q = {q} is past the direction cap: F_q^n, n >= 2, has over 10^6 directions")
-    if not is_prime(q):
+    if q < 2 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
         raise ValueError(f"q must be prime, got {q}")
 
 
@@ -83,40 +73,50 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FFSet:
-    """A finite point set in F_q^n."""
+    """A finite point set in F_q^n: `points` is a lexicographically sorted,
+    unique (m, n) int64 array of coordinates reduced mod q."""
 
     q: int
     n: int
-    points: frozenset = field(repr=False)
+    points: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         _require_prime(self.q)
-        pts = frozenset(tuple(int(v) % self.q for v in p) for p in self.points)
-        if any(len(p) != self.n for p in pts):
-            raise ValueError("point dimension mismatch")
+        pts = np.asarray(self.points, dtype=np.int64) % self.q
+        if pts.shape == (0,):
+            pts = pts.reshape(0, self.n)
+        if self.n < 1 or pts.ndim != 2 or pts.shape[1] != self.n:
+            raise ValueError(f"points must be an (m, n) array, n >= 1, not of shape {pts.shape}")
+        # Rows sorted by a lexsort, then a neighbour test: 4-5x faster than
+        # np.unique(axis=0), which sorts the rows as structured scalars.
+        if len(pts) > 1:
+            pts = pts[np.lexsort(pts.T[::-1])]
+            pts = pts[np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)]]
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def to_csv(self) -> str:
-        return table.to_csv([f"x{j}" for j in range(self.n)], sorted(self.points))
+        return table.to_csv([f"x{j}" for j in range(self.n)], self.points)
 
     @classmethod
     def from_csv(cls, q: int, text: str) -> "FFSet":
         """The set of the rows under the header; its n is the header's width."""
         pts = table.from_csv(text, int)
-        return cls(q, pts.shape[1], frozenset(map(tuple, pts.tolist())))
+        return cls(q, pts.shape[1], pts)
 
 
 def _direction_count(q: int, n: int, k: int) -> int:
-    """Number of k-subspaces of F_q^n, 1 <= k <= n-1, at most MAX_DIRECTIONS.
+    """Number of k-subspaces of F_q^n, q prime, 1 <= k <= n-1, at most
+    MAX_DIRECTIONS.
 
     The count is at least 2^(k(n-k)), so that bound rejects a large n
     before the Gaussian binomial computes q**n.
     """
+    _require_prime(q)
     if not (1 <= k <= n - 1):
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     if k * (n - k) < MAX_DIRECTIONS.bit_length():
@@ -126,17 +126,12 @@ def _direction_count(q: int, n: int, k: int) -> int:
     raise ValueError(f"more than 10^6 {k}-subspaces exceeds the direction cap")
 
 
-def _capped_directions(q: int, n: int, k: int, npoints: Optional[int] = None) -> np.ndarray:
-    """The k-directions of F_q^n, once their label table is known to fit
-    under the cap: one row per direction, and a column per coset or per
-    point (all q^n points when npoints is None), whichever is more."""
+def _capped_directions(q: int, n: int, k: int, exponent: int) -> np.ndarray:
+    """The k-directions of F_q^n, once a table of one row per direction and
+    q^exponent columns (a search's q^n points, a set's cosets) fits the cap."""
     ndirs = _direction_count(q, n, k)
-    width = q ** n if npoints is None else max(q ** (n - k), npoints)
-    if ndirs * width > _MAX_COUNT_TABLE:
-        raise ValueError(
-            f"{ndirs} directions x {width} cosets or points exceeds the "
-            f"count table cap {_MAX_COUNT_TABLE}"
-        )
+    if ndirs * q ** exponent > _MAX_COUNT_TABLE:
+        raise ValueError(f"{ndirs} directions x {q ** exponent} columns exceeds the count table cap")
     return ff_directions(q, n, k)
 
 
@@ -153,7 +148,6 @@ def ff_directions(q: int, n: int, k: int) -> np.ndarray:
     free entries (row by row, each right of its row's pivot and off every
     pivot column) run through itertools.product order.
     """
-    _require_prime(q)
     out = np.zeros((_direction_count(q, n, k), k, n), dtype=np.int64)
     start = 0
     for pivots in itertools.combinations(range(n), k):
@@ -168,11 +162,11 @@ def ff_directions(q: int, n: int, k: int) -> np.ndarray:
     return out
 
 
-def _coset_labels(q: int, n: int, bases: np.ndarray, points) -> np.ndarray:
-    """Coset label of each point in each direction of the (ndirs, k, n) RREF
-    stack, shape (ndirs, m): the base-q code of the free coordinates of the
-    canonical representative."""
-    x = np.asarray(points, dtype=np.int64).reshape(-1, n).T
+def _coset_labels(q: int, n: int, bases: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Coset label of each row of the (m, n) points in each direction of
+    the (ndirs, k, n) RREF stack, shape (ndirs, m): the base-q code of the
+    free coordinates of the canonical representative."""
+    x = points.T
     pivots = (bases != 0).argmax(axis=2)
     coef = x[pivots]
     free = np.ones((len(bases), n), dtype=np.int64)
@@ -180,9 +174,13 @@ def _coset_labels(q: int, n: int, bases: np.ndarray, points) -> np.ndarray:
     # q ** (number of free columns right of j) on free columns, 0 on pivots
     weight = free * q ** (np.cumsum(free[:, ::-1], axis=1)[:, ::-1] - free)
     labels = np.zeros((len(bases), x.shape[1]), dtype=np.int64)
-    for j in range(n):
-        rep = (x[j] - (bases[:, :, j, None] * coef).sum(axis=1)) % q
-        labels += weight[:, j, None] * rep
+    rep = np.empty_like(labels)
+    for j in range(n):  # in place: one (ndirs, m) temporary
+        np.einsum("dk,dkm->dm", bases[:, :, j], coef, out=rep)
+        np.subtract(x[j], rep, out=rep)
+        rep %= q
+        rep *= weight[:, j, None]
+        labels += rep
     return labels
 
 
@@ -193,11 +191,15 @@ def _coset_counts(labels: np.ndarray, ncosets: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=ndirs * ncosets).reshape(ndirs, ncosets)
 
 
-def _max_counts(f: FFSet, k: int) -> np.ndarray:
-    """Largest coset count of the set in each k-direction."""
-    dirs = _capped_directions(f.q, f.n, k, len(f))
-    labels = _coset_labels(f.q, f.n, dirs, list(f.points))
-    return _coset_counts(labels, f.q ** (f.n - k)).max(axis=1)
+def _max_counts(f: FFSet, dirs: np.ndarray) -> np.ndarray:
+    """Largest coset count of the set in each direction of the (ndirs, k, n)
+    stack; the set is labeled _MAX_COUNT_TABLE // ndirs points at a time."""
+    ncosets = f.q ** (f.n - dirs.shape[1])
+    counts = np.zeros((len(dirs), ncosets), dtype=np.int64)
+    step = _MAX_COUNT_TABLE // len(dirs)
+    for start in range(0, len(f), step):
+        counts += _coset_counts(_coset_labels(f.q, f.n, dirs, f.points[start:start + step]), ncosets)
+    return counts.max(axis=1)
 
 
 def _canonical_basis(q: int, n: int, basis) -> np.ndarray:
@@ -231,36 +233,47 @@ def ff_coset_profile(f: FFSet, basis):
     free = np.setdiff1d(np.arange(f.n), (b != 0).argmax(axis=1))
     reps = np.zeros((f.q ** len(free), f.n), dtype=np.int64)
     reps[:, free] = _digits(f.q, len(free))
-    counts = _coset_counts(_coset_labels(f.q, f.n, b[None], list(f.points)), len(reps))[0]
+    counts = _coset_counts(_coset_labels(f.q, f.n, b[None], f.points), len(reps))[0]
     histogram = dict(zip(map(tuple, reps.tolist()), counts.tolist()))
     best_offset = min(histogram, key=lambda r: (-histogram[r], r))
     return best_offset, histogram[best_offset], histogram
 
 
+def _set_verdicts(f: FFSet, dirs: np.ndarray, spread: Optional[dict] = None) -> dict:
+    """The set's size and the checks read off one labeling by the (ndirs, k, n) stack:
+    pigeonhole, is_kakeya when k = 1, is_spread_furstenberg for spread = {"m", "M"}."""
+    if spread is not None and min(spread.values()) < 1:
+        raise ValueError("m and M must be >= 1")
+    k = dirs.shape[1]
+    maxima = _max_counts(f, dirs)
+    # Averaging over the coset partition proves pigeonhole, so False is a bug.
+    out = {"set_size": len(f), "pigeonhole": bool((maxima >= -(-len(f) // f.q ** (f.n - k))).all())}
+    if k == 1:
+        out["is_kakeya"] = bool((maxima >= f.q).all())
+    if spread is not None:
+        out["is_spread_furstenberg"] = int((maxima >= spread["m"]).sum()) >= spread["M"]
+    return out
+
+
 def ff_is_kakeya(k_set: FFSet) -> bool:
     """Does the set contain a full line in every direction?"""
-    return bool((_max_counts(k_set, 1) >= k_set.q).all())
+    return _set_verdicts(k_set, _capped_directions(k_set.q, k_set.n, 1, k_set.n - 1))["is_kakeya"]
 
 
 def ff_is_spread_furstenberg(f: FFSet, k: int, m: int, big_m: int) -> bool:
     """At least big_m directions of k-subspaces have a coset holding >= m
     points of the set."""
-    if m < 1 or big_m < 1:
-        raise ValueError("m and M must be >= 1")
-    return int((_max_counts(f, k) >= m).sum()) >= big_m
+    dirs = _capped_directions(f.q, f.n, k, f.n - k)
+    return _set_verdicts(f, dirs, {"m": m, "M": big_m})["is_spread_furstenberg"]
 
 
 def ff_pigeonhole_verify(f: FFSet, k: int) -> bool:
-    """Every direction has a coset with at least ceil(|F| / q^(n-k)) points.
-
-    This is a theorem (averaging over the coset partition), so False
-    indicates an implementation bug.
-    """
-    need = -(-len(f) // f.q ** (f.n - k))
-    return bool((_max_counts(f, k) >= need).all())
+    """Every direction has a coset with at least ceil(|F| / q^(n-k)) points
+    (a theorem, so False indicates an implementation bug)."""
+    return _set_verdicts(f, _capped_directions(f.q, f.n, k, f.n - k))["pigeonhole"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     size: int
     witness: FFSet
@@ -269,7 +282,7 @@ class SearchResult:
     def as_dict(self) -> dict:
         return {
             "size": self.size,
-            "witness": sorted(self.witness.points),
+            "witness": self.witness.points.tolist(),
             "nodes_explored": self.nodes_explored,
         }
 
@@ -285,30 +298,23 @@ def _min_set_meeting(q: int, n: int, k: int, m: int, node_cap: Optional[int]) ->
     nodes_explored counts every subset tested and every search node
     visited, so a node_cap equal to it lets the same search finish.
     """
-    dirs = _capped_directions(q, n, k)
+    dirs = _capped_directions(q, n, k, n)
     if not (1 <= m <= q ** k):
         raise ValueError(f"need 1 <= m <= q^k = {q ** k}, got m={m}")
-    universe = sorted(itertools.product(range(q), repeat=n))
-    labels = _coset_labels(q, n, dirs, universe)
-    ncosets = q ** (n - k)
-
-    def result(node, nodes: int) -> SearchResult:
-        witness = FFSet(q, n, frozenset(universe[i] for i in node))
-        return SearchResult(len(node), witness, nodes)
-
+    universe = _digits(q, n)
     cap = math.inf if node_cap is None else node_cap
-    if len(universe) <= EXHAUSTIVE_POINT_CAP:
-        return _exhaustive_scan(labels, ncosets, m, cap, result)
-    return _branch_and_bound(labels, ncosets, m, cap, result)
+    search = _exhaustive_scan if len(universe) <= EXHAUSTIVE_POINT_CAP else _branch_and_bound
+    node, nodes = search(_coset_labels(q, n, dirs, universe), q ** (n - k), m, cap)
+    return SearchResult(len(node), FFSet(q, n, universe[node]), nodes)
 
 
 # Subsets tested per batch in the exhaustive scan.
 _SCAN_CHUNK = 2048
 
 
-def _exhaustive_scan(labels: np.ndarray, ncosets: int, m: int, cap, result) -> SearchResult:
+def _exhaustive_scan(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[list, int]:
     """The first subset, by size and then lexicographically, that has a
-    coset of >= m points in every direction.
+    coset of >= m points in every direction, with the nodes explored.
 
     Column lab * ndirs + d of a point's incidence row is 1 when the point
     lies in coset lab of direction d; a subset's coset counts are the sum of
@@ -330,40 +336,36 @@ def _exhaustive_scan(labels: np.ndarray, ncosets: int, m: int, cap, result) -> S
                 counts += incidence[chunk[:, j]]
             meets = (counts.reshape(len(chunk), ncosets, ndirs) >= m).any(axis=1).all(axis=1)
             hits = np.flatnonzero(meets)
-            if len(hits):
-                nodes += int(hits[0]) + 1
-                if nodes > cap:
-                    raise SearchBudgetExceeded(cap, size, None)
-                return result(chunk[hits[0]].tolist(), nodes)
-            nodes += len(chunk)
+            nodes += int(hits[0]) + 1 if len(hits) else len(chunk)
             if nodes > cap:  # every smaller size is ruled out
                 raise SearchBudgetExceeded(cap, size, None)
+            if len(hits):
+                return chunk[hits[0]].tolist(), nodes
     raise RuntimeError("search exhausted without a witness")
 
 
-def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap, result) -> SearchResult:
-    """Complete each coset of the first direction with the largest deficit
-    up to m points, fullest cosets and smallest additions first.  Only a
-    strictly smaller set replaces the incumbent.
+def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[list, int]:
+    """A minimal set, with the nodes explored: complete each coset of the
+    first direction with the largest deficit up to m points, fullest cosets
+    and smallest additions first.  Only a strictly smaller set replaces the
+    incumbent.
 
     A child no smaller than the incumbent is cut as soon as it is visited,
     and so is every later child of the same node (later cosets need at
     least as many points), so those are counted, not built.
     """
     ndirs, npoints = labels.shape
-    point_labels = labels.T.tolist()
-    cosets = [[[] for _ in range(ncosets)] for _ in range(ndirs)]
-    for i, row in enumerate(point_labels):
-        for d, lab in enumerate(row):
-            cosets[d][lab].append(i)
     coset_size = npoints // ncosets
+    # The points of each coset, in index order: a stable sort of a row of
+    # labels groups the q^k points of each label.
+    cosets = np.argsort(labels, axis=1, kind="stable").reshape(ndirs, ncosets, coset_size).tolist()
     counts = [[0] * ncosets for _ in range(ndirs)]
     # The count row and the coset label of each point in each direction.
-    point_cells = [list(zip(counts, labs)) for labs in point_labels]
+    point_cells = [list(zip(counts, labs)) for labs in labels.T.tolist()]
     members = [False] * npoints
     size = 0
     nodes = 1  # the root, the empty set
-    best: Optional[Tuple[int, ...]] = None
+    best: Optional[list] = None
 
     def exceeded() -> SearchBudgetExceeded:
         # The root bound: the empty set lacks m points in every direction.
@@ -386,7 +388,7 @@ def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap, result) -> 
         d = fullest.index(min(fullest))
         deficit = m - fullest[d]
         if deficit <= 0:
-            best = tuple(i for i in range(npoints) if members[i])
+            best = [i for i in range(npoints) if members[i]]
             return
         if best is not None and size + deficit >= len(best):
             return
@@ -413,17 +415,15 @@ def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap, result) -> 
     dfs()
     if best is None:
         raise RuntimeError("search found no witness")
-    return result(best, nodes)
+    return best, nodes
 
 
 def ff_min_kakeya(q: int, n: int, node_cap: Optional[int] = None) -> SearchResult:
     """Minimal cardinality of a Kakeya set in F_q^n, with witness."""
-    _require_prime(q)
     return _min_set_meeting(q, n, 1, q, node_cap)
 
 
 def ff_min_spread(q: int, n: int, k: int, m: int, node_cap: Optional[int] = None) -> SearchResult:
     """Minimal size of a set with a coset of >= m points in every
     k-direction (the full-direction-family case)."""
-    _require_prime(q)
     return _min_set_meeting(q, n, k, m, node_cap)

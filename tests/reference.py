@@ -152,4 +152,4 @@ def subspace_points(q: int, basis) -> list:
 
 def ff_full_space(q: int, n: int) -> FFSet:
     """All q^n points of F_q^n."""
-    return FFSet(q, n, frozenset(itertools.product(range(q), repeat=n)))
+    return FFSet(q, n, list(itertools.product(range(q), repeat=n)))

@@ -161,7 +161,7 @@ def test_ac11_finite_field_suite():
     subsets = list(itertools.combinations(universe, 6))
     ok = ok and len(subsets) == 84
     for sub in subsets:
-        ok = ok and fl.ff_pigeonhole_verify(fl.FFSet(3, 2, frozenset(sub)), 1)
+        ok = ok and fl.ff_pigeonhole_verify(fl.FFSet(3, 2, sub), 1)
     ok = ok and fl.ff_min_spread(2, 2, 1, 2).size == 3
     report(
         "AC-11",

@@ -223,6 +223,51 @@ class TestFF:
         assert run_cli(["ff", "verify", "--config", cfg, "--out", str(out)]) == 2
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("k, spread, passes", [
+        (1, {"m": 3, "M": 13}, 1),
+        (1, None, 1),
+        (2, {"m": 3, "M": 13}, 2),
+    ], ids=["k1_spread", "k1", "k2_spread"])
+    def test_verify_labels_once_per_k(self, tmp_path, monkeypatch, k, spread, passes):
+        # One direction stack and one labeling pass for the k-directions;
+        # for k > 1, one more of each for the lines of the Kakeya check.
+        import furstlab.finitefield as ff
+
+        calls = {"ff_directions": 0, "_max_counts": 0}
+
+        def counted(name):
+            real = getattr(ff, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(ff, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        cfg = {"q": 3, "n": 3, "k": k, "points": [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 2]]}
+        if spread is not None:
+            cfg["spread"] = spread
+        out = tmp_path / "out"
+        assert run_cli(["ff", "verify", "--config", write_config(tmp_path, "v.json", cfg),
+                        "--out", str(out)]) == 0
+        assert calls == {"ff_directions": passes, "_max_counts": passes}
+        payload = json.loads((out / "ff_verify.json").read_text())
+        assert (payload["directions"], payload["pigeonhole"], payload["is_kakeya"]) == (13, True, False)
+
+    def test_verify_set_past_points_cap_is_labeled_in_chunks(self, tmp_path):
+        # 2801 lines x 7^4 cosets fits the count table cap, though 2801
+        # directions x 8614 points does not: the set is labeled in chunks.
+        rng = np.random.default_rng(5)
+        codes = rng.choice(7 ** 5, 8614, replace=False)
+        points = (codes[:, None] // 7 ** np.arange(4, -1, -1)) % 7
+        cfg = write_config(tmp_path, "v.json", {"q": 7, "n": 5, "k": 1, "points": points.tolist()})
+        out = tmp_path / "out"
+        assert run_cli(["ff", "verify", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "ff_verify.json").read_text())
+        assert (payload["directions"], payload["set_size"], payload["pigeonhole"]) == (2801, 8614, True)
+
     def test_spread_mode(self, tmp_path):
         cfg = write_config(
             tmp_path, "s.json", {"q": 2, "n": 2, "mode": "spread", "k": 1, "m": 2}
@@ -317,6 +362,8 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
         # Points of F_3^2 under a config for F_3^3.
         (["ff", "verify"], {"q": 3, "n": 3, "set_csv": "ff_narrow.csv"}),
         (["ff", "verify"], {"q": 3, "n": 3, "set_csv": "ff_ragged.csv"}),
+        # A coordinate past int64, which set_csv rejects too.
+        (["ff", "verify"], {"q": 3, "n": 2, "points": [[2**70, 1], [0, 0]]}),
         # No surveyed value of n = 10^400 fits in a float.
         (["bounds", "eval"], {"tuples": [{"n": 10**400, "k": 1, "s": 1, "t": 1}]}),
         (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": "1/2", "t": 1}],
@@ -351,6 +398,7 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
          "scan_delta_above_half", "scan_zero_ndirs", "scan_p_below_1",
          "scan_p_infinite", "scan_p_huge", "nan_plane", "inf_point", "huge_slope", "huge_spread",
          "single_column", "ragged", "ff_verify_csv_narrow", "ff_verify_csv_ragged",
+         "ff_points_beyond_int64",
          "bounds_huge_n", "ff_exponents_huge_n", "ball_scaling_delta_nan",
          "ball_scaling_delta_inf", "incidence_tol_nan", "incidence_tol_zero", "scan_p_huge_int",
          "construct_keep_int", "construct_keep_mixed", "construct_product_huge_n",
@@ -464,13 +512,12 @@ class TestPipeline:
         assert "cannot write output" in capsys.readouterr().err
 
     def test_spread_block_checked_before_any_pass(self, tmp_path, monkeypatch):
-        import furstlab.cli as cli
+        import furstlab.finitefield as ff
 
         def never(*args):
             raise AssertionError("a verification pass ran before the spread block was validated")
 
-        monkeypatch.setattr(cli, "ff_pigeonhole_verify", never)
-        monkeypatch.setattr(cli, "ff_is_kakeya", never)
+        monkeypatch.setattr(ff, "_coset_labels", never)
         cfg = write_config(tmp_path, "v.json", {"q": 3, "n": 2, "points": [[0, 0]], "spread": {"m": "x"}})
         out = tmp_path / "out"
         assert run_cli(["ff", "verify", "--config", cfg, "--out", str(out)]) == 2

@@ -3,6 +3,7 @@ import pytest
 
 from furstlab.dimension import cantor_grid, sharp_hyperplane_example, slicing_product_example
 from furstlab.duality import GraphHyperplane, ProjectiveMap, SpreadifyReport
+from furstlab.finitefield import FFSet, ff_min_kakeya
 from furstlab.grassmann import AffineFlat, Subspace
 from furstlab.maximal import MaximalField, TubeSpec
 
@@ -14,6 +15,8 @@ PAIRS = {
     "Subspace": lambda: (Subspace(2, 1, [[1], [0]]), Subspace(2, 1, [[-1], [0]])),
     "AffineFlat": lambda: tuple(AffineFlat(Subspace(2, 1, E1), [0.0, 0.5]) for _ in range(2)),
     "GridSet": lambda: (cantor_grid(1, 3, [0, 2], 3), cantor_grid(1, 3, [0, 2], 3)),
+    "FFSet": lambda: tuple(FFSet(3, 2, [[0, 1], [2, 2]]) for _ in range(2)),
+    "SearchResult": lambda: tuple(ff_min_kakeya(2, 2) for _ in range(2)),
     "MaximalField": lambda: tuple(MaximalField(1, 1, np.ones(4)) for _ in range(2)),
     "TubeSpec": lambda: tuple(TubeSpec(Subspace(2, 1, E1), [0.0, 0.0], 0.1) for _ in range(2)),
     "GraphHyperplane": lambda: tuple(GraphHyperplane([1.0, 2.0], 0.5) for _ in range(2)),

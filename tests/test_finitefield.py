@@ -20,6 +20,11 @@ from furstlab.finitefield import (
 )
 
 
+def rows(f: FFSet) -> list:
+    """The set's points as tuples, in the array's (sorted) order."""
+    return list(map(tuple, f.points.tolist()))
+
+
 class TestGaussianBinomial:
     def test_lines_count(self):
         for q in (2, 3, 5):
@@ -67,7 +72,7 @@ class TestDirections:
         with pytest.raises(ValueError):
             ff_directions(4, 2, 1)
         with pytest.raises(ValueError):
-            FFSet(6, 2, frozenset())
+            FFSet(6, 2, [])
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError):
@@ -78,9 +83,7 @@ class TestCosetProfile:
     def test_full_coset(self):
         p = ff_directions(3, 2, 1)[0]
         offset = (1, 2)
-        coset = frozenset(
-            tuple((a + b) % 3 for a, b in zip(pt, offset)) for pt in subspace_points(3, p)
-        )
+        coset = [tuple((a + b) % 3 for a, b in zip(pt, offset)) for pt in subspace_points(3, p)]
         f = FFSet(3, 2, coset)
         best, count, hist = ff_coset_profile(f, p)
         assert count == 3
@@ -94,7 +97,7 @@ class TestCosetProfile:
             assert all(v == 3 for v in hist.values())
 
     def test_histogram_partitions(self):
-        f = FFSet(3, 3, frozenset([(0, 0, 0), (1, 2, 1), (2, 2, 2), (0, 1, 0)]))
+        f = FFSet(3, 3, [(0, 0, 0), (1, 2, 1), (2, 2, 2), (0, 1, 0)])
         for k in (1, 2):
             for p in ff_directions(3, 3, k):
                 _, _, hist = ff_coset_profile(f, p)
@@ -107,16 +110,27 @@ class TestCosetProfile:
         universe = list(itertools.product(range(q), repeat=n))
         for size in (0, 1, q ** n // 3, q ** n):
             pts = [universe[i] for i in rng.choice(len(universe), size, replace=False)]
-            f = FFSet(q, n, frozenset(pts))
+            f = FFSet(q, n, pts)
             for p in ff_directions(q, n, k):
                 _, count, hist = ff_coset_profile(f, p)
                 scalar = Counter(coset_of(q, p, x) for x in pts)
                 assert {r: c for r, c in hist.items() if c} == dict(scalar)
                 assert count == max(scalar.values(), default=0)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_chunked_counts_match_scalar(self, monkeypatch, k):
+        # At the smallest cap the count table fits, a chunk is 3^(3-k)
+        # points, so 20 points take 3 or 7 chunks.
+        universe = list(itertools.product(range(3), repeat=3))
+        f = FFSet(3, 3, [universe[i] for i in np.random.default_rng(k).choice(27, 20, replace=False)])
+        dirs = ff_directions(3, 3, k)
+        monkeypatch.setattr(ff, "_MAX_COUNT_TABLE", len(dirs) * 3 ** (3 - k))
+        scalar = [max(Counter(coset_of(3, b, x) for x in f.points.tolist()).values()) for b in dirs]
+        assert ff._max_counts(f, dirs).tolist() == scalar
+
     def test_space_mismatch(self):
         with pytest.raises(ValueError):
-            ff_coset_profile(FFSet(3, 2, frozenset()), ff_directions(3, 3, 1)[0])
+            ff_coset_profile(FFSet(3, 2, []), ff_directions(3, 3, 1)[0])
 
     @pytest.mark.parametrize("n, basis", [
         (2, [[2, 0]]),
@@ -125,12 +139,12 @@ class TestCosetProfile:
         (3, [[1, 0]]),
     ], ids=["pivot_not_one", "nonzero_above_pivot", "zero_row", "width_not_n"])
     def test_rejects_non_canonical_basis(self, n, basis):
-        f = FFSet(3, n, frozenset([(0,) * n]))
+        f = FFSet(3, n, [(0,) * n])
         with pytest.raises(ValueError):
             ff_coset_profile(f, basis)
 
     def test_entries_reduced_mod_q(self):
-        f = FFSet(3, 2, frozenset([(0, 1), (1, 1), (2, 0)]))
+        f = FFSet(3, 2, [(0, 1), (1, 1), (2, 0)])
         assert ff_coset_profile(f, [[1, 3]]) == ff_coset_profile(f, [[1, 0]])
         assert ff_coset_profile(f, [[4, -3]]) == ff_coset_profile(f, [[1, 0]])
 
@@ -152,11 +166,11 @@ class TestIsKakeya:
         assert ff_is_kakeya(ff_full_space(3, 2))
 
     def test_three_point_kakeya_in_f2(self):
-        k = FFSet(2, 2, frozenset([(0, 0), (1, 0), (0, 1)]))
+        k = FFSet(2, 2, [(0, 0), (1, 0), (0, 1)])
         assert ff_is_kakeya(k)
 
     def test_removing_a_point_breaks_it(self):
-        k = FFSet(2, 2, frozenset([(0, 0), (1, 0)]))
+        k = FFSet(2, 2, [(0, 0), (1, 0)])
         assert not ff_is_kakeya(k)
 
 
@@ -166,11 +180,11 @@ class TestIsSpreadFurstenberg:
         assert ff_is_spread_furstenberg(f, 1, 3, 4)
 
     def test_single_point(self):
-        f = FFSet(3, 2, frozenset([(1, 1)]))
+        f = FFSet(3, 2, [(1, 1)])
         assert ff_is_spread_furstenberg(f, 1, 1, 4)
 
     def test_one_line(self):
-        line = FFSet(3, 2, frozenset([(0, 0), (1, 0), (2, 0)]))
+        line = FFSet(3, 2, [(0, 0), (1, 0), (2, 0)])
         assert ff_is_spread_furstenberg(line, 1, 3, 1)
         assert not ff_is_spread_furstenberg(line, 1, 3, 2)
         with pytest.raises(ValueError):
@@ -183,11 +197,11 @@ class TestPigeonhole:
         subsets = list(itertools.combinations(universe, 6))
         assert len(subsets) == 84
         for sub in subsets:
-            assert ff_pigeonhole_verify(FFSet(3, 2, frozenset(sub)), 1)
+            assert ff_pigeonhole_verify(FFSet(3, 2, sub), 1)
 
     def test_multiple_of_cosets(self):
         # |F| = q^(n-k) * c forces max_count >= c
-        f = FFSet(3, 2, frozenset([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]))
+        f = FFSet(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)])
         need = -(-len(f) // 3)
         for p in ff_directions(3, 2, 1):
             _, count, _ = ff_coset_profile(f, p)
@@ -217,7 +231,7 @@ class TestMinSearch:
         res = ff_min_kakeya(2, 2)
         assert res.size == 3
         assert ff_is_kakeya(res.witness)
-        assert sorted(res.witness.points) == [(0, 0), (0, 1), (1, 0)]
+        assert rows(res.witness) == [(0, 0), (0, 1), (1, 0)]
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_min_kakeya_plane_blokhuis_mazzocca(self, q):
@@ -225,14 +239,14 @@ class TestMinSearch:
         assert ff_min_kakeya(q, 2).size == q * (q + 1) // 2 + (q - 1) // 2
 
     def test_branch_and_bound_witnesses(self):
-        assert sorted(ff_min_kakeya(5, 2).witness.points) == [
+        assert rows(ff_min_kakeya(5, 2).witness) == [
             (0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 2),
             (2, 3), (3, 0), (3, 2), (3, 3), (4, 0), (4, 1), (4, 3), (4, 4),
         ]
-        assert sorted(ff_min_spread(5, 2, 1, 2).witness.points) == [
+        assert rows(ff_min_spread(5, 2, 1, 2).witness) == [
             (0, 0), (1, 0), (1, 1), (2, 4),
         ]
-        assert sorted(ff_min_spread(5, 2, 1, 3).witness.points) == [
+        assert rows(ff_min_spread(5, 2, 1, 3).witness) == [
             (0, 0), (1, 0), (1, 1), (1, 3), (2, 0), (2, 2), (3, 4),
         ]
 
@@ -244,7 +258,7 @@ class TestMinSearch:
     def test_branch_and_bound_pins(self, search, args, size, nodes):
         res = search(*args)
         assert (res.size, res.nodes_explored) == (size, nodes)
-        assert search(*args, node_cap=nodes) == res
+        assert search(*args, node_cap=nodes).as_dict() == res.as_dict()
         with pytest.raises(SearchBudgetExceeded):
             search(*args, node_cap=nodes - 1)
 
@@ -253,15 +267,15 @@ class TestMinSearch:
         size, nodes, witness = EXHAUSTIVE_PINS[case]
         res = ff_min_spread(*case)
         assert (res.size, res.nodes_explored) == (size, nodes)
-        assert sorted(res.witness.points) == [tuple(map(int, p)) for p in witness.split()]
-        assert ff_min_spread(*case, node_cap=nodes) == res
+        assert rows(res.witness) == [tuple(map(int, p)) for p in witness.split()]
+        assert ff_min_spread(*case, node_cap=nodes).as_dict() == res.as_dict()
         with pytest.raises(SearchBudgetExceeded):
             ff_min_spread(*case, node_cap=nodes - 1)
 
     @pytest.mark.parametrize("q", [2, 5])  # exhaustive, branch and bound
     def test_nodes_explored_is_total(self, q):
         res = ff_min_kakeya(q, 2)
-        assert ff_min_kakeya(q, 2, node_cap=res.nodes_explored) == res
+        assert ff_min_kakeya(q, 2, node_cap=res.nodes_explored).as_dict() == res.as_dict()
         with pytest.raises(SearchBudgetExceeded) as exc:
             ff_min_kakeya(q, 2, node_cap=res.nodes_explored - 1)
         # The scan stops on its witness's size; the branch and bound holds
@@ -274,7 +288,7 @@ class TestMinSearch:
         assert (res.size, res.nodes_explored) == (13, 308683)
         # Independent line check: for each of the 13 directions v (first
         # nonzero coordinate 1), some line {a + t v} lies in the witness.
-        pts = set(res.witness.points)
+        pts = set(rows(res.witness))
         dirs = [v for v in itertools.product(range(3), repeat=3)
                 if any(v) and v[next(i for i in range(3) if v[i])] == 1]
         assert len(dirs) == 13
@@ -326,16 +340,34 @@ class TestMinSearch:
         res = ff_min_kakeya(2, 2)
         d = res.as_dict()
         assert d["size"] == 3
-        assert d["witness"] == [(0, 0), (0, 1), (1, 0)]
+        assert d["witness"] == [[0, 0], [0, 1], [1, 0]]
         assert d["nodes_explored"] >= 1
 
 
 class TestFFSetCsv:
     def test_roundtrip(self):
-        f = FFSet(3, 2, frozenset([(0, 1), (2, 2)]))
+        f = FFSet(3, 2, [(0, 1), (2, 2)])
         back = FFSet.from_csv(3, f.to_csv())
-        assert back.points == f.points
+        np.testing.assert_array_equal(back.points, f.points)
 
     def test_text_pinned(self):
-        f = FFSet(3, 2, frozenset([(1, 0), (0, 2), (4, -2), (-3, 5)]))
+        f = FFSet(3, 2, [(1, 0), (0, 2), (4, -2), (-3, 5)])
         assert f.to_csv() == "x0,x1\n0,2\n1,0\n1,1\n"
+
+    def test_empty_set_keeps_its_width(self):
+        f = FFSet(3, 4, [])
+        assert (f.points.shape, f.points.dtype, len(f)) == ((0, 4), np.int64, 0)
+        assert f.to_csv() == "x0,x1,x2,x3\n"
+        assert FFSet.from_csv(3, f.to_csv()).points.shape == (0, 4)
+
+    def test_duplicate_and_negative_rows_reduce_to_one_array(self):
+        plain = FFSet(5, 2, [(1, 2), (3, 0)])
+        noisy = FFSet(5, 2, np.array([(3, 0), (-4, 7), (1, 2), (8, -5), (-2, 5)]))
+        np.testing.assert_array_equal(noisy.points, plain.points)
+        assert len(noisy) == 2
+
+    @pytest.mark.parametrize("points", [[(0, 1, 2)], [(0,)], [0, 1], [(0, 1), (2,)]],
+                             ids=["wide", "narrow", "flat", "ragged"])
+    def test_wrong_row_width_raises(self, points):
+        with pytest.raises(ValueError):
+            FFSet(3, 2, points)
