@@ -506,7 +506,7 @@ _COMMANDS = {
     }, cmd_ff_verify),
     ("ff", "search"): ({
         "q": (_int, _REQUIRED), "n": (_int, _REQUIRED), "mode": (_str, "kakeya"),
-        "k": (_int, 1), "m": (_opt(_int), None), "node_cap": (_opt(_int), None),
+        "k": (_int, 1), "m": (_opt(_int), None), "node_cap": (_opt(_positive_int), None),
     }, cmd_ff_search),
     ("maximal", "scan"): ({
         "deltas": (_list_of(_num), [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7]),

@@ -9,9 +9,8 @@ the free coordinates, so labels sort like representatives.  One vectorized
 kernel labels a batch of points in every direction at once.  Set checks
 count cosets with a bincount over those labels, a chunk of points at a
 time, and read every verdict off one labeling per direction family; the
-exhaustive search sums 0/1 point-by-coset incidence rows for a chunk of
-subsets at once; the branch and bound keeps its coset counts in plain
-lists that it updates point by point.
+minimal-set search is one branch and bound that keeps its coset counts in
+plain lists it updates point by point.
 
 Only prime q is accepted: over proper prime powers the subfield structure
 breaks the size conjectures this module is used to probe.
@@ -29,14 +28,12 @@ import numpy as np
 from . import table
 
 MAX_DIRECTIONS = 10 ** 6
-EXHAUSTIVE_POINT_CAP = 16
 # Entries of the per-direction label and count tables a check may allocate.
 _MAX_COUNT_TABLE = 1 << 24
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """A minimal-set search (exhaustive or branch and bound) exceeded its
-    node budget.
+    """A minimal-set search exceeded its node budget.
 
     lower_bound is a size no minimal set is below, proved before the cap
     was hit; incumbent is the size of the smallest set found by then, or
@@ -288,60 +285,19 @@ class SearchResult:
 
 
 def _min_set_meeting(q: int, n: int, k: int, m: int, node_cap: Optional[int]) -> SearchResult:
-    """Smallest set with a coset of >= m points in every k-direction.
-
-    For q^n <= EXHAUSTIVE_POINT_CAP a scan by increasing size, lexicographic
-    within a size, returns the lexicographically smallest witness of minimal
-    size (`_exhaustive_scan`).  Larger spaces use a depth-first completion
-    search with direction-based pruning (`_branch_and_bound`); it is
-    deterministic but only guarantees a minimal-size witness.
-    nodes_explored counts every subset tested and every search node
-    visited, so a node_cap equal to it lets the same search finish.
+    """Smallest set with a coset of >= m points in every k-direction, found
+    by a deterministic depth-first completion search (`_branch_and_bound`)
+    that guarantees a minimal size, not a particular witness.
+    nodes_explored counts every search node visited, so a node_cap equal to
+    it lets the same search finish.
     """
     dirs = _capped_directions(q, n, k, n)
     if not (1 <= m <= q ** k):
         raise ValueError(f"need 1 <= m <= q^k = {q ** k}, got m={m}")
     universe = _digits(q, n)
     cap = math.inf if node_cap is None else node_cap
-    search = _exhaustive_scan if len(universe) <= EXHAUSTIVE_POINT_CAP else _branch_and_bound
-    node, nodes = search(_coset_labels(q, n, dirs, universe), q ** (n - k), m, cap)
+    node, nodes = _branch_and_bound(_coset_labels(q, n, dirs, universe), q ** (n - k), m, cap)
     return SearchResult(len(node), FFSet(q, n, universe[node]), nodes)
-
-
-# Subsets tested per batch in the exhaustive scan.
-_SCAN_CHUNK = 2048
-
-
-def _exhaustive_scan(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[list, int]:
-    """The first subset, by size and then lexicographically, that has a
-    coset of >= m points in every direction, with the nodes explored.
-
-    Column lab * ndirs + d of a point's incidence row is 1 when the point
-    lies in coset lab of direction d; a subset's coset counts are the sum of
-    its points' rows, taken for a whole chunk of subsets at once.
-    """
-    ndirs, npoints = labels.shape
-    incidence = np.zeros((npoints, ncosets * ndirs), dtype=np.uint8)
-    incidence[np.arange(npoints)[:, None], labels.T * ndirs + np.arange(ndirs)] = 1
-    nodes = 0
-    for size in range(m, npoints + 1):
-        subsets = itertools.combinations(range(npoints), size)
-        while True:
-            flat = itertools.chain.from_iterable(itertools.islice(subsets, _SCAN_CHUNK))
-            chunk = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
-            if not len(chunk):
-                break
-            counts = incidence[chunk[:, 0]]
-            for j in range(1, size):
-                counts += incidence[chunk[:, j]]
-            meets = (counts.reshape(len(chunk), ncosets, ndirs) >= m).any(axis=1).all(axis=1)
-            hits = np.flatnonzero(meets)
-            nodes += int(hits[0]) + 1 if len(hits) else len(chunk)
-            if nodes > cap:  # every smaller size is ruled out
-                raise SearchBudgetExceeded(cap, size, None)
-            if len(hits):
-                return chunk[hits[0]].tolist(), nodes
-    raise RuntimeError("search exhausted without a witness")
 
 
 def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[list, int]:

@@ -277,8 +277,10 @@ def _slab_sweep(cells, u: Subspace, delta: float, step: float) -> float:
     return float(avgs[np.linalg.norm(np.stack(mesh, axis=-1), axis=-1) <= 2.0].max())
 
 
-def _check_search(f: MaximalField, delta: float, search_step: float):
+def _check_search(f: MaximalField, k: int, delta: float, search_step: float):
     """The argument checks of kakeya_maximal that hold for every direction."""
+    if not 1 <= k < f.n:
+        raise ValueError(f"need 1 <= k < n = {f.n}, got k={k}")
     if search_step > delta / 2 + 1e-15:
         raise ValueError("search_step must be <= delta/2")
     if not (MIN_DELTA <= delta <= 0.5):
@@ -286,21 +288,13 @@ def _check_search(f: MaximalField, delta: float, search_step: float):
     _check_resolution(f, delta)
 
 
-def _direction_maximal(f: MaximalField, cells, u: Subspace, delta: float, step: float) -> float:
-    """kakeya_maximal after its checks, given the field's `_sweep_cells`
-    (None for codimension 0, which takes the one slab at the origin)."""
-    if u.k == u.n:
-        return tube_average(f, TubeSpec(u, np.zeros(u.n), delta))
-    return _slab_sweep(cells, u, delta, step)
-
-
 def kakeya_maximal(f: MaximalField, u: Subspace, delta: float, search_step: float) -> float:
     """Supremum of tube_average over translates a on a grid of spacing
-    search_step in U-perp within B(0, 2)."""
+    search_step in U-perp within B(0, 2), for 1 <= dim U < n."""
     if f.n != u.n:
         raise ValueError("field and direction live in different dimensions")
-    _check_search(f, delta, search_step)
-    return _direction_maximal(f, _sweep_cells(f) if u.k < u.n else None, u, delta, search_step)
+    _check_search(f, u.k, delta, search_step)
+    return _slab_sweep(_sweep_cells(f), u, delta, search_step)
 
 
 def maximal_lp_norm(
@@ -311,9 +305,9 @@ def maximal_lp_norm(
     ndirs: int,
     seed=None,
 ) -> float:
-    """Monte Carlo L^p norm of the maximal function over Haar directions
-    (normalized Haar measure: mean of p-th powers, then p-th root), each
-    searched on the translate grid of spacing delta/2.
+    """Monte Carlo L^p norm of the maximal function over Haar k-directions,
+    1 <= k < n (normalized Haar measure: mean of p-th powers, then p-th
+    root), each searched on the translate grid of spacing delta/2.
 
     p must be finite; a p so large that every positive maximal value
     underflows to 0 in its p-th power raises instead of returning 0.
@@ -323,11 +317,11 @@ def maximal_lp_norm(
     if ndirs < 1:
         raise ValueError("ndirs must be >= 1")
     step = delta / 2
-    _check_search(f, delta, step)
-    cells = _sweep_cells(f) if k < f.n else None  # shared by every direction
+    _check_search(f, k, delta, step)
+    cells = _sweep_cells(f)  # shared by every direction
     acc = top = 0.0
     for b in haar_projector_batch(f.n, k, ndirs, seed):
-        value = _direction_maximal(f, cells, Subspace(f.n, k, b), delta, step)
+        value = _slab_sweep(cells, Subspace(f.n, k, b), delta, step)
         acc += value**p
         top = max(top, value)
     if acc == 0 < top:

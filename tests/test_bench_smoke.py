@@ -6,6 +6,10 @@ lower pass_frac.  The finite-field artifacts of that cycle are also pinned
 by sha256, so a change that alters their bytes shows here.  bench/jobs.py
 imports only furstlab, numpy and the standard library, so it is loaded here
 by path.
+
+Run as a script (`PYTHONPATH=src python tests/test_bench_smoke.py`), this
+file prints FF_ARTIFACTS as the current code makes it, for pasting in
+after a change that alters those bytes on purpose.
 """
 
 import hashlib
@@ -49,17 +53,17 @@ FF_ARTIFACTS = {
         "ffverify.7.3.2/ff_verify.json":
             "ae28416ce8ab6816af472742b47dbf22ebccec04fdf0887d0337d24f1f039b15",
         "search.kakeya.2.2/ff_search.json":
-            "1cdd3dcc2ae82e03756efbf37416cd6a0dffbee8eee7ff60c241bf9a15b979cf",
+            "5fedba213e11dd167a7d1389bb0418a087f29059ea6b1ab8068dec6d741a71ac",
         "search.kakeya.2.3/ff_search.json":
-            "3851da1b43753a08958ed50a89596d56cdee7f6b0ded11f1580726af5c8e4fbd",
+            "0b5232baa071ce30b5f854c63ee0070528a8a40beac6270dd3e71fd77bb2a72a",
         "search.kakeya.2.4/ff_search.json":
-            "38308e1d2feb513a26e5208c70e4e5effbf874c88f0bd0fad193244e9bdaf323",
+            "819ea90df3a96d899a6c6f7d431f12a9c2760f8e0dd52ac57f8011b337c062e6",
         "search.kakeya.3.2/ff_search.json":
-            "aeb58ce81a2bbf3e8b294a9b322a2bcc2dcba902ca758eb1a8db08bc956c1347",
+            "7512b29d5bf6611efd2e181d6333a57d210ecce4745cb639ef80a66af46b67da",
         "search.kakeya.5.2/ff_search.json":
             "32c968efcd2ad7ecd56eb2b3819c2adc64b926e59e70ff95d9aec7eb1ce7537f",
         "search.spread.3.2/ff_search.json":
-            "b21d292a1a69c280b1b35580647efdab14892d2fa622e1e837fe3ef76cc6845e",
+            "bfe7d26a69aaa350d2ee8a6af81dafed3379e741da460a2d5fc30ea43c30496c",
         "search.spread.5.2/ff_search.json":
             "130397d8c751c7339931a4a330da8484e4ab8a25ce0203e89b6592557bc1232d",
     },
@@ -73,11 +77,37 @@ FF_ARTIFACTS = {
         "ffverify.7.2/ff_verify.json":
             "c1512c4529ee390bab9fb3e2023daa3d5ca1d8d40a160b2aaf5a5b6685f8b4a3",
         "search.kakeya.3.2/ff_search.json":
-            "aeb58ce81a2bbf3e8b294a9b322a2bcc2dcba902ca758eb1a8db08bc956c1347",
+            "7512b29d5bf6611efd2e181d6333a57d210ecce4745cb639ef80a66af46b67da",
         "search.spread.2.3/ff_search.json":
-            "1bd0d62d41d1a429e3a92f101fae24c0801c5768727c917e1806d82a530cae7a",
+            "54b873fbe7e04bd2f529cec37cb51e4c9e09e68865e69a1979909eec7b01bdee",
     },
 }
+
+
+def run_first_cycle(name: str, work: Path) -> dict:
+    """Runs cycle 0 of a workload under `work`: "index:kind" -> Record."""
+    wl = jobs.build(name, work, 1)
+    # The warm-ups write what later jobs read.  They are run but not judged:
+    # the maximal3d warm-up raises its resolution check (level 3 is too
+    # coarse for delta 1/4), and its workload excuses it.
+    for kind in wl.kinds:
+        jobs.execute(kind.warmup, jobs.warmup_dir(work, kind.name))
+    records = {}
+    for i, job in enumerate(wl.cycle(0)):
+        rec = jobs.execute(job, work / "out" / f"c0-{i}")
+        jobs.collect(rec)
+        records[f"{i}:{job.kind}"] = rec
+    return records
+
+
+def ff_digests(records: dict) -> dict:
+    """sha256 of each ff_*.json artifact of the records, by "kind/file"."""
+    return {
+        f"{rec.job.kind}/{fn}": hashlib.sha256(blob).hexdigest()
+        for rec in records.values()
+        for fn, blob in rec.artifacts.items()
+        if fn.startswith("ff_")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -87,18 +117,7 @@ def first_cycle(tmp_path_factory):
 
     def run(name):
         if name not in runs:
-            work = tmp_path_factory.mktemp(name)
-            wl = jobs.build(name, work, 1)
-            # The warm-ups write what later jobs read.  They are run but not
-            # judged: the maximal3d warm-up raises its resolution check (level
-            # 3 is too coarse for delta 1/4), and its workload excuses it.
-            for kind in wl.kinds:
-                jobs.execute(kind.warmup, jobs.warmup_dir(work, kind.name))
-            runs[name] = {}
-            for i, job in enumerate(wl.cycle(0)):
-                rec = jobs.execute(job, work / "out" / f"c0-{i}")
-                jobs.collect(rec)
-                runs[name][f"{i}:{job.kind}"] = rec
+            runs[name] = run_first_cycle(name, tmp_path_factory.mktemp(name))
         return runs[name]
 
     return run
@@ -112,10 +131,21 @@ def test_first_cycle_meets_every_oracle(first_cycle, name):
 
 @pytest.mark.parametrize("name", sorted(FF_ARTIFACTS))
 def test_first_cycle_ff_artifacts_pinned(first_cycle, name):
-    digests = {
-        f"{rec.job.kind}/{fn}": hashlib.sha256(blob).hexdigest()
-        for rec in first_cycle(name).values()
-        for fn, blob in rec.artifacts.items()
-        if fn.startswith("ff_")
-    }
-    assert digests == FF_ARTIFACTS[name]
+    assert ff_digests(first_cycle(name)) == FF_ARTIFACTS[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    print("FF_ARTIFACTS = {")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(jobs.WORKLOADS):
+            work = Path(tmp) / name
+            work.mkdir()
+            digests = ff_digests(run_first_cycle(name, work))
+            if digests:
+                print(f'    "{name}": {{')
+                for key, digest in sorted(digests.items()):
+                    print(f'        "{key}":\n            "{digest}",')
+                print("    },")
+    print("}")

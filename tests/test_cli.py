@@ -192,12 +192,13 @@ class TestFF:
         assert payload["size"] == 3
 
     def test_search_node_cap_exits_3(self, tmp_path, capsys):
-        # Exit 3 writes nothing and reports the size proved so far and the
-        # incumbent, on both search paths.
+        # Exit 3 writes nothing and reports the root bound m and the
+        # incumbent.  The F_3^2 caps are the branch and bound's: its first
+        # dive reaches a 7-point set at node 5.
         cases = [
-            (3, 5, "minimal size >= 3, incumbent none"),  # exhaustive, F_3^2
-            (3, 84, "minimal size >= 4, incumbent none"),  # all 84 3-sets ruled out
-            (5, 5, "minimal size >= 5, incumbent none"),  # branch and bound, F_5^2
+            (3, 4, "minimal size >= 3, incumbent none"),
+            (3, 42, "minimal size >= 3, incumbent 7"),  # one node short of the end
+            (5, 5, "minimal size >= 5, incumbent none"),
             (5, 100, "minimal size >= 5, incumbent 17"),
         ]
         for q, cap, proved in cases:
@@ -389,6 +390,8 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
         (["grassmann", "verify"], {"pairs": [], "ball_scaling": {"delta": 5, "samples": 10}}),
         (["grassmann", "verify"], {"pairs": [[3, 1]], "ball_scaling": {"delta": 1.0}}),
         (["maximal", "scan"], {"deltas": []}),
+        (["ff", "search"], {"q": 2, "n": 2, "node_cap": 0}),
+        (["ff", "search"], {"q": 2, "n": 2, "node_cap": -1}),
     ],
     ids=["depth30", "composite_q", "missing_csv", "ff_exponents_without_s",
          "bounds_zero_denominator", "bounds_infinite", "ff_exponents_zero_denominator",
@@ -403,7 +406,8 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
          "ball_scaling_delta_inf", "incidence_tol_nan", "incidence_tol_zero", "scan_p_huge_int",
          "construct_keep_int", "construct_keep_mixed", "construct_product_huge_n",
          "construct_sharp_huge_n", "estimate_rle_zero_n", "spreadify_zero_ndirs",
-         "ball_scaling_delta_above_1", "ball_scaling_delta_1", "scan_no_deltas"],
+         "ball_scaling_delta_above_1", "ball_scaling_delta_1", "scan_no_deltas",
+         "search_zero_node_cap", "search_negative_node_cap"],
 )
 def test_malformed_config_exits_2_writes_nothing(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)

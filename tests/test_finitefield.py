@@ -208,21 +208,33 @@ class TestPigeonhole:
             assert count >= need
 
 
+# The proven minimal size of every shape (q, n, k, m) with q^n <= 16.
+SMALL_SPACE_MINIMA = {
+    (2, 2, 1, 1): 1, (2, 2, 1, 2): 3,
+    (2, 3, 1, 1): 1, (2, 3, 1, 2): 5,
+    (2, 3, 2, 1): 1, (2, 3, 2, 2): 3, (2, 3, 2, 3): 5, (2, 3, 2, 4): 7,
+    (2, 4, 1, 1): 1, (2, 4, 1, 2): 6,
+    (2, 4, 2, 1): 1, (2, 4, 2, 2): 5, (2, 4, 2, 3): 9, (2, 4, 2, 4): 13,
+    (2, 4, 3, 1): 1, (2, 4, 3, 2): 3, (2, 4, 3, 3): 5, (2, 4, 3, 4): 6,
+    (2, 4, 3, 5): 9, (2, 4, 3, 6): 10, (2, 4, 3, 7): 13, (2, 4, 3, 8): 15,
+    (3, 2, 1, 1): 1, (3, 2, 1, 2): 4, (3, 2, 1, 3): 7,
+}
+
 # (q, n, k, m) -> size, nodes_explored and witness (points as digit strings)
-# of the exhaustive scan; the large cases cross many chunk boundaries.
-EXHAUSTIVE_PINS = {
-    (2, 2, 1, 2): (3, 7, "00 01 10"),
-    (2, 3, 1, 2): (5, 155, "000 001 010 011 100"),
-    (2, 3, 2, 3): (5, 127, "000 001 010 011 100"),
-    (2, 3, 2, 4): (7, 155, "000 001 010 011 100 101 110"),
-    (2, 4, 1, 2): (6, 6968, "0000 0001 0010 0100 1000 1111"),
-    (2, 4, 2, 2): (5, 2501, "0000 0001 0010 0011 0100"),
-    (2, 4, 2, 3): (9, 39067, "0000 0001 0010 0011 0100 0101 0110 0111 1000"),
-    (2, 4, 2, 4): (13, 64143, "0000 0001 0010 0011 0100 0101 0110 0111 1000 1001 1010 1011 1100"),
-    (2, 4, 3, 5): (9, 36687, "0000 0001 0010 0011 0100 0101 0110 0111 1000"),
-    (2, 4, 3, 8): (15, 39187, "0000 0001 0010 0011 0100 0101 0110 0111 1000 1001 1010 1011 1100 1101 1110"),
-    (3, 2, 1, 2): (4, 121, "00 01 02 10"),
-    (3, 2, 1, 3): (7, 421, "00 01 02 10 11 12 20"),
+# of the branch and bound in spaces of at most 16 points.
+SMALL_SPACE_PINS = {
+    (2, 2, 1, 2): (3, 5, "00 10 11"),
+    (2, 3, 1, 2): (5, 57, "000 100 101 110 111"),
+    (2, 3, 2, 3): (5, 53, "000 010 011 100 101"),
+    (2, 3, 2, 4): (7, 9, "000 010 011 100 101 110 111"),
+    (2, 4, 1, 2): (6, 1025, "0000 0100 1000 1001 1010 1111"),
+    (2, 4, 2, 2): (5, 2629, "0000 0100 0101 0110 0111"),
+    (2, 4, 2, 3): (9, 37065, "0000 0100 0101 0110 0111 1000 1001 1010 1011"),
+    (2, 4, 2, 4): (13, 2073, "0000 0001 0011 0100 0110 1000 1001 1010 1011 1100 1101 1110 1111"),
+    (2, 4, 3, 5): (9, 19161, "0000 0010 0011 0100 0101 0110 0111 1000 1001"),
+    (2, 4, 3, 8): (15, 17, "0000 0010 0011 0100 0101 0110 0111 1000 1001 1010 1011 1100 1101 1110 1111"),
+    (3, 2, 1, 2): (4, 79, "00 10 11 12"),
+    (3, 2, 1, 3): (7, 43, "00 01 02 10 11 20 22"),
 }
 
 
@@ -231,7 +243,7 @@ class TestMinSearch:
         res = ff_min_kakeya(2, 2)
         assert res.size == 3
         assert ff_is_kakeya(res.witness)
-        assert rows(res.witness) == [(0, 0), (0, 1), (1, 0)]
+        assert rows(res.witness) == [(0, 0), (1, 0), (1, 1)]  # the branch and bound's witness
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_min_kakeya_plane_blokhuis_mazzocca(self, q):
@@ -262,26 +274,35 @@ class TestMinSearch:
         with pytest.raises(SearchBudgetExceeded):
             search(*args, node_cap=nodes - 1)
 
-    @pytest.mark.parametrize("case", sorted(EXHAUSTIVE_PINS), ids=lambda c: "-".join(map(str, c)))
+    # The test keeps the name it had when these shapes took an exhaustive
+    # scan; the sizes are the same, the nodes and witnesses are the branch
+    # and bound's.
+    @pytest.mark.parametrize("case", sorted(SMALL_SPACE_PINS), ids=lambda c: "-".join(map(str, c)))
     def test_exhaustive_pins(self, case):
-        size, nodes, witness = EXHAUSTIVE_PINS[case]
+        q, n, k, m = case
+        size, nodes, witness = SMALL_SPACE_PINS[case]
         res = ff_min_spread(*case)
         assert (res.size, res.nodes_explored) == (size, nodes)
         assert rows(res.witness) == [tuple(map(int, p)) for p in witness.split()]
+        for basis in ff_directions_loop(q, n, k).tolist():
+            assert max(Counter(coset_of(q, basis, x) for x in rows(res.witness)).values()) >= m
         assert ff_min_spread(*case, node_cap=nodes).as_dict() == res.as_dict()
         with pytest.raises(SearchBudgetExceeded):
             ff_min_spread(*case, node_cap=nodes - 1)
 
-    @pytest.mark.parametrize("q", [2, 5])  # exhaustive, branch and bound
+    @pytest.mark.parametrize("case", sorted(SMALL_SPACE_MINIMA), ids=lambda c: "-".join(map(str, c)))
+    def test_small_space_minima(self, case):
+        assert ff_min_spread(*case).size == SMALL_SPACE_MINIMA[case]
+
+    @pytest.mark.parametrize("q", [2, 5])
     def test_nodes_explored_is_total(self, q):
         res = ff_min_kakeya(q, 2)
         assert ff_min_kakeya(q, 2, node_cap=res.nodes_explored).as_dict() == res.as_dict()
         with pytest.raises(SearchBudgetExceeded) as exc:
             ff_min_kakeya(q, 2, node_cap=res.nodes_explored - 1)
-        # The scan stops on its witness's size; the branch and bound holds
-        # its root bound q and, by its last node, the minimal set.
-        proved = (res.size, None) if q == 2 else (q, res.size)
-        assert (exc.value.lower_bound, exc.value.incumbent) == proved
+        # The branch and bound holds its root bound q and, by its last
+        # node, the minimal set.
+        assert (exc.value.lower_bound, exc.value.incumbent) == (q, res.size)
 
     def test_kakeya_3_3_minimum(self):
         res = ff_min_kakeya(3, 3)
@@ -322,25 +343,11 @@ class TestMinSearch:
         with pytest.raises(SearchBudgetExceeded):
             ff_min_kakeya(3, 2, node_cap=5)
 
-    def test_branch_and_bound_agrees_with_exhaustive(self, monkeypatch):
-        sizes = {}
-        for mode in ("exhaustive", "bb"):
-            cap = 16 if mode == "exhaustive" else 0
-            monkeypatch.setattr(ff, "EXHAUSTIVE_POINT_CAP", cap)
-            sizes[mode] = (
-                ff_min_kakeya(2, 2).size,
-                ff_min_spread(2, 2, 1, 1).size,
-                ff_min_kakeya(3, 2).size,
-                ff_min_spread(2, 3, 2, 3).size,
-                ff_min_spread(2, 4, 3, 5).size,
-            )
-        assert sizes["exhaustive"] == sizes["bb"]
-
     def test_search_result_serialization(self):
         res = ff_min_kakeya(2, 2)
         d = res.as_dict()
         assert d["size"] == 3
-        assert d["witness"] == [[0, 0], [0, 1], [1, 0]]
+        assert d["witness"] == [[0, 0], [1, 0], [1, 1]]  # the branch and bound's witness
         assert d["nodes_explored"] >= 1
 
 

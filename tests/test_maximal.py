@@ -114,6 +114,13 @@ class TestKakeyaMaximal:
         with pytest.raises(ValueError):
             kakeya_maximal(f, E1, 0.125, 0.125)
 
+    def test_codimension_zero_rejected(self):
+        f = MaximalField.constant(2, 6, 1.0)
+        with pytest.raises(ValueError, match="k < n"):
+            kakeya_maximal(f, Subspace(2, 2, np.eye(2)), 0.125, 0.0625)
+        with pytest.raises(ValueError, match="k < n"):
+            maximal_lp_norm(f, 2, 0.125, 2.0, ndirs=1, seed=0)
+
     def test_monotone_in_field(self):
         rng = np.random.default_rng(17)
         vals = rng.random((128, 128))
