@@ -29,6 +29,10 @@ from .tolerances import TOL_INEQ
 _SUBFLAT_ALLOWED = 10.0
 # Relative window around 2^(k(n-k)) that check_ball_scaling accepts.
 _BALL_REL_WINDOW = 0.3
+# Expected draws within delta/2 of a line that a ball-scaling run must have:
+# at 200 the window above is about 4.9 standard deviations of the ratio of
+# nested hit counts, so fewer samples measure noise, not the scaling.
+BALL_MIN_HITS = 200
 
 
 @dataclass(frozen=True)

@@ -162,15 +162,23 @@ def ff_directions(q: int, n: int, k: int) -> np.ndarray:
 def _coset_labels(q: int, n: int, bases: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Coset label of each row of the (m, n) points in each direction of
     the (ndirs, k, n) RREF stack, shape (ndirs, m): the base-q code of the
-    free coordinates of the canonical representative."""
-    x = points.T
+    free coordinates of the canonical representative.
+
+    Every intermediate is below k q^2 in magnitude and every label below
+    q^(n-k); under the count-table cap both fit int32, which halves the
+    memory traffic, and int64 is kept for a single basis past it.
+    """
+    k = bases.shape[1]
+    dtype = np.int32 if max(k * q * q, q ** (n - k)) < 1 << 31 else np.int64
+    x = points.T.astype(dtype)
+    bases = bases.astype(dtype)
     pivots = (bases != 0).argmax(axis=2)
     coef = x[pivots]
-    free = np.ones((len(bases), n), dtype=np.int64)
+    free = np.ones((len(bases), n), dtype=dtype)
     np.put_along_axis(free, pivots, 0, axis=1)
     # q ** (number of free columns right of j) on free columns, 0 on pivots
-    weight = free * q ** (np.cumsum(free[:, ::-1], axis=1)[:, ::-1] - free)
-    labels = np.zeros((len(bases), x.shape[1]), dtype=np.int64)
+    weight = free * q ** (np.cumsum(free[:, ::-1], axis=1, dtype=dtype)[:, ::-1] - free)
+    labels = np.zeros((len(bases), x.shape[1]), dtype=dtype)
     rep = np.empty_like(labels)
     for j in range(n):  # in place: one (ndirs, m) temporary
         np.einsum("dk,dkm->dm", bases[:, :, j], coef, out=rep)
@@ -184,7 +192,7 @@ def _coset_labels(q: int, n: int, bases: np.ndarray, points: np.ndarray) -> np.n
 def _coset_counts(labels: np.ndarray, ncosets: int) -> np.ndarray:
     """Points per coset, shape (ndirs, ncosets), columns in label order."""
     ndirs = len(labels)
-    flat = labels + ncosets * np.arange(ndirs)[:, None]
+    flat = labels + ncosets * np.arange(ndirs, dtype=labels.dtype)[:, None]
     return np.bincount(flat.ravel(), minlength=ndirs * ncosets).reshape(ndirs, ncosets)
 
 

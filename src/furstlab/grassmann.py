@@ -11,6 +11,7 @@ gap to the subspace distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,7 +259,11 @@ def sample_subflat(w: AffineFlat, k2: int, r: float, seed=None) -> AffineFlat:
 
 def _ball_hits(u: Subspace, radii: tuple, samples: int, seed) -> list:
     """For each radius r, how many of `samples` haar_sample draws lie within
-    grass_distance r of U; every radius reads the same draws, in chunks."""
+    grass_distance r of U; every radius reads the same draws, in chunks.
+
+    For lines the residual V - U U^T V is one column, whose spectral norm
+    is its Euclidean norm, so the distance is a row norm, not a batched SVD.
+    """
     if min(radii) <= 0:
         raise ValueError("delta must be positive")
     if samples < 1:
@@ -267,7 +272,11 @@ def _ball_hits(u: Subspace, radii: tuple, samples: int, seed) -> list:
     hits = np.zeros(len(radii), dtype=np.int64)
     for start in range(0, samples, _CHUNK):
         bases = haar_projector_batch(u.n, u.k, min(_CHUNK, samples - start), rng)
-        d = _grass_distance_batch(u.basis, bases)
+        if u.k == 1:
+            v = bases[:, :, 0]
+            d = np.minimum(np.linalg.norm(v - np.outer(v @ u.basis[:, 0], u.basis[:, 0]), axis=1), 1.0)
+        else:
+            d = _grass_distance_batch(u.basis, bases)
         hits += np.count_nonzero(d[:, None] <= np.array(radii), axis=0)
     return hits.tolist()
 
@@ -279,3 +288,26 @@ def ball_measure_estimate(u: Subspace, delta: float, samples: int, seed=None) ->
     Deterministic for a fixed seed; draws are processed in chunks.
     """
     return _ball_hits(u, (delta,), samples, seed)[0] / samples
+
+
+def line_ball_measure(n: int, r: float) -> float:
+    """Exact Haar measure of the ball of radius r about a line in G(n, 1).
+
+    A line at angle theta to U lies at grass_distance sin(theta), and theta
+    has density proportional to sin^(n-2) on [0, pi/2], so the measure is
+    the ratio of the integrals of sin^(n-2) over [0, asin r] and over
+    [0, pi/2].  Each integral comes from the sine reduction formula
+    I_p = (-sin^(p-1) cos + (p-1) I_(p-2)) / p, starting at I_0(x) = x or
+    I_1(x) = 1 - cos x.  G(1, 1) is one point, of measure 1.
+    """
+    if n == 1 or r >= 1:
+        return 1.0
+
+    def integral(x):
+        s, c = math.sin(x), math.cos(x)
+        acc = 1.0 - c if n % 2 else x
+        for p in range(2 + n % 2, n - 1, 2):
+            acc = ((p - 1) * acc - s ** (p - 1) * c) / p
+        return acc
+
+    return min(max(integral(math.asin(r)) / integral(math.pi / 2), 0.0), 1.0)

@@ -6,16 +6,20 @@ the OR of their per-coordinate XORs, and bit lengths by halving shifts.
 The finite-field directions are enumerated one RREF basis at a time, and
 the coset representative and subspace points are the scalar loops behind
 ff_coset_profile's vectorized labels; the graph form of a hyperplane reads
-the AffineFlat images of apply_projective.
+the AffineFlat images of apply_projective.  A CSV table is written row by
+row by csv.writer, and Haar-ball hits are counted with the batched-SVD
+distance of every draw.
 """
 
+import csv
+import io
 import itertools
 
 import numpy as np
 
 from furstlab.duality import GraphHyperplane, VerticalHyperplaneError
 from furstlab.finitefield import FFSet
-from furstlab.grassmann import Subspace
+from furstlab.grassmann import _CHUNK, Subspace, _grass_distance_batch, haar_projector_batch
 from furstlab.tolerances import TOL_EXACT
 
 
@@ -153,3 +157,23 @@ def subspace_points(q: int, basis) -> list:
 def ff_full_space(q: int, n: int) -> FFSet:
     """All q^n points of F_q^n."""
     return FFSet(q, n, list(itertools.product(range(q), repeat=n)))
+
+
+def csv_table(header, rows) -> str:
+    """table.to_csv's format written by csv.writer, one Python row at a time."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(np.asarray(rows).tolist())
+    return buf.getvalue()
+
+
+def ball_hits_svd(u: Subspace, radii: tuple, samples: int, seed) -> list:
+    """_ball_hits from the same chunked draws, every distance a batched SVD."""
+    rng = np.random.default_rng(seed)
+    hits = np.zeros(len(radii), dtype=np.int64)
+    for start in range(0, samples, _CHUNK):
+        bases = haar_projector_batch(u.n, u.k, min(_CHUNK, samples - start), rng)
+        d = _grass_distance_batch(u.basis, bases)
+        hits += np.count_nonzero(d[:, None] <= np.array(radii), axis=0)
+    return hits.tolist()

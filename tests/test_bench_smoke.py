@@ -2,14 +2,14 @@
 
 bench/run.py runs these workloads in a timed loop, where a library name or
 signature that a job calls and that no longer exists would show only as a
-lower pass_frac.  The finite-field artifacts of that cycle are also pinned
-by sha256, so a change that alters their bytes shows here.  bench/jobs.py
-imports only furstlab, numpy and the standard library, so it is loaded here
-by path.
+lower pass_frac.  The finite-field artifacts and the written grids of that
+cycle are also pinned by sha256, so a change that alters their bytes shows
+here.  bench/jobs.py imports only furstlab, numpy and the standard library,
+so it is loaded here by path.
 
 Run as a script (`PYTHONPATH=src python tests/test_bench_smoke.py`), this
-file prints FF_ARTIFACTS as the current code makes it, for pasting in
-after a change that alters those bytes on purpose.
+file prints FF_ARTIFACTS and GRID_ARTIFACTS as the current code makes
+them, for pasting in after a change that alters those bytes on purpose.
 """
 
 import hashlib
@@ -84,6 +84,27 @@ FF_ARTIFACTS = {
 }
 
 
+# sha256 of the grid.csv and grid.rle of each construct.* job of cycle 0
+# (seed 1), by job kind and file name.  Both are integer-only, so the
+# digests hold on every platform.
+GRID_ARTIFACTS = {
+    "sweep": {
+        "construct.cantor/grid.csv":
+            "2e81aabd9e3f761575351ec25476cfadf44bc15d627c43b98dc6bd388595370b",
+        "construct.cantor/grid.rle":
+            "6b762af1c75c7bd3b34c818e5bdada11146f1c2cb1cbc76a0797cf363f33d256",
+        "construct.product/grid.csv":
+            "e880eef969f3ecf39d70a3ac62c27fe0f28fb52d9a7f34d5bd626f676282c707",
+        "construct.product/grid.rle":
+            "fa33ba4704c061586d9111e49fe191e6e23ddd6a136bdb1d3284af89ae51a103",
+        "construct.sharp/grid.csv":
+            "bbd77cc0edc75d6697b1b73d23b2d66f35404c3f57c9b81df2481b6e3879d527",
+        "construct.sharp/grid.rle":
+            "a31c80e45abbe411faeb72696f76e8f4db46937995f86dfa229f055cb8e44865",
+    },
+}
+
+
 def run_first_cycle(name: str, work: Path) -> dict:
     """Runs cycle 0 of a workload under `work`: "index:kind" -> Record."""
     wl = jobs.build(name, work, 1)
@@ -100,13 +121,22 @@ def run_first_cycle(name: str, work: Path) -> dict:
     return records
 
 
-def ff_digests(records: dict) -> dict:
-    """sha256 of each ff_*.json artifact of the records, by "kind/file"."""
+def is_ff(kind: str, fn: str) -> bool:
+    return fn.startswith("ff_")
+
+
+def is_grid(kind: str, fn: str) -> bool:
+    return kind.startswith("construct.") and fn in ("grid.csv", "grid.rle")
+
+
+def digests(records: dict, pinned) -> dict:
+    """sha256 of each artifact of the records that pinned(kind, file)
+    selects, by "kind/file"."""
     return {
         f"{rec.job.kind}/{fn}": hashlib.sha256(blob).hexdigest()
         for rec in records.values()
         for fn, blob in rec.artifacts.items()
-        if fn.startswith("ff_")
+        if pinned(rec.job.kind, fn)
     }
 
 
@@ -131,21 +161,30 @@ def test_first_cycle_meets_every_oracle(first_cycle, name):
 
 @pytest.mark.parametrize("name", sorted(FF_ARTIFACTS))
 def test_first_cycle_ff_artifacts_pinned(first_cycle, name):
-    assert ff_digests(first_cycle(name)) == FF_ARTIFACTS[name]
+    assert digests(first_cycle(name), is_ff) == FF_ARTIFACTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ARTIFACTS))
+def test_first_cycle_grid_artifacts_pinned(first_cycle, name):
+    assert digests(first_cycle(name), is_grid) == GRID_ARTIFACTS[name]
 
 
 if __name__ == "__main__":
     import tempfile
 
-    print("FF_ARTIFACTS = {")
     with tempfile.TemporaryDirectory() as tmp:
+        records = {}
         for name in sorted(jobs.WORKLOADS):
             work = Path(tmp) / name
             work.mkdir()
-            digests = ff_digests(run_first_cycle(name, work))
-            if digests:
+            records[name] = run_first_cycle(name, work)
+    for title, pinned in (("FF_ARTIFACTS", is_ff), ("GRID_ARTIFACTS", is_grid)):
+        print(f"{title} = {{")
+        for name, recs in records.items():
+            found = digests(recs, pinned)
+            if found:
                 print(f'    "{name}": {{')
-                for key, digest in sorted(digests.items()):
+                for key, digest in sorted(found.items()):
                     print(f'        "{key}":\n            "{digest}",')
                 print("    },")
-    print("}")
+        print("}")

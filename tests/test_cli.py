@@ -83,6 +83,30 @@ class TestGrassmannVerify:
         assert run_cli(["grassmann", "verify", "--config", cfg, "--out", str(out)]) == 2
         assert not list(out.iterdir())
 
+    def test_ball_scaling_too_few_samples_for_lines_rejected(self, tmp_path, capsys):
+        # 500 samples expect 2.5 draws within 0.1 of a line in R^3; this run
+        # once measured 14.0 against 4.0.  Under the floor it is a schema error.
+        cfg = write_config(tmp_path, "g.json", {"pairs": [[3, 1], [4, 2]], "samples": 200,
+                                                "subflat_samples": 50, "ball_scaling": {"samples": 500}})
+        out = tmp_path / "out"
+        assert run_cli(["grassmann", "verify", "--config", cfg, "--seed", "7", "--out", str(out)]) == 2
+        assert not list(out.iterdir())
+        assert "expect 2.5 draws" in capsys.readouterr().err
+
+    def test_ball_scaling_default_meets_the_floor_and_passes(self, tmp_path):
+        # n = 3, delta = 0.2, 100,000 samples: 501 expected draws within 0.1.
+        cfg = write_config(tmp_path, "g.json", {"pairs": [], "ball_scaling": {}})
+        out = tmp_path / "out"
+        assert run_cli(["grassmann", "verify", "--config", cfg, "--out", str(out)]) == 0
+        (res,) = json.loads((out / "grassmann_verify.json").read_text())["results"]
+        assert (res["name"], res["samples"], res["passed"]) == ("ball_scaling", 100000, True)
+
+    def test_ball_scaling_floor_is_for_lines_only(self, tmp_path):
+        cfg = write_config(tmp_path, "g.json", {"pairs": [], "ball_scaling": {"n": 4, "k": 2, "samples": 50}})
+        out = tmp_path / "out"
+        assert run_cli(["grassmann", "verify", "--config", cfg, "--out", str(out)]) in (0, 4)
+        assert (out / "grassmann_verify.json").exists()
+
 
 class TestDualitySpreadify:
     def test_pipeline(self, tmp_path):

@@ -117,6 +117,21 @@ class TestCosetProfile:
                 assert {r: c for r, c in hist.items() if c} == dict(scalar)
                 assert count == max(scalar.values(), default=0)
 
+    @pytest.mark.parametrize("q", [46337, 46349])
+    def test_labels_either_side_of_int32_products(self, q):
+        # Labels are int32 while q^2 < 2^31 (46337) and int64 past it
+        # (46349), where a coefficient times a pivot coordinate near q
+        # would wrap.
+        rng = np.random.default_rng(q)
+        pts = np.column_stack([rng.integers(q - 50, q, 200), rng.integers(0, q, 200)])
+        pts[100:] = pts[:100] + [1, q - 2]  # pairs sharing the coset of (1, -2)
+        f = FFSet(q, 2, pts)
+        for basis in ([[1, q - 2]], [[1, q - 1]], [[0, 1]]):
+            _, count, hist = ff_coset_profile(f, basis)
+            scalar = Counter(coset_of(q, basis, x) for x in f.points.tolist())
+            assert {r: c for r, c in hist.items() if c} == dict(scalar)
+            assert count == max(scalar.values())
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_chunked_counts_match_scalar(self, monkeypatch, k):
         # At the smallest cap the count table fits, a chunk is 3^(3-k)

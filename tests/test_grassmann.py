@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import subspace_from_spanning
+from reference import ball_hits_svd, subspace_from_spanning
 
 import furstlab.grassmann as gr
 from furstlab.checks import check_ball_scaling
@@ -17,6 +17,7 @@ from furstlab.grassmann import (
     grass_distance,
     haar_projector_batch,
     haar_sample,
+    line_ball_measure,
     min_rotation,
     sample_subflat,
 )
@@ -325,6 +326,25 @@ class TestBallMeasure:
             p = exact(delta)
             est = ball_measure_estimate(u, delta, samples, seed=2024)
             assert abs(est - p) <= 4 * math.sqrt(p * (1 - p) / samples)
+        for delta in (0.01, 0.05, 0.1, 0.2, 0.5, 0.9, 0.999):
+            assert line_ball_measure(n, delta) == pytest.approx(exact(delta), abs=1e-12)
+
+    def test_line_ball_measure_edges(self):
+        assert line_ball_measure(2, 0.5) == pytest.approx(1 / 3, abs=1e-15)  # asin(1/2) / (pi/2)
+        assert [line_ball_measure(n, 1.0) for n in (1, 2, 5, 16)] == [1.0] * 4
+        assert line_ball_measure(1, 0.1) == 1.0
+        assert all(0.0 <= line_ball_measure(n, 1e-3) < line_ball_measure(n, 0.5) for n in range(2, 17))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16])
+    def test_line_hits_match_svd_distance(self, n):
+        # For lines the distance is a row norm; it must count the same
+        # draws as the batched SVD, across chunk boundaries.
+        radii = (0.2, 0.1, 0.999)
+        for seed in (0, 1, 2):
+            u = haar_sample(n, 1, seed=100 + seed)
+            hits = gr._ball_hits(u, radii, 10_000, seed)
+            assert hits == ball_hits_svd(u, radii, 10_000, seed)
+            assert hits[0] >= hits[1] and hits[2] > 0
 
     def test_ball_scaling_counts_both_radii_on_one_sample(self, monkeypatch):
         rows = []
