@@ -309,14 +309,40 @@ def _min_set_meeting(q: int, n: int, k: int, m: int, node_cap: Optional[int]) ->
 
 
 def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[list, int]:
-    """A minimal set, with the nodes explored: complete each coset of the
-    first direction with the largest deficit up to m points, fullest cosets
-    and smallest additions first.  Only a strictly smaller set replaces the
-    incumbent.
+    """A minimal set, with the nodes explored.  Each node picks the first
+    direction with the largest deficit and branches on every way to complete
+    one of its cosets up to m points, fullest cosets and smallest additions
+    first.  Only a strictly smaller set replaces the incumbent.
+
+    The root is seeded by affine symmetry.  Point 0 is the zero vector, V0
+    its coset in the first direction, and b the second point of V0 in index
+    order.  The root's children are only the m-subsets of V0 that hold 0
+    and, if m >= 2, b; when m = q^k that is V0 alone.  This loses no
+    minimum.  Let S be a minimal set and c a coset of the first direction
+    with |S & c| >= m, and pick a != b' in S & c.  The translation
+    x -> x - a takes c onto V0 and a to 0, and some linear map in GL(n, q)
+    that fixes V0 setwise takes b' - a to b.  An affine bijection permutes
+    the family of all k-directions and maps cosets to cosets, so the image
+    of S is a minimal set, and one of its m-subsets of V0 holding {0, b} is
+    a root child.  Below the root the search is complete: every valid
+    superset of a node holds one of the node's completions.  The GL step
+    needs the full family of directions.  Only translations and homotheties
+    x -> lambda x fix every direction, so for a partial family they are
+    what is left; they still take b' - a to b when k = 1, but not when
+    k >= 2.
 
     A child no smaller than the incumbent is cut as soon as it is visited,
     and so is every later child of the same node (later cosets need at
     least as many points), so those are counted, not built.
+
+    Past the cap, SearchBudgetExceeded carries a proved lower bound: the
+    smaller of the incumbent and, over the nodes open on the path, the
+    least (node size + need of a child not yet built).  Every set not yet
+    reached lies under such a child.  A node's children come fullest coset
+    first, so their need never falls, and the next unbuilt child bounds all
+    the rest; a node whose last child is built adds nothing.  The root's
+    need is m and every node below it holds m points, so the bound is at
+    least m.
     """
     ndirs, npoints = labels.shape
     coset_size = npoints // ncosets
@@ -328,12 +354,14 @@ def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[li
     point_cells = [list(zip(counts, labs)) for labs in labels.T.tolist()]
     members = [False] * npoints
     size = 0
-    nodes = 1  # the root, the empty set
+    nodes = 1  # the root
     best: Optional[list] = None
+    path = []  # per open node, size + need of its next child not yet built
 
     def exceeded() -> SearchBudgetExceeded:
-        # The root bound: the empty set lacks m points in every direction.
-        return SearchBudgetExceeded(cap, m, None if best is None else len(best))
+        if best is None:
+            return SearchBudgetExceeded(cap, min(path, default=m), None)
+        return SearchBudgetExceeded(cap, min(path + [len(best)]), len(best))
 
     if nodes > cap:
         raise exceeded()
@@ -346,24 +374,19 @@ def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[li
                 row[lab] += step
         size += step * len(points)
 
-    def dfs():
+    def dfs(d: int, order: list):
+        # Children: each way to complete a coset of direction d, in order.
         nonlocal nodes, best
-        fullest = list(map(max, counts))
-        d = fullest.index(min(fullest))
-        deficit = m - fullest[d]
-        if deficit <= 0:
-            best = [i for i in range(npoints) if members[i]]
-            return
-        if best is not None and size + deficit >= len(best):
-            return
         row = counts[d]
-        order = sorted(range(ncosets), key=row.__getitem__, reverse=True)
         for pos, lab in enumerate(order):
             need = m - row[lab]
+            path[-1] = size + need
             missing = [i for i in cosets[d][lab] if not members[i]]
+            total = math.comb(len(missing), need)
+            after = size + m - row[order[pos + 1]] if pos + 1 < len(order) else math.inf
             for tried, addition in enumerate(itertools.combinations(missing, need)):
                 if best is not None and size + need >= len(best):
-                    nodes += math.comb(len(missing), need) - tried + sum(
+                    nodes += total - tried + sum(
                         math.comb(coset_size - row[c], m - row[c]) for c in order[pos + 1:]
                     )
                     if nodes > cap:
@@ -372,11 +395,25 @@ def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[li
                 nodes += 1
                 if nodes > cap:
                     raise exceeded()
+                if tried == total - 1:
+                    path[-1] = after
                 toggle(addition, 1)
-                dfs()
+                fullest = list(map(max, counts))
+                e = fullest.index(min(fullest))
+                deficit = m - fullest[e]
+                if deficit <= 0:
+                    best = [i for i in range(npoints) if members[i]]
+                elif best is None or size + deficit < len(best):
+                    path.append(None)
+                    dfs(e, sorted(range(ncosets), key=counts[e].__getitem__, reverse=True))
+                    path.pop()
                 toggle(addition, -1)
 
-    dfs()
+    # The root seed: 0 and b go in at the root, whose one coset to complete is V0.
+    v0 = int(labels[0, 0])
+    toggle(cosets[0][v0][:min(m, 2)], 1)
+    path.append(None)
+    dfs(0, [v0])
     if best is None:
         raise RuntimeError("search found no witness")
     return best, nodes

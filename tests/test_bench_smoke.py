@@ -53,19 +53,19 @@ FF_ARTIFACTS = {
         "ffverify.7.3.2/ff_verify.json":
             "ae28416ce8ab6816af472742b47dbf22ebccec04fdf0887d0337d24f1f039b15",
         "search.kakeya.2.2/ff_search.json":
-            "5fedba213e11dd167a7d1389bb0418a087f29059ea6b1ab8068dec6d741a71ac",
+            "5f4f6802254b4557c4100bcef59811c6339d84bea44d1d68ef2d7e6d84feb816",
         "search.kakeya.2.3/ff_search.json":
-            "0b5232baa071ce30b5f854c63ee0070528a8a40beac6270dd3e71fd77bb2a72a",
+            "1f46f63e37724446a68d56b7edf70f60396ebdb74d0acfeaa237953310742b89",
         "search.kakeya.2.4/ff_search.json":
-            "819ea90df3a96d899a6c6f7d431f12a9c2760f8e0dd52ac57f8011b337c062e6",
+            "e1506b1bac8c994d7bbb082df18a367080191f2f10cc21ba0e7a40603936712a",
         "search.kakeya.3.2/ff_search.json":
-            "7512b29d5bf6611efd2e181d6333a57d210ecce4745cb639ef80a66af46b67da",
+            "51f5d931f25988af9ba0cf9250da69341260802e61f7dc9e7afc5a39352b5a77",
         "search.kakeya.5.2/ff_search.json":
-            "32c968efcd2ad7ecd56eb2b3819c2adc64b926e59e70ff95d9aec7eb1ce7537f",
+            "48bd16a7304020eff9f3ee11179125ba2a8bbba363864e2620822c316e6696d7",
         "search.spread.3.2/ff_search.json":
-            "bfe7d26a69aaa350d2ee8a6af81dafed3379e741da460a2d5fc30ea43c30496c",
+            "398c598301aa1b4acf614c2270d4d69fd72a76a277bbcd2739393a220064c629",
         "search.spread.5.2/ff_search.json":
-            "130397d8c751c7339931a4a330da8484e4ab8a25ce0203e89b6592557bc1232d",
+            "4a52040462001714cb3ab2ce72b91aa3b8a222a92d2e275234e8e052989965bd",
     },
     "sweep": {
         "ffverify.3.2/ff_verify.json":
@@ -77,9 +77,9 @@ FF_ARTIFACTS = {
         "ffverify.7.2/ff_verify.json":
             "c1512c4529ee390bab9fb3e2023daa3d5ca1d8d40a160b2aaf5a5b6685f8b4a3",
         "search.kakeya.3.2/ff_search.json":
-            "7512b29d5bf6611efd2e181d6333a57d210ecce4745cb639ef80a66af46b67da",
+            "51f5d931f25988af9ba0cf9250da69341260802e61f7dc9e7afc5a39352b5a77",
         "search.spread.2.3/ff_search.json":
-            "54b873fbe7e04bd2f529cec37cb51e4c9e09e68865e69a1979909eec7b01bdee",
+            "c7a456b81680e7a08340a9c336bd7280e59d9f4a8fa721085bdbc16f8211a15f",
     },
 }
 

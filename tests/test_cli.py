@@ -216,14 +216,17 @@ class TestFF:
         assert payload["size"] == 3
 
     def test_search_node_cap_exits_3(self, tmp_path, capsys):
-        # Exit 3 writes nothing and reports the root bound m and the
-        # incumbent.  The F_3^2 caps are the branch and bound's: its first
-        # dive reaches a 7-point set at node 5.
+        # Exit 3 writes nothing and reports the proved bound and the
+        # incumbent.  The F_3^2 caps are the branch and bound's: the root
+        # proves m = 3, its one child (a full line, node 2) proves 5, the
+        # first dive reaches a 7-point set at node 5, and the search takes
+        # 17 nodes.
         cases = [
-            (3, 4, "minimal size >= 3, incumbent none"),
-            (3, 42, "minimal size >= 3, incumbent 7"),  # one node short of the end
-            (5, 5, "minimal size >= 5, incumbent none"),
-            (5, 100, "minimal size >= 5, incumbent 17"),
+            (3, 1, "minimal size >= 3, incumbent none"),
+            (3, 4, "minimal size >= 5, incumbent none"),
+            (3, 16, "minimal size >= 7, incumbent 7"),  # one node short of the end
+            (5, 5, "minimal size >= 9, incumbent none"),
+            (5, 100, "minimal size >= 9, incumbent 17"),
         ]
         for q, cap, proved in cases:
             cfg = write_config(

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -23,6 +25,11 @@ from furstlab.finitefield import (
 def rows(f: FFSet) -> list:
     """The set's points as tuples, in the array's (sorted) order."""
     return list(map(tuple, f.points.tolist()))
+
+
+# One search per Kakeya shape for the whole module: the F_3^3 and F_7^2
+# searches take about 0.25 s each.
+min_kakeya = functools.lru_cache(maxsize=None)(ff_min_kakeya)
 
 
 class TestGaussianBinomial:
@@ -238,18 +245,18 @@ SMALL_SPACE_MINIMA = {
 # (q, n, k, m) -> size, nodes_explored and witness (points as digit strings)
 # of the branch and bound in spaces of at most 16 points.
 SMALL_SPACE_PINS = {
-    (2, 2, 1, 2): (3, 5, "00 10 11"),
-    (2, 3, 1, 2): (5, 57, "000 100 101 110 111"),
-    (2, 3, 2, 3): (5, 53, "000 010 011 100 101"),
-    (2, 3, 2, 4): (7, 9, "000 010 011 100 101 110 111"),
-    (2, 4, 1, 2): (6, 1025, "0000 0100 1000 1001 1010 1111"),
-    (2, 4, 2, 2): (5, 2629, "0000 0100 0101 0110 0111"),
-    (2, 4, 2, 3): (9, 37065, "0000 0100 0101 0110 0111 1000 1001 1010 1011"),
-    (2, 4, 2, 4): (13, 2073, "0000 0001 0011 0100 0110 1000 1001 1010 1011 1100 1101 1110 1111"),
-    (2, 4, 3, 5): (9, 19161, "0000 0010 0011 0100 0101 0110 0111 1000 1001"),
-    (2, 4, 3, 8): (15, 17, "0000 0010 0011 0100 0101 0110 0111 1000 1001 1010 1011 1100 1101 1110 1111"),
-    (3, 2, 1, 2): (4, 79, "00 10 11 12"),
-    (3, 2, 1, 3): (7, 43, "00 01 02 10 11 20 22"),
+    (2, 2, 1, 2): (3, 4, "00 10 11"),
+    (2, 3, 1, 2): (5, 18, "000 100 101 110 111"),
+    (2, 3, 2, 3): (5, 17, "000 010 011 100 101"),
+    (2, 3, 2, 4): (7, 6, "000 010 011 100 101 110 111"),
+    (2, 4, 1, 2): (6, 178, "0000 0100 1000 1001 1010 1111"),
+    (2, 4, 2, 2): (5, 122, "0000 0100 0101 0110 0111"),
+    (2, 4, 2, 3): (9, 4641, "0000 0100 0101 0110 0111 1000 1001 1010 1011"),
+    (2, 4, 2, 4): (13, 522, "0000 0001 0011 0100 0110 1000 1001 1010 1011 1100 1101 1110 1111"),
+    (2, 4, 3, 5): (9, 3429, "0000 0010 0011 0100 0101 0110 0111 1000 1001"),
+    (2, 4, 3, 8): (15, 10, "0000 0010 0011 0100 0101 0110 0111 1000 1001 1010 1011 1100 1101 1110 1111"),
+    (3, 2, 1, 2): (4, 15, "00 10 11 12"),
+    (3, 2, 1, 3): (7, 17, "00 01 02 10 11 20 22"),
 }
 
 
@@ -260,10 +267,10 @@ class TestMinSearch:
         assert ff_is_kakeya(res.witness)
         assert rows(res.witness) == [(0, 0), (1, 0), (1, 1)]  # the branch and bound's witness
 
-    @pytest.mark.parametrize("q", [3, 5])
+    @pytest.mark.parametrize("q", [3, 5, 7])
     def test_min_kakeya_plane_blokhuis_mazzocca(self, q):
         # minimum Kakeya set in F_q^2, q odd: q(q+1)/2 + (q-1)/2
-        assert ff_min_kakeya(q, 2).size == q * (q + 1) // 2 + (q - 1) // 2
+        assert min_kakeya(q, 2).size == q * (q + 1) // 2 + (q - 1) // 2
 
     def test_branch_and_bound_witnesses(self):
         assert rows(ff_min_kakeya(5, 2).witness) == [
@@ -278,9 +285,9 @@ class TestMinSearch:
         ]
 
     @pytest.mark.parametrize("search, args, size, nodes", [
-        (ff_min_kakeya, (5, 2), 17, 3786),
-        (ff_min_spread, (5, 2, 1, 2), 4, 2029),
-        (ff_min_spread, (5, 2, 1, 3), 7, 14426),
+        (ff_min_kakeya, (5, 2), 17, 762),
+        (ff_min_spread, (5, 2, 1, 2), 4, 118),
+        (ff_min_spread, (5, 2, 1, 3), 7, 937),
     ])
     def test_branch_and_bound_pins(self, search, args, size, nodes):
         res = search(*args)
@@ -315,13 +322,31 @@ class TestMinSearch:
         assert ff_min_kakeya(q, 2, node_cap=res.nodes_explored).as_dict() == res.as_dict()
         with pytest.raises(SearchBudgetExceeded) as exc:
             ff_min_kakeya(q, 2, node_cap=res.nodes_explored - 1)
-        # The branch and bound holds its root bound q and, by its last
-        # node, the minimal set.
-        assert (exc.value.lower_bound, exc.value.incumbent) == (q, res.size)
+        # By its last node the branch and bound holds the minimal set, and
+        # the one child left to build cannot be smaller.
+        assert (exc.value.lower_bound, exc.value.incumbent) == (res.size, res.size)
+
+    @pytest.mark.parametrize("case, step", [
+        ((3, 2, 1, 3), 1), ((3, 2, 1, 2), 1), ((2, 4, 2, 2), 1), ((5, 2, 1, 5), 23),
+        ((2, 4, 3, 4), 1), ((5, 2, 1, 2), 1),
+    ], ids=["kakeya-3-2", "3-2-1-2", "2-4-2-2", "kakeya-5-2-sampled", "2-4-3-4", "5-2-1-2"])
+    def test_exit_bound_brackets_the_minimum(self, case, step):
+        # Past any cap, the proved bound lies between m and the minimum,
+        # and the incumbent, if any, is a set no smaller than the minimum.
+        # In the last two shapes the first incumbent is not minimal, so a
+        # bound that claims too much shows there.
+        m = case[3]
+        res = ff_min_spread(*case)
+        caps = sorted({*range(1, res.nodes_explored, step), res.nodes_explored - 1})
+        for cap in caps:
+            with pytest.raises(SearchBudgetExceeded) as exc:
+                ff_min_spread(*case, node_cap=cap)
+            assert m <= exc.value.lower_bound <= res.size, cap
+            assert exc.value.incumbent is None or exc.value.incumbent >= res.size, cap
 
     def test_kakeya_3_3_minimum(self):
-        res = ff_min_kakeya(3, 3)
-        assert (res.size, res.nodes_explored) == (13, 308683)
+        res = min_kakeya(3, 3)
+        assert (res.size, res.nodes_explored) == (13, 35147)
         # Independent line check: for each of the 13 directions v (first
         # nonzero coordinate 1), some line {a + t v} lies in the witness.
         pts = set(rows(res.witness))
@@ -364,6 +389,66 @@ class TestMinSearch:
         assert d["size"] == 3
         assert d["witness"] == [[0, 0], [1, 0], [1, 1]]  # the branch and bound's witness
         assert d["nodes_explored"] >= 1
+
+
+# Minimal Kakeya sets in F_q^n, by (q, n), beside the published lower
+# bounds below.  F_2^5 = 10 (878,434 nodes, about 13 s on a 2-CPU host)
+# is left out.
+KAKEYA_MINIMA = {(2, 2): 3, (2, 3): 5, (2, 4): 6, (3, 2): 7, (5, 2): 17, (7, 2): 31, (3, 3): 13}
+
+
+@pytest.mark.parametrize("q, n", sorted(KAKEYA_MINIMA), ids=lambda v: str(v))
+def test_kakeya_minima_beside_published_bounds(q, n):
+    res = min_kakeya(q, n)
+    assert res.size == len(res.witness) == KAKEYA_MINIMA[q, n]
+    assert ff_is_kakeya(res.witness)
+    # Dvir (2009): |K| >= C(q + n - 1, n).
+    assert res.size >= math.comb(q + n - 1, n)
+    # Bukh-Chao (2021): |K| >= q^n / (2 - 1/q)^(n-1), in integers.
+    assert res.size >= -(-q ** (2 * n - 1) // (2 * q - 1) ** (n - 1))
+    if q == 2:
+        # Pair counting: each of the 2^n - 1 lines through 0 is the
+        # difference of some pair of points of K.
+        assert math.comb(res.size, 2) >= 2 ** n - 1
+    if n == 2 and q % 2:
+        # Blokhuis-Mazzocca: the planar minimum for odd q.
+        assert res.size == q * (q + 1) // 2 + (q - 1) // 2
+
+
+def random_affine(q: int, n: int, rng) -> tuple:
+    """(A, t) with A invertible mod q: x -> A x + t is a bijection of F_q^n."""
+    while True:
+        a = rng.integers(0, q, size=(n, n))
+        if round(np.linalg.det(a)) % q:
+            return a, rng.integers(0, q, size=n)
+
+
+# The seed's premise: an affine bijection of F_q^n maps a set meeting every
+# k-direction in >= m points of a coset to another one of the same size.
+SEED_CASES = sorted(SMALL_SPACE_PINS) + [(5, 2, 1, 5), (3, 3, 1, 3)]
+
+
+@pytest.mark.parametrize("q, n, k, m", SEED_CASES, ids=lambda v: str(v))
+def test_seeded_witness_is_an_affine_image(q, n, k, m):
+    res = min_kakeya(q, n) if (k, m) == (1, q) else ff_min_spread(q, n, k, m)
+    points = res.witness.points
+    # The root seed: V0 is the span of the first direction, b its second
+    # point in lexicographic order; the witness holds 0 and b, and all of
+    # V0 when m = q^k.
+    v0 = sorted(subspace_points(q, ff_directions(q, n, k)[0].tolist()))
+    found = set(map(tuple, points.tolist()))
+    assert {v0[0], v0[1]} <= found and v0[0] == (0,) * n
+    if m == q ** k:
+        assert set(v0) <= found
+    ndirs = gaussian_binomial(n, k, q)
+    rng = np.random.default_rng(q * 100 + n * 10 + k)
+    for _ in range(5):
+        a, t = random_affine(q, n, rng)
+        image = FFSet(q, n, points @ a.T + t)
+        assert len(image) == res.size
+        assert ff_is_spread_furstenberg(image, k, m, ndirs)
+        if (k, m) == (1, q):
+            assert ff_is_kakeya(image)
 
 
 class TestFFSetCsv:
