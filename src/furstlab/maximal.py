@@ -22,6 +22,13 @@ half's counts are the first half's flipped through the origin.  The value
 sums come from the nonzero cells alone, which drops only +0.0 terms and
 leaves the sums bitwise unchanged.  The cells both passes read are built
 once per field, not once per direction.
+
+A cell's interval on a row ends at the translates nearest tc - r and tc + r,
+found by arithmetic, not by a search of the translate grid: the candidate
+ceil(v/step) (or floor(v/step) + 1) is off by at most one, because the grid
+points fl(j*step) are nondecreasing in j and within far less than a step of
+j*step, and one comparison with each of the two grid points nearest it
+settles the index exactly (proof in `_grid_index`).
 """
 
 from __future__ import annotations
@@ -204,33 +211,98 @@ def _sweep_cells(f: MaximalField):
     return centers(np.arange(vals.size // 2)), centers(nonzero), vals[nonzero]
 
 
+def _grid_index(v: np.ndarray, step: float, side: str) -> np.ndarray:
+    """np.searchsorted(_translate_grid(step), v, side), by arithmetic.
+
+    The grid is tau_j = fl(j*step) for |j| <= m = floor(2/step).  Call j
+    counted when fl(j*step) < v (left side) or <= v (right side); the index
+    is the number of counted grid points.  fl(j*step) is nondecreasing in j,
+    so the counted lattice points are those below the first uncounted one.
+
+    Let rho = v/step.  Within the grid fl(j*step) is within 2^-50 of j*step,
+    far less than step/4, so every grid point j < rho - 1/4 is counted and
+    none with j > rho + 1/4 is.  The candidate c is ceil(fl(rho)) on the left
+    and floor(fl(rho)) + 1 on the right.  For |rho| <= m + 2, fl(rho) is
+    within far less than 1/4 of rho, so c and the first uncounted point both
+    lie in {ceil(rho - 1/4), ..., floor(rho + 1/4) + 1}, at most two
+    consecutive integers; for larger |rho|, c lies past the end of the grid
+    on the side of rho.  Either way every grid point below c - 1 is counted
+    and none above c is, and that still holds with c clipped to [1 - m, m],
+    where c - 1 and c are grid points.  So the index is the m + c - 1 grid
+    points below c - 1, plus whether c - 1 and c are counted, tested on the
+    products the grid holds: c stays an integral float, and an integral
+    float times step is the same product as the integer's.
+    """
+    m = int(math.floor(2.0 / step))
+    q = v / step
+    if side == "left":
+        np.ceil(q, out=q)
+        counted = np.less
+    else:
+        np.floor(q, out=q)
+        q += 1.0
+        counted = np.less_equal
+    np.clip(q, 1.0 - m, float(m), out=q)
+    at = counted(q * step, v)
+    q -= 1.0
+    below = counted(q * step, v)
+    q += m
+    q += at
+    q += below
+    return q.astype(np.int64)
+
+
 def _slab_intervals(points: np.ndarray, frame: np.ndarray, k: int, delta: float, step: float):
     """For each row offset, yield (lo, hi, cells): points[cells[i]] is in the slab
     at every translate of difference-array positions lo[i] <= j < hi[i].  A point
     at U-perp coordinates t is in the slab at tau iff
     |t - tau|^2 <= delta^2 - (|U^T x| - 1/2)_+^2, so on each grid row along the
-    last U-perp axis it covers one interval of translates."""
+    last U-perp axis it covers one interval of translates, found by `_grid_index`.
+
+    |U^T x| is the sum of squares under one square root, as np.linalg.norm
+    forms it; for lines it is |x|, which equals sqrt(x*x) in binary floating
+    point except on underflow, where both are far inside the band with zero
+    excess.  Codimension 1 has a single row and no row offsets."""
     c = frame.shape[1] - k
     x = points @ frame  # U coordinates, then U-perp ones
-    long_norm = np.linalg.norm(x[:, :k], axis=1)
-    band = np.flatnonzero(long_norm <= 0.5 + delta)
-    t = x[band, k:]
-    excess = np.maximum(long_norm[band] - 0.5, 0.0)
-    g_sq = delta * delta - excess * excess
-    del x, long_norm  # the sweep reads only the band
-    taus = _translate_grid(step)
-    nt = len(taus)
-    near = np.rint(t[:, :-1] / step).astype(int) + nt // 2
-    row_stride = (nt + 1) * nt ** np.arange(c - 2, -1, -1)
+    if k == 1:
+        long_norm = np.abs(x[:, 0])
+    else:
+        long_norm = np.sqrt(np.add.reduce(x[:, :k] ** 2, axis=1))
+    in_band = long_norm <= 0.5 + delta
+    g_sq = long_norm  # delta^2 - (|U^T x| - 1/2)_+^2, in place
+    g_sq -= 0.5
+    np.maximum(g_sq, 0.0, out=g_sq)
+    g_sq *= g_sq
+    np.subtract(delta * delta, g_sq, out=g_sq)
+    in_band &= g_sq >= 0  # a cell with g_sq < 0 is in no slab
+    band = np.flatnonzero(in_band)
+    t, g_sq = x[band, k:], g_sq[in_band]
+    del x, in_band  # the sweep reads only the band
+    tc = t[:, -1]
+    if c > 1:
+        taus = _translate_grid(step)
+        nt = len(taus)
+        near = np.rint(t[:, :-1] / step).astype(int) + nt // 2
+        row_stride = (nt + 1) * nt ** np.arange(c - 2, -1, -1)
+        near_base = near @ row_stride
+        # Rows off the grid read an infinite translate, so r_sq < 0 drops them.
+        padded = np.concatenate(([np.inf], taus, [np.inf]))
     reach = range(-math.ceil(delta / step), math.ceil(delta / step) + 1)
     for offset in itertools.product(reach, repeat=c - 1):
-        rows = near + np.array(offset, dtype=int)
-        r_sq = g_sq - ((t[:, :-1] - taus[rows % nt]) ** 2).sum(axis=1)
-        sel = np.flatnonzero(((rows >= 0) & (rows < nt)).all(axis=1) & (r_sq >= 0))
-        r, tc, base = np.sqrt(r_sq[sel]), t[sel, -1], rows[sel] @ row_stride
-        lo = base + np.searchsorted(taus, tc - r, side="left")
-        hi = base + np.searchsorted(taus, tc + r, side="right")
-        yield lo, hi, band[sel]
+        r_sq, tk, cells, base = g_sq, tc, band, 0
+        if c > 1:
+            row_taus = np.take(padded, near + (np.array(offset) + 1), mode="clip")
+            r_sq = g_sq - ((t[:, :-1] - row_taus) ** 2).sum(axis=1)
+            keep = r_sq >= 0
+            r_sq, tk, cells = r_sq[keep], tc[keep], band[keep]
+            base = near_base[keep] + int(np.dot(offset, row_stride))
+        r = np.sqrt(r_sq)
+        lo = _grid_index(tk - r, step, "left")
+        hi = _grid_index(tk + r, step, "right")
+        lo += base
+        hi += base
+        yield lo, hi, cells
 
 
 def _slab_sweep(cells, u: Subspace, delta: float, step: float) -> float:
@@ -251,6 +323,12 @@ def _slab_sweep(cells, u: Subspace, delta: float, step: float) -> float:
     - Sums come from the nonzero cells only.  Dropping zero values removes only
       +0.0 terms from each `bincount` and keeps the order of the rest, so the
       sums are bitwise those of the whole grid.
+
+    The ends of each interval are the indices np.searchsorted would give on the
+    translate grid, computed by `_grid_index` from a candidate j = ceil(v/step)
+    or floor(v/step) + 1 and one comparison with each of the grid products
+    fl((j-1)*step) and fl(j*step): fl(j*step) is nondecreasing in j, and the
+    first grid point past v is within one of the candidate.
     """
     half, points, vals = cells
     frame = np.hstack([u.basis, u.complement_basis()])

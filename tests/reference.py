@@ -8,18 +8,21 @@ the coset representative and subspace points are the scalar loops behind
 ff_coset_profile's vectorized labels; the graph form of a hyperplane reads
 the AffineFlat images of apply_projective.  A CSV table is written row by
 row by csv.writer, and Haar-ball hits are counted with the batched-SVD
-distance of every draw.
+distance of every draw.  The slab intervals of the maximal sweep find their
+translate columns by np.searchsorted on the translate grid.
 """
 
 import csv
 import io
 import itertools
+import math
 
 import numpy as np
 
 from furstlab.duality import GraphHyperplane, VerticalHyperplaneError
 from furstlab.finitefield import FFSet
 from furstlab.grassmann import _CHUNK, Subspace, _grass_distance_batch, haar_projector_batch
+from furstlab.maximal import _translate_grid
 from furstlab.tolerances import TOL_EXACT
 
 
@@ -177,3 +180,29 @@ def ball_hits_svd(u: Subspace, radii: tuple, samples: int, seed) -> list:
         d = _grass_distance_batch(u.basis, bases)
         hits += np.count_nonzero(d[:, None] <= np.array(radii), axis=0)
     return hits.tolist()
+
+
+def slab_intervals_searchsorted(points, frame, k: int, delta: float, step: float):
+    """maximal._slab_intervals with the norms by np.linalg.norm, the band and
+    each row's cells by index arrays, and every translate column by
+    np.searchsorted on the translate grid."""
+    c = frame.shape[1] - k
+    x = points @ frame
+    long_norm = np.linalg.norm(x[:, :k], axis=1)
+    band = np.flatnonzero(long_norm <= 0.5 + delta)
+    t = x[band, k:]
+    excess = np.maximum(long_norm[band] - 0.5, 0.0)
+    g_sq = delta * delta - excess * excess
+    taus = _translate_grid(step)
+    nt = len(taus)
+    near = np.rint(t[:, :-1] / step).astype(int) + nt // 2
+    row_stride = (nt + 1) * nt ** np.arange(c - 2, -1, -1)
+    reach = range(-math.ceil(delta / step), math.ceil(delta / step) + 1)
+    for offset in itertools.product(reach, repeat=c - 1):
+        rows = near + np.array(offset, dtype=int)
+        r_sq = g_sq - ((t[:, :-1] - taus[rows % nt]) ** 2).sum(axis=1)
+        sel = np.flatnonzero(((rows >= 0) & (rows < nt)).all(axis=1) & (r_sq >= 0))
+        r, tc, base = np.sqrt(r_sq[sel]), t[sel, -1], rows[sel] @ row_stride
+        lo = base + np.searchsorted(taus, tc - r, side="left")
+        hi = base + np.searchsorted(taus, tc + r, side="right")
+        yield lo, hi, band[sel]

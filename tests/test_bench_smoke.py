@@ -2,14 +2,15 @@
 
 bench/run.py runs these workloads in a timed loop, where a library name or
 signature that a job calls and that no longer exists would show only as a
-lower pass_frac.  The finite-field artifacts and the written grids of that
-cycle are also pinned by sha256, so a change that alters their bytes shows
-here.  bench/jobs.py imports only furstlab, numpy and the standard library,
-so it is loaded here by path.
+lower pass_frac.  The finite-field artifacts, the written grids and the
+maximal-function artifacts of that cycle are also pinned by sha256, so a
+change that alters their bytes shows here.  bench/jobs.py imports only
+furstlab, numpy and the standard library, so it is loaded here by path.
 
 Run as a script (`PYTHONPATH=src python tests/test_bench_smoke.py`), this
-file prints FF_ARTIFACTS and GRID_ARTIFACTS as the current code makes
-them, for pasting in after a change that alters those bytes on purpose.
+file prints FF_ARTIFACTS, GRID_ARTIFACTS and MAXIMAL_ARTIFACTS as the
+current code makes them, for pasting in after a change that alters those
+bytes on purpose.
 """
 
 import hashlib
@@ -105,6 +106,37 @@ GRID_ARTIFACTS = {
 }
 
 
+# sha256 of the maximal_scan.json and maximal_scan.csv of each scan job and
+# the result.json of the maximal3d job of cycle 0 (seed 1), by job kind and
+# file name.  Their norms are floats from Haar draws (a LAPACK QR) and BLAS
+# products, so, like the maximal_scan pins of test_cli, the digests hold for
+# this numpy and BLAS.
+MAXIMAL_ARTIFACTS = {
+    "sampling": {
+        "maximal3d/result.json":
+            "4ea728e88f4bfc8a4d1611b1ff1b8cef871194406df36cbabe69e0ae23d8cfe8",
+        "scan.delta4/maximal_scan.csv":
+            "b5de54c01bb2fd136976981256e398227ac878ef2997ea4797383e4acf916d43",
+        "scan.delta4/maximal_scan.json":
+            "4f91b9db6df634ba30fa34faad9a9735a7796be7d880d2e3f5912021d6dc3690",
+        "scan.delta5/maximal_scan.csv":
+            "e864ab7a135fbea4be0e2aeedd2dfc796ad7c64b11ecb5a22f4cb6e3313f1454",
+        "scan.delta5/maximal_scan.json":
+            "08c7ecf3d47221a2b1554bd54499f068c962567db03290b91278d7ccf3052237",
+        "scan.delta6/maximal_scan.csv":
+            "70a94ba52182a8d79a70b715431d8dee02d6b728ecde11a08ed2e690592b419c",
+        "scan.delta6/maximal_scan.json":
+            "ab01fa6a4b2ee44487468dc3fbef8f27d384100eb411fbce3451f3a3ed30ef15",
+    },
+    "sweep": {
+        "scan/maximal_scan.csv":
+            "2f3c689a332dc2d64632541e2827d7959a669d9227a7b6bf39571c67b741a7f5",
+        "scan/maximal_scan.json":
+            "4f8992240ce0f50b8f1066102c142e93ba9dc019ddc997c9e8e568864401c7d1",
+    },
+}
+
+
 def run_first_cycle(name: str, work: Path) -> dict:
     """Runs cycle 0 of a workload under `work`: "index:kind" -> Record."""
     wl = jobs.build(name, work, 1)
@@ -127,6 +159,11 @@ def is_ff(kind: str, fn: str) -> bool:
 
 def is_grid(kind: str, fn: str) -> bool:
     return kind.startswith("construct.") and fn in ("grid.csv", "grid.rle")
+
+
+def is_maximal(kind: str, fn: str) -> bool:
+    return fn in ("maximal_scan.json", "maximal_scan.csv") or (
+        kind == "maximal3d" and fn == "result.json")
 
 
 def digests(records: dict, pinned) -> dict:
@@ -169,6 +206,11 @@ def test_first_cycle_grid_artifacts_pinned(first_cycle, name):
     assert digests(first_cycle(name), is_grid) == GRID_ARTIFACTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(MAXIMAL_ARTIFACTS))
+def test_first_cycle_maximal_artifacts_pinned(first_cycle, name):
+    assert digests(first_cycle(name), is_maximal) == MAXIMAL_ARTIFACTS[name]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -178,7 +220,8 @@ if __name__ == "__main__":
             work = Path(tmp) / name
             work.mkdir()
             records[name] = run_first_cycle(name, work)
-    for title, pinned in (("FF_ARTIFACTS", is_ff), ("GRID_ARTIFACTS", is_grid)):
+    for title, pinned in (("FF_ARTIFACTS", is_ff), ("GRID_ARTIFACTS", is_grid),
+                          ("MAXIMAL_ARTIFACTS", is_maximal)):
         print(f"{title} = {{")
         for name, recs in records.items():
             found = digests(recs, pinned)

@@ -5,8 +5,12 @@ import pytest
 
 from furstlab.grassmann import Subspace, haar_sample
 from furstlab.maximal import (
+    MIN_DELTA,
     MaximalField,
     TubeSpec,
+    _grid_index,
+    _slab_intervals,
+    _sweep_cells,
     _translate_grid,
     _tube_distances_sq,
     delta_scan,
@@ -15,6 +19,7 @@ from furstlab.maximal import (
     random_tube_union_field,
     tube_average,
 )
+from reference import slab_intervals_searchsorted
 
 E1 = Subspace(2, 1, np.array([[1.0], [0.0]]))
 
@@ -232,6 +237,40 @@ class TestKakeyaMaximal:
         assert kakeya_maximal(f, u, 0.25, 0.125) == 1.0
         v = haar_sample(3, 1, 2)  # tube, codimension 2
         assert kakeya_maximal(f, v, 0.25, 0.125) == 1.0
+
+
+class TestSlabIntervals:
+    @pytest.mark.parametrize("step", [MIN_DELTA / 2 * 2.0**e for e in range(8)] + [0.15, 0.1, 1 / 6])
+    def test_grid_index_is_searchsorted(self, step):
+        taus = _translate_grid(step)
+        v = np.concatenate([
+            np.random.default_rng(7).uniform(-3.0, 3.0, 20_000),
+            taus, np.nextafter(taus, np.inf), np.nextafter(taus, -np.inf),
+            [1e300, -1e300],
+        ])
+        for side in ("left", "right"):
+            assert np.array_equal(_grid_index(v, step, side), np.searchsorted(taus, v, side))
+
+    @pytest.mark.parametrize("n, k, level", [(2, 1, 6), (3, 1, 4), (3, 2, 4), (4, 1, 2),
+                                             (4, 2, 3), (4, 3, 3)])
+    def test_matches_searchsorted_kernel(self, n, k, level):
+        # Both passes of the sweep (the half-grid cells and the nonzero cells)
+        # yield exactly the intervals of the searchsorted kernel, for dyadic
+        # and non-dyadic delta and steps delta/2 and delta/3.
+        rng = np.random.default_rng(10 * n + k)
+        m = 1 << (level + 1)
+        values = rng.random((m,) * n) * (rng.random((m,) * n) < 0.4)
+        half, nonzero, _ = _sweep_cells(MaximalField(n, level, values))
+        u = haar_sample(n, k, rng)
+        frame = np.hstack([u.basis, u.complement_basis()])
+        for delta in (2.0**-6, 2.0**-3, 0.3, 0.15, 0.1):
+            for div in (2, 3):
+                for points in (half, nonzero):
+                    new = list(_slab_intervals(points, frame, k, delta, delta / div))
+                    old = list(slab_intervals_searchsorted(points, frame, k, delta, delta / div))
+                    assert len(new) == len(old) and sum(len(idx) for *_, idx in old) > 0
+                    for got, want in zip(new, old):
+                        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestLpNorm:
