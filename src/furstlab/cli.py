@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -43,7 +44,6 @@ from .dimension import (
     slicing_product_example,
 )
 from .duality import (
-    hyperplanes_from_csv,
     hyperplanes_to_csv,
     points_from_csv,
     points_to_csv,
@@ -312,7 +312,9 @@ def cmd_grassmann_verify(opts):
 
 def cmd_duality_spreadify(opts):
     pts = points_from_csv(_read_input(opts["points"]).decode("utf-8"))
-    planes = hyperplanes_from_csv(_read_input(opts["hyperplanes"]).decode("utf-8"))
+    # The plane table is read as it is laid out: one graph-form row (a, c)
+    # per plane, the (m, n) array spreadify takes.
+    planes = points_from_csv(_read_input(opts["hyperplanes"]).decode("utf-8"))
     mapped_pts, mapped_planes, report = spreadify(
         pts, planes, tuple(opts["levels"]), opts["seed"], opts["ndirs"], opts["incidence_tol"]
     )
@@ -539,8 +541,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parsing leaves it as
+    it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     key = (args.group, args.action)
     if key not in _COMMANDS:
         print(f"unknown subcommand: {args.group} {args.action}", file=sys.stderr)

@@ -9,10 +9,13 @@ claims to compute Hausdorff dimension of arbitrary sets.
 A GridSet holds the occupied dyadic cells of a subset of [0,1]^n at a fixed
 depth, in Z-order, where every coarser box is a run of adjacent cells.
 Construction builds one bit-interleaved key per cell, in uint64 words that
-each take a chunk of every coordinate's bits spread out by log-step
-shifts, sorts the cells by it, and reads the level at which each pair of
-neighbours splits off the first key word where they differ; the box counts
-at all coarser levels follow from those split levels.  flat_slice finds
+each take a chunk of at most 16 bits of every coordinate, spread out by one
+lookup in a table of spread values, sorts the cells by it, and reads the
+level at which each pair of neighbours splits off the first key word where
+they differ; the box counts at all coarser levels follow from those split
+levels.  That one kernel, _sort_split, takes a batch of grids of equal
+size: a GridSet is a batch of one, and spreadify box-counts all its
+candidate projections in one batch.  flat_slice finds
 the boxes of side about rho as runs of cells from the same split levels,
 drops every box too far from the flat (distance to a flat is 1-Lipschitz),
 and runs its exact per-cell test only on the cells left.
@@ -24,6 +27,7 @@ exactly).
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -40,61 +44,132 @@ _RLE_HEAD = struct.Struct("<4sBBQ")
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Exact bit length of each uint64, read as a float64 exponent.
+    """Exact bit length of each uint64, as int64, read off the exponent
+    field of its float64 value.
 
     Clearing every set bit just below another set bit keeps the top bit and
     leaves no run of ones after it, so the conversion cannot round up to
-    the next power of two.
+    the next power of two.  The biased exponent of a value of bit length
+    b >= 1 is b + 1022, and that of 0 is 0.
     """
-    return np.frexp((x & ~(x >> np.uint64(1))).astype(np.float64))[1]
+    top = x >> np.uint64(1)
+    np.invert(top, out=top)
+    top &= x
+    b = top.astype(np.float64).view(np.int64)
+    b >>= 52
+    b -= 1022
+    return np.maximum(b, 0, out=b)
 
 
 def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The integers of the runs [start, start + length), run after run."""
-    offsets = starts - (np.cumsum(lengths) - lengths)
-    return np.repeat(offsets, lengths) + np.arange(lengths.sum())
+    offsets = np.cumsum(lengths)
+    offsets -= lengths
+    np.subtract(starts, offsets, out=offsets)
+    runs = np.repeat(offsets, lengths)
+    runs += np.arange(len(runs))
+    return runs
+
+
+@functools.lru_cache(maxsize=16)
+def _spread_table(g: int, width: int) -> np.ndarray:
+    """Every value below 2^width with its bits spread g apart (bit r moves
+    to bit r*g), read-only.  Built by log-step shifts: for s = ..., 2, 1 the
+    upper half of every 2s-bit block moves up by s*(g-1)."""
+    x = np.arange(1 << width, dtype=np.uint64)
+    s = (1 << (width - 1).bit_length()) >> 1
+    while g > 1 and s:
+        x |= x << np.uint64(s * (g - 1))
+        x &= np.uint64(sum(1 << (r // s * s * g + r % s) for r in range(width)))
+        s >>= 1
+    x.flags.writeable = False
+    return x
 
 
 def _morton_keys(cells: np.ndarray, level: int) -> tuple:
-    """Bit-interleaved (Z-order) keys of the cells as uint64 words, most
-    significant first.
+    """Bit-interleaved (Z-order) keys of a (..., m, n) array of cells as
+    uint64 words of shape (nwords, ..., m), most significant first.
 
-    A word holds g = min(n, 63) coordinates and w = 63 // g bits of each, so
-    it stays below 2^63: bit i*w + r of coordinate j is bit
+    A word holds g = min(n, 63) coordinates and w = min(63 // g, 16) bits of
+    each, so it stays below 2^63: bit i*w + r of coordinate j is bit
     r*g + g-1-(j mod g) of the word of chunk i and group j // g.  Words run
     by falling chunk, then rising group (only n > 63 needs several groups,
-    with w = 1).  A chunk is spread by log-step shifts: for s = ..., 2, 1
-    the upper half of every 2s-bit block moves up by s*(g-1).
+    with w = 1).  A chunk is spread by one lookup in `_spread_table`, which
+    w <= 16 keeps small; with one chunk the cells are below 2^w already, so
+    the chunk needs no shift or mask.
 
     Returns (words, g, base), base[i] being the number of coordinate bits
     below word i's chunk: keys that first differ in word i, at bit length
     b, first differ in coordinate bit base[i] + ceil(b / g).
     """
-    m, n = cells.shape
+    n = cells.shape[-1]
     g = min(n, 63)
-    w = 63 // g
+    w = min(63 // g, 16)
     groups = -(-n // g)
     bits = min(level, 63)  # int64 cells have no higher bit
     nchunks = max(1, -(-bits // w))
-    width = max(1, min(w, bits))
-    steps = []
-    s = (1 << (width - 1).bit_length()) >> 1
-    while g > 1 and s:
-        mask = sum(1 << (r // s * s * g + r % s) for r in range(width))
-        steps.append((np.uint64(s * (g - 1)), np.uint64(mask)))
-        s >>= 1
-    low = np.uint64((1 << w) - 1)
-    cols = cells.view(np.uint64)
-    words = np.zeros((nchunks * groups, m), dtype=np.uint64)
+    table = _spread_table(g, max(1, min(w, bits)))
+    words = np.empty((nchunks * groups,) + cells.shape[:-1], dtype=np.uint64)
     for i in range(nchunks):
         for j in range(n):
-            x = (cols[:, j] >> np.uint64(i * w)) & low
-            for shift, mask in steps:
-                x |= x << shift
-                x &= mask
-            words[(nchunks - 1 - i) * groups + j // g] |= x << np.uint64(g - 1 - j % g)
+            chunk = cells[..., j] if nchunks == 1 else (cells[..., j] >> i * w) & ((1 << w) - 1)
+            word = words[(nchunks - 1 - i) * groups + j // g]
+            # A group's first coordinate is looked up straight into its word;
+            # every chunk value is below 2^width, so clipping changes none.
+            x = np.take(table, chunk, out=None if j % g else word, mode="clip")
+            if j % g < g - 1:
+                x <<= np.uint64(g - 1 - j % g)
+            if j % g:
+                word |= x
     base = w * (nchunks - 1 - np.arange(len(words)) // groups)
-    return words, g, base[:, None]
+    return words, g, base
+
+
+def _sort_split(cells: np.ndarray, level: int) -> tuple:
+    """Z-order sort and box counts of each grid of a (B, m, n) batch of
+    cells at depth `level`, all in [0, 2^level).
+
+    The cells are sorted by their `_morton_keys` words, and each pair of
+    sorted neighbours gets its split level off the first word where their
+    keys differ.  In Z-order every coarser box is a run of adjacent cells, so
+    a pair whose highest differing coordinate bit has length d (0 for a
+    duplicate) starts a new box at every level l > level - d, and
+    counts[l] = 1 + #{pairs with d >= level - l + 1}.
+
+    Returns (order, split, counts): order (B, m) sorts each grid (stably,
+    so a duplicate keeps its first row), split (B, m - 1) holds d for each
+    sorted neighbour pair, and counts (B, level + 1) the box counts at
+    levels 0..level, all 0 for a grid without cells.
+    """
+    words, g, base = _morton_keys(cells, level)
+    sort_keys = words[::-1]
+    if cells.shape[-1] * level <= 16:
+        # Keys below 2^16: numpy's stable sort of 16-bit integers is a radix
+        # sort.
+        sort_keys = sort_keys.astype(np.uint16)
+    order = np.lexsort(sort_keys, axis=-1)
+    nb, m = order.shape
+    nwords = len(words)
+    flat = order + m * np.arange(nb)[:, None] if nb > 1 else order
+    keys = np.take(words.reshape(nwords, -1), flat, axis=1)
+    # Each full-size array goes as soon as the next is made from it: on a
+    # large grid fresh memory costs more than the passes over it.
+    del words, sort_keys, flat
+    diff = keys[..., 1:] ^ keys[..., :-1]
+    del keys
+    b = _bit_length(diff)
+    del diff
+    if nwords == 1:  # base 0, and b = 0 gives d = 0
+        split = b[0]
+        split += g - 1
+        split //= g
+    else:
+        split = np.where(b > 0, base[:, None, None] + (b + g - 1) // g, 0).max(axis=0)
+    hist = np.array([np.bincount(row, minlength=level + 2) for row in split])
+    counts = np.zeros((nb, level + 1), dtype=np.int64)
+    if m:
+        counts += 1 + np.cumsum(hist[:, ::-1], axis=1)[:, : level + 1]
+    return order, split, counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +178,10 @@ class GridSet:
 
     cells is an (m, n) int64 array of deduplicated cell indices in
     [0, 2^level)^n in Z-order (sorted by bit-interleaved coordinates), so
-    the cells of every coarser box are contiguous.  Construction sorts the
-    cells by their `_morton_keys` words (stable, so a duplicate keeps its
-    first row), reads each neighbour pair's split level off the first word
-    where their keys differ, drops duplicates (split level 0), and counts
-    the boxes at every level from the split levels.
+    the cells of every coarser box are contiguous.  Construction is
+    `_sort_split` on a batch of one grid: it sorts the cells, reads each
+    neighbour pair's split level and counts the boxes at every level; the
+    duplicates (split level 0) are then dropped.
     """
 
     n: int
@@ -124,31 +198,16 @@ class GridSet:
             raise ValueError(f"cells shape {c.shape} incompatible with n={self.n}")
         if c.size and (c.min() < 0 or c.max() >= (1 << self.level)):
             raise ValueError("cell index out of range for level")
-        words, g, base = _morton_keys(c, self.level)
-        order = np.lexsort(words[::-1])
-        c, words = np.take(c, order, axis=0), np.take(words, order, axis=1)
-        # In Z-order every coarser box is a run of adjacent cells.  A pair of
-        # neighbours whose highest differing bit has length d (0 for a
-        # duplicate) starts a new box at every level l > level - d, so
-        # counts[l] = 1 + #{pairs with d >= level - l + 1}.  d is read off
-        # the first word where the keys differ; split[i] is d for
-        # deduplicated cells i and i+1.
-        b = _bit_length(words[:, 1:] ^ words[:, :-1])
-        d = np.where(b > 0, base + (b + g - 1) // g, 0).max(axis=0)
+        order, split, counts = _sort_split(c[None], self.level)
+        c, d = np.take(c, order[0], axis=0), split[0]
         if not d.all():
             c = c[np.concatenate([[True], d != 0])]
             d = d[d != 0]
         if len(c) > MAX_CELLS:
             raise ValueError(f"cell count {len(c)} exceeds cap {MAX_CELLS}")
-        split = d.astype(np.int8)
-        hist = np.bincount(split, minlength=self.level + 2)
-        above = np.cumsum(hist[::-1])[::-1]
-        counts = np.zeros(self.level + 1, dtype=np.int64)
-        if len(c):
-            counts = 1 + above[self.level + 1 : 0 : -1]
         object.__setattr__(self, "cells", c)
-        object.__setattr__(self, "_counts", counts)
-        object.__setattr__(self, "_split", split)
+        object.__setattr__(self, "_counts", counts[0])
+        object.__setattr__(self, "_split", d.astype(np.int8))
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -193,14 +252,20 @@ class GridSet:
             raise ValueError("linear index would overflow 64 bits")
         runs = np.frombuffer(blob, dtype="<u8", offset=_RLE_HEAD.size).reshape(nruns, 2)
         starts, lengths = runs[:, 0], runs[:, 1]
-        if (lengths > MAX_CELLS).any() or int(lengths.sum()) > MAX_CELLS:
+        if lengths.max(initial=0) > MAX_CELLS or int(lengths.sum()) > MAX_CELLS:
             raise ValueError(f"RLE runs hold more than {MAX_CELLS} cells")
-        limit = np.uint64(1 << (n * level))
-        if ((starts >= limit) | (lengths > limit - starts)).any():
+        # Past these checks no start + length can wrap around 2^64.
+        limit = 1 << (n * level)
+        if starts.max(initial=0) >= limit or (starts + lengths).max(initial=0) > limit:
             raise ValueError("RLE run leaves the grid")
-        lin = _expand_runs(starts.astype(np.int64), lengths.astype(np.int64))
-        shifts = level * np.arange(n - 1, -1, -1)
-        return cls(n, level, (lin[:, None] >> shifts) & ((1 << level) - 1))
+        lin = _expand_runs(starts.view("<i8"), lengths.view("<i8"))  # all below 2^63
+        cells = np.empty((len(lin), n), dtype=np.int64)
+        for j in range(n):
+            np.right_shift(lin, level * (n - 1 - j), out=cells[:, j])
+            if j:
+                cells[:, j] &= (1 << level) - 1
+        del lin  # before the construction's own full-size arrays
+        return cls(n, level, cells)
 
 
 @dataclass(frozen=True)
@@ -232,8 +297,14 @@ def estimate_dimension(g: GridSet, l_min: int, l_max: int) -> DimensionEstimate:
     """Least-squares slope of log2 box_count over levels [l_min, l_max]."""
     if not (1 <= l_min < l_max <= g.level):
         raise ValueError(f"need 1 <= l_min < l_max <= {g.level}")
+    return _fit([box_count(g, l) for l in range(l_min, l_max + 1)], l_min, l_max)
+
+
+def _fit(counts, l_min: int, l_max: int) -> DimensionEstimate:
+    """Least-squares slope of log2 of the box counts at levels l_min..l_max,
+    given in that order."""
     levels = np.arange(l_min, l_max + 1, dtype=float)
-    logs = np.array([math.log2(box_count(g, int(l))) for l in levels])
+    logs = np.array([math.log2(int(c)) for c in counts])
     a = np.vstack([levels, np.ones_like(levels)]).T
     coef, *_ = np.linalg.lstsq(a, logs, rcond=None)
     fit = a @ coef
@@ -319,12 +390,17 @@ def grid_from_points(points, level: int) -> GridSet:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:
         raise ValueError("expected an (m, d) array of points")
+    return GridSet(pts.shape[1], level, _point_cells(pts, level))
+
+
+def _point_cells(pts: np.ndarray, level: int) -> np.ndarray:
+    """The cells at `level` of the rows of an (m, d) float array, as
+    grid_from_points places them."""
     lo = pts.min(axis=0) if len(pts) else np.zeros(pts.shape[1])
     span = float((pts - lo).max()) if len(pts) else 0.0
     scale = 2.0 ** max(0, math.ceil(math.log2(span))) if span > 0 else 1.0
     unit = (pts - lo) / scale
-    idx = np.clip((unit * (1 << level)).astype(np.int64), 0, (1 << level) - 1)
-    return GridSet(pts.shape[1], level, idx)
+    return np.clip((unit * (1 << level)).astype(np.int64), 0, (1 << level) - 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,17 +14,30 @@ into direction spread, which is what the spreadify pipeline measures.
 Hyperplanes map exactly through the dual matrix: with M the matrix of the
 map, the plane {l . [x; 1] = 0} goes to {l M^-1 . [y; 1] = 0}, and a
 graph-form plane has l = (a, -1, c).
+
+GraphHyperplane is one plane.  spreadify carries a family as one (m, n)
+float array of graph-form rows (a, c), the layout of the plane CSV table:
+the CLI reads that table into the array, spreadify maps it, and
+hyperplanes_to_csv writes it back.  Its ndirs candidate projections are
+box-counted together by the dimension module's one sort-and-split kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import table
-from .dimension import DimensionEstimate, estimate_dimension, family_dimension, grid_from_points
+from .dimension import (
+    MAX_CELLS,
+    DimensionEstimate,
+    _fit,
+    _point_cells,
+    _sort_split,
+    family_dimension,
+)
 from .grassmann import AffineFlat, Subspace, haar_projector_batch
 from .tolerances import TOL_EXACT, TOL_PROJECTIVE
 
@@ -245,11 +258,16 @@ class SpreadifyReport:
 
 
 def _incidence_count(points: np.ndarray, a: np.ndarray, c: np.ndarray, tol: float) -> int:
-    # A residual that overflows (inf, or nan from inf - inf) carries an error
-    # far above any tolerance, so it counts as no incidence.
+    # The residuals |(y_n - <a, y'>) - c| of every point-plane pair, formed in
+    # the product's own buffer.  One that overflows (inf, or nan from
+    # inf - inf) carries an error far above any tolerance, so it counts as no
+    # incidence.
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.abs(points[:, -1][:, None] - points[:, :-1] @ a.T - c[None, :])
-    return int((resid <= tol).sum())
+        r = points[:, :-1] @ a.T
+        np.subtract(points[:, -1:], r, out=r)
+        r -= c
+        np.abs(r, out=r)
+    return int(np.count_nonzero(r <= tol))
 
 
 def _direction_dimension(a: np.ndarray, l_min: int, l_max: int) -> DimensionEstimate:
@@ -261,9 +279,28 @@ def _direction_dimension(a: np.ndarray, l_min: int, l_max: int) -> DimensionEsti
     return family_dimension(np.eye(nu.shape[1]) - nu[:, :, None] * nu[:, None, :], l_min, l_max)
 
 
+def _candidate_dimensions(
+    duals: np.ndarray, candidates: np.ndarray, l_min: int, l_max: int
+) -> list:
+    """The box dimension over levels [l_min, l_max] of the projection
+    duals @ b for each basis b of a (count, n, n - 1) stack.
+
+    Each projection is placed on the grid as grid_from_points places it,
+    and the projections are box-counted together by `_sort_split`, in
+    batches of at most MAX_CELLS cells; the slopes are estimate_dimension's.
+    """
+    step = max(1, MAX_CELLS // len(duals))
+    counts = np.concatenate([
+        _sort_split(np.stack([_point_cells(duals @ b, l_max) for b in candidates[i:i + step]]),
+                    l_max)[2]
+        for i in range(0, len(candidates), step)
+    ])
+    return [_fit(row[l_min : l_max + 1], l_min, l_max).slope for row in counts]
+
+
 def spreadify(
     points,
-    planes: Sequence[GraphHyperplane],
+    planes,
     levels: tuple,
     seed=None,
     ndirs: int = 32,
@@ -279,22 +316,25 @@ def spreadify(
     at infinity; apply the induced map to the points, and map the
     hyperplanes exactly through the dual matrix, all in graph form.
 
-    Returns (mapped points, mapped hyperplanes as GraphHyperplanes, report).
-    Raises VerticalHyperplaneError if an image plane is vertical, and
-    ValueError unless ndirs >= 1 and incidence_tol > 0 or if the data's
-    bounding radius or a mapped value overflows.
+    The planes are an (m, n) array with one graph-form row (a, c) per plane
+    {y_n = <a, y'> + c}, the layout of the plane CSV table.  Returns (mapped
+    points, mapped planes as such an array, report).  Raises
+    VerticalHyperplaneError if an image plane is vertical, and ValueError
+    unless ndirs >= 1, incidence_tol > 0 and there is at least one plane, or
+    if the data's bounding radius or a mapped value overflows.
     """
     l_min, l_max = levels
     if ndirs < 1:
         raise ValueError(f"ndirs must be >= 1, got {ndirs}")
     if not incidence_tol > 0:
         raise ValueError(f"incidence_tol must be positive, got {incidence_tol!r}")
-    planes = list(planes)
-    if not planes:
+    planes = np.asarray(planes, dtype=float)
+    if not len(planes):
         raise ValueError("need at least one hyperplane")
-    a = np.stack([p.a for p in planes])
-    c = np.array([p.c for p in planes])
-    n = a.shape[1] + 1
+    if planes.ndim != 2 or planes.shape[1] < 2:
+        raise ValueError(f"planes must be an (m, n >= 2) array of rows (a, c), not {planes.shape}")
+    a, c = planes[:, :-1], planes[:, -1]
+    n = planes.shape[1]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != n:
         raise ValueError("point dimension mismatch")
@@ -310,7 +350,7 @@ def spreadify(
         report = SpreadifyReport(
             None, None, (), None, 0.0, 0.0, inc_before, inc_before, True, seed_val
         )
-        return pts.copy(), planes, report
+        return pts.copy(), planes.copy(), report
 
     # The box counts scale each projected extent, at most h, up to a power of
     # two, and h must leave that power finite.
@@ -318,8 +358,7 @@ def spreadify(
     if not h < 2.0**1022:
         raise ValueError("the data's bounding radius overflows; input values are too large")
     candidates = haar_projector_batch(n, n - 1, ndirs, seed)
-    dims = [estimate_dimension(grid_from_points(duals @ b, l_max), l_min, l_max).slope
-            for b in candidates]
+    dims = _candidate_dimensions(duals, candidates, l_min, l_max)
     best_idx = int(np.argmax(dims))  # ties: lowest index wins
     u = Subspace(n, n - 1, candidates[best_idx]).complement_basis()[:, 0]
 
@@ -342,7 +381,7 @@ def spreadify(
         False,
         seed_val,
     )
-    return mapped_pts, [GraphHyperplane(ai, ci) for ai, ci in zip(mapped_a, mapped_c)], report
+    return mapped_pts, np.column_stack([mapped_a, mapped_c]), report
 
 
 # -- CSV interchange -------------------------------------------------------
@@ -361,10 +400,11 @@ def points_from_csv(text: str) -> np.ndarray:
     return pts
 
 
-def hyperplanes_to_csv(planes: Sequence[GraphHyperplane]) -> str:
-    rows = [np.append(p.a, p.c) for p in planes]
-    return table.to_csv([f"a{j}" for j in range(len(rows[0]) - 1)] + ["c"], rows)
-
-
-def hyperplanes_from_csv(text: str) -> list:
-    return [GraphHyperplane(row[:-1], row[-1]) for row in points_from_csv(text)]
+def hyperplanes_to_csv(planes) -> str:
+    """The plane table: header a0..a{n-2}, c, then one graph-form row (a, c)
+    per plane, from an (m, n) array of such rows or a sequence of
+    GraphHyperplanes.  The table reads back with points_from_csv."""
+    if not isinstance(planes, np.ndarray):
+        planes = [np.append(p.a, p.c) for p in planes]
+    rows = np.asarray(planes, dtype=float)
+    return table.to_csv([f"a{j}" for j in range(rows.shape[1] - 1)] + ["c"], rows)

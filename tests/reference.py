@@ -3,6 +3,11 @@
 The GridSet construction here is the bit-at-a-time one: a Z-order key
 built one coordinate bit per pass, the split level of two neighbours from
 the OR of their per-coordinate XORs, and bit lengths by halving shifts.
+Beside it stands the word-at-a-time construction that preceded the batched
+sort-and-split kernel: every chunk of 63 // g bits spread by log-step shifts
+cell by cell, and the split level off the first differing word.  An .rle
+blob is decoded by one broadcast shift and mask of the linear indices, and
+the spreadify candidates are box-counted one GridSet at a time.
 The finite-field directions are enumerated one RREF basis at a time, and
 the coset representative and subspace points are the scalar loops behind
 ff_coset_profile's vectorized labels; the graph form of a hyperplane reads
@@ -16,9 +21,11 @@ import csv
 import io
 import itertools
 import math
+import struct
 
 import numpy as np
 
+from furstlab.dimension import estimate_dimension, grid_from_points
 from furstlab.duality import GraphHyperplane, VerticalHyperplaneError
 from furstlab.finitefield import FFSet
 from furstlab.grassmann import _CHUNK, Subspace, _grass_distance_batch, haar_projector_batch
@@ -72,6 +79,69 @@ def construct(cells, n: int, level: int):
     if len(c):
         counts = 1 + above[level + 1 : 0 : -1]
     return c, counts, split
+
+
+def construct_words(cells, n: int, level: int):
+    """(cells, counts, split) of GridSet(n, level, cells), as the
+    word-at-a-time construction computed them: Z-order keys of g = min(n, 63)
+    coordinates and w = 63 // g bits of each per uint64 word, every chunk
+    spread by log-step shifts, a stable sort, and each neighbour pair's split
+    level off the first word where their keys differ."""
+    c = np.asarray(cells, dtype=np.int64).reshape(-1, n)
+    m = len(c)
+    g = min(n, 63)
+    w = 63 // g
+    groups = -(-n // g)
+    bits = min(level, 63)
+    nchunks = max(1, -(-bits // w))
+    width = max(1, min(w, bits))
+    steps = []
+    s = (1 << (width - 1).bit_length()) >> 1
+    while g > 1 and s:
+        mask = sum(1 << (r // s * s * g + r % s) for r in range(width))
+        steps.append((np.uint64(s * (g - 1)), np.uint64(mask)))
+        s >>= 1
+    cols = c.view(np.uint64)
+    words = np.zeros((nchunks * groups, m), dtype=np.uint64)
+    for i in range(nchunks):
+        for j in range(n):
+            x = (cols[:, j] >> np.uint64(i * w)) & np.uint64((1 << w) - 1)
+            for shift, mask in steps:
+                x |= x << shift
+                x &= mask
+            words[(nchunks - 1 - i) * groups + j // g] |= x << np.uint64(g - 1 - j % g)
+    base = (w * (nchunks - 1 - np.arange(len(words)) // groups))[:, None]
+    order = np.lexsort(words[::-1])
+    c, words = c[order], words[:, order]
+    x = words[:, 1:] ^ words[:, :-1]
+    b = np.frexp((x & ~(x >> np.uint64(1))).astype(np.float64))[1]
+    d = np.where(b > 0, base + (b + g - 1) // g, 0).max(axis=0)
+    c = c[np.concatenate([[True], d != 0])[:m]]
+    split = d[d != 0].astype(np.int8)
+    hist = np.bincount(split, minlength=level + 2)
+    above = np.cumsum(hist[::-1])[::-1]
+    counts = np.zeros(level + 1, dtype=np.int64)
+    if len(c):
+        counts = 1 + above[level + 1 : 0 : -1]
+    return c, counts, split
+
+
+def rle_cells(blob: bytes):
+    """(n, level, cells) of a well-formed .rle blob, the linear indices of
+    its runs, one run at a time, split into coordinates by one broadcast
+    shift and mask."""
+    _, n, level, nruns = struct.unpack_from("<4sBBQ", blob, 0)
+    runs = np.frombuffer(blob, dtype="<u8", offset=14).reshape(nruns, 2).tolist()
+    lin = np.array([v for start, length in runs for v in range(start, start + length)],
+                   dtype=np.int64)
+    shifts = level * np.arange(n - 1, -1, -1)
+    return n, level, (lin[:, None] >> shifts) & ((1 << level) - 1)
+
+
+def candidate_dimensions_loop(duals, candidates, l_min: int, l_max: int) -> list:
+    """spreadify's candidate dimensions, one GridSet per candidate basis b."""
+    return [estimate_dimension(grid_from_points(duals @ b, l_max), l_min, l_max).slope
+            for b in candidates]
 
 
 def centers(g) -> np.ndarray:

@@ -192,7 +192,7 @@ def test_ac12_marstrand_projections():
 def test_ac13_spreadify_horizontal_lines():
     rng = np.random.default_rng(5)
     b = (np.arange(1000) + 0.05 + 0.9 * rng.random(1000)) / 1000
-    planes = [fl.GraphHyperplane(np.array([0.0]), float(v)) for v in b]
+    planes = np.column_stack([np.zeros(1000), b])  # the lines y = b, as rows (a, c)
     xs = rng.random((1000, 5))
     pts = np.stack([xs, np.repeat(b[:, None], 5, axis=1)], axis=2).reshape(-1, 2)
     _, _, rep = fl.spreadify(pts, planes, (2, 6), seed=11, ndirs=25)

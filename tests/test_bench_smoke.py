@@ -2,15 +2,16 @@
 
 bench/run.py runs these workloads in a timed loop, where a library name or
 signature that a job calls and that no longer exists would show only as a
-lower pass_frac.  The finite-field artifacts, the written grids and the
-maximal-function artifacts of that cycle are also pinned by sha256, so a
-change that alters their bytes shows here.  bench/jobs.py imports only
-furstlab, numpy and the standard library, so it is loaded here by path.
+lower pass_frac.  The finite-field artifacts, the written grids, the
+maximal-function artifacts and the box-counting and spreadify artifacts of
+that cycle are also pinned by sha256, so a change that alters their bytes
+shows here.  bench/jobs.py imports only furstlab, numpy and the standard
+library, so it is loaded here by path.
 
 Run as a script (`PYTHONPATH=src python tests/test_bench_smoke.py`), this
-file prints FF_ARTIFACTS, GRID_ARTIFACTS and MAXIMAL_ARTIFACTS as the
-current code makes them, for pasting in after a change that alters those
-bytes on purpose.
+file prints FF_ARTIFACTS, GRID_ARTIFACTS, MAXIMAL_ARTIFACTS and
+FRACTAL_ARTIFACTS as the current code makes them, for pasting in after a
+change that alters those bytes on purpose.
 """
 
 import hashlib
@@ -137,6 +138,49 @@ MAXIMAL_ARTIFACTS = {
 }
 
 
+# sha256 of each dimension estimate, dimension construct, spreadify and
+# slice artifact of cycle 0 (seed 1), by job kind and file name.  Their
+# slopes come from least-squares fits, and the spreadify outputs from Haar
+# draws (a LAPACK QR) and BLAS products, so, like MAXIMAL_ARTIFACTS, the
+# digests hold for this numpy and BLAS.
+FRACTAL_ARTIFACTS = {
+    "fractal": {
+        "estimate.cantor/dimension_estimate.json":
+            "60fd301f4db55ae5bdc198f403a1581382fe527a904a136ebda88837bde4638b",
+        "estimate.product6/dimension_estimate.json":
+            "cd747fa3d3c9683d030d6f8bb031d3abf316124cad312dd3f71ca81312849f41",
+        "estimate.product7/dimension_estimate.json":
+            "dc8bea27a9a3b8008f6396f84372cd105352bc21c0f9a82bf5e48520d3722b01",
+        "estimate.sharp/dimension_estimate.json":
+            "56455c565c18724738d2aee54d62982fbc3c6b32d9293bfec9c934a710cde3b5",
+        "slice/result.json":
+            "04089a670b5b6eca22ab7f224c008834b1e052250f7a08e1bbf2007e2dbcf669",
+        "spreadify/spreadify_hyperplanes.csv":
+            "779bb4264e62a8ab2485fb4957316d48000a3525872dba3d7f975614dce6671a",
+        "spreadify/spreadify_points.csv":
+            "cdf9f93518d70f76457cc9ffa22a2de40f86ae5fd498003ba70b2e7374912bd1",
+        "spreadify/spreadify_report.json":
+            "120836beaedd6f5e0bc187f2f28da964e9b8d2811f5aa3dcb588634f8f177a3b",
+    },
+    "sweep": {
+        "construct.cantor/dimension_construct.json":
+            "b94b761cc87d7de39b79107aba95df8b52e5fc746d0a423f0ed0d29545532fa5",
+        "construct.product/dimension_construct.json":
+            "92d17a06562a66098241155b3a05c7ba18a05e9b9da2971fc5733851f23fafe2",
+        "construct.sharp/dimension_construct.json":
+            "8ef1897254e6898627e1cc3430b12cd079cf977a91de50d0a8b7a7833fa0612e",
+        "estimate.written/dimension_estimate.json":
+            "0cf1a8c74fb6dcba6a8e4d41f07f46586d5d312fe4588c9c7c788e041e7d4cb4",
+        "spreadify/spreadify_hyperplanes.csv":
+            "8aae38697d95a24c2ae5d4ec3c98739b546506759e5a4e1faa9861c381ea3cc6",
+        "spreadify/spreadify_points.csv":
+            "ba589333b07959725ccb0bbd1196c2ab37ceb6ae03b74ab00de1be5121cba4f2",
+        "spreadify/spreadify_report.json":
+            "7e6e010bf44142e5d66f78d7d5e7d4031bfd590936b56f54de1fb2313c8e097b",
+    },
+}
+
+
 def run_first_cycle(name: str, work: Path) -> dict:
     """Runs cycle 0 of a workload under `work`: "index:kind" -> Record."""
     wl = jobs.build(name, work, 1)
@@ -164,6 +208,11 @@ def is_grid(kind: str, fn: str) -> bool:
 def is_maximal(kind: str, fn: str) -> bool:
     return fn in ("maximal_scan.json", "maximal_scan.csv") or (
         kind == "maximal3d" and fn == "result.json")
+
+
+def is_fractal(kind: str, fn: str) -> bool:
+    return (fn in ("dimension_estimate.json", "dimension_construct.json")
+            or fn.startswith("spreadify_") or (kind == "slice" and fn == "result.json"))
 
 
 def digests(records: dict, pinned) -> dict:
@@ -211,6 +260,11 @@ def test_first_cycle_maximal_artifacts_pinned(first_cycle, name):
     assert digests(first_cycle(name), is_maximal) == MAXIMAL_ARTIFACTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(FRACTAL_ARTIFACTS))
+def test_first_cycle_fractal_artifacts_pinned(first_cycle, name):
+    assert digests(first_cycle(name), is_fractal) == FRACTAL_ARTIFACTS[name]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -221,7 +275,8 @@ if __name__ == "__main__":
             work.mkdir()
             records[name] = run_first_cycle(name, work)
     for title, pinned in (("FF_ARTIFACTS", is_ff), ("GRID_ARTIFACTS", is_grid),
-                          ("MAXIMAL_ARTIFACTS", is_maximal)):
+                          ("MAXIMAL_ARTIFACTS", is_maximal),
+                          ("FRACTAL_ARTIFACTS", is_fractal)):
         print(f"{title} = {{")
         for name, recs in records.items():
             found = digests(recs, pinned)

@@ -342,6 +342,8 @@ CSV_INPUTS = {
     "huge_slope.csv": "a0,c\n1e300,0.1\n0.5,0.2\n",
     "huge_spread.csv": "a0,c\n1.5e308,0.1\n-1.5e308,0.2\n",
     "single_column.csv": "c\n0.25\n0.1\n",
+    "no_planes.csv": "a0,c\n",
+    "wide_planes.csv": "a0,a1,c\n0.5,0.5,0.1\n0.1,0.2,0.3\n",
     "ragged.csv": "x0,x1\n0.5,0.25\n0.1\n",
     "ff_narrow.csv": "x0,x1\n0,0\n1,1\n2,2\n",
     "ff_ragged.csv": "x0,x1,x2\n0,0\n1,1\n",
@@ -387,6 +389,9 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
         (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "huge_spread.csv"}),
         (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "single_column.csv"}),
         (["duality", "spreadify"], {"points": "ragged.csv", "hyperplanes": "planes.csv"}),
+        (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "no_planes.csv"}),
+        # Planes of R^3 with points of R^2.
+        (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "wide_planes.csv"}),
         # Points of F_3^2 under a config for F_3^3.
         (["ff", "verify"], {"q": 3, "n": 3, "set_csv": "ff_narrow.csv"}),
         (["ff", "verify"], {"q": 3, "n": 3, "set_csv": "ff_ragged.csv"}),
@@ -427,7 +432,8 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
          "scan_zero_delta", "scan_tiny_delta_no_tubes", "scan_negative_ntubes",
          "scan_delta_above_half", "scan_zero_ndirs", "scan_p_below_1",
          "scan_p_infinite", "scan_p_huge", "nan_plane", "inf_point", "huge_slope", "huge_spread",
-         "single_column", "ragged", "ff_verify_csv_narrow", "ff_verify_csv_ragged",
+         "single_column", "ragged", "no_planes", "plane_width_mismatch",
+         "ff_verify_csv_narrow", "ff_verify_csv_ragged",
          "ff_points_beyond_int64",
          "bounds_huge_n", "ff_exponents_huge_n", "ball_scaling_delta_nan",
          "ball_scaling_delta_inf", "incidence_tol_nan", "incidence_tol_zero", "scan_p_huge_int",

@@ -198,6 +198,55 @@ class TestConstructionReference:
         assert np.array_equal(_bit_length(x.view(np.uint64)), reference.bit_length(x))
 
 
+def fuzz_grid(seed):
+    """(n, level, cells) for a seeded fuzz case: n up to 70, levels that
+    take one Morton word or several, and duplicate cells in shuffled order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([1, 2, 3, 4, 5, 8, 13, 21, 40, 63, 64, 70]))
+    level = int(rng.integers(0, 8) if rng.random() < 0.5 else rng.integers(8, 63))
+    cells = rng.integers(0, 1 << level, (int(rng.integers(0, 400)), n))
+    cells[: len(cells) // 2] >>= int(rng.integers(0, level + 1))  # a crowded corner
+    cells = np.vstack([cells, cells[rng.integers(0, max(len(cells), 1), len(cells) // 3)]])
+    return n, level, cells[rng.permutation(len(cells))]
+
+
+class TestConstructionFuzz:
+    """GridSet's cells, counts and split levels against the bit-at-a-time
+    construction and the word-at-a-time one that the batched kernel
+    replaced, and from_rle against a broadcast decode of the runs."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_gridset_matches_both_constructions(self, seed):
+        n, level, cells = fuzz_grid(seed)
+        g = GridSet(n, level, cells)
+        for ref_cells, ref_counts, ref_split in (reference.construct(cells, n, level),
+                                                  reference.construct_words(cells, n, level)):
+            assert np.array_equal(g.cells, ref_cells)
+            assert np.array_equal(g._counts, ref_counts)
+            assert g._split.dtype == np.int8 and np.array_equal(g._split, ref_split)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_from_rle_matches_broadcast_decode(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.choice([1, 2, 3, 5, 9]))
+        level = int(rng.integers(1, 63 // n + 1))
+        top = 1 << (n * level)
+        # Arbitrary runs: overlapping, empty and touching the grid's end.
+        starts = rng.integers(0, top, 30, dtype=np.uint64)
+        lengths = np.minimum(rng.integers(0, 40, 30, dtype=np.uint64), top - starts)
+        lengths[0], starts[1], lengths[1] = 0, top - 1, 1
+        runs = np.column_stack([starts, lengths]).astype("<u8")
+        blob = struct.pack("<4sBBQ", b"GRLE", n, level, len(runs)) + runs.tobytes()
+        g = GridSet.from_rle(blob)
+        ref_n, ref_level, ref_cells = reference.rle_cells(blob)
+        ref = GridSet(ref_n, ref_level, ref_cells)
+        assert (g.n, g.level) == (n, level)
+        assert np.array_equal(g.cells, ref.cells) and np.array_equal(g._counts, ref._counts)
+        assert np.array_equal(g._split, ref._split)
+        again = GridSet.from_rle(g.to_rle())
+        assert np.array_equal(again.cells, g.cells)
+
+
 # sha256 of to_rle() and to_csv(), pinned from the lexicographic-order
 # implementation that preceded Z-ordered cells.
 PINNED_FILES = {

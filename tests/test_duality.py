@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import reference
 from reference import graph_from_flat
 
 import furstlab.duality as duality
@@ -15,7 +16,6 @@ from furstlab.duality import (
     apply_projective,
     dualize_hyperplane,
     dualize_point,
-    hyperplanes_from_csv,
     hyperplanes_to_csv,
     incident,
     marstrand_project,
@@ -24,16 +24,17 @@ from furstlab.duality import (
     projective_to_infinity,
     spreadify,
 )
-from furstlab.grassmann import AffineFlat, Subspace, haar_sample
+from furstlab.dimension import _point_cells, _sort_split
+from furstlab.grassmann import AffineFlat, Subspace, haar_projector_batch, haar_sample
 
 E1 = Subspace(2, 1, np.array([[1.0], [0.0]]))
 
 
 def horizontal_lines(count, seed=5):
-    """Well-separated random heights in [0, 1]."""
+    """Well-separated random heights in [0, 1], as graph-form rows (0, b)."""
     rng = np.random.default_rng(seed)
     b = (np.arange(count) + 0.05 + 0.9 * rng.random(count)) / count
-    return [GraphHyperplane(np.array([0.0]), float(v)) for v in b], b
+    return np.column_stack([np.zeros(count), b]), b
 
 
 class TestDuality:
@@ -218,7 +219,7 @@ class TestExactHyperplaneImage:
         with pytest.raises(VerticalHyperplaneError):
             graph_image(1.0, 2.0)
         monkeypatch.setattr(duality, "projective_to_infinity", lambda u, h: E2_MAP)
-        planes = [GraphHyperplane(np.array([1.0]), 2.0), GraphHyperplane(np.array([0.0]), 0.5)]
+        planes = np.array([[1.0, 2.0], [0.0, 0.5]])
         with pytest.raises(VerticalHyperplaneError):
             spreadify(np.zeros((0, 2)), planes, (2, 4), seed=0, ndirs=2)
 
@@ -277,16 +278,12 @@ class TestSpreadify:
         assert report.initial_direction_dimension <= 0.1
         assert report.final_direction_dimension >= 0.85
         assert report.incidences_before == report.incidences_after
-        assert len(mapped_planes) == 1000 and len(mapped_pts) == 5000
-        assert all(isinstance(p, GraphHyperplane) for p in mapped_planes)
+        assert mapped_planes.shape == (1000, 2) and mapped_pts.shape == (5000, 2)
 
     def test_already_spread_family_stable(self):
         rng = np.random.default_rng(7)
         slopes = np.tan((rng.random(1000) - 0.5) * 2.4)
-        planes = [
-            GraphHyperplane(np.array([float(m)]), float(c))
-            for m, c in zip(slopes, rng.random(1000))
-        ]
+        planes = np.column_stack([slopes, rng.random(1000)])
         _, _, report = spreadify(np.zeros((0, 2)), planes, (2, 6), seed=13, ndirs=25)
         assert (
             report.final_direction_dimension
@@ -297,34 +294,35 @@ class TestSpreadify:
         def never(*args):
             raise AssertionError("dimension estimated before ndirs was checked")
 
-        monkeypatch.setattr(duality, "estimate_dimension", never)
+        monkeypatch.setattr(duality, "family_dimension", never)
+        monkeypatch.setattr(duality, "_sort_split", never)
         planes, _ = horizontal_lines(10)
         for ndirs in (0, -3):
             with pytest.raises(ValueError, match="ndirs"):
                 spreadify(np.zeros((0, 2)), planes, (2, 6), seed=1, ndirs=ndirs)
 
     def test_degenerate_family(self):
-        planes = [GraphHyperplane(np.array([0.0]), 0.5) for _ in range(10)]
+        planes = np.tile([0.0, 0.5], (10, 1))
         pts = np.array([[0.1, 0.5]])
         mapped_pts, mapped_planes, report = spreadify(pts, planes, (2, 6), seed=1, ndirs=5)
         assert report.degenerate
-        assert [p.c for p in mapped_planes] == [0.5] * 10
+        assert mapped_planes.tolist() == [[0.0, 0.5]] * 10
         assert report.initial_direction_dimension == 0.0
         assert report.final_direction_dimension == 0.0
         assert np.allclose(mapped_pts, pts)
 
     def test_planes_map_like_their_points(self):
         rng = np.random.default_rng(9)
-        planes = [GraphHyperplane(rng.uniform(-1, 1, 2), rng.uniform(-1, 1)) for _ in range(40)]
+        planes = np.column_stack([rng.uniform(-1, 1, (40, 2)), rng.uniform(-1, 1, 40)])
         xy = rng.uniform(-1, 1, (40, 2))
-        pts = np.column_stack([xy, [p.height(v) for p, v in zip(planes, xy)]])
+        pts = np.column_stack([xy, [a @ v + c for (*a, c), v in zip(planes, xy)]])
         mapped_pts, mapped_planes, report = spreadify(pts, planes, (2, 5), seed=4, ndirs=6)
         assert report.incidences_after == report.incidences_before >= 40
-        for y, image in zip(mapped_pts, mapped_planes):
-            assert abs(y[-1] - image.height(y[:-1])) <= 1e-12 * max(1.0, np.abs(y).max())
+        for y, (*a, c) in zip(mapped_pts, mapped_planes):
+            assert abs(y[-1] - (y[:-1] @ a + c)) <= 1e-12 * max(1.0, np.abs(y).max())
 
     def test_overflowing_image_raises(self):
-        planes = [GraphHyperplane(np.array([1e300]), 0.1), GraphHyperplane(np.array([0.5]), 0.2)]
+        planes = np.array([[1e300, 0.1], [0.5, 0.2]])
         with pytest.raises(ValueError):
             spreadify(np.array([[0.5, 0.25]]), planes, (2, 4), seed=0, ndirs=2)
 
@@ -338,7 +336,7 @@ class TestSpreadify:
         # h lies past the data's radius, so nothing maps to infinity: a finite
         # input maps to finite values or raises the overflow ValueError, and
         # no norm overflows on the way.
-        planes = [GraphHyperplane(np.array([slope]), 0.1), GraphHyperplane(np.array([0.5]), 0.2)]
+        planes = np.array([[slope, 0.1], [0.5, 0.2]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -351,7 +349,7 @@ class TestSpreadify:
                 return
         assert outcome == "maps"
         assert np.isfinite(mapped_pts).all()
-        assert all(np.isfinite(p.a).all() and math.isfinite(p.c) for p in mapped_planes)
+        assert np.isfinite(mapped_planes).all()
 
     def test_report_serializes(self):
         import json
@@ -363,23 +361,57 @@ class TestSpreadify:
         assert "final_direction_dimension" in blob
 
 
+class TestCandidateDimensions:
+    """The batched box count of spreadify's candidate projections against
+    one GridSet per candidate, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "case", ["random", "duplicates", "single_plane", "zero_span", "two_words"])
+    def test_batch_matches_one_gridset_per_candidate(self, n, case):
+        rng = np.random.default_rng(100 * n + len(case))
+        duals = rng.uniform(-1, 1, (300, n))
+        l_min, l_max = (10, 20) if case == "two_words" else (2, 7)
+        if case == "duplicates":
+            duals = duals[rng.integers(0, 25, 300)]
+        elif case == "single_plane":
+            duals = duals[:1]
+        elif case == "zero_span":  # every projection is a single point
+            duals = np.tile(duals[:1], (40, 1))
+        candidates = haar_projector_batch(n, n - 1, 12, int(rng.integers(1 << 30)))
+        got = duality._candidate_dimensions(duals, candidates, l_min, l_max)
+        assert got == reference.candidate_dimensions_loop(duals, candidates, l_min, l_max)
+        cells = np.stack([_point_cells(duals @ b, l_max) for b in candidates])
+        counts = _sort_split(cells, l_max)[2]
+        for c, row in zip(cells, counts):
+            assert np.array_equal(row, reference.construct(c, n - 1, l_max)[1])
+
+    @pytest.mark.parametrize("cap", [1, 300, 1000])
+    def test_batches_under_the_cell_cap(self, monkeypatch, cap):
+        rng = np.random.default_rng(cap)
+        duals = rng.uniform(-1, 1, (300, 3))
+        candidates = haar_projector_batch(3, 2, 7, 5)
+        expected = reference.candidate_dimensions_loop(duals, candidates, 2, 7)
+        monkeypatch.setattr(duality, "MAX_CELLS", cap)
+        assert duality._candidate_dimensions(duals, candidates, 2, 7) == expected
+
+
 class TestCsv:
     def test_points_roundtrip(self):
         pts = np.array([[0.25, -1.5], [3.0, 2.0]])
         assert np.allclose(points_from_csv(points_to_csv(pts)), pts)
 
     def test_hyperplanes_roundtrip(self):
-        planes = [
-            GraphHyperplane(np.array([1.5, -2.0]), 0.25),
-            GraphHyperplane(np.array([0.0, 1.0]), -3.0),
-        ]
-        back = hyperplanes_from_csv(hyperplanes_to_csv(planes))
-        for p, q in zip(planes, back):
-            assert np.allclose(p.a, q.a) and p.c == q.c
+        # The plane table reads back, as the CLI reads it, into its rows
+        # (a, c); a sequence of GraphHyperplanes writes the same bytes.
+        rows = np.array([[1.5, -2.0, 0.25], [0.0, 1.0, -3.0]])
+        text = hyperplanes_to_csv(rows)
+        assert text.splitlines()[0] == "a0,a1,c"
+        assert np.array_equal(points_from_csv(text), rows)
+        assert hyperplanes_to_csv([GraphHyperplane(r[:-1], r[-1]) for r in rows]) == text
 
     def test_header_only_is_empty(self):
         assert points_from_csv("x0,x1,x2\n").shape == (0, 3)
-        assert hyperplanes_from_csv("a0,c\n") == []
 
     @pytest.mark.parametrize(
         "text",
@@ -390,5 +422,3 @@ class TestCsv:
     def test_bad_table_rejected(self, text):
         with pytest.raises(ValueError):
             points_from_csv(text)
-        with pytest.raises(ValueError):
-            hyperplanes_from_csv(text)
