@@ -110,6 +110,22 @@ def haar_sample(n: int, k: int, seed=None) -> Subspace:
     return Subspace(n, k, haar_projector_batch(n, k, 1, seed)[0])
 
 
+def row_sum_squares(x: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row of the (m, w) array x, for a short w.
+
+    The squares are added column by column, in column order.  For w <= 7
+    that is the order np.add.reduce (and so np.linalg.norm) uses along the
+    last axis, so the sums agree bit for bit; from w = 8 on numpy sums
+    pairwise and the last bits can differ.  Like numpy's, the sums underflow
+    to 0 and overflow to inf, with no rescaling.  The column loop avoids
+    numpy's slow reduction over a short axis.
+    """
+    out = x[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        out += x[:, j] * x[:, j]
+    return out
+
+
 def haar_projector_batch(n: int, k: int, count: int, seed=None) -> np.ndarray:
     """Stack of `count` Haar-random orthonormal bases, shape (count, n, k).
 
@@ -117,7 +133,14 @@ def haar_projector_batch(n: int, k: int, count: int, seed=None) -> np.ndarray:
     name is kept because the benchmark's tracer looks it up.  Each basis
     orthonormalizes an n x k matrix of independent standard normals; the
     rotational invariance of the Gaussian makes its span uniform on the
-    Grassmannian.  The QR signs are fixed for a canonical representative.
+    Grassmannian.  The QR signs are fixed so that diag R > 0, which picks
+    one canonical basis per draw (Mezzadri 2007).
+
+    For lines (k = 1) the basis is the Gaussian column g divided by its
+    norm, without a QR.  That is the same law, a normalized Gaussian being
+    uniform on the sphere (Muller 1959), and the same canonical basis: the
+    QR of one column is q r with r = +-|g|, and fixing the sign of r gives
+    q = g / |g|.  The two agree to a few ulps, not bit for bit.
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -125,6 +148,10 @@ def haar_projector_batch(n: int, k: int, count: int, seed=None) -> np.ndarray:
         raise ValueError(f"ambient dimension capped at {MAX_AMBIENT_DIM}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, n, k))
+    if k == 1:
+        v = g[:, :, 0]
+        v /= np.sqrt(row_sum_squares(v))[:, None]
+        return g
     q, r = np.linalg.qr(g)
     signs = np.sign(np.einsum("...ii->...i", r))
     signs[signs == 0] = 1.0
@@ -274,7 +301,8 @@ def _ball_hits(u: Subspace, radii: tuple, samples: int, seed) -> list:
         bases = haar_projector_batch(u.n, u.k, min(_CHUNK, samples - start), rng)
         if u.k == 1:
             v = bases[:, :, 0]
-            d = np.minimum(np.linalg.norm(v - np.outer(v @ u.basis[:, 0], u.basis[:, 0]), axis=1), 1.0)
+            resid = v - np.outer(v @ u.basis[:, 0], u.basis[:, 0])
+            d = np.minimum(np.sqrt(row_sum_squares(resid)), 1.0)
         else:
             d = _grass_distance_batch(u.basis, bases)
         hits += np.count_nonzero(d[:, None] <= np.array(radii), axis=0)

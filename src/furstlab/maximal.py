@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import Subspace, haar_projector_batch, haar_sample
+from .grassmann import Subspace, haar_projector_batch, row_sum_squares
 
 MAX_FIELD_DIM = 4
 MIN_DELTA = 2.0 ** -8
@@ -151,32 +151,33 @@ def _check_resolution(f: MaximalField, delta: float):
         )
 
 
-def _tube_distances_sq(points: np.ndarray, tube: TubeSpec) -> np.ndarray:
-    """Squared distance from points to the slab's core disc."""
-    w = points - tube.center
-    coords = w @ tube.direction.basis
-    long_sq = (coords * coords).sum(axis=1)
-    rad_sq = np.maximum((w * w).sum(axis=1) - long_sq, 0.0)
+def _tube_distances_sq(points: np.ndarray, basis: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distance from points to the core disc of the slab of direction
+    span(basis) about center."""
+    w = points - center
+    long_sq = row_sum_squares(w @ basis)
+    rad_sq = np.maximum(row_sum_squares(w) - long_sq, 0.0)
     excess = np.maximum(np.sqrt(long_sq) - 0.5, 0.0)
     return rad_sq + excess * excess
 
 
-def _slab_window(f: MaximalField, tube: TubeSpec):
-    """Index slices of the slab's bounding box (per-axis extent of the core
-    disc plus delta, padded by one cell) and the in-slab mask of the cells in
-    it, shaped like the box (empty when the box misses the grid)."""
-    half_extent = 0.5 * np.linalg.norm(tube.direction.basis, axis=1) + tube.radius
+def _slab_window(f: MaximalField, basis: np.ndarray, center: np.ndarray, radius: float):
+    """Index slices of the bounding box of the slab of direction span(basis),
+    center and radius (per-axis extent of the core disc plus the radius,
+    padded by one cell) and the in-slab mask of the cells in it, shaped like
+    the box (empty when the box misses the grid)."""
+    half_extent = 0.5 * np.linalg.norm(basis, axis=1) + radius
     axis = f.axis_centers()
     slices = []
     for i in range(f.n):
-        lo = tube.center[i] - half_extent[i] - f.resolution
-        hi = tube.center[i] + half_extent[i] + f.resolution
+        lo = center[i] - half_extent[i] - f.resolution
+        hi = center[i] + half_extent[i] + f.resolution
         j0 = int(np.searchsorted(axis, lo, side="left"))
         j1 = int(np.searchsorted(axis, hi, side="right"))
         slices.append(slice(j0, j1))
     mesh = np.meshgrid(*[axis[s] for s in slices], indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
-    inside = _tube_distances_sq(pts, tube) <= tube.radius**2
+    inside = _tube_distances_sq(pts, basis, center) <= radius**2
     return tuple(slices), inside.reshape(mesh[0].shape)
 
 
@@ -186,7 +187,7 @@ def tube_average(f: MaximalField, tube: TubeSpec) -> float:
     if f.n != tube.direction.n:
         raise ValueError("field and tube live in different dimensions")
     _check_resolution(f, tube.radius)
-    slices, inside = _slab_window(f, tube)
+    slices, inside = _slab_window(f, tube.direction.basis, tube.center, tube.radius)
     if not inside.any():
         return 0.0
     return float(f.values[slices][inside].sum() / inside.sum())
@@ -260,15 +261,16 @@ def _slab_intervals(points: np.ndarray, frame: np.ndarray, k: int, delta: float,
     last U-perp axis it covers one interval of translates, found by `_grid_index`.
 
     |U^T x| is the sum of squares under one square root, as np.linalg.norm
-    forms it; for lines it is |x|, which equals sqrt(x*x) in binary floating
-    point except on underflow, where both are far inside the band with zero
+    forms it (`row_sum_squares` adds the k <= 3 squares in numpy's order);
+    for lines it is |x|, which equals sqrt(x*x) in binary floating point
+    except on underflow, where both are far inside the band with zero
     excess.  Codimension 1 has a single row and no row offsets."""
     c = frame.shape[1] - k
     x = points @ frame  # U coordinates, then U-perp ones
     if k == 1:
         long_norm = np.abs(x[:, 0])
     else:
-        long_norm = np.sqrt(np.add.reduce(x[:, :k] ** 2, axis=1))
+        long_norm = np.sqrt(row_sum_squares(x[:, :k]))
     in_band = long_norm <= 0.5 + delta
     g_sq = long_norm  # delta^2 - (|U^T x| - 1/2)_+^2, in place
     g_sq -= 0.5
@@ -293,7 +295,7 @@ def _slab_intervals(points: np.ndarray, frame: np.ndarray, k: int, delta: float,
         r_sq, tk, cells, base = g_sq, tc, band, 0
         if c > 1:
             row_taus = np.take(padded, near + (np.array(offset) + 1), mode="clip")
-            r_sq = g_sq - ((t[:, :-1] - row_taus) ** 2).sum(axis=1)
+            r_sq = g_sq - row_sum_squares(t[:, :-1] - row_taus)
             keep = r_sq >= 0
             r_sq, tk, cells = r_sq[keep], tc[keep], band[keep]
             base = near_base[keep] + int(np.dot(offset, row_stride))
@@ -411,14 +413,21 @@ def random_tube_union_field(
     n: int, level: int, delta: float, ntubes: int, seed=None
 ) -> MaximalField:
     """Indicator field of a union of random delta-tubes (line directions,
-    centers in U-perp within B(0, 1/2))."""
+    centers in U-perp within B(0, 1/2)).
+
+    Each tube draws its Haar line, then its n-1 center coordinates in an
+    orthonormal basis of U-perp, the trailing columns of the complete QR of
+    the line."""
+    if not MIN_DELTA <= delta <= 0.5:
+        raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")
     rng = np.random.default_rng(seed)
     f = MaximalField.constant(n, level, 0.0)
     hit = np.zeros(f.values.shape, dtype=bool)
     for _ in range(ntubes):
-        u = haar_sample(n, 1, rng)
+        basis = haar_projector_batch(n, 1, 1, rng)[0]
         tau = rng.uniform(-0.5, 0.5, size=n - 1)
-        slices, inside = _slab_window(f, TubeSpec(u, u.complement_basis() @ tau, delta))
+        center = np.linalg.qr(basis, mode="complete")[0][:, 1:] @ tau
+        slices, inside = _slab_window(f, basis, center, delta)
         hit[slices] |= inside
     return MaximalField(n, level, hit.astype(float))
 

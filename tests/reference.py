@@ -13,8 +13,10 @@ the coset representative and subspace points are the scalar loops behind
 ff_coset_profile's vectorized labels; the graph form of a hyperplane reads
 the AffineFlat images of apply_projective.  A CSV table is written row by
 row by csv.writer, and Haar-ball hits are counted with the batched-SVD
-distance of every draw.  The slab intervals of the maximal sweep find their
-translate columns by np.searchsorted on the translate grid.
+distance of every draw.  Haar bases of every dimension, lines included, are
+drawn by a batched QR with the signs of diag R made positive.  The slab
+intervals of the maximal sweep find their translate columns by
+np.searchsorted on the translate grid.
 """
 
 import csv
@@ -239,6 +241,17 @@ def csv_table(header, rows) -> str:
     w.writerow(header)
     w.writerows(np.asarray(rows).tolist())
     return buf.getvalue()
+
+
+def haar_bases_qr(n: int, k: int, count: int, seed=None) -> np.ndarray:
+    """haar_projector_batch's (count, n, k) bases from the same Gaussian
+    draws, every k orthonormalized by QR with the signs of diag R made
+    positive."""
+    g = np.random.default_rng(seed).standard_normal((count, n, k))
+    q, r = np.linalg.qr(g)
+    signs = np.sign(np.einsum("...ii->...i", r))
+    signs[signs == 0] = 1.0
+    return q * signs[:, None, :]
 
 
 def ball_hits_svd(u: Subspace, radii: tuple, samples: int, seed) -> list:

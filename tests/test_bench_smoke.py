@@ -4,14 +4,14 @@ bench/run.py runs these workloads in a timed loop, where a library name or
 signature that a job calls and that no longer exists would show only as a
 lower pass_frac.  The finite-field artifacts, the written grids, the
 maximal-function artifacts and the box-counting and spreadify artifacts of
-that cycle are also pinned by sha256, so a change that alters their bytes
-shows here.  bench/jobs.py imports only furstlab, numpy and the standard
-library, so it is loaded here by path.
+that cycle, and its grassmann verify reports, are also pinned by sha256,
+so a change that alters their bytes shows here.  bench/jobs.py imports only
+furstlab, numpy and the standard library, so it is loaded here by path.
 
 Run as a script (`PYTHONPATH=src python tests/test_bench_smoke.py`), this
-file prints FF_ARTIFACTS, GRID_ARTIFACTS, MAXIMAL_ARTIFACTS and
-FRACTAL_ARTIFACTS as the current code makes them, for pasting in after a
-change that alters those bytes on purpose.
+file prints FF_ARTIFACTS, GRID_ARTIFACTS, MAXIMAL_ARTIFACTS,
+FRACTAL_ARTIFACTS and GRASSMANN_ARTIFACTS as the current code makes them,
+for pasting in after a change that alters those bytes on purpose.
 """
 
 import hashlib
@@ -109,9 +109,9 @@ GRID_ARTIFACTS = {
 
 # sha256 of the maximal_scan.json and maximal_scan.csv of each scan job and
 # the result.json of the maximal3d job of cycle 0 (seed 1), by job kind and
-# file name.  Their norms are floats from Haar draws (a LAPACK QR) and BLAS
-# products, so, like the maximal_scan pins of test_cli, the digests hold for
-# this numpy and BLAS.
+# file name.  Their norms are floats from Haar line draws (normalized
+# Gaussians) and BLAS products, so, like the maximal_scan pins of test_cli,
+# the digests hold for this numpy and BLAS.
 MAXIMAL_ARTIFACTS = {
     "sampling": {
         "maximal3d/result.json":
@@ -141,8 +141,8 @@ MAXIMAL_ARTIFACTS = {
 # sha256 of each dimension estimate, dimension construct, spreadify and
 # slice artifact of cycle 0 (seed 1), by job kind and file name.  Their
 # slopes come from least-squares fits, and the spreadify outputs from Haar
-# draws (a LAPACK QR) and BLAS products, so, like MAXIMAL_ARTIFACTS, the
-# digests hold for this numpy and BLAS.
+# draws of planes in R^3 (a LAPACK QR) and BLAS products, so, like
+# MAXIMAL_ARTIFACTS, the digests hold for this numpy and BLAS.
 FRACTAL_ARTIFACTS = {
     "fractal": {
         "estimate.cantor/dimension_estimate.json":
@@ -181,6 +181,27 @@ FRACTAL_ARTIFACTS = {
 }
 
 
+# sha256 of the grassmann_verify.json of each grassmann verify job of cycle 0
+# (seed 1), by job kind and file name.  Their distances and norms are floats
+# from Haar draws (normalized Gaussians for lines, a LAPACK QR otherwise),
+# SVDs and BLAS products, so, like MAXIMAL_ARTIFACTS, the digests hold for
+# this numpy and BLAS.
+GRASSMANN_ARTIFACTS = {
+    "sampling": {
+        "grassmann.3.1/grassmann_verify.json":
+            "fff5513129558fb0382a82fdb055aafc1e578e010e7c77ffa034ec1ae731eac9",
+        "grassmann.4.2/grassmann_verify.json":
+            "e46a0099838127ebb1ede6cc5c8a6b4caf59dc98d4e81545eb16759e367672d6",
+        "grassmann.5.3/grassmann_verify.json":
+            "c09f7a9ac7be832f9c81a065b88e845501a6e55a14a6344fa70a9074082585a9",
+    },
+    "sweep": {
+        "grassmann/grassmann_verify.json":
+            "f1eec6ceadf36c3a2b8f71c43176c69feb8d4987d15aea84521b533781096e2a",
+    },
+}
+
+
 def run_first_cycle(name: str, work: Path) -> dict:
     """Runs cycle 0 of a workload under `work`: "index:kind" -> Record."""
     wl = jobs.build(name, work, 1)
@@ -213,6 +234,10 @@ def is_maximal(kind: str, fn: str) -> bool:
 def is_fractal(kind: str, fn: str) -> bool:
     return (fn in ("dimension_estimate.json", "dimension_construct.json")
             or fn.startswith("spreadify_") or (kind == "slice" and fn == "result.json"))
+
+
+def is_grassmann(kind: str, fn: str) -> bool:
+    return fn == "grassmann_verify.json"
 
 
 def digests(records: dict, pinned) -> dict:
@@ -265,6 +290,11 @@ def test_first_cycle_fractal_artifacts_pinned(first_cycle, name):
     assert digests(first_cycle(name), is_fractal) == FRACTAL_ARTIFACTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(GRASSMANN_ARTIFACTS))
+def test_first_cycle_grassmann_artifacts_pinned(first_cycle, name):
+    assert digests(first_cycle(name), is_grassmann) == GRASSMANN_ARTIFACTS[name]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -276,7 +306,8 @@ if __name__ == "__main__":
             records[name] = run_first_cycle(name, work)
     for title, pinned in (("FF_ARTIFACTS", is_ff), ("GRID_ARTIFACTS", is_grid),
                           ("MAXIMAL_ARTIFACTS", is_maximal),
-                          ("FRACTAL_ARTIFACTS", is_fractal)):
+                          ("FRACTAL_ARTIFACTS", is_fractal),
+                          ("GRASSMANN_ARTIFACTS", is_grassmann)):
         print(f"{title} = {{")
         for name, recs in records.items():
             found = digests(recs, pinned)

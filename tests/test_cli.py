@@ -135,11 +135,11 @@ class TestDualitySpreadify:
         # Pinned bytes, which the CSV and JSON writers must reproduce exactly;
         # the report holds every candidate direction's dimension.
         for name, sha in [
-            ("spreadify_points.csv", "46f2b170c27cede05abe5bdcd8e9e0415d789d5c665718fb01b596acc07dfe68"),
+            ("spreadify_points.csv", "39a8b138dc46ad6686df5f96f36423332cd86f1f04c36eb17c795e30467b95aa"),
             ("spreadify_hyperplanes.csv",
-             "4a5e140fc9210a98932af042413674e3915cd1978b8fa84dcf181b3e11578964"),
+             "8ac235ec8605cb618934af0e575db191e313776b46d7fb7e70e698a2b0306701"),
             ("spreadify_report.json",
-             "3b1eec73ce6c26aa20e1adbbba239553f54cad5007395c0c345aa217ed42423c"),
+             "a8bfc9c6134da52468bcd7281ca6ae216c8d3b66c8be91e7906a1f6528c9e89f"),
         ]:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import ball_hits_svd, subspace_from_spanning
+from reference import ball_hits_svd, haar_bases_qr, subspace_from_spanning
 
 import furstlab.grassmann as gr
 from furstlab.checks import check_ball_scaling
@@ -19,6 +19,7 @@ from furstlab.grassmann import (
     haar_sample,
     line_ball_measure,
     min_rotation,
+    row_sum_squares,
     sample_subflat,
 )
 
@@ -105,6 +106,22 @@ class TestHaarSample:
         assert np.array_equal(batch, np.stack([haar_sample(n, k, r2).basis for _ in range(count)]))
         assert r1.random() == r2.random()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    def test_lines_match_qr_reference(self, n):
+        # The normalized Gaussian is the sign-fixed QR basis up to rounding:
+        # within 4 eps entrywise, with the same signs, and of norm 1 within
+        # 2 eps.
+        eps = np.finfo(float).eps
+        got = haar_projector_batch(n, 1, 20_000, seed=n)
+        want = haar_bases_qr(n, 1, 20_000, seed=n)
+        assert np.abs(got - want).max() <= 4 * eps
+        assert np.array_equal(np.sign(got), np.sign(want))
+        assert np.abs(np.linalg.norm(got[:, :, 0], axis=1) - 1.0).max() <= 2 * eps
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 2), (5, 3), (16, 7)])
+    def test_planes_are_the_qr_reference(self, n, k):
+        assert np.array_equal(haar_projector_batch(n, k, 500, seed=k), haar_bases_qr(n, k, 500, seed=k))
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             haar_sample(3, 4, seed=0)
@@ -117,6 +134,25 @@ class TestHaarSample:
         bases = haar_projector_batch(n, k, 10_000, seed=5)
         mean = np.einsum("mik,mjk->ij", bases, bases) / len(bases)
         assert np.abs(mean - (k / n) * np.eye(n)).max() <= 0.02
+
+
+class TestRowSumSquares:
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_is_numpy_norm_bit_for_bit(self, width):
+        # Random rows over many scales, zero rows, subnormal rows whose
+        # squares underflow to 0, and 1e200 rows whose squares overflow to
+        # inf, as numpy's do.  A column slice of a wider array is read too.
+        rng = np.random.default_rng(width)
+        x = rng.standard_normal((20_000, width)) * 10.0 ** rng.integers(-150, 150, (20_000, 1))
+        x = np.concatenate([x, np.zeros((3, width)), np.full((3, width), 5e-324),
+                            rng.uniform(-1e-308, 1e-308, (3, width)), np.full((3, width), -1e200)])
+        wide = np.hstack([x, x])
+        with np.errstate(over="ignore"):
+            got, norm = row_sum_squares(x), np.linalg.norm(x, axis=-1)
+            assert np.array_equal(got, np.add.reduce(x * x, axis=-1))
+            assert np.array_equal(np.sqrt(got), norm)
+            assert np.array_equal(np.sqrt(row_sum_squares(wide[:, :width])), norm)
+        assert np.isinf(got[-3:]).all() and (got[-9:-3] == 0).all()
 
 
 class TestGrassDistance:

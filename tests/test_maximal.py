@@ -272,6 +272,31 @@ class TestSlabIntervals:
                     for got, want in zip(new, old):
                         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    @pytest.mark.parametrize("n, k, level", [(3, 1, 4), (3, 2, 4), (4, 2, 3), (4, 3, 3)])
+    def test_dense_field_matches_searchsorted_kernel(self, n, k, level, monkeypatch):
+        # On a field with no zero cell every cell is in the value pass.  The
+        # intervals equal the reference kernel's, and so does the float the
+        # sweep makes of them.
+        import furstlab.maximal as mx
+
+        rng = np.random.default_rng(100 + 10 * n + k)
+        m = 1 << (level + 1)
+        f = MaximalField(n, level, rng.random((m,) * n) + 0.01)
+        cells = _sweep_cells(f)
+        assert len(cells[1]) == m**n
+        for u in (haar_sample(n, k, rng), haar_sample(n, k, rng)):
+            frame = np.hstack([u.basis, u.complement_basis()])
+            for delta in (2.0**-2, 0.3):
+                new = list(_slab_intervals(cells[1], frame, k, delta, delta / 2))
+                old = list(slab_intervals_searchsorted(cells[1], frame, k, delta, delta / 2))
+                assert len(new) == len(old)
+                for got, want in zip(new, old):
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                value = mx._slab_sweep(cells, u, delta, delta / 2)
+                with monkeypatch.context() as patch:
+                    patch.setattr(mx, "_slab_intervals", slab_intervals_searchsorted)
+                    assert mx._slab_sweep(cells, u, delta, delta / 2) == value > 0
+
 
 class TestLpNorm:
     def test_ball_indicator_norm_one(self):
@@ -329,8 +354,13 @@ class TestDeltaScan:
         pts = f.centers()
         hit = np.zeros(len(pts), dtype=bool)
         for tube in tubes:
-            hit |= _tube_distances_sq(pts, tube) <= delta**2
+            hit |= _tube_distances_sq(pts, tube.direction.basis, tube.center) <= delta**2
         assert np.array_equal(f.values.ravel(), hit.astype(float))
+
+    @pytest.mark.parametrize("delta", [2.0**-9, 0.6, 0.0, float("nan")])
+    def test_union_field_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError):
+            random_tube_union_field(2, 6, delta, 3, seed=0)
 
     def test_arguments_checked_before_any_field(self, monkeypatch):
         import furstlab.maximal as mx
