@@ -60,7 +60,7 @@ from .finitefield import (
     ff_min_spread,
     gaussian_binomial,
 )
-from .grassmann import line_ball_measure
+from .grassmann import MAX_AMBIENT_DIM, line_ball_measure
 from .maximal import delta_scan
 
 EXIT_OK = 0
@@ -238,11 +238,14 @@ def _ff_exponents_entry(v):
 
 
 def _ball_scaling_entry(v):
-    """For lines, the samples must expect checks.BALL_MIN_HITS draws within
-    delta/2 under the exact Haar law; for k >= 2 any count >= 1 is taken."""
+    """The sampler's dimension caps hold, and, for lines, the samples must
+    expect checks.BALL_MIN_HITS draws within delta/2 under the exact Haar
+    law, whose loop is linear in n; for k >= 2 any count >= 1 is taken."""
     e = _validate(_object(v), {"n": (_int, 3), "k": (_int, 1), "delta": (_open_unit, 0.2),
                                "samples": (_positive_int, 100000)})
-    if e["k"] == 1 and e["n"] >= 1:
+    if not 1 <= e["k"] <= e["n"] <= MAX_AMBIENT_DIM:
+        raise ValueError(f"need 1 <= k <= n <= {MAX_AMBIENT_DIM}, got n={e['n']}, k={e['k']}")
+    if e["k"] == 1:
         expected = e["samples"] * line_ball_measure(e["n"], e["delta"] / 2)
         if expected < checks.BALL_MIN_HITS:
             raise ValueError(f"{e['samples']} samples expect {expected:.1f} draws within delta/2 "

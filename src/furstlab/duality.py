@@ -38,7 +38,7 @@ from .dimension import (
     _sort_split,
     family_dimension,
 )
-from .grassmann import AffineFlat, Subspace, haar_projector_batch
+from .grassmann import AffineFlat, Subspace, complement, haar_projector_batch
 from .tolerances import TOL_EXACT, TOL_PROJECTIVE
 
 
@@ -78,20 +78,14 @@ class GraphHyperplane:
     def n(self) -> int:
         return len(self.a) + 1
 
-    def normal(self) -> np.ndarray:
-        """Unit normal, oriented with positive last coordinate."""
-        nu = np.append(-self.a, 1.0)
-        return nu / np.linalg.norm(nu)
-
     def height(self, xprime) -> float:
         return float(np.dot(self.a, xprime) + self.c)
 
     def to_flat(self) -> AffineFlat:
         """The same hyperplane as an AffineFlat."""
         n = self.n
-        nu = self.normal()
-        q, _ = np.linalg.qr(np.concatenate([nu[:, None], np.eye(n)], axis=1))
-        direction = Subspace(n, n - 1, q[:, 1:n])
+        nu = np.append(-self.a, 1.0)
+        direction = Subspace(n, n - 1, complement(nu[:, None] / np.linalg.norm(nu)))
         point = np.zeros(n)
         point[-1] = self.c
         return AffineFlat.through(direction, point)
@@ -360,7 +354,7 @@ def spreadify(
     candidates = haar_projector_batch(n, n - 1, ndirs, seed)
     dims = _candidate_dimensions(duals, candidates, l_min, l_max)
     best_idx = int(np.argmax(dims))  # ties: lowest index wins
-    u = Subspace(n, n - 1, candidates[best_idx]).complement_basis()[:, 0]
+    u = complement(candidates[best_idx])[:, 0]
 
     pmap = projective_to_infinity(u, h)
 

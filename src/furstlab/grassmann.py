@@ -19,6 +19,8 @@ import numpy as np
 from .tolerances import TOL_EXACT
 
 MAX_AMBIENT_DIM = 16
+# Gaussian entries per Haar batch (128 MiB of float64), checked before the draw.
+MAX_DRAW = 1 << 24
 
 # Draws per array pass of the Monte Carlo estimators, so their peak memory
 # does not grow with the sample count.
@@ -61,9 +63,14 @@ class Subspace:
 
     def complement_basis(self) -> np.ndarray:
         """Orthonormal basis of the orthogonal complement, shape (n, n-k)."""
-        # Full QR of the basis: trailing columns span the complement.
-        q, _ = np.linalg.qr(self.basis, mode="complete")
-        return q[:, self.k:]
+        return complement(self.basis)
+
+
+def complement(bases: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the orthogonal complements of the orthonormal
+    bases (..., n, k), shape (..., n, n-k): the trailing columns of their
+    complete QR."""
+    return np.linalg.qr(bases, mode="complete")[0][..., bases.shape[-1]:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +153,8 @@ def haar_projector_batch(n: int, k: int, count: int, seed=None) -> np.ndarray:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if n > MAX_AMBIENT_DIM:
         raise ValueError(f"ambient dimension capped at {MAX_AMBIENT_DIM}")
+    if count * n * k > MAX_DRAW:
+        raise ValueError(f"{count} draws of {n} x {k} bases exceed {MAX_DRAW} entries")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, n, k))
     if k == 1:
@@ -175,16 +184,11 @@ def _check_same_shape(u: Subspace, v: Subspace):
 
 
 def grass_distance(u: Subspace, v: Subspace) -> float:
-    """Operator-norm distance ||P_U - P_V|| between equal-dimension subspaces.
-
-    Computed as the largest singular value of the projector difference; for
-    equal dimensions this equals sin(theta_max) of the principal angles, and
-    lies in [0, 1].
-    """
+    """Operator-norm distance ||P_U - P_V|| between equal-dimension subspaces,
+    sin(theta_max) of the principal angles, in [0, 1]; a batch of one of
+    `_grass_distance_batch`."""
     _check_same_shape(u, v)
-    diff = u.projector() - v.projector()
-    s = np.linalg.svd(diff, compute_uv=False)
-    return float(min(max(s[0], 0.0), 1.0))
+    return float(_grass_distance_batch(u.basis, v.basis))
 
 
 def affine_distance(w: AffineFlat, w2: AffineFlat) -> float:

@@ -40,10 +40,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import Subspace, haar_projector_batch, row_sum_squares
+from .grassmann import Subspace, complement, haar_projector_batch, row_sum_squares
 
 MAX_FIELD_DIM = 4
 MIN_DELTA = 2.0 ** -8
+
+
+def _grid_shape(n: int, level: int) -> tuple:
+    """Shape (m,) * n of a field, m = 2^(level+1) cells per axis, checked
+    against the dimension cap before any array of that shape is built."""
+    if n > MAX_FIELD_DIM:
+        raise ValueError(f"ambient dimension capped at {MAX_FIELD_DIM}")
+    return (1 << (level + 1),) * n
+
+
+def _axis_centers(level: int) -> np.ndarray:
+    """Centers of the 2^(level+1) dyadic cells of side 2^-level along [-1, 1]."""
+    return -1.0 + (np.arange(1 << (level + 1)) + 0.5) * 2.0 ** -level
+
+
+def _cell_centers(level: int, shape: tuple, idx: np.ndarray) -> np.ndarray:
+    """Centers of the cells at the flat indices idx of a grid of the given
+    shape, one row per index."""
+    return _axis_centers(level)[np.stack(np.unravel_index(idx, shape), axis=1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,42 +74,29 @@ class MaximalField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n > MAX_FIELD_DIM:
-            raise ValueError(f"ambient dimension capped at {MAX_FIELD_DIM}")
-        m = 1 << (self.level + 1)
+        shape = _grid_shape(self.n, self.level)
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (m,) * self.n:
-            raise ValueError(f"values shape {v.shape} != {(m,) * self.n}")
+        if v.shape != shape:
+            raise ValueError(f"values shape {v.shape} != {shape}")
         if not np.isfinite(v).all() or (v < 0).any():
             raise ValueError("values must be finite and nonnegative")
         object.__setattr__(self, "values", v)
 
     @property
-    def cells_per_axis(self) -> int:
-        return 1 << (self.level + 1)
-
-    @property
     def resolution(self) -> float:
         return 2.0 ** -self.level
 
-    def axis_centers(self) -> np.ndarray:
-        m = self.cells_per_axis
-        return -1.0 + (np.arange(m) + 0.5) * self.resolution
-
     def centers(self) -> np.ndarray:
-        """All cell centers, shape (m^n, n)."""
-        axes = [self.axis_centers()] * self.n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=1)
+        """All cell centers in flat order, shape (m^n, n)."""
+        return _cell_centers(self.level, self.values.shape, np.arange(self.values.size))
 
     @classmethod
     def from_function(cls, n: int, level: int, fn) -> "MaximalField":
         """Evaluate fn on cell centers; fn takes an (m, n) array of points
         and returns m nonnegative values."""
-        m = 1 << (level + 1)
-        probe = cls(n, level, np.zeros((m,) * n))
-        vals = np.asarray(fn(probe.centers()), dtype=float).reshape((m,) * n)
-        return cls(n, level, vals)
+        shape = _grid_shape(n, level)
+        vals = fn(_cell_centers(level, shape, np.arange(math.prod(shape))))
+        return cls(n, level, np.asarray(vals, dtype=float).reshape(shape))
 
     @classmethod
     def ball_indicator(cls, n: int, level: int, center=None, radius: float = 1.0) -> "MaximalField":
@@ -101,27 +107,20 @@ class MaximalField:
 
     @classmethod
     def constant(cls, n: int, level: int, value: float) -> "MaximalField":
-        m = 1 << (level + 1)
-        return cls(n, level, np.full((m,) * n, float(value)))
+        return cls(n, level, np.full(_grid_shape(n, level), float(value)))
 
     def translated(self, shift_cells: Sequence[int]) -> "MaximalField":
-        """Shift by whole cells along each axis, filling with zeros."""
-        v = self.values
-        for axis, s in enumerate(shift_cells):
-            out = np.zeros_like(v)
-            if s >= 0:
-                src = [slice(None)] * self.n
-                dst = [slice(None)] * self.n
-                src[axis] = slice(0, v.shape[axis] - s)
-                dst[axis] = slice(s, None)
-            else:
-                src = [slice(None)] * self.n
-                dst = [slice(None)] * self.n
-                src[axis] = slice(-s, None)
-                dst[axis] = slice(0, v.shape[axis] + s)
-            out[tuple(dst)] = v[tuple(src)]
-            v = out
-        return MaximalField(self.n, self.level, v)
+        """Shift by whole cells along each axis, filling with zeros; a shift
+        of the whole axis or more leaves all zeros."""
+        m = self.values.shape[0]
+        src, dst = [], []
+        for s in shift_cells:
+            s = min(max(s, -m), m)
+            src.append(slice(max(-s, 0), m - max(s, 0)))
+            dst.append(slice(max(s, 0), m - max(-s, 0)))
+        out = np.zeros_like(self.values)
+        out[tuple(dst)] = self.values[tuple(src)]
+        return MaximalField(self.n, self.level, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,17 +160,19 @@ def _tube_distances_sq(points: np.ndarray, basis: np.ndarray, center: np.ndarray
     return rad_sq + excess * excess
 
 
-def _slab_window(f: MaximalField, basis: np.ndarray, center: np.ndarray, radius: float):
+def _slab_window(level: int, basis: np.ndarray, center: np.ndarray, radius: float):
     """Index slices of the bounding box of the slab of direction span(basis),
     center and radius (per-axis extent of the core disc plus the radius,
-    padded by one cell) and the in-slab mask of the cells in it, shaped like
-    the box (empty when the box misses the grid)."""
+    padded by one cell) on the grid at side 2^-level, and the in-slab mask
+    of the cells in it, shaped like the box (empty when the box misses the
+    grid)."""
     half_extent = 0.5 * np.linalg.norm(basis, axis=1) + radius
-    axis = f.axis_centers()
+    axis = _axis_centers(level)
+    side = 2.0 ** -level
     slices = []
-    for i in range(f.n):
-        lo = center[i] - half_extent[i] - f.resolution
-        hi = center[i] + half_extent[i] + f.resolution
+    for i in range(len(center)):
+        lo = center[i] - half_extent[i] - side
+        hi = center[i] + half_extent[i] + side
         j0 = int(np.searchsorted(axis, lo, side="left"))
         j1 = int(np.searchsorted(axis, hi, side="right"))
         slices.append(slice(j0, j1))
@@ -187,7 +188,7 @@ def tube_average(f: MaximalField, tube: TubeSpec) -> float:
     if f.n != tube.direction.n:
         raise ValueError("field and tube live in different dimensions")
     _check_resolution(f, tube.radius)
-    slices, inside = _slab_window(f, tube.direction.basis, tube.center, tube.radius)
+    slices, inside = _slab_window(f.level, tube.direction.basis, tube.center, tube.radius)
     if not inside.any():
         return 0.0
     return float(f.values[slices][inside].sum() / inside.sum())
@@ -204,12 +205,8 @@ def _sweep_cells(f: MaximalField):
     cells in flat order, the centers of the nonzero cells and their values."""
     vals = f.values.ravel()
     nonzero = np.flatnonzero(vals)
-    axis = f.axis_centers()
-
-    def centers(idx):
-        return axis[np.stack(np.unravel_index(idx, f.values.shape), axis=1)]
-
-    return centers(np.arange(vals.size // 2)), centers(nonzero), vals[nonzero]
+    half = _cell_centers(f.level, f.values.shape, np.arange(vals.size // 2))
+    return half, _cell_centers(f.level, f.values.shape, nonzero), vals[nonzero]
 
 
 def _grid_index(v: np.ndarray, step: float, side: str) -> np.ndarray:
@@ -307,9 +304,10 @@ def _slab_intervals(points: np.ndarray, frame: np.ndarray, k: int, delta: float,
         yield lo, hi, cells
 
 
-def _slab_sweep(cells, u: Subspace, delta: float, step: float) -> float:
+def _slab_sweep(cells, basis: np.ndarray, delta: float, step: float) -> float:
     """Largest slab average over the translate grid in U-perp within B(0, 2), for
-    any codimension c >= 1, from the `_sweep_cells` of the field.
+    U = span(basis) of any codimension c >= 1, from the `_sweep_cells` of the
+    field.
 
     Each cell adds to an interval of translates on each nearby grid row, and one
     difference array per row turns those intervals into every translate's
@@ -333,8 +331,9 @@ def _slab_sweep(cells, u: Subspace, delta: float, step: float) -> float:
     first grid point past v is within one of the candidate.
     """
     half, points, vals = cells
-    frame = np.hstack([u.basis, u.complement_basis()])
-    c = u.n - u.k
+    n, k = basis.shape
+    frame = np.hstack([basis, complement(basis)])
+    c = n - k
     taus = _translate_grid(step)
     nt = len(taus)
     size = nt ** (c - 1) * (nt + 1)
@@ -343,12 +342,12 @@ def _slab_sweep(cells, u: Subspace, delta: float, step: float) -> float:
         return np.cumsum(diff.reshape(-1, nt + 1), axis=1)[:, :nt].reshape((nt,) * c)
 
     diff = np.zeros(size, dtype=np.int64)
-    for lo, hi, _ in _slab_intervals(half, frame, u.k, delta, step):
+    for lo, hi, _ in _slab_intervals(half, frame, k, delta, step):
         diff += np.bincount(lo, minlength=size) - np.bincount(hi, minlength=size)
     counts = per_translate(diff)
     counts = counts + np.flip(counts)
     diff = np.zeros(size)
-    for lo, hi, idx in _slab_intervals(points, frame, u.k, delta, step):
+    for lo, hi, idx in _slab_intervals(points, frame, k, delta, step):
         diff += np.bincount(lo, vals[idx], size)
         diff -= np.bincount(hi, vals[idx], size)
     sums = per_translate(diff)
@@ -374,7 +373,7 @@ def kakeya_maximal(f: MaximalField, u: Subspace, delta: float, search_step: floa
     if f.n != u.n:
         raise ValueError("field and direction live in different dimensions")
     _check_search(f, u.k, delta, search_step)
-    return _slab_sweep(_sweep_cells(f), u, delta, search_step)
+    return _slab_sweep(_sweep_cells(f), u.basis, delta, search_step)
 
 
 def maximal_lp_norm(
@@ -401,7 +400,7 @@ def maximal_lp_norm(
     cells = _sweep_cells(f)  # shared by every direction
     acc = top = 0.0
     for b in haar_projector_batch(f.n, k, ndirs, seed):
-        value = _slab_sweep(cells, Subspace(f.n, k, b), delta, step)
+        value = _slab_sweep(cells, b, delta, step)
         acc += value**p
         top = max(top, value)
     if acc == 0 < top:
@@ -415,19 +414,17 @@ def random_tube_union_field(
     """Indicator field of a union of random delta-tubes (line directions,
     centers in U-perp within B(0, 1/2)).
 
-    Each tube draws its Haar line, then its n-1 center coordinates in an
-    orthonormal basis of U-perp, the trailing columns of the complete QR of
-    the line."""
+    Each tube draws its Haar line, then its n-1 center coordinates in the
+    `complement` basis of U-perp."""
     if not MIN_DELTA <= delta <= 0.5:
         raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")
     rng = np.random.default_rng(seed)
-    f = MaximalField.constant(n, level, 0.0)
-    hit = np.zeros(f.values.shape, dtype=bool)
+    hit = np.zeros(_grid_shape(n, level), dtype=bool)
     for _ in range(ntubes):
         basis = haar_projector_batch(n, 1, 1, rng)[0]
         tau = rng.uniform(-0.5, 0.5, size=n - 1)
-        center = np.linalg.qr(basis, mode="complete")[0][:, 1:] @ tau
-        slices, inside = _slab_window(f, basis, center, delta)
+        center = complement(basis) @ tau
+        slices, inside = _slab_window(level, basis, center, delta)
         hit[slices] |= inside
     return MaximalField(n, level, hit.astype(float))
 

@@ -11,9 +11,11 @@ the spreadify candidates are box-counted one GridSet at a time.
 The finite-field directions are enumerated one RREF basis at a time, and
 the coset representative and subspace points are the scalar loops behind
 ff_coset_profile's vectorized labels; the graph form of a hyperplane reads
-the AffineFlat images of apply_projective.  A CSV table is written row by
+the AffineFlat images of apply_projective, and a graph-form plane becomes
+an AffineFlat through the QR of its normal beside the identity.  A CSV table is written row by
 row by csv.writer, and Haar-ball hits are counted with the batched-SVD
-distance of every draw.  Haar bases of every dimension, lines included, are
+distance of every draw.  The Grassmann distance is the largest singular
+value of the projector difference.  Haar bases of every dimension, lines included, are
 drawn by a batched QR with the signs of diag R made positive.  The slab
 intervals of the maximal sweep find their translate columns by
 np.searchsorted on the translate grid.
@@ -30,7 +32,13 @@ import numpy as np
 from furstlab.dimension import estimate_dimension, grid_from_points
 from furstlab.duality import GraphHyperplane, VerticalHyperplaneError
 from furstlab.finitefield import FFSet
-from furstlab.grassmann import _CHUNK, Subspace, _grass_distance_batch, haar_projector_batch
+from furstlab.grassmann import (
+    _CHUNK,
+    AffineFlat,
+    Subspace,
+    _grass_distance_batch,
+    haar_projector_batch,
+)
 from furstlab.maximal import _translate_grid
 from furstlab.tolerances import TOL_EXACT
 
@@ -174,6 +182,24 @@ def graph_from_flat(flat) -> GraphHyperplane:
         raise VerticalHyperplaneError("hyperplane is vertical, no graph form")
     d = float(np.dot(nu, flat.offset))
     return GraphHyperplane(-nu[:-1] / nu[-1], d / nu[-1])
+
+
+def flat_from_graph_qr(plane: GraphHyperplane) -> AffineFlat:
+    """GraphHyperplane.to_flat with the direction from the QR of the unit
+    normal beside the identity, [nu | I]: its columns 1..n-1."""
+    n = plane.n
+    nu = np.append(-plane.a, 1.0)
+    q, _ = np.linalg.qr(np.concatenate([(nu / np.linalg.norm(nu))[:, None], np.eye(n)], axis=1))
+    point = np.zeros(n)
+    point[-1] = plane.c
+    return AffineFlat.through(Subspace(n, n - 1, q[:, 1:n]), point)
+
+
+def grass_distance_svd(u: Subspace, v: Subspace) -> float:
+    """||P_U - P_V||, the largest singular value of the projector
+    difference, clipped to [0, 1]."""
+    s = np.linalg.svd(u.projector() - v.projector(), compute_uv=False)
+    return float(min(max(s[0], 0.0), 1.0))
 
 
 def ff_directions_loop(q: int, n: int, k: int) -> np.ndarray:

@@ -424,6 +424,10 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
         (["maximal", "scan"], {"deltas": []}),
         (["ff", "search"], {"q": 2, "n": 2, "node_cap": 0}),
         (["ff", "search"], {"q": 2, "n": 2, "node_cap": -1}),
+        # Haar draws past the entry cap, rejected before they are allocated.
+        (["maximal", "scan"], {"deltas": [0.0625], "ntubes": 3, "ndirs": 10**12}),
+        (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "planes.csv",
+                                    "ndirs": 10**12}),
     ],
     ids=["depth30", "composite_q", "missing_csv", "ff_exponents_without_s",
          "bounds_zero_denominator", "bounds_infinite", "ff_exponents_zero_denominator",
@@ -440,7 +444,8 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
          "construct_keep_int", "construct_keep_mixed", "construct_product_huge_n",
          "construct_sharp_huge_n", "estimate_rle_zero_n", "spreadify_zero_ndirs",
          "ball_scaling_delta_above_1", "ball_scaling_delta_1", "scan_no_deltas",
-         "search_zero_node_cap", "search_negative_node_cap"],
+         "search_zero_node_cap", "search_negative_node_cap", "scan_huge_ndirs",
+         "spreadify_huge_ndirs"],
 )
 def test_malformed_config_exits_2_writes_nothing(tmp_path, monkeypatch, argv, cfg):
     monkeypatch.chdir(tmp_path)
@@ -500,14 +505,15 @@ def test_search_caps_exit_2_before_building_tables(tmp_path, monkeypatch, cfg):
      (["ff", "verify"], {"q": 2**61 - 1, "n": 2}),
      (["ff", "search"], {"q": 2**61 - 1, "n": 2}),
      (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": "1", "t": "1e-99999999"}]}),
-     (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": "1e99999999", "t": 1}]})],
+     (["bounds", "eval"], {"tuples": [{"n": 3, "k": 1, "s": "1e99999999", "t": 1}]}),
+     (["grassmann", "verify"], {"pairs": [], "ball_scaling": {"n": 10**9}})],
     ids=["verify_huge_n", "spread_huge_k", "verify_huge_prime_q", "search_huge_prime_q",
-         "bounds_tiny_t_exponent", "bounds_huge_s_exponent"],
+         "bounds_tiny_t_exponent", "bounds_huge_s_exponent", "ball_scaling_huge_n"],
 )
 def test_huge_exponent_exits_2_within_a_second(tmp_path, argv, cfg):
     # In a child process, which the timeout stops if q**n is ever computed,
-    # a prime q near 2^61 is tested by trial division or a decimal string's
-    # 10**exponent is built.
+    # a prime q near 2^61 is tested by trial division, a decimal string's
+    # 10**exponent is built or the exact line-ball law loops over n.
     child = ("import sys, time; from furstlab.cli import main; t = time.perf_counter(); "
              "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)")
     path = write_config(tmp_path, "c.json", cfg)

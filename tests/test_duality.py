@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import reference
-from reference import graph_from_flat
+from reference import flat_from_graph_qr, graph_from_flat
 
 import furstlab.duality as duality
 from furstlab.duality import (
@@ -25,7 +25,13 @@ from furstlab.duality import (
     spreadify,
 )
 from furstlab.dimension import _point_cells, _sort_split
-from furstlab.grassmann import AffineFlat, Subspace, haar_projector_batch, haar_sample
+from furstlab.grassmann import (
+    AffineFlat,
+    Subspace,
+    grass_distance,
+    haar_projector_batch,
+    haar_sample,
+)
 
 E1 = Subspace(2, 1, np.array([[1.0], [0.0]]))
 
@@ -91,6 +97,15 @@ class TestGraphFlatConversion:
                 back = graph_from_flat(plane.to_flat())
                 assert np.abs(back.a - plane.a).max() <= 1e-9
                 assert abs(back.c - plane.c) <= 1e-9
+
+    def test_same_flat_as_the_qr_of_normal_and_identity(self):
+        rng = np.random.default_rng(9)
+        for n in (2, 3, 5, 8):
+            for scale in (1e-3, 1.0, 1e3):
+                plane = GraphHyperplane(scale * rng.standard_normal(n - 1), rng.standard_normal())
+                got, want = plane.to_flat(), flat_from_graph_qr(plane)
+                assert grass_distance(got.direction, want.direction) <= 1e-12
+                assert np.abs(got.offset - want.offset).max() <= 1e-12
 
     def test_vertical_rejected(self):
         vert = AffineFlat(Subspace(2, 1, np.array([[0.0], [1.0]])), np.array([2.0, 0.0]))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import ball_hits_svd, haar_bases_qr, subspace_from_spanning
+from reference import ball_hits_svd, grass_distance_svd, haar_bases_qr, subspace_from_spanning
 
 import furstlab.grassmann as gr
 from furstlab.checks import check_ball_scaling
@@ -13,6 +13,7 @@ from furstlab.grassmann import (
     _grass_distance_batch,
     _subflat_batch,
     affine_distance,
+    complement,
     ball_measure_estimate,
     grass_distance,
     haar_projector_batch,
@@ -59,6 +60,26 @@ class TestSubspace:
         assert w.shape == (5, 3)
         assert np.allclose(w.T @ w, np.eye(3), atol=1e-9)
         assert np.allclose(u.basis.T @ w, 0.0, atol=1e-9)
+        # The trailing columns of the complete QR of the basis, bit for bit.
+        for n, k in [(2, 1), (5, 2), (6, 5), (16, 7)]:
+            u = haar_sample(n, k, seed=n + k)
+            q = np.linalg.qr(u.basis, mode="complete")[0]
+            assert np.array_equal(u.complement_basis(), q[:, k:])
+
+
+class TestComplement:
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(1, n)])
+    def test_orthonormal_and_orthogonal_to_the_basis(self, n, k):
+        bases = haar_projector_batch(n, k, 200, seed=10 * n + k)
+        w = complement(bases)
+        assert w.shape == (200, n, n - k)
+        assert np.abs(tr(w) @ w - np.eye(n - k)).max() <= 1e-12
+        assert np.abs(tr(bases) @ w).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 1), (6, 3), (16, 7)])
+    def test_stack_is_one_at_a_time(self, n, k):
+        bases = haar_projector_batch(n, k, 50, seed=n * k)
+        assert np.array_equal(complement(bases), np.stack([complement(b) for b in bases]))
 
 
 class TestAffineFlat:
@@ -127,6 +148,15 @@ class TestHaarSample:
             haar_sample(3, 4, seed=0)
         with pytest.raises(ValueError):
             haar_sample(3, 0, seed=0)
+
+    @pytest.mark.parametrize("n,k,count", [(2, 1, 2**23 + 1), (16, 16, 2**16 + 1), (3, 2, 10**12)])
+    def test_draws_past_the_entry_cap_raise_before_drawing(self, monkeypatch, n, k, count):
+        def never(*args):
+            raise AssertionError("drew past the cap")
+
+        monkeypatch.setattr(np.random, "default_rng", never)
+        with pytest.raises(ValueError, match="exceed"):
+            haar_projector_batch(n, k, count, seed=0)
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2)])
     def test_projector_mean_is_invariant(self, n, k):
@@ -417,5 +447,7 @@ class TestBallMeasure:
         bases = np.concatenate([haar_projector_batch(4, 2, 64, rng), [u.basis], near])
         fast = _grass_distance_batch(u.basis, bases)
         for i in range(len(bases)):
-            slow = grass_distance(u, Subspace(4, 2, bases[i]))
+            v = Subspace(4, 2, bases[i])
+            slow = grass_distance_svd(u, v)
             assert fast[i] == pytest.approx(slow, abs=1e-12)
+            assert grass_distance(u, v) == fast[i]

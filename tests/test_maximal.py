@@ -44,6 +44,14 @@ class TestMaximalField:
         with pytest.raises(ValueError):
             MaximalField(1, 2, np.full(8, np.nan))
 
+    def test_dimension_cap_checked_before_the_grid_is_built(self):
+        # 1024^5 cells: a build before the check would raise MemoryError.
+        for make in (lambda: MaximalField.from_function(5, 9, lambda x: x[:, 0] ** 2),
+                     lambda: MaximalField.constant(5, 9, 0.0),
+                     lambda: random_tube_union_field(5, 9, 0.25, 1, seed=0)):
+            with pytest.raises(ValueError, match="capped"):
+                make()
+
     def test_centers_cover_symmetric_cube(self):
         f = MaximalField.constant(2, 3, 1.0)
         c = f.centers()
@@ -79,6 +87,22 @@ class TestTubeAverage:
         f = MaximalField.constant(2, 4, 1.0)
         with pytest.raises(ValueError):
             tube_average(f, TubeSpec(E1, np.zeros(2), 0.05))
+
+    def test_shifts_past_the_axis_leave_zeros(self):
+        f = MaximalField(2, 1, np.random.default_rng(4).random((4, 4)) + 0.1)
+        for s in (4, 5, 40):
+            for shift in ([s, 0], [0, -s], [-s, s]):
+                assert not f.translated(shift).values.any()
+
+    def test_in_range_shifts_move_the_values(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3):
+            f = MaximalField(n, 1, rng.random((4,) * n))
+            padded = np.pad(f.values, 4)
+            for _ in range(20):
+                shift = rng.integers(-4, 5, n)
+                want = padded[tuple(slice(4 - s, 8 - s) for s in shift)]
+                assert np.array_equal(f.translated(shift).values, want)
 
     def test_exact_translation_covariance(self):
         f = bump_field()
@@ -292,10 +316,10 @@ class TestSlabIntervals:
                 assert len(new) == len(old)
                 for got, want in zip(new, old):
                     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-                value = mx._slab_sweep(cells, u, delta, delta / 2)
+                value = mx._slab_sweep(cells, u.basis, delta, delta / 2)
                 with monkeypatch.context() as patch:
                     patch.setattr(mx, "_slab_intervals", slab_intervals_searchsorted)
-                    assert mx._slab_sweep(cells, u, delta, delta / 2) == value > 0
+                    assert mx._slab_sweep(cells, u.basis, delta, delta / 2) == value > 0
 
 
 class TestLpNorm:
