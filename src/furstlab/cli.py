@@ -253,6 +253,16 @@ def _ball_scaling_entry(v):
     return e
 
 
+def _pairs(v):
+    """Every (n, k) pair within the sampler's dimension caps, checked before
+    the first pair's suites run."""
+    pairs = _list_of(_pair_of_ints)(v)
+    for n, k in pairs:
+        if not 1 <= k <= n <= MAX_AMBIENT_DIM:
+            raise ValueError(f"need 1 <= k <= n <= {MAX_AMBIENT_DIM}, got n={n}, k={k}")
+    return pairs
+
+
 def _spread_entry(v):
     return _validate(_object(v), {"m": (_positive_int, _REQUIRED), "M": (_positive_int, _REQUIRED)})
 
@@ -499,7 +509,7 @@ _COMMANDS = {
         "ff_exponents": (_opt(_list_of(_ff_exponents_entry)), None),
     }, cmd_bounds_eval),
     ("grassmann", "verify"): ({
-        "pairs": (_list_of(_pair_of_ints), [[3, 1], [4, 2], [5, 3]]),
+        "pairs": (_pairs, [[3, 1], [4, 2], [5, 3]]),
         "samples": (_positive_int, 1000), "subflat_samples": (_positive_int, 200),
         "ball_scaling": (_opt(_ball_scaling_entry), None), "seed": (_int, 0),
     }, cmd_grassmann_verify),

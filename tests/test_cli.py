@@ -69,19 +69,38 @@ class TestGrassmannVerify:
         payload = json.loads((out / "grassmann_verify.json").read_text())
         assert all(r["passed"] for r in payload["results"])
 
-    def test_ball_scaling_checked_before_any_suite(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def no_suites(self, monkeypatch):
         import furstlab.checks as checks
 
         def never(*args):
-            raise AssertionError("a pair suite ran before ball_scaling was validated")
+            raise AssertionError("a pair suite ran before the config was validated")
 
         for name in ("check_translation_inequality", "check_rotation_pointwise",
                      "check_min_rotation_norm", "check_subflat_transport"):
             monkeypatch.setattr(checks, name, never)
+
+    def test_ball_scaling_checked_before_any_suite(self, tmp_path, no_suites):
         cfg = write_config(tmp_path, "g.json", {"pairs": [[3, 1], [4, 2]], "ball_scaling": {"n": "x"}})
         out = tmp_path / "out"
         assert run_cli(["grassmann", "verify", "--config", cfg, "--out", str(out)]) == 2
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("bad", [[17, 1], [3, 0], [2, 3], [0, 0]])
+    def test_pair_caps_checked_before_any_suite(self, tmp_path, no_suites, bad, capsys):
+        cfg = write_config(tmp_path, "g.json", {"pairs": [[3, 1], bad], "samples": 200_000})
+        out = tmp_path / "out"
+        assert run_cli(["grassmann", "verify", "--config", cfg, "--out", str(out)]) == 2
+        assert not list(out.iterdir())
+        assert "need 1 <= k <= n <= 16" in capsys.readouterr().err
+
+    def test_pairs_at_the_caps_run(self, tmp_path):
+        cfg = write_config(tmp_path, "g.json", {"pairs": [[1, 1], [3, 3], [16, 1]], "samples": 20,
+                                                "subflat_samples": 5})
+        out = tmp_path / "out"
+        assert run_cli(["grassmann", "verify", "--config", cfg, "--out", str(out)]) == 0
+        results = json.loads((out / "grassmann_verify.json").read_text())["results"]
+        assert {(r["n"], r["k"]) for r in results} == {(1, 1), (3, 3), (16, 1)}
 
     def test_ball_scaling_too_few_samples_for_lines_rejected(self, tmp_path, capsys):
         # 500 samples expect 2.5 draws within 0.1 of a line in R^3; this run

@@ -8,6 +8,9 @@ from furstlab.maximal import (
     MIN_DELTA,
     MaximalField,
     TubeSpec,
+    _axis_centers,
+    _box_centers,
+    _cell_centers,
     _grid_index,
     _slab_intervals,
     _sweep_cells,
@@ -57,6 +60,19 @@ class TestMaximalField:
         c = f.centers()
         assert c.min() == pytest.approx(-1 + f.resolution / 2)
         assert c.max() == pytest.approx(1 - f.resolution / 2)
+
+    @pytest.mark.parametrize("n, level", [(1, 4), (2, 3), (3, 2), (4, 1)])
+    def test_box_centers_equal_the_index_gather(self, n, level):
+        # The broadcast centers are the same floats, in the same flat order, as
+        # the gather by flat index they replace.
+        f = MaximalField.constant(n, level, 1.0)
+        shape, size = f.values.shape, f.values.size
+        assert np.array_equal(f.centers(), _cell_centers(level, shape, np.arange(size)))
+        assert np.array_equal(_sweep_cells(f)[0], _cell_centers(level, shape, np.arange(size // 2)))
+        lo, hi = np.arange(n) % 3, np.arange(n) % 3 + 2
+        box = _box_centers([_axis_centers(level)[a:b] for a, b in zip(lo, hi)])
+        idx = np.ravel_multi_index(np.indices(hi - lo).reshape(n, -1) + lo[:, None], shape)
+        assert np.array_equal(box.reshape(-1, n), _cell_centers(level, shape, idx))
 
 
 class TestTubeSpec:
@@ -320,6 +336,59 @@ class TestSlabIntervals:
                 with monkeypatch.context() as patch:
                     patch.setattr(mx, "_slab_intervals", slab_intervals_searchsorted)
                     assert mx._slab_sweep(cells, u.basis, delta, delta / 2) == value > 0
+
+
+class TestBlockedSweep:
+    @pytest.mark.parametrize("n, k, level, delta, block",
+                             [(2, 1, 5, 1 / 8, 37), (3, 2, 4, 1 / 4, 37), (3, 1, 4, 1 / 4, 331),
+                              (4, 2, 3, 1 / 2, 997), (4, 1, 3, 1 / 2, 997)],
+                             ids=["n2k1", "n3k2", "n3k1", "n4k2", "n4k1"])
+    @pytest.mark.parametrize("density", [0.3, 1.0], ids=["sparse", "dense"])
+    def test_blocks_change_no_bit(self, n, k, level, delta, block, density, monkeypatch):
+        # Blocks that divide neither the half grid nor the nonzero cells give
+        # the unblocked sweep's float and the searchsorted kernel's, bit for bit.
+        import furstlab.maximal as mx
+
+        rng = np.random.default_rng(10 * n + k)
+        m = 1 << (level + 1)
+        values = (rng.random((m,) * n) + 0.01) * (rng.random((m,) * n) < density)
+        cells = _sweep_cells(MaximalField(n, level, values))
+        for points in cells[:2]:
+            assert len(points) > 2 * block and len(points) % block
+        u = haar_sample(n, k, rng)
+        monkeypatch.setattr(mx, "_BLOCK", block)
+        blocked = mx._slab_sweep(cells, u.basis, delta, delta / 3)
+        monkeypatch.setattr(mx, "_BLOCK", m**n)
+        assert mx._slab_sweep(cells, u.basis, delta, delta / 3) == blocked > 0
+        monkeypatch.setattr(mx, "_slab_intervals", slab_intervals_searchsorted)
+        assert mx._slab_sweep(cells, u.basis, delta, delta / 3) == blocked
+
+    def test_no_call_reads_more_than_a_block(self, monkeypatch):
+        import furstlab.maximal as mx
+
+        f = random_tube_union_field(2, 8, 2.0**-6, 10, seed=3)
+        rows = []
+        kernel = mx._slab_intervals
+        monkeypatch.setattr(mx, "_slab_intervals",
+                            lambda points, *args: rows.append(len(points)) or kernel(points, *args))
+        assert kakeya_maximal(f, haar_sample(2, 1, 4), 2.0**-6, 2.0**-7) > 0
+        assert max(rows) <= mx._BLOCK < f.values.size // 2
+        assert sum(rows) == f.values.size // 2 + np.count_nonzero(f.values)
+
+    @pytest.mark.parametrize("n, k, level", [(2, 1, 8), (3, 1, 5), (4, 1, 4), (4, 2, 4), (4, 3, 4)])
+    def test_projection_rows_do_not_depend_on_the_block(self, n, k, level):
+        # What the blocking rests on: each row of points @ frame has the same
+        # bits whatever other rows are in the product.
+        import furstlab.maximal as mx
+
+        half = _sweep_cells(MaximalField.constant(n, level, 1.0))[0]
+        rng = np.random.default_rng(n + k)
+        for u in (haar_sample(n, k, rng) for _ in range(5)):
+            frame = np.hstack([u.basis, u.complement_basis()])
+            whole = half @ frame
+            for block in (mx._BLOCK, 4099):
+                for s in range(0, len(half), block):
+                    assert np.array_equal(half[s:s + block] @ frame, whole[s:s + block])
 
 
 class TestLpNorm:
