@@ -264,11 +264,3 @@ def ff_bound_exponents(n: int, k: int, s: RationalLike) -> FFBoundReport:
         zhang_upper=Fraction((n + 1), 2) * s + Fraction(n - 1, 2),
         ddl_lower=n - k + s,
     )
-
-
-def alpha_affine_step(n: int, k: int, k0: int, t: RationalLike) -> Fraction:
-    """(k-k0+1)(n-k+k0) - k(n-k) + t: the affine family dimension produced
-    by slicing k-flats down to (k-k0)-flats."""
-    if not k > k0 >= 1:
-        raise ValueError(f"need k > k0 >= 1, got k={k}, k0={k0}")
-    return (k - k0 + 1) * (n - k + k0) - k * (n - k) + as_fraction(t)

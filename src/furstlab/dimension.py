@@ -14,8 +14,10 @@ lookup in a table of spread values, sorts the cells by it, and reads the
 level at which each pair of neighbours splits off the first key word where
 they differ; the box counts at all coarser levels follow from those split
 levels.  That one kernel, _sort_split, takes a batch of grids of equal
-size: a GridSet is a batch of one, and spreadify box-counts all its
-candidate projections in one batch.  flat_slice finds
+size: a GridSet is a batch of one.  One placement, _point_cells, puts a
+stack of float clouds on grids, each scaled by its own power of two;
+family_dimension counts one cloud and projection_dimensions (spreadify's
+candidates) a batch, neither building a GridSet.  flat_slice finds
 the boxes of side about rho as runs of cells from the same split levels,
 drops every box too far from the flat (distance to a flat is 1-Lipschitz),
 and runs its exact per-cell test only on the cells left.
@@ -40,6 +42,7 @@ from .grassmann import AffineFlat, haar_projector_batch
 from .tolerances import TOL_EXACT
 
 MAX_CELLS = 1 << 24
+MAX_POINT_LEVEL = 62  # unit * 2^level of a point in [0, 1] fits in int64
 _RLE_HEAD = struct.Struct("<4sBBQ")
 
 
@@ -219,11 +222,6 @@ class GridSet:
         cells = self.cells[np.lexsort(self.cells.T[::-1])]
         return table.to_csv([f"i{j}" for j in range(self.n)], cells)
 
-    @classmethod
-    def from_csv(cls, text: str, level: int) -> "GridSet":
-        cells = table.from_csv(text, int)
-        return cls(cells.shape[1], level, cells)
-
     def to_rle(self) -> bytes:
         """Run-length encoding of the sorted linear (row-major) cell indices:
         a "<4sBBQ" header (magic, n, level, run count), then one "<QQ"
@@ -394,13 +392,33 @@ def grid_from_points(points, level: int) -> GridSet:
 
 
 def _point_cells(pts: np.ndarray, level: int) -> np.ndarray:
-    """The cells at `level` of the rows of an (m, d) float array, as
-    grid_from_points places them."""
-    lo = pts.min(axis=0) if len(pts) else np.zeros(pts.shape[1])
-    span = float((pts - lo).max()) if len(pts) else 0.0
-    scale = 2.0 ** max(0, math.ceil(math.log2(span))) if span > 0 else 1.0
-    unit = (pts - lo) / scale
-    return np.clip((unit * (1 << level)).astype(np.int64), 0, (1 << level) - 1)
+    """The cells at `level` of a (..., m, d) float stack of clouds, each
+    cloud placed as grid_from_points places it: shifted by its own minimum
+    and scaled by its own power of two.  A level past MAX_POINT_LEVEL
+    raises ValueError, since unit * 2^level must fit in int64."""
+    if level > MAX_POINT_LEVEL:
+        raise ValueError(f"level {level} exceeds {MAX_POINT_LEVEL}, the deepest float placement")
+    if not pts.shape[-2]:
+        return np.zeros(pts.shape, dtype=np.int64)
+    unit = pts - pts.min(axis=-2, keepdims=True)
+    span = unit.max(axis=(-2, -1))
+    scale = [2.0 ** max(0, math.ceil(math.log2(s))) if s > 0 else 1.0 for s in span.ravel().tolist()]
+    unit /= np.reshape(scale, span.shape + (1, 1))
+    unit *= 1 << level
+    return np.clip(unit.astype(np.int64), 0, (1 << level) - 1)
+
+
+def projection_dimensions(points: np.ndarray, bases: np.ndarray, l_min: int, l_max: int) -> list:
+    """For each basis b of a (count, n, k) stack, the slope that
+    estimate_dimension(grid_from_points(points @ b, l_max), l_min, l_max)
+    gives, bit for bit, from one stacked product, placement and _sort_split
+    per batch of at most MAX_CELLS points."""
+    step = max(1, MAX_CELLS // len(points))
+    counts = np.concatenate([
+        _sort_split(_point_cells(points @ bases[i : i + step], l_max), l_max)[2]
+        for i in range(0, len(bases), step)
+    ])
+    return [_fit(row[l_min : l_max + 1], l_min, l_max).slope for row in counts]
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,9 +561,14 @@ def family_dimension(projectors: np.ndarray, l_min: int, l_max: int) -> Dimensio
     Each projector is embedded as its n^2 entries and counted with max-norm
     boxes; that embedding is bi-Lipschitz-equivalent to the projector
     metric up to dimension constants, so the slope estimates the family's
-    metric dimension.
+    metric dimension.  The entries are counted as grid_from_points places them.
     """
     p = np.asarray(projectors, dtype=float)
     if p.ndim != 3 or p.shape[1] != p.shape[2] or not len(p):
         raise ValueError(f"need a nonempty (m, n, n) stack of projectors, got shape {p.shape}")
-    return estimate_dimension(grid_from_points(p.reshape(len(p), -1), l_max), l_min, l_max)
+    if len(p) > MAX_CELLS:
+        raise ValueError(f"family of {len(p)} members exceeds cap {MAX_CELLS}")
+    if not 1 <= l_min < l_max:
+        raise ValueError(f"need 1 <= l_min < l_max, got {l_min}, {l_max}")
+    counts = _sort_split(_point_cells(p.reshape(1, len(p), -1), l_max), l_max)[2][0]
+    return _fit(counts[l_min : l_max + 1], l_min, l_max)

@@ -19,7 +19,8 @@ GraphHyperplane is one plane.  spreadify carries a family as one (m, n)
 float array of graph-form rows (a, c), the layout of the plane CSV table:
 the CLI reads that table into the array, spreadify maps it, and
 hyperplanes_to_csv writes it back.  Its ndirs candidate projections are
-box-counted together by the dimension module's one sort-and-split kernel.
+placed and box-counted together by dimension.projection_dimensions, and
+its direction dimensions by dimension.family_dimension.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ import numpy as np
 
 from . import table
 from .dimension import (
-    MAX_CELLS,
+    MAX_POINT_LEVEL,
     DimensionEstimate,
-    _fit,
-    _point_cells,
-    _sort_split,
     family_dimension,
+    projection_dimensions,
 )
 from .grassmann import AffineFlat, Subspace, complement, haar_projector_batch
 from .tolerances import TOL_EXACT, TOL_PROJECTIVE
@@ -273,25 +272,6 @@ def _direction_dimension(a: np.ndarray, l_min: int, l_max: int) -> DimensionEsti
     return family_dimension(np.eye(nu.shape[1]) - nu[:, :, None] * nu[:, None, :], l_min, l_max)
 
 
-def _candidate_dimensions(
-    duals: np.ndarray, candidates: np.ndarray, l_min: int, l_max: int
-) -> list:
-    """The box dimension over levels [l_min, l_max] of the projection
-    duals @ b for each basis b of a (count, n, n - 1) stack.
-
-    Each projection is placed on the grid as grid_from_points places it,
-    and the projections are box-counted together by `_sort_split`, in
-    batches of at most MAX_CELLS cells; the slopes are estimate_dimension's.
-    """
-    step = max(1, MAX_CELLS // len(duals))
-    counts = np.concatenate([
-        _sort_split(np.stack([_point_cells(duals @ b, l_max) for b in candidates[i:i + step]]),
-                    l_max)[2]
-        for i in range(0, len(candidates), step)
-    ])
-    return [_fit(row[l_min : l_max + 1], l_min, l_max).slope for row in counts]
-
-
 def spreadify(
     points,
     planes,
@@ -314,12 +294,15 @@ def spreadify(
     {y_n = <a, y'> + c}, the layout of the plane CSV table.  Returns (mapped
     points, mapped planes as such an array, report).  Raises
     VerticalHyperplaneError if an image plane is vertical, and ValueError
-    unless ndirs >= 1, incidence_tol > 0 and there is at least one plane, or
-    if the data's bounding radius or a mapped value overflows.
+    unless ndirs >= 1, 1 <= l_min < l_max <= MAX_POINT_LEVEL, incidence_tol
+    > 0 and there is at least one plane, or if the data's bounding radius or
+    a mapped value overflows.
     """
     l_min, l_max = levels
     if ndirs < 1:
         raise ValueError(f"ndirs must be >= 1, got {ndirs}")
+    if not 1 <= l_min < l_max <= MAX_POINT_LEVEL:
+        raise ValueError(f"need 1 <= l_min < l_max <= {MAX_POINT_LEVEL}, got levels {levels}")
     if not incidence_tol > 0:
         raise ValueError(f"incidence_tol must be positive, got {incidence_tol!r}")
     planes = np.asarray(planes, dtype=float)
@@ -352,7 +335,7 @@ def spreadify(
     if not h < 2.0**1022:
         raise ValueError("the data's bounding radius overflows; input values are too large")
     candidates = haar_projector_batch(n, n - 1, ndirs, seed)
-    dims = _candidate_dimensions(duals, candidates, l_min, l_max)
+    dims = projection_dimensions(duals, candidates, l_min, l_max)
     best_idx = int(np.argmax(dims))  # ties: lowest index wins
     u = complement(candidates[best_idx])[:, 0]
 

@@ -148,6 +148,17 @@ def rle_cells(blob: bytes):
     return n, level, (lin[:, None] >> shifts) & ((1 << level) - 1)
 
 
+def point_cells(pts, level: int) -> np.ndarray:
+    """The cells at `level` of the rows of one (m, d) float cloud, shifted by
+    its minimum and scaled by the smallest power of two covering its span:
+    the placement of one cloud alone."""
+    lo = pts.min(axis=0) if len(pts) else np.zeros(pts.shape[1])
+    span = float((pts - lo).max()) if len(pts) else 0.0
+    scale = 2.0 ** max(0, math.ceil(math.log2(span))) if span > 0 else 1.0
+    unit = (pts - lo) / scale
+    return np.clip((unit * (1 << level)).astype(np.int64), 0, (1 << level) - 1)
+
+
 def candidate_dimensions_loop(duals, candidates, l_min: int, l_max: int) -> list:
     """spreadify's candidate dimensions, one GridSet per candidate basis b."""
     return [estimate_dimension(grid_from_points(duals @ b, l_max), l_min, l_max).slope

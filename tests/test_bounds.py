@@ -8,7 +8,6 @@ from furstlab.bounds import (
     BoundParams,
     InapplicableBound,
     POSITIVE_MEASURE,
-    alpha_affine_step,
     as_fraction,
     bound_hera,
     bound_spread_general,
@@ -244,20 +243,6 @@ class TestHugeN:
             BoundParams(2**500 + 1, 1, 1, 1)
         with pytest.raises(ValueError):
             ff_bound_exponents(2**500 + 1, 1, 1)
-
-
-class TestAlpha:
-    def test_hand_values(self):
-        assert alpha_affine_step(7, 4, 3, 12) == 12
-        assert alpha_affine_step(4, 3, 1, 3) == 6
-
-    def test_full_t(self):
-        n, k, k0 = 7, 4, 3
-        assert alpha_affine_step(n, k, k0, k * (n - k)) == (k - k0 + 1) * (n - k + k0)
-
-    def test_bad_k0(self):
-        with pytest.raises(ValueError):
-            alpha_affine_step(7, 3, 3, 9)
 
 
 class TestExactness:

@@ -437,6 +437,11 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
         (["dimension", "estimate"], {"grid": "zero_n.rle", "levels": [1, 2]}),
         (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "planes.csv",
                                     "ndirs": 0}),
+        # Past level 62 a float cell index overflows int64.
+        (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "planes.csv",
+                                    "levels": [2, 64]}),
+        (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "planes.csv",
+                                    "levels": [2, 100]}),
         # Every subspace is within distance 1 of U, so no delta >= 1 scales.
         (["grassmann", "verify"], {"pairs": [], "ball_scaling": {"delta": 5, "samples": 10}}),
         (["grassmann", "verify"], {"pairs": [[3, 1]], "ball_scaling": {"delta": 1.0}}),
@@ -462,6 +467,7 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
          "ball_scaling_delta_inf", "incidence_tol_nan", "incidence_tol_zero", "scan_p_huge_int",
          "construct_keep_int", "construct_keep_mixed", "construct_product_huge_n",
          "construct_sharp_huge_n", "estimate_rle_zero_n", "spreadify_zero_ndirs",
+         "spreadify_level_64", "spreadify_level_100",
          "ball_scaling_delta_above_1", "ball_scaling_delta_1", "scan_no_deltas",
          "search_zero_node_cap", "search_negative_node_cap", "scan_huge_ndirs",
          "spreadify_huge_ndirs"],

@@ -5,10 +5,13 @@ import struct
 import numpy as np
 import pytest
 
+import furstlab.dimension as dimension
+from furstlab import table
 from furstlab.bounds import as_fraction, bound_spread_hyperplane
 from furstlab.dimension import (
     GridSet,
     _bit_length,
+    _point_cells,
     box_count,
     cantor_grid,
     estimate_dimension,
@@ -61,7 +64,8 @@ class TestGridSet:
 
     def test_csv_roundtrip(self):
         g = cantor_grid(2, 3, [0, 2], 3)
-        g2 = GridSet.from_csv(g.to_csv(), g.level)
+        cells = table.from_csv(g.to_csv(), int)
+        g2 = GridSet(cells.shape[1], g.level, cells)
         assert np.array_equal(g.cells, g2.cells)
 
     def test_rle_roundtrip(self):
@@ -406,6 +410,29 @@ class TestGridFromPoints:
         s2 = estimate_dimension(grid_from_points(7.3 * pts + 11, 8), 2, 7).slope
         assert abs(s1 - s2) <= 0.1
 
+    def test_deepest_level_keeps_the_far_corner(self):
+        g = grid_from_points([[0, 0], [1, 1], [0.5, 0.25]], 62)
+        top = (1 << 62) - 1
+        assert sorted(map(tuple, g.cells.tolist())) == [(0, 0), (1 << 61, 1 << 60), (top, top)]
+
+    @pytest.mark.parametrize("level", [63, 64])
+    def test_level_past_62_rejected(self, level):
+        with pytest.raises(ValueError, match="exceeds 62"):
+            grid_from_points([[0, 0], [1, 1], [0.5, 0.25]], level)
+        with pytest.raises(ValueError, match="exceeds 62"):
+            _point_cells(np.zeros((2, 3, 2)), level)
+
+    @pytest.mark.parametrize("level", [1, 7, 30, 62])
+    def test_stack_places_each_cloud_on_its_own_scale(self, level):
+        rng = np.random.default_rng(level)
+        clouds = rng.uniform(-1, 1, (6, 50, 3)) * np.array([1e-3, 0.5, 1, 3, 1e6, 0])[:, None, None]
+        clouds[2, :, 1] = 0.25  # a flat cloud
+        clouds += rng.uniform(-5, 5, (6, 1, 3))
+        got = _point_cells(clouds, level)
+        assert got.shape == clouds.shape and got.dtype == np.int64
+        for cloud, cells in zip(clouds, got):
+            assert np.array_equal(cells, reference.point_cells(cloud, level))
+
 
 def plane_distances(bases, pts):
     """Distance ||x - B B^T x|| of each point to each hyperplane span(B),
@@ -596,6 +623,35 @@ class TestFamilyDimension:
         lines = np.stack([np.cos(t), np.sin(t)], axis=1)[:, :, None]
         est = family_dimension(projectors(lines), 2, 6)
         assert abs(est.slope - 1.0) <= 0.15
+
+    @pytest.mark.parametrize("family", ["sharp", "circle", "single"])
+    def test_matches_estimate_of_its_grid(self, family):
+        if family == "sharp":
+            p = projectors(sharp_hyperplane_example(4, 1.5, depth=3).bases)
+        elif family == "circle":
+            t = np.linspace(0, math.pi, 1000, endpoint=False)
+            p = projectors(np.stack([np.cos(t), np.sin(t)], axis=1)[:, :, None])
+        else:
+            p = haar_sample(3, 1, seed=0).projector()[None]
+        for l_min, l_max in [(2, 6), (1, 12), (3, 20)]:
+            grid = grid_from_points(p.reshape(len(p), -1), l_max)
+            expected = estimate_dimension(grid, l_min, l_max).as_dict()
+            assert family_dimension(p, l_min, l_max).as_dict() == expected
+
+    def test_member_cap_checked_before_placement(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("family placed before its member count was checked")
+
+        monkeypatch.setattr(dimension, "MAX_CELLS", 3)
+        monkeypatch.setattr(dimension, "_point_cells", never)
+        # Four equal members share one cell, but the cap counts members.
+        with pytest.raises(ValueError, match="4 members exceeds cap 3"):
+            family_dimension(np.tile(np.eye(2), (4, 1, 1)), 2, 6)
+
+    @pytest.mark.parametrize("levels", [(0, 4), (3, 3), (5, 2)])
+    def test_bad_levels_rejected(self, levels):
+        with pytest.raises(ValueError, match="l_min < l_max"):
+            family_dimension(np.eye(2)[None], *levels)
 
     def test_empty_family_rejected(self):
         for family in ([], np.zeros((0, 3, 3))):

@@ -6,6 +6,7 @@ import pytest
 import reference
 from reference import flat_from_graph_qr, graph_from_flat
 
+import furstlab.dimension as dimension
 import furstlab.duality as duality
 from furstlab.duality import (
     GraphHyperplane,
@@ -24,7 +25,7 @@ from furstlab.duality import (
     projective_to_infinity,
     spreadify,
 )
-from furstlab.dimension import _point_cells, _sort_split
+from furstlab.dimension import _point_cells, _sort_split, projection_dimensions
 from furstlab.grassmann import (
     AffineFlat,
     Subspace,
@@ -310,11 +311,28 @@ class TestSpreadify:
             raise AssertionError("dimension estimated before ndirs was checked")
 
         monkeypatch.setattr(duality, "family_dimension", never)
-        monkeypatch.setattr(duality, "_sort_split", never)
+        monkeypatch.setattr(duality, "projection_dimensions", never)
         planes, _ = horizontal_lines(10)
         for ndirs in (0, -3):
             with pytest.raises(ValueError, match="ndirs"):
                 spreadify(np.zeros((0, 2)), planes, (2, 6), seed=1, ndirs=ndirs)
+
+    @pytest.mark.parametrize("levels", [(2, 63), (2, 64), (2, 100), (0, 4), (5, 5), (6, 2)])
+    def test_bad_levels_rejected_before_work(self, monkeypatch, levels):
+        def never(*args):
+            raise AssertionError("dimension estimated before the levels were checked")
+
+        monkeypatch.setattr(duality, "family_dimension", never)
+        monkeypatch.setattr(duality, "projection_dimensions", never)
+        planes, _ = horizontal_lines(10)
+        with pytest.raises(ValueError, match="l_min < l_max <= 62"):
+            spreadify(np.zeros((0, 2)), planes, levels, seed=1, ndirs=4)
+
+    def test_deepest_levels_accepted(self):
+        planes, b = horizontal_lines(50)
+        pts = np.stack([np.full(50, 0.5), b], axis=1)
+        _, _, report = spreadify(pts, planes, (2, 62), seed=3, ndirs=4)
+        assert report.incidences_before == report.incidences_after
 
     def test_degenerate_family(self):
         planes = np.tile([0.0, 0.5], (10, 1))
@@ -377,8 +395,8 @@ class TestSpreadify:
 
 
 class TestCandidateDimensions:
-    """The batched box count of spreadify's candidate projections against
-    one GridSet per candidate, bit for bit."""
+    """projection_dimensions, the batched box count of spreadify's candidate
+    projections, against one GridSet per candidate, bit for bit."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize(
@@ -394,7 +412,7 @@ class TestCandidateDimensions:
         elif case == "zero_span":  # every projection is a single point
             duals = np.tile(duals[:1], (40, 1))
         candidates = haar_projector_batch(n, n - 1, 12, int(rng.integers(1 << 30)))
-        got = duality._candidate_dimensions(duals, candidates, l_min, l_max)
+        got = projection_dimensions(duals, candidates, l_min, l_max)
         assert got == reference.candidate_dimensions_loop(duals, candidates, l_min, l_max)
         cells = np.stack([_point_cells(duals @ b, l_max) for b in candidates])
         counts = _sort_split(cells, l_max)[2]
@@ -407,8 +425,8 @@ class TestCandidateDimensions:
         duals = rng.uniform(-1, 1, (300, 3))
         candidates = haar_projector_batch(3, 2, 7, 5)
         expected = reference.candidate_dimensions_loop(duals, candidates, 2, 7)
-        monkeypatch.setattr(duality, "MAX_CELLS", cap)
-        assert duality._candidate_dimensions(duals, candidates, 2, 7) == expected
+        monkeypatch.setattr(dimension, "MAX_CELLS", cap)
+        assert projection_dimensions(duals, candidates, 2, 7) == expected
 
 
 class TestCsv:

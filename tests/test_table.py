@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 from reference import csv_table
 
-from furstlab.dimension import GridSet
 from furstlab.duality import points_from_csv
 from furstlab.finitefield import FFSet
-from furstlab.table import to_csv
+from furstlab.table import from_csv, to_csv
 
 # name -> (reader, the type its values must parse as)
 READERS = {
     "points": (points_from_csv, float),
     # `duality spreadify` reads its plane table with the points reader.
     "hyperplanes": (points_from_csv, float),
-    "grid": (lambda text: GridSet.from_csv(text, 8), int),
+    # The integer table of `GridSet.to_csv`.
+    "grid": (lambda text: from_csv(text, int), int),
     "ffset": (lambda text: FFSet.from_csv(5, text), int),
 }
 
@@ -45,8 +45,7 @@ def test_malformed_table_raises_value_error(reader, case):
 def test_header_only_table_is_empty_of_header_width():
     text = "x0,x1,x2\n"
     assert points_from_csv(text).shape == (0, 3)
-    grid = GridSet.from_csv(text, 8)
-    assert (grid.n, len(grid)) == (3, 0)
+    assert from_csv(text, int).shape == (0, 3)
     fset = FFSet.from_csv(5, text)
     assert (fset.n, len(fset)) == (3, 0)
 
