@@ -15,12 +15,15 @@ level at which each pair of neighbours splits off the first key word where
 they differ; the box counts at all coarser levels follow from those split
 levels.  That one kernel, _sort_split, takes a batch of grids of equal
 size: a GridSet is a batch of one.  One placement, _point_cells, puts a
-stack of float clouds on grids, each scaled by its own power of two;
+stack of float clouds on grids, each shifted by its own minimum (taken
+along a contiguous axis) and scaled by its own power of two;
 family_dimension counts one cloud and projection_dimensions (spreadify's
 candidates) a batch, neither building a GridSet.  flat_slice finds
 the boxes of side about rho as runs of cells from the same split levels,
-drops every box too far from the flat (distance to a flat is 1-Lipschitz),
-and runs its exact per-cell test only on the cells left.
+keeps that box table on the grid for the last box side it used (one slot,
+so slicing a grid by many flats builds it once), drops every box too far
+from the flat with one projection of the box centres (distance to a flat
+is 1-Lipschitz), and runs its exact per-cell test only on the cells left.
 Digit-restriction sets are rasterized by marking, per kept
 base-b cell, the dyadic cell containing its center (one marked cell per
 construction cell, so the construction's own count law is preserved
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -38,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import table
-from .grassmann import AffineFlat, haar_projector_batch
+from .grassmann import AffineFlat, haar_projector_batch, row_sum_squares
 from .tolerances import TOL_EXACT
 
 MAX_CELLS = 1 << 24
@@ -72,6 +76,23 @@ def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     runs = np.repeat(offsets, lengths)
     runs += np.arange(len(runs))
     return runs
+
+
+def _off_heap(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a in an anonymous memory mapping of its own.
+
+    For arrays that outlive the call that made them.  On the malloc heap
+    such an array can sit above memory that later calls free, which the
+    heap then cannot return, and the next large build grows the heap past
+    it: a box table of 0.46 MB held there raised the peak RSS of a process
+    that slices a 280k-cell grid between builds of it by about 2 MB.  The
+    mapping is unmapped with the array.
+    """
+    buf = mmap.mmap(-1, max(1, a.nbytes))
+    out = np.frombuffer(buf, a.dtype, a.size).reshape(a.shape)
+    out[...] = a
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -185,6 +206,9 @@ class GridSet:
     `_sort_split` on a batch of one grid: it sorts the cells, reads each
     neighbour pair's split level and counts the boxes at every level; the
     duplicates (split level 0) are then dropped.
+
+    flat_slice keeps in one slot the box table of the last cull level it
+    used (see `_box_table`), so a grid holds at most one such table.
     """
 
     n: int
@@ -192,6 +216,7 @@ class GridSet:
     cells: np.ndarray
     _counts: np.ndarray = field(init=False, repr=False)
     _split: np.ndarray = field(init=False, repr=False)
+    _boxes: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.n < 1 or self.level < 0:
@@ -214,6 +239,23 @@ class GridSet:
 
     def __len__(self) -> int:
         return len(self.cells)
+
+    def _box_table(self, lv: int) -> tuple:
+        """(starts, lengths, centres) of the boxes of side 2^-lv: the first
+        row and the cell count of each box's run of Z-ordered cells, and the
+        box centres.  They depend only on the grid and lv, so the last
+        table is kept and a call at another lv replaces it.  The arrays are
+        read-only and held off the malloc heap (`_off_heap`)."""
+        if self._boxes is not None and self._boxes[0] == lv:
+            return self._boxes[1:]
+        starts = np.flatnonzero(self._split >= self.level - lv + 1)
+        starts = np.concatenate([[0], starts + 1])[: len(self)]
+        lengths = np.diff(starts, append=len(self))
+        centres = (np.take(self.cells, starts, axis=0) >> (self.level - lv)) + 0.5
+        centres /= 1 << lv
+        starts, lengths, centres = map(_off_heap, (starts, lengths, centres))
+        object.__setattr__(self, "_boxes", (lv, starts, lengths, centres))
+        return starts, lengths, centres
 
     # -- serialization ----------------------------------------------------
 
@@ -295,6 +337,8 @@ def estimate_dimension(g: GridSet, l_min: int, l_max: int) -> DimensionEstimate:
     """Least-squares slope of log2 box_count over levels [l_min, l_max]."""
     if not (1 <= l_min < l_max <= g.level):
         raise ValueError(f"need 1 <= l_min < l_max <= {g.level}")
+    if not len(g):
+        raise ValueError("cannot estimate the dimension of an empty grid: it has no cells")
     return _fit([box_count(g, l) for l in range(l_min, l_max + 1)], l_min, l_max)
 
 
@@ -400,7 +444,12 @@ def _point_cells(pts: np.ndarray, level: int) -> np.ndarray:
         raise ValueError(f"level {level} exceeds {MAX_POINT_LEVEL}, the deepest float placement")
     if not pts.shape[-2]:
         return np.zeros(pts.shape, dtype=np.int64)
-    unit = pts - pts.min(axis=-2, keepdims=True)
+    # The minima along a contiguous axis: numpy reduces the middle axis of
+    # a (..., m, d) stack in inner loops of length d.  A min is exact, so
+    # either order gives the same values (a tie of 0.0 and -0.0 places
+    # both at cell 0).
+    lo = np.ascontiguousarray(pts.swapaxes(-1, -2)).min(axis=-1)
+    unit = pts - lo[..., None, :]
     span = unit.max(axis=(-2, -1))
     scale = [2.0 ** max(0, math.ceil(math.log2(s))) if s > 0 else 1.0 for s in span.ravel().tolist()]
     unit /= np.reshape(scale, span.shape + (1, 1))
@@ -518,17 +567,28 @@ def flat_slice(g: GridSet, w: AffineFlat, rho: float) -> GridSet:
     N of the flat's orthogonal complement.
 
     The boxes of side 2^-l, l = clamp(floor(log2(1/rho)), 0, level), are
-    runs of g's Z-ordered cells, so their starts come from the stored split
-    levels.  Distance to a flat is 1-Lipschitz and a cell centre lies within
-    half a box diagonal, sqrt(n)/2 * 2^-l, of its box's centre, so a box
-    whose centre is farther than rho plus that (plus roundoff slack) holds
-    no cell within rho; such boxes are dropped without touching their cells.
-    The cull keeps cells up to about 2 rho away, so the surviving cells
-    still get the exact per-centre test above, with the same floating-point
-    operations as on the whole grid: the slice is cell for cell the one that
-    testing every cell gives.  The cost is the number of boxes plus the
-    number of surviving cells; rho >= 1 keeps the single level-0 box and
-    tests every cell.
+    runs of g's Z-ordered cells.  Their starts, run lengths and centres
+    depend only on g and l; g keeps them for the last l it was sliced at
+    (`GridSet._box_table`, one slot), so slicing one grid by many flats at
+    one rho builds that table once.  Distance to a flat is 1-Lipschitz and
+    a cell centre lies within half a box diagonal, sqrt(n)/2 * 2^-l, of its
+    box's centre, so a box whose centre is farther than
+    reach = rho + sqrt(n)/2 * 2^-l + TOL_EXACT * (1 + |a|_1)
+    holds no cell within rho; such boxes are dropped without touching their
+    cells.  The cull projects the table once, as c N - a N, and compares
+    the squared row norm with reach^2.  That is (c - a) N up to roundoff:
+    every quantity in it is at most sqrt(n) + |a|_1 in size (c lies in the
+    unit cube and N has orthonormal columns), and its products, difference,
+    squares and sums each add a relative error of a few 2^-52 for
+    n <= 16, at most about 1e-13 (1 + |a|_1), far inside the TOL_EXACT
+    slack.  So no box that holds a cell within rho is dropped.  The cull
+    keeps cells up to about 2 rho away, so the surviving cells still get
+    the exact per-centre test above, with the same floating-point
+    operations as on the whole grid: the slice is cell for cell the one
+    that testing every cell gives.  The cost is one projection of the
+    boxes plus the exact test on the surviving cells, and a table build
+    (a scan of the m - 1 split levels and a gather of the box heads) when
+    l changes; rho >= 1 keeps the single level-0 box and tests every cell.
 
     Flat coordinates are shifted/scaled by a power of two exactly as in
     grid_from_points, which preserves dimension slopes.
@@ -539,12 +599,12 @@ def flat_slice(g: GridSet, w: AffineFlat, rho: float) -> GridSet:
         raise ValueError("ambient dimension mismatch")
     normal = w.direction.complement_basis()
     lv = 0 if rho >= 1 else min(g.level, math.floor(-math.log2(rho)))
-    starts = np.concatenate([[0], 1 + np.flatnonzero(g._split >= g.level - lv + 1)])[: len(g)]
-    box = (np.take(g.cells, starts, axis=0) >> (g.level - lv)) + 0.5
-    box /= 1 << lv
+    starts, lengths, box = g._box_table(lv)
     reach = rho + math.sqrt(g.n) / 2 * 2.0**-lv + TOL_EXACT * (1 + np.abs(w.offset).sum())
-    keep = np.linalg.norm((box - w.offset) @ normal, axis=1) <= reach
-    rows = _expand_runs(starts[keep], np.diff(starts, append=len(g))[keep])
+    d = box @ normal
+    d -= w.offset @ normal
+    keep = row_sum_squares(d) <= reach * reach
+    rows = _expand_runs(starts[keep], lengths[keep])
     rel = np.take(g.cells, rows, axis=0) + 0.5
     rel /= 1 << g.level
     rel -= w.offset

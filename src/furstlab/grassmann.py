@@ -125,8 +125,11 @@ def row_sum_squares(x: np.ndarray) -> np.ndarray:
     last axis, so the sums agree bit for bit; from w = 8 on numpy sums
     pairwise and the last bits can differ.  Like numpy's, the sums underflow
     to 0 and overflow to inf, with no rescaling.  The column loop avoids
-    numpy's slow reduction over a short axis.
+    numpy's slow reduction over a short axis.  For w = 0 the sums are the
+    empty sum, zeros, as numpy's are.
     """
+    if not x.shape[1]:
+        return np.zeros(len(x))
     out = x[:, 0] * x[:, 0]
     for j in range(1, x.shape[1]):
         out += x[:, j] * x[:, j]

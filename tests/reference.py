@@ -7,7 +7,8 @@ Beside it stands the word-at-a-time construction that preceded the batched
 sort-and-split kernel: every chunk of 63 // g bits spread by log-step shifts
 cell by cell, and the split level off the first differing word.  An .rle
 blob is decoded by one broadcast shift and mask of the linear indices, and
-the spreadify candidates are box-counted one GridSet at a time.
+the spreadify candidates are box-counted one GridSet at a time.  A stack
+of float clouds is placed with its minima taken over the middle axis.
 The finite-field directions are enumerated one RREF basis at a time, and
 the coset representative and subspace points are the scalar loops behind
 ff_coset_profile's vectorized labels; the graph form of a hyperplane reads
@@ -157,6 +158,21 @@ def point_cells(pts, level: int) -> np.ndarray:
     scale = 2.0 ** max(0, math.ceil(math.log2(span))) if span > 0 else 1.0
     unit = (pts - lo) / scale
     return np.clip((unit * (1 << level)).astype(np.int64), 0, (1 << level) - 1)
+
+
+def stack_point_cells(pts, level: int) -> np.ndarray:
+    """The cells at `level` of a (..., m, d) stack of clouds, each shifted by
+    its minimum over the middle axis (numpy's reduction over an axis that
+    is not the last) and scaled by its own power of two: the stacked
+    placement before its minima ran along a contiguous axis."""
+    if not pts.shape[-2]:
+        return np.zeros(pts.shape, dtype=np.int64)
+    unit = pts - pts.min(axis=-2, keepdims=True)
+    span = unit.max(axis=(-2, -1))
+    scale = [2.0 ** max(0, math.ceil(math.log2(s))) if s > 0 else 1.0 for s in span.ravel().tolist()]
+    unit /= np.reshape(scale, span.shape + (1, 1))
+    unit *= 1 << level
+    return np.clip(unit.astype(np.int64), 0, (1 << level) - 1)
 
 
 def candidate_dimensions_loop(duals, candidates, l_min: int, l_max: int) -> list:

@@ -197,6 +197,16 @@ class TestDimension:
         cfg = write_config(tmp_path, "e.json", {"levels": [2, 4]})
         assert run_cli(["dimension", "estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_estimate_of_empty_grid_names_the_cause(self, tmp_path, capsys):
+        # A well-formed .rle of 0 runs: no box count has a logarithm.
+        (tmp_path / "empty.rle").write_bytes(struct.pack("<4sBBQ", b"GRLE", 2, 4, 0))
+        cfg = write_config(tmp_path, "e.json", {"grid": str(tmp_path / "empty.rle"), "levels": [1, 2]})
+        out = tmp_path / "out"
+        assert run_cli(["dimension", "estimate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "empty grid: it has no cells" in err and "math domain error" not in err
+        assert not out.exists() or not list(out.iterdir())
+
 
 class TestFF:
     def test_verify(self, tmp_path):

@@ -354,6 +354,11 @@ class TestEstimateDimension:
         with pytest.raises(ValueError):
             estimate_dimension(g, 1, 9)
 
+    def test_empty_grid_rejected_before_any_logarithm(self):
+        empty = GridSet(2, 4, np.zeros((0, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="empty grid: it has no cells"):
+            estimate_dimension(empty, 1, 2)
+
     def test_slope_in_range(self):
         rng = np.random.default_rng(0)
         pts = rng.random((500, 2))
@@ -432,6 +437,43 @@ class TestGridFromPoints:
         assert got.shape == clouds.shape and got.dtype == np.int64
         for cloud, cells in zip(clouds, got):
             assert np.array_equal(cells, reference.point_cells(cloud, level))
+
+
+class TestPointCellsMinimum:
+    """The placement takes each cloud's minimum along a contiguous axis; the
+    oracle takes it over the middle axis."""
+
+    @staticmethod
+    def clouds(shape, seed):
+        # Values on a coarse lattice, so that many coordinates tie, with
+        # 0.0 and -0.0 mixed in: column 0 of every cloud is nonnegative
+        # with both zeros, so its minimum is a tie of 0.0 and -0.0.
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-8, 9, shape) / 4.0
+        pts[rng.random(shape) < 0.1] = -0.0
+        col = pts[..., 0]
+        col[...] = np.abs(col)
+        col[..., ::7] = -0.0
+        col[..., 3::7] = 0.0
+        return pts
+
+    @pytest.mark.parametrize("shape", [(32, 1000, 2), (1, 700, 9), (3, 40, 1), (4, 0, 2)],
+                             ids=["spreadify", "nine_wide", "one_wide", "empty"])
+    @pytest.mark.parametrize("level", [1, 7, 62])
+    def test_stack_matches_middle_axis_minimum(self, shape, level):
+        pts = self.clouds(shape, level)
+        if shape[1]:
+            pts[0] = -0.0  # a cloud of zeros, of span 0
+        got = _point_cells(pts, level)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference.stack_point_cells(pts, level))
+
+    @pytest.mark.parametrize("shape", [(1000, 2), (500, 3), (1, 4), (300, 9)])
+    def test_single_cloud_matches_both_oracles(self, shape):
+        pts = self.clouds(shape, shape[1])
+        got = _point_cells(pts, 9)
+        assert np.array_equal(got, reference.stack_point_cells(pts, 9))
+        assert np.array_equal(got, reference.point_cells(pts, 9))
 
 
 def plane_distances(bases, pts):
@@ -611,6 +653,57 @@ class TestFlatSlice:
         every = grid_from_points(rel @ flat.direction.basis, g.level)
         assert np.array_equal(got.cells, every.cells)
         assert np.array_equal(got.cells, reference_flat_slice(g, flat, math.inf).cells)
+
+
+class TestFlatSliceBoxTable:
+    """flat_slice keeps the box table of its last cull level on the grid, in
+    one slot.  Alternating grids and levels must not change a single cell
+    against the reference that tests every cell centre."""
+
+    @staticmethod
+    def check_table(g, lv):
+        # One table, of the last level: its boxes are g's cells at lv.
+        held_lv, starts, lengths, box = g._boxes
+        assert held_lv == lv
+        assert len(box) == len(starts) == len(lengths) == box_count(g, lv)
+        assert lengths.sum() == len(g)
+        assert np.array_equal(starts, np.cumsum(lengths) - lengths)
+        heads = np.take(g.cells, starts, axis=0) >> (g.level - lv)
+        assert np.array_equal(box, (heads + 0.5) / (1 << lv))
+        assert np.array_equal(unique_at(heads, 0), unique_at(g.cells, g.level - lv))
+        assert not any(a.flags.writeable for a in (starts, lengths, box))
+
+    def test_two_grids_alternately(self):
+        grids = [PRODUCT5, cantor_grid(2, 3, [0, 2], 5)]
+        rng = np.random.default_rng(5)
+        for i in range(8):
+            g = grids[i % 2]
+            flat = AffineFlat.through(haar_sample(2, 1, rng), rng.random(2))
+            got = flat_slice(g, flat, 2.0**-5)
+            assert np.array_equal(got.cells, reference_flat_slice(g, flat, 2.0**-5).cells)
+            self.check_table(g, 5)
+
+    @pytest.mark.parametrize(
+        "grid", [CANTOR3, GridSet(3, 5, np.zeros((0, 3), dtype=np.int64))],
+        ids=["cantor", "empty"],
+    )
+    def test_two_levels_alternately(self, grid):
+        # 0.15 and 2^-4 cull at levels 2 and 4; rho >= 1 keeps the one
+        # level-0 box.
+        rng = np.random.default_rng(6)
+        for rho, lv in [(0.15, 2), (1.5, 0), (0.15, 2), (2.0**-4, 4), (1.5, 0), (2.0**-4, 4)]:
+            flat = AffineFlat.through(haar_sample(3, 1 + lv % 3, rng), rng.random(3))
+            got = flat_slice(grid, flat, rho)
+            assert np.array_equal(got.cells, reference_flat_slice(grid, flat, rho).cells)
+            self.check_table(grid, lv)
+
+    def test_flat_of_full_dimension_keeps_every_cell(self):
+        # A k = n flat has no normal: every cell is at distance 0.
+        g = cantor_grid(2, 3, [0, 2], 4)
+        flat = AffineFlat(Subspace(2, 2, np.eye(2)), np.zeros(2))
+        got = flat_slice(g, flat, 2.0**-3)
+        assert np.array_equal(got.cells, reference_flat_slice(g, flat, 2.0**-3).cells)
+        assert len(got) == len(g)
 
 
 class TestFamilyDimension:

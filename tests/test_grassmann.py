@@ -184,6 +184,11 @@ class TestRowSumSquares:
             assert np.array_equal(np.sqrt(row_sum_squares(wide[:, :width])), norm)
         assert np.isinf(got[-3:]).all() and (got[-9:-3] == 0).all()
 
+    def test_no_columns_is_the_empty_sum(self):
+        x = np.ones((4, 3))[:, :0]
+        assert np.array_equal(row_sum_squares(x), np.linalg.norm(x, axis=-1) ** 2)
+        assert row_sum_squares(x).shape == (4,)
+
 
 class TestGrassDistance:
     def test_identical(self):
