@@ -132,10 +132,6 @@ def compute_k0(n: int) -> int:
     return k0
 
 
-def _ceil(x: Fraction) -> int:
-    return math.ceil(x)
-
-
 def bound_spread_general(p: BoundParams, k0: int) -> Fraction:
     """n - k + s - (k(n-k) - t) / (ceil(s) - k0 + 1), for k >= k0+1, s > k0."""
     n, k, s, t = p.n, p.k, p.s, p.t
@@ -145,7 +141,7 @@ def bound_spread_general(p: BoundParams, k0: int) -> Fraction:
         raise InapplicableBound(f"need s > k0 = {k0}, got s = {s}")
     if not (0 < t <= k * (n - k)):
         raise InapplicableBound(f"need 0 < t <= k(n-k) = {k * (n - k)}, got t = {t}")
-    return n - k + s - Fraction(k * (n - k) - t, _ceil(s) - k0 + 1)
+    return n - k + s - Fraction(k * (n - k) - t, math.ceil(s) - k0 + 1)
 
 
 def bound_spread_main(p: BoundParams) -> Fraction:
@@ -165,13 +161,13 @@ def bound_spread_hyperplane(n: int, s: RationalLike, t: RationalLike) -> Fractio
         raise InapplicableBound(f"need 1 < s <= n-1, got s = {s}")
     if not (0 < t <= n - 1):
         raise InapplicableBound(f"need 0 < t <= n-1, got t = {t}")
-    return 1 + s - Fraction(n - 1 - t, _ceil(s))
+    return 1 + s - Fraction(n - 1 - t, math.ceil(s))
 
 
 def bound_hera(p: BoundParams) -> Fraction:
     """s + (t - (k - ceil(s))(n-k)) / (ceil(s) + 1) for (s,t;k)-families."""
     n, k, s, t = p.n, p.k, p.s, p.t
-    return s + Fraction(t - (k - _ceil(s)) * (n - k), _ceil(s) + 1)
+    return s + Fraction(t - (k - math.ceil(s)) * (n - k), math.ceil(s) + 1)
 
 
 def bound_hkm(p: BoundParams) -> Fraction:
@@ -180,14 +176,11 @@ def bound_hkm(p: BoundParams) -> Fraction:
 
 
 def bound_oberlin_fm(p: BoundParams):
-    """2k - k(n-k) + t, or the positive-measure flag for large t.
-
-    Returns (value, flag): exactly one is non-None.
-    """
+    """2k - k(n-k) + t, or the POSITIVE_MEASURE flag for large t."""
     n, k, t = p.n, p.k, p.t
     if t <= (k + 1) * (n - k) - k:
-        return 2 * k - k * (n - k) + t, None
-    return None, POSITIVE_MEASURE
+        return 2 * k - k * (n - k) + t
+    return POSITIVE_MEASURE
 
 
 def bound_dov(p: BoundParams) -> Fraction:
@@ -211,40 +204,37 @@ def bound_ren_wang(p: BoundParams) -> Fraction:
 
 
 def bound_corollary_hyperplane(p: BoundParams) -> Fraction:
-    """1 + s - (n-1-min(t, n-1))/ceil(s), hyperplane families with s > 1."""
-    n, k, s, t = p.n, p.k, p.s, p.t
-    if k != n - 1 or n < 3:
-        raise InapplicableBound("only for hyperplane families with n >= 3")
-    if not s > 1:
-        raise InapplicableBound(f"need s > 1, got s = {s}")
-    return 1 + s - Fraction(n - 1 - min(t, Fraction(n - 1)), _ceil(s))
+    """bound_spread_hyperplane at min(t, n-1), for hyperplane families."""
+    if p.k != p.n - 1:
+        raise InapplicableBound("only for hyperplane families (k = n-1)")
+    return bound_spread_hyperplane(p.n, p.s, min(p.t, Fraction(p.n - 1)))
+
+
+# The surveyed bounds, in report order.
+_SURVEY = (
+    ("oberlin_falconer_mattila", bound_oberlin_fm),
+    ("hera_keleti_mathe", bound_hkm),
+    ("hera", bound_hera),
+    ("dabrowski_orponen_villa", bound_dov),
+    ("ren_wang", bound_ren_wang),
+    ("spread_hyperplane_corollary", bound_corollary_hyperplane),
+    ("spread_main", bound_spread_main),
+)
 
 
 def bound_survey(p: BoundParams) -> BoundReport:
     """Evaluate every surveyed bound at p, flagging inapplicable ones."""
     entries = []
-
-    ofm_value, ofm_flag = bound_oberlin_fm(p)
-    entries.append(
-        BoundEntry("oberlin_falconer_mattila", True, value=ofm_value, flag=ofm_flag)
-    )
-    entries.append(BoundEntry("hera_keleti_mathe", True, value=bound_hkm(p)))
-    entries.append(BoundEntry("hera", True, value=bound_hera(p)))
-    for name, fn in (
-        ("dabrowski_orponen_villa", bound_dov),
-        ("ren_wang", bound_ren_wang),
-        ("spread_hyperplane_corollary", bound_corollary_hyperplane),
-    ):
+    for name, fn in _SURVEY:
         try:
-            entries.append(BoundEntry(name, True, value=fn(p)))
+            value = fn(p)
         except InapplicableBound:
             entries.append(BoundEntry(name, False))
-    try:
-        entries.append(BoundEntry("spread_main", True, value=bound_spread_main(p)))
-    except InapplicableBound:
-        entries.append(BoundEntry("spread_main", False))
+            continue
+        flag = value if isinstance(value, str) else None
+        entries.append(BoundEntry(name, True, None if flag else value, flag))
 
-    numeric = [(e.name, e.value) for e in entries if e.applicable and e.value is not None]
+    numeric = [(e.name, e.value) for e in entries if e.value is not None]
     best_name, best_value = (None, None) if not numeric else max(numeric, key=lambda nv: nv[1])
     return BoundReport(p, tuple(entries), best_name, best_value)
 

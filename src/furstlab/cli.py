@@ -32,8 +32,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import checks, table
 from .bounds import BoundParams, as_fraction, bound_survey, ff_bound_exponents
 from .dimension import (
@@ -49,18 +47,8 @@ from .duality import (
     points_to_csv,
     spreadify,
 )
-from .finitefield import (
-    FFSet,
-    SearchBudgetExceeded,
-    _capped_directions,
-    _set_verdicts,
-    ff_directions,
-    ff_is_kakeya,
-    ff_min_kakeya,
-    ff_min_spread,
-    gaussian_binomial,
-)
-from .grassmann import MAX_AMBIENT_DIM, line_ball_measure
+from .finitefield import FFSet, SearchBudgetExceeded, ff_min_kakeya, ff_min_spread, ff_verify
+from .grassmann import check_dims, line_ball_measure
 from .maximal import delta_scan
 
 EXIT_OK = 0
@@ -243,8 +231,7 @@ def _ball_scaling_entry(v):
     law, whose loop is linear in n; for k >= 2 any count >= 1 is taken."""
     e = _validate(_object(v), {"n": (_int, 3), "k": (_int, 1), "delta": (_open_unit, 0.2),
                                "samples": (_positive_int, 100000)})
-    if not 1 <= e["k"] <= e["n"] <= MAX_AMBIENT_DIM:
-        raise ValueError(f"need 1 <= k <= n <= {MAX_AMBIENT_DIM}, got n={e['n']}, k={e['k']}")
+    check_dims(e["n"], e["k"])
     if e["k"] == 1:
         expected = e["samples"] * line_ball_measure(e["n"], e["delta"] / 2)
         if expected < checks.BALL_MIN_HITS:
@@ -258,8 +245,7 @@ def _pairs(v):
     the first pair's suites run."""
     pairs = _list_of(_pair_of_ints)(v)
     for n, k in pairs:
-        if not 1 <= k <= n <= MAX_AMBIENT_DIM:
-            raise ValueError(f"need 1 <= k <= n <= {MAX_AMBIENT_DIM}, got n={n}, k={k}")
+        check_dims(n, k)
     return pairs
 
 
@@ -413,15 +399,6 @@ def cmd_dimension_estimate(opts):
     return artifacts, None
 
 
-def _points_list(v):
-    # Every coordinate an int64, as set_csv requires.
-    if not isinstance(v, list):
-        raise ValueError("expected a list of points")
-    if not all(-(2 ** 63) <= _int(c) < 2 ** 63 for p in v for c in p):
-        raise ValueError("every point coordinate must fit in int64")
-    return v
-
-
 def cmd_ff_verify(opts):
     q, n, k = opts["q"], opts["n"], opts["k"]
     fset = None
@@ -431,21 +408,7 @@ def cmd_ff_verify(opts):
         fset = FFSet.from_csv(q, _read_input(opts["set_csv"]).decode("utf-8"))
         if fset.n != n:
             raise SchemaError(f"set_csv has {fset.n} columns; points of F_q^{n} need {n}")
-    # With a set, the one stack is built once the set's count table fits.
-    dirs = ff_directions(q, n, k) if fset is None else _capped_directions(q, n, k, n - k)
-    expected = gaussian_binomial(n, k, q)
-    payload = {
-        "q": q,
-        "n": n,
-        "k": k,
-        "directions": len(dirs),
-        "gaussian_binomial": int(expected),
-        "directions_match": len(dirs) == expected,
-    }
-    if fset is not None:
-        payload.update(_set_verdicts(fset, dirs, opts["spread"]))
-        if k > 1:
-            payload["is_kakeya"] = ff_is_kakeya(fset)
+    payload = {"q": q, "n": n, "k": k, **ff_verify(q, n, k, fset, opts["spread"])}
     artifacts = {"ff_verify.json": _json(payload)}
     for key, val in sorted(payload.items()):
         print(f"  {key}: {val}")
@@ -525,7 +488,7 @@ _COMMANDS = {
     }, cmd_dimension_estimate),
     ("ff", "verify"): ({
         "q": (_int, _REQUIRED), "n": (_int, _REQUIRED), "k": (_int, 1),
-        "points": (_opt(_points_list), None), "set_csv": (_opt(_str), None),
+        "points": (_opt(_list_of(_list_of(_int))), None), "set_csv": (_opt(_str), None),
         "spread": (_opt(_spread_entry), None),
     }, cmd_ff_verify),
     ("ff", "search"): ({
@@ -540,7 +503,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was."""
     parser = argparse.ArgumentParser(
         prog="furstlab",
         description="Batch experiments: bounds, subspace metrics, duality, "
@@ -552,13 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=".", help="output directory")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser's parser, built once per process: parsing leaves it as
-    it was."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

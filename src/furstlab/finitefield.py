@@ -81,7 +81,10 @@ class FFSet:
 
     def __post_init__(self):
         _require_prime(self.q)
-        pts = np.asarray(self.points, dtype=np.int64) % self.q
+        try:
+            pts = np.asarray(self.points, dtype=np.int64) % self.q
+        except OverflowError:
+            raise ValueError("every point coordinate must fit in int64, [-2^63, 2^63)") from None
         if pts.shape == (0,):
             pts = pts.reshape(0, self.n)
         if self.n < 1 or pts.ndim != 2 or pts.shape[1] != self.n:
@@ -139,19 +142,26 @@ def _digits(q: int, width: int) -> np.ndarray:
 
 def ff_directions(q: int, n: int, k: int) -> np.ndarray:
     """All k-subspaces of F_q^n as a (count, k, n) int64 stack of canonical
-    RREF bases; the count is the Gaussian binomial coefficient.
+    RREF bases.
 
     Pivot patterns come in itertools.combinations order; within one, the
     free entries (row by row, each right of its row's pivot and off every
-    pivot column) run through itertools.product order.
+    pivot column) run through itertools.product order.  The cap is checked
+    on the Gaussian binomial before anything is built, but the stack holds
+    the enumeration's own count, the sum over pivot patterns of
+    q^(free entries), so ff_verify compares two independent counts.
     """
-    out = np.zeros((_direction_count(q, n, k), k, n), dtype=np.int64)
-    start = 0
+    _direction_count(q, n, k)
+    patterns = []
     for pivots in itertools.combinations(range(n), k):
         rows, cols = np.array(
             [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots],
             dtype=np.intp,
         ).reshape(-1, 2).T
+        patterns.append((pivots, rows, cols))
+    out = np.zeros((sum(q ** len(rows) for _, rows, _ in patterns), k, n), dtype=np.int64)
+    start = 0
+    for pivots, rows, cols in patterns:
         block = out[start:start + q ** len(rows)]
         block[:, np.arange(k), pivots] = 1
         block[:, rows, cols] = _digits(q, len(rows))
@@ -244,17 +254,36 @@ def ff_coset_profile(f: FFSet, basis):
     return best_offset, histogram[best_offset], histogram
 
 
-def _set_verdicts(f: FFSet, dirs: np.ndarray, spread: Optional[dict] = None) -> dict:
-    """The set's size and the checks read off one labeling by the (ndirs, k, n) stack:
-    pigeonhole, is_kakeya when k = 1, is_spread_furstenberg for spread = {"m", "M"}."""
+def ff_verify(q: int, n: int, k: int, f: Optional[FFSet] = None, spread: Optional[dict] = None) -> dict:
+    """The `ff verify` report for the k-directions of F_q^n and, given a set
+    f of F_q^n, the set's verdicts.
+
+    directions is the size of the ff_directions stack and gaussian_binomial
+    the closed-form count; directions_match compares the two.  With a set:
+    set_size; pigeonhole, every direction has a coset of at least
+    ceil(|f| / q^(n-k)) points (averaging over the cosets proves it, so
+    False is a bug); is_kakeya, a full line in every direction; and, for
+    spread = {"m", "M"}, is_spread_furstenberg, at least M directions have a
+    coset of >= m points.  The set is labeled once by the k-directions and,
+    for k >= 2, once more by the lines; both count tables are checked
+    against the cap before the first labeling.
+    """
     if spread is not None and min(spread.values()) < 1:
         raise ValueError("m and M must be >= 1")
-    k = dirs.shape[1]
+    if f is not None and (f.q, f.n) != (q, n):
+        raise ValueError(f"the set lies in F_{f.q}^{f.n}, not in F_{q}^{n}")
+    dirs = ff_directions(q, n, k) if f is None else _capped_directions(q, n, k, n - k)
+    expected = gaussian_binomial(n, k, q)
+    out = {"directions": len(dirs), "gaussian_binomial": expected,
+           "directions_match": len(dirs) == expected}
+    if f is None:
+        return out
+    line_dirs = dirs if k == 1 else _capped_directions(q, n, 1, n - 1)
     maxima = _max_counts(f, dirs)
-    # Averaging over the coset partition proves pigeonhole, so False is a bug.
-    out = {"set_size": len(f), "pigeonhole": bool((maxima >= -(-len(f) // f.q ** (f.n - k))).all())}
-    if k == 1:
-        out["is_kakeya"] = bool((maxima >= f.q).all())
+    out["set_size"] = len(f)
+    out["pigeonhole"] = bool((maxima >= -(-len(f) // q ** (n - k))).all())
+    lines = maxima if k == 1 else _max_counts(f, line_dirs)
+    out["is_kakeya"] = bool((lines >= q).all())
     if spread is not None:
         out["is_spread_furstenberg"] = int((maxima >= spread["m"]).sum()) >= spread["M"]
     return out
@@ -262,20 +291,19 @@ def _set_verdicts(f: FFSet, dirs: np.ndarray, spread: Optional[dict] = None) -> 
 
 def ff_is_kakeya(k_set: FFSet) -> bool:
     """Does the set contain a full line in every direction?"""
-    return _set_verdicts(k_set, _capped_directions(k_set.q, k_set.n, 1, k_set.n - 1))["is_kakeya"]
+    return ff_verify(k_set.q, k_set.n, 1, k_set)["is_kakeya"]
 
 
 def ff_is_spread_furstenberg(f: FFSet, k: int, m: int, big_m: int) -> bool:
     """At least big_m directions of k-subspaces have a coset holding >= m
     points of the set."""
-    dirs = _capped_directions(f.q, f.n, k, f.n - k)
-    return _set_verdicts(f, dirs, {"m": m, "M": big_m})["is_spread_furstenberg"]
+    return ff_verify(f.q, f.n, k, f, {"m": m, "M": big_m})["is_spread_furstenberg"]
 
 
 def ff_pigeonhole_verify(f: FFSet, k: int) -> bool:
     """Every direction has a coset with at least ceil(|F| / q^(n-k)) points
     (a theorem, so False indicates an implementation bug)."""
-    return _set_verdicts(f, _capped_directions(f.q, f.n, k, f.n - k))["pigeonhole"]
+    return ff_verify(f.q, f.n, k, f)["pigeonhole"]
 
 
 @dataclass(frozen=True, eq=False)

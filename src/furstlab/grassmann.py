@@ -27,6 +27,13 @@ MAX_DRAW = 1 << 24
 _CHUNK = 1 << 12
 
 
+def check_dims(n: int, k: int) -> None:
+    """Raise ValueError unless 1 <= k <= n <= MAX_AMBIENT_DIM, the dimensions
+    every subspace, sampler and metric check of this lab works in."""
+    if not 1 <= k <= n <= MAX_AMBIENT_DIM:
+        raise ValueError(f"need 1 <= k <= n <= {MAX_AMBIENT_DIM}, got n={n}, k={k}")
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A k-dimensional linear subspace of R^n with an orthonormal basis.
@@ -41,10 +48,7 @@ class Subspace:
     basis: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not (1 <= self.k <= self.n):
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.n > MAX_AMBIENT_DIM:
-            raise ValueError(f"ambient dimension capped at {MAX_AMBIENT_DIM}")
+        check_dims(self.n, self.k)
         b = np.asarray(self.basis, dtype=float)
         if b.shape != (self.n, self.k):
             raise ValueError(f"basis shape {b.shape} != ({self.n}, {self.k})")
@@ -152,10 +156,7 @@ def haar_projector_batch(n: int, k: int, count: int, seed=None) -> np.ndarray:
     QR of one column is q r with r = +-|g|, and fixing the sign of r gives
     q = g / |g|.  The two agree to a few ulps, not bit for bit.
     """
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n > MAX_AMBIENT_DIM:
-        raise ValueError(f"ambient dimension capped at {MAX_AMBIENT_DIM}")
+    check_dims(n, k)
     if count * n * k > MAX_DRAW:
         raise ValueError(f"{count} draws of {n} x {k} bases exceed {MAX_DRAW} entries")
     rng = np.random.default_rng(seed)

@@ -183,6 +183,13 @@ class TestSurvey:
         entry = {e.name: e for e in rep.entries}["dabrowski_orponen_villa"]
         assert not entry.applicable
 
+    def test_hyperplane_corollary_inapplicable_at_t_zero(self):
+        # The paper needs t in (0, k(n-k)]; the formula itself would give 1.
+        rep = bound_survey(params(4, 3, "3/2", 0))
+        entries = {e.name: e for e in rep.entries}
+        assert not entries["spread_hyperplane_corollary"].applicable
+        assert not entries["spread_main"].applicable
+
     def test_positive_measure_flag(self):
         # t above (k+1)(n-k) - k = 4 trips the positive-measure case.
         rep = bound_survey(params(4, 2, "3/2", 5))

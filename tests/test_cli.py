@@ -280,6 +280,20 @@ class TestFF:
         assert run_cli(["ff", "verify", "--config", cfg, "--out", str(out)]) == 2
         assert not list(out.iterdir())
 
+    def test_verify_lines_table_cap_exits_2_before_counting(self, tmp_path, monkeypatch):
+        # q = 2, n = 13, k = 12: 8191 hyperplanes x 2 cosets fit the cap, but
+        # the Kakeya pass's 8191 lines x 4096 cosets do not.
+        import furstlab.finitefield as ff
+
+        def never(*args):
+            raise AssertionError("the set was labeled before every count table was checked")
+
+        monkeypatch.setattr(ff, "_coset_labels", never)
+        cfg = write_config(tmp_path, "v.json", {"q": 2, "n": 13, "k": 12, "points": [[0] * 13]})
+        out = tmp_path / "out"
+        assert run_cli(["ff", "verify", "--config", cfg, "--out", str(out)]) == 2
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("k, spread, passes", [
         (1, {"m": 3, "M": 13}, 1),
         (1, None, 1),
@@ -312,6 +326,26 @@ class TestFF:
         assert calls == {"ff_directions": passes, "_max_counts": passes}
         payload = json.loads((out / "ff_verify.json").read_text())
         assert (payload["directions"], payload["pigeonhole"], payload["is_kakeya"]) == (13, True, False)
+
+    def test_verify_compares_two_independent_counts(self, tmp_path, monkeypatch):
+        # A closed form off by one must show as a mismatch: the stack holds
+        # the enumeration's own count, so no all-zero row is labeled as a basis.
+        import furstlab.finitefield as ff
+
+        real_binomial, real_max_counts = ff.gaussian_binomial, ff._max_counts
+
+        def max_counts(f, dirs):
+            assert (dirs != 0).any(axis=(1, 2)).all(), "an all-zero basis was labeled"
+            return real_max_counts(f, dirs)
+
+        monkeypatch.setattr(ff, "gaussian_binomial", lambda n, k, q: real_binomial(n, k, q) + 1)
+        monkeypatch.setattr(ff, "_max_counts", max_counts)
+        cfg = write_config(tmp_path, "v.json", {"q": 3, "n": 3, "k": 2, "points": [[0, 0, 0], [1, 2, 0]]})
+        out = tmp_path / "out"
+        assert run_cli(["ff", "verify", "--config", cfg, "--out", str(out)]) == 4
+        payload = json.loads((out / "ff_verify.json").read_text())
+        assert (payload["directions"], payload["gaussian_binomial"]) == (13, 14)
+        assert payload["directions_match"] is False
 
     def test_verify_set_past_points_cap_is_labeled_in_chunks(self, tmp_path):
         # 2801 lines x 7^4 cosets fits the count table cap, though 2801
@@ -612,6 +646,24 @@ class TestPipeline:
         assert [p.name for p in out.iterdir()] == ["grassmann_verify.json"]
         results = json.loads((out / "grassmann_verify.json").read_text())["results"]
         assert [r["passed"] for r in results] == [True, True, True, False]
+
+
+def test_cli_imports_no_private_name():
+    # The CLI reaches the library only through public names, so each rule
+    # it applies is owned by the module that defines it.
+    import ast
+
+    import furstlab.cli
+
+    tree = ast.parse(Path(furstlab.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("furstlab"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private
 
 
 class TestEntryPoint:

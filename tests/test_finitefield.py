@@ -213,6 +213,11 @@ class TestIsSpreadFurstenberg:
             ff_is_spread_furstenberg(line, 1, 0, 1)
 
 
+def test_verify_refuses_a_set_of_another_space():
+    with pytest.raises(ValueError, match=r"F_3\^2, not in F_3\^3"):
+        ff.ff_verify(3, 3, 1, FFSet(3, 2, [(0, 0)]))
+
+
 class TestPigeonhole:
     def test_six_point_subsets_of_f3_squared(self):
         universe = list(itertools.product(range(3), repeat=2))
@@ -472,6 +477,11 @@ class TestFFSetCsv:
         noisy = FFSet(5, 2, np.array([(3, 0), (-4, 7), (1, 2), (8, -5), (-2, 5)]))
         np.testing.assert_array_equal(noisy.points, plain.points)
         assert len(noisy) == 2
+
+    @pytest.mark.parametrize("coord", [2**70, -2**70])
+    def test_coordinate_past_int64_raises_value_error(self, coord):
+        with pytest.raises(ValueError, match="int64"):
+            FFSet(3, 2, [[coord, 1], [0, 0]])
 
     @pytest.mark.parametrize("points", [[(0, 1, 2)], [(0,)], [0, 1], [(0, 1), (2,)]],
                              ids=["wide", "narrow", "flat", "ragged"])

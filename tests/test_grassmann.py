@@ -48,6 +48,14 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace(17, 1, np.eye(17)[:, :1])
 
+    @pytest.mark.parametrize("n, k", [(3, 0), (2, 3), (17, 1)])
+    def test_subspace_and_sampler_share_one_dimension_rule(self, n, k):
+        rule = f"need 1 <= k <= n <= 16, got n={n}, k={k}"
+        for build in (lambda: Subspace(n, k, np.zeros((n, k))),
+                      lambda: haar_projector_batch(n, k, 1, seed=0)):
+            with pytest.raises(ValueError, match=rule):
+                build()
+
     def test_projector_idempotent_symmetric(self):
         u = haar_sample(5, 2, seed=0)
         p = u.projector()
