@@ -33,11 +33,10 @@ exact in any grouping, and the value sums are joined across blocks before
 their one `bincount`, so the floats keep their bits (see `_slab_sweep`).
 
 A cell's interval on a row ends at the translates nearest tc - r and tc + r,
-found by arithmetic, not by a search of the translate grid: the candidate
-ceil(v/step) (or floor(v/step) + 1) is off by at most one, because the grid
-points fl(j*step) are nondecreasing in j and within far less than a step of
-j*step, and one comparison with each of the two grid points nearest it
-settles the index exactly (proof in `_grid_index`).
+found by arithmetic, not by a search of the translate grid: the grid points
+fl(j*step) are within far less than step/4 of j*step, so only the one nearest
+v can fall on either side of it, and one comparison with that grid point
+settles each end exactly (proof in `_grid_index`).
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dimension import MAX_CELLS
 from .grassmann import Subspace, complement, haar_projector_batch, row_sum_squares
 
 MAX_FIELD_DIM = 4
@@ -61,10 +61,13 @@ _BLOCK = 1 << 15
 
 def _grid_shape(n: int, level: int) -> tuple:
     """Shape (m,) * n of a field, m = 2^(level+1) cells per axis, checked
-    against the dimension cap before any array of that shape is built."""
+    against the dimension and cell caps before any array of that shape is built."""
     if n > MAX_FIELD_DIM:
         raise ValueError(f"ambient dimension capped at {MAX_FIELD_DIM}")
-    return (1 << (level + 1),) * n
+    m = 1 << (level + 1)
+    if m**n > MAX_CELLS:
+        raise ValueError(f"{m}^{n} cells exceed the cap {MAX_CELLS}")
+    return (m,) * n
 
 
 def _axis_centers(level: int) -> np.ndarray:
@@ -236,42 +239,33 @@ def _sweep_cells(f: MaximalField):
 def _grid_index(v: np.ndarray, step: float, side: str) -> np.ndarray:
     """np.searchsorted(_translate_grid(step), v, side), by arithmetic.
 
-    The grid is tau_j = fl(j*step) for |j| <= m = floor(2/step).  Call j
-    counted when fl(j*step) < v (left side) or <= v (right side); the index
-    is the number of counted grid points.  fl(j*step) is nondecreasing in j,
-    so the counted lattice points are those below the first uncounted one.
+    The grid is fl(j*step) for |j| <= m = floor(2/step), nondecreasing in j.
+    Call j counted when fl(j*step) < v (left side) or <= v (right side); the
+    index is the number of counted grid points.  Let rho = v/step.
 
-    Let rho = v/step.  Within the grid fl(j*step) is within 2^-50 of j*step,
-    far less than step/4, so every grid point j < rho - 1/4 is counted and
-    none with j > rho + 1/4 is.  The candidate c is ceil(fl(rho)) on the left
-    and floor(fl(rho)) + 1 on the right.  For |rho| <= m + 2, fl(rho) is
-    within far less than 1/4 of rho, so c and the first uncounted point both
-    lie in {ceil(rho - 1/4), ..., floor(rho + 1/4) + 1}, at most two
-    consecutive integers; for larger |rho|, c lies past the end of the grid
-    on the side of rho.  Either way every grid point below c - 1 is counted
-    and none above c is, and that still holds with c clipped to [1 - m, m],
-    where c - 1 and c are grid points.  So the index is the m + c - 1 grid
-    points below c - 1, plus whether c - 1 and c are counted, tested on the
-    products the grid holds: c stays an integral float, and an integral
-    float times step is the same product as the integer's.
+    - Each grid product is within 2^-52 of j*step, far less than step/4
+      (`_check_search` caps the sweep at 2^24 entries, so step > 2^-22).  So
+      j < rho - 1/4 is counted and j > rho + 1/4 is not, and only an integer
+      in that interval of length 1/2, which holds at most one, is uncertain.
+    - The candidate j* = rint(v * fl(1/step)) is within 1/2 + 2^-28 of rho
+      while |rho| <= m + 2, so j* - 1 is counted and j* + 1 is not (a
+      half-integer rho may round either way; both results qualify).  For
+      larger |rho|, inf included, j* lies past the grid on rho's side.
+    - Clipping j* to [-m, m] keeps both facts.
+
+    So the index is the m + j* points below j*, plus whether j* is counted,
+    tested on the product the grid holds: j* is an integral float, and an
+    integral float times step is the same product as the integer's.
     """
-    m = int(math.floor(2.0 / step))
-    q = v / step
-    if side == "left":
-        np.ceil(q, out=q)
-        counted = np.less
-    else:
-        np.floor(q, out=q)
-        q += 1.0
-        counted = np.less_equal
-    np.clip(q, 1.0 - m, float(m), out=q)
-    at = counted(q * step, v)
-    q -= 1.0
-    below = counted(q * step, v)
-    q += m
-    q += at
-    q += below
-    return q.astype(np.int64)
+    m = math.floor(2.0 / step)
+    q = v * (1.0 / step)
+    np.rint(q, out=q)
+    np.clip(q, -m, m, out=q)
+    counted = (np.less if side == "left" else np.less_equal)(q * step, v)
+    index = q.astype(np.int64)
+    index += m
+    index += counted
+    return index
 
 
 def _slab_intervals(points: np.ndarray, frame: np.ndarray, k: int, delta: float, step: float):
@@ -300,7 +294,7 @@ def _slab_intervals(points: np.ndarray, frame: np.ndarray, k: int, delta: float,
     np.subtract(delta * delta, g_sq, out=g_sq)
     in_band &= g_sq >= 0  # a cell with g_sq < 0 is in no slab
     band = np.flatnonzero(in_band)
-    t, g_sq = x[band, k:], g_sq[in_band]
+    t, g_sq = np.take(x[:, k:], band, axis=0), np.take(g_sq, band)
     del x, in_band  # the sweep reads only the band
     tc = t[:, -1]
     if c > 1:
@@ -313,7 +307,7 @@ def _slab_intervals(points: np.ndarray, frame: np.ndarray, k: int, delta: float,
         padded = np.concatenate(([np.inf], taus, [np.inf]))
     reach = range(-math.ceil(delta / step), math.ceil(delta / step) + 1)
     for offset in itertools.product(reach, repeat=c - 1):
-        r_sq, tk, cells, base = g_sq, tc, band, 0
+        r_sq, tk, cells = g_sq, tc, band
         if c > 1:
             row_taus = np.take(padded, near + (np.array(offset) + 1), mode="clip")
             r_sq = g_sq - row_sum_squares(t[:, :-1] - row_taus)
@@ -321,10 +315,12 @@ def _slab_intervals(points: np.ndarray, frame: np.ndarray, k: int, delta: float,
             r_sq, tk, cells = r_sq[keep], tc[keep], band[keep]
             base = near_base[keep] + int(np.dot(offset, row_stride))
         r = np.sqrt(r_sq)
-        lo = _grid_index(tk - r, step, "left")
-        hi = _grid_index(tk + r, step, "right")
-        lo += base
-        hi += base
+        end = tk - r
+        lo = _grid_index(end, step, "left")
+        hi = _grid_index(np.add(tk, r, out=end), step, "right")
+        if c > 1:
+            lo += base
+            hi += base
         yield lo, hi, cells
 
 
@@ -358,10 +354,8 @@ def _slab_sweep(cells, basis: np.ndarray, delta: float, step: float) -> float:
     an unblocked pass would; a field of one block is not copied.
 
     The ends of each interval are the indices np.searchsorted would give on the
-    translate grid, computed by `_grid_index` from a candidate j = ceil(v/step)
-    or floor(v/step) + 1 and one comparison with each of the grid products
-    fl((j-1)*step) and fl(j*step): fl(j*step) is nondecreasing in j, and the
-    first grid point past v is within one of the candidate.
+    translate grid, computed by `_grid_index` from the integer j nearest
+    v/step, clipped to the grid, and one comparison with the grid point fl(j*step).
     """
     half, points, vals = cells
     n, k = basis.shape
@@ -399,14 +393,18 @@ def _slab_sweep(cells, basis: np.ndarray, delta: float, step: float) -> float:
 
 
 def _check_search(f: MaximalField, k: int, delta: float, search_step: float):
-    """The argument checks of kakeya_maximal that hold for every direction."""
+    """The argument checks of kakeya_maximal that hold for every direction,
+    made before any array is built."""
     if not 1 <= k < f.n:
         raise ValueError(f"need 1 <= k < n = {f.n}, got k={k}")
-    if search_step > delta / 2 + 1e-15:
-        raise ValueError("search_step must be <= delta/2")
     if not (MIN_DELTA <= delta <= 0.5):
         raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")
+    if not 0 < search_step <= delta / 2 + 1e-15:
+        raise ValueError(f"search_step must be in (0, delta/2], got {search_step}")
     _check_resolution(f, delta)
+    nt = 2 * math.floor(min(2.0 / search_step, MAX_CELLS)) + 1  # translates per axis
+    if nt ** (f.n - k - 1) * (nt + 1) > MAX_CELLS:  # difference entries, more than nt
+        raise ValueError(f"search_step {search_step} needs over {MAX_CELLS} sweep entries")
 
 
 def kakeya_maximal(f: MaximalField, u: Subspace, delta: float, search_step: float) -> float:

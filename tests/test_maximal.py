@@ -11,7 +11,9 @@ from furstlab.maximal import (
     _axis_centers,
     _box_centers,
     _cell_centers,
+    _check_search,
     _grid_index,
+    _grid_shape,
     _slab_intervals,
     _sweep_cells,
     _translate_grid,
@@ -54,6 +56,17 @@ class TestMaximalField:
                      lambda: random_tube_union_field(5, 9, 0.25, 1, seed=0)):
             with pytest.raises(ValueError, match="capped"):
                 make()
+
+    def test_cell_cap_checked_before_the_grid_is_built(self):
+        # 8192^4 = 2^52 cells: a build before the check would raise MemoryError.
+        for make in (lambda: MaximalField.from_function(4, 12, lambda x: x[:, 0] ** 2),
+                     lambda: MaximalField.constant(4, 12, 0.0),
+                     lambda: random_tube_union_field(4, 12, 0.25, 1, seed=0)):
+            with pytest.raises(ValueError, match="cells exceed the cap"):
+                make()
+        assert _grid_shape(4, 5) == (64,) * 4  # 2^24 cells, the cap itself
+        with pytest.raises(ValueError, match="cells exceed the cap"):
+            _grid_shape(4, 6)
 
     def test_centers_cover_symmetric_cube(self):
         f = MaximalField.constant(2, 3, 1.0)
@@ -158,6 +171,28 @@ class TestKakeyaMaximal:
         f = MaximalField.constant(2, 6, 1.0)
         with pytest.raises(ValueError):
             kakeya_maximal(f, E1, 0.125, 0.125)
+
+    @pytest.mark.parametrize("step", [0.0, -0.125 / 4, math.nan, math.inf])
+    def test_bad_search_step_is_a_value_error(self, step):
+        f = MaximalField.constant(2, 6, 1.0)
+        with pytest.raises(ValueError, match="search_step"):
+            kakeya_maximal(f, E1, 0.125, step)
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2), (4, 1)])
+    def test_sweep_cap_checked_before_any_array(self, n, k):
+        # About 4e15 translates per axis: a build before the check would
+        # raise MemoryError.
+        f = MaximalField.constant(n, 3, 1.0)
+        with pytest.raises(ValueError, match="sweep entries"):
+            kakeya_maximal(f, haar_sample(n, k, 0), 0.5, 1e-15)
+
+    def test_sweep_cap_bounds_the_step(self):
+        # Codimension 2 needs nt * (nt + 1) <= 2^24 entries for nt = 2m + 1
+        # translates per axis, so m = 2047 passes and m = 2048 does not.
+        f = MaximalField.constant(3, 3, 1.0)
+        _check_search(f, 1, 0.5, 2.0 / 2047.5)
+        with pytest.raises(ValueError, match="sweep entries"):
+            _check_search(f, 1, 0.5, 2.0 / 2048)
 
     def test_codimension_zero_rejected(self):
         f = MaximalField.constant(2, 6, 1.0)
@@ -280,13 +315,17 @@ class TestKakeyaMaximal:
 
 
 class TestSlabIntervals:
-    @pytest.mark.parametrize("step", [MIN_DELTA / 2 * 2.0**e for e in range(8)] + [0.15, 0.1, 1 / 6])
+    @pytest.mark.parametrize("step", [MIN_DELTA / 2 * 2.0**e for e in range(8)]
+                             + [0.15, 0.1, 1 / 6, 1 / 3, 0.0123])
     def test_grid_index_is_searchsorted(self, step):
         taus = _translate_grid(step)
+        m = len(taus) // 2
         v = np.concatenate([
             np.random.default_rng(7).uniform(-3.0, 3.0, 20_000),
             taus, np.nextafter(taus, np.inf), np.nextafter(taus, -np.inf),
             [1e300, -1e300],
+            (np.arange(-m, m) + 0.5) * step,  # midpoints: rint rounds half to even
+            [np.inf, -np.inf, (m + 0.5) * step, -(m + 0.5) * step],
         ])
         for side in ("left", "right"):
             assert np.array_equal(_grid_index(v, step, side), np.searchsorted(taus, v, side))
