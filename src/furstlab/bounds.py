@@ -176,8 +176,17 @@ def bound_hkm(p: BoundParams) -> Fraction:
 
 
 def bound_oberlin_fm(p: BoundParams):
-    """2k - k(n-k) + t, or the POSITIVE_MEASURE flag for large t."""
+    """2k - k(n-k) + t, or the POSITIVE_MEASURE flag for large t.
+
+    Oberlin's and Falconer-Mattila's bounds are for sets that contain whole
+    k-planes, so they apply only at s = k.  For s < k a product C x
+    [0,1]^(n-k) with a Cantor set C of dimension s is an (s, t; k) set for
+    every t <= k(n-k), of dimension n - k + s, below 2k - k(n-k) + t at
+    (2, 1, 1/2, 1) and of zero measure.
+    """
     n, k, t = p.n, p.k, p.t
+    if p.s != k:
+        raise InapplicableBound(f"only for families of whole k-planes (s = k = {k}), got s = {p.s}")
     if t <= (k + 1) * (n - k) - k:
         return 2 * k - k * (n - k) + t
     return POSITIVE_MEASURE

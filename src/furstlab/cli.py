@@ -38,6 +38,7 @@ from .dimension import (
     cantor_grid,
     estimate_dimension,
     GridSet,
+    MAX_RLE_BYTES,
     sharp_hyperplane_example,
     slicing_product_example,
 )
@@ -180,9 +181,15 @@ def _pair_of_ints(v):
     return v
 
 
-def _read_input(path: str) -> bytes:
+def _read_input(path: str, limit: int | None = None) -> bytes:
+    """The bytes of an input file; a file of more than `limit` bytes is
+    refused before it is read."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if limit is not None and size > limit:
+                raise SchemaError(f"input {path} has {size} bytes, more than the cap of {limit}")
+            return fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}")
 
@@ -385,7 +392,7 @@ def cmd_dimension_construct(opts):
 
 def cmd_dimension_estimate(opts):
     if opts["grid"] is not None:
-        grid = GridSet.from_rle(_read_input(opts["grid"]))
+        grid = GridSet.from_rle(_read_input(opts["grid"], MAX_RLE_BYTES))
         meta = {"kind": "file"}
     elif opts["kind"] is not None:
         grid, meta = _construct_grid(opts)

@@ -14,11 +14,24 @@ lookup in a table of spread values, sorts the cells by it, and reads the
 level at which each pair of neighbours splits off the first key word where
 they differ; the box counts at all coarser levels follow from those split
 levels.  That one kernel, _sort_split, takes a batch of grids of equal
-size: a GridSet is a batch of one.  One placement, _point_cells, puts a
-stack of float clouds on grids, each shifted by its own minimum (taken
-along a contiguous axis) and scaled by its own power of two;
-family_dimension counts one cloud and projection_dimensions (spreadify's
-candidates) a batch, neither building a GridSet.  flat_slice finds
+size: a GridSet is a batch of one.
+
+The build holds at most one full-size scratch array beside the arrays it
+keeps: the input cells, the key words and the sort order while it sorts,
+then the int8 split levels and the Z-ordered cells.  Every other pass runs
+in blocks of _BLOCK rows: the Morton words, the split levels (settled as
+int8 from the XOR of each block's sorted keys, and counted into the box
+histogram there), the gather into Z-order and from_rle's run checks and
+expansion, whose blocks count runs (so a grid of a few long runs is
+expanded at full size).  The input cells may be of any integer width, and
+from_rle builds them in the narrowest unsigned one; a large grid's cells
+are kept in a memory mapping of their own (_mapped, for 512 KiB or more),
+so the malloc heap keeps only the build's temporaries and can reuse them
+for the next build instead of returning them and faulting them in again.
+One placement, _point_cells, puts a stack of float clouds on grids, each
+shifted by its own minimum (taken along a contiguous axis) and scaled by
+its own power of two; family_dimension counts one cloud and
+projection_dimensions (spreadify's candidates) a batch, neither building a GridSet.  flat_slice finds
 the boxes of side about rho as runs of cells from the same split levels,
 keeps that box table on the grid for the last box side it used (one slot,
 so slicing a grid by many flats builds it once), drops every box too far
@@ -48,11 +61,29 @@ from .tolerances import TOL_EXACT
 MAX_CELLS = 1 << 24
 MAX_POINT_LEVEL = 62  # unit * 2^level of a point in [0, 1] fits in int64
 _RLE_HEAD = struct.Struct("<4sBBQ")
+# The largest .rle blob from_rle reads: a header and at most MAX_CELLS runs.
+MAX_RLE_BYTES = _RLE_HEAD.size + 16 * MAX_CELLS
+# Rows per pass of the block loops here and in `maximal`'s slab sweep (cells,
+# sorted neighbour pairs or runs), so their temporaries stay a few hundred KB,
+# which the allocator reuses instead of faulting in fresh pages.
+_BLOCK = 1 << 15
+# A grid's cells of at least this many bytes are kept in `_mapped` memory.
+# Measured on the benchmark's grids (2-CPU host, 10 runs each): mapping its
+# 0.75 MB grids too, which a 1 MiB cutoff leaves on the heap, raised
+# `fractal`'s jobs/s by 8 %, and mapping every grid, down to the 0.19-0.26
+# MB and the few-KB ones, cost the jobs that build those about 15 % each.
+_MAPPED_BYTES = 1 << 19
+# mmap's flags for `_mapped`, where the system has them (Windows has neither
+# the constants nor the argument).
+_MAP_FLAGS = (
+    {"flags": mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)} if hasattr(mmap, "MAP_PRIVATE") else {}
+)
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
     """Exact bit length of each uint64, as int64, read off the exponent
-    field of its float64 value.
+    field of its float64 value.  x is left as it was; the bit lengths are
+    settled in the one scratch array that clears x's lower bits.
 
     Clearing every set bit just below another set bit keeps the top bit and
     leaves no run of ones after it, so the conversion cannot round up to
@@ -62,7 +93,8 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     top = x >> np.uint64(1)
     np.invert(top, out=top)
     top &= x
-    b = top.astype(np.float64).view(np.int64)
+    b = top.view(np.int64)
+    np.copyto(top.view(np.float64), top, casting="unsafe")  # in place, element by element
     b >>= 52
     b -= 1022
     return np.maximum(b, 0, out=b)
@@ -78,18 +110,57 @@ def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return runs
 
 
-def _off_heap(a: np.ndarray) -> np.ndarray:
-    """A read-only copy of a in an anonymous memory mapping of its own.
+def _rle_cells(starts: np.ndarray, lengths: np.ndarray, n: int, level: int) -> np.ndarray:
+    """The (m, n) row-major cells of the runs of linear indices [start,
+    start + length) of a grid of side 2^level, in `_cell_dtype(level)`.
+    The runs are expanded a block of `_BLOCK` runs at a time and split into
+    coordinates while they are fresh.  The blocks count runs, not cells: a
+    grid of a few long runs (a full square is one run per row) still
+    expands to full-size linear indices in one block."""
+    cells = np.empty((int(lengths.sum()), n), dtype=_cell_dtype(level))
+    pos = 0
+    for lo in range(0, len(lengths), _BLOCK):
+        lin = _expand_runs(starts[lo : lo + _BLOCK], lengths[lo : lo + _BLOCK])
+        block = cells[pos : pos + len(lin)]
+        for j in range(n):
+            np.right_shift(lin, level * (n - 1 - j), out=block[:, j], casting="unsafe")
+            if j:
+                block[:, j] &= (1 << level) - 1
+        pos += len(lin)
+    return cells
 
-    For arrays that outlive the call that made them.  On the malloc heap
-    such an array can sit above memory that later calls free, which the
-    heap then cannot return, and the next large build grows the heap past
-    it: a box table of 0.46 MB held there raised the peak RSS of a process
-    that slices a 280k-cell grid between builds of it by about 2 MB.  The
-    mapping is unmapped with the array.
+
+def _cell_dtype(level: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds a coordinate below 2^level."""
+    return np.min_scalar_type((1 << level) - 1)
+
+
+def _mapped(shape: tuple, dtype) -> np.ndarray:
+    """A zeroed array in an anonymous memory mapping of its own, unmapped
+    with the array.
+
+    For large arrays that outlive the call that made them.  On the malloc
+    heap such an array lands above the memory that the call's temporaries
+    free, so the heap grows by all of it; when the array goes, the free top
+    of the heap passes glibc's trim threshold and is returned, and the next
+    large build faults every page of it in again.  In a mapping only the
+    array's own pages are fresh, and the heap keeps the temporaries'
+    memory for the next call.  The mapping is private, and populated when
+    it is made where the system can (MAP_POPULATE): from_rle of a 280k-cell
+    grid took 21.5 ms with it against 23.2 ms faulting the cells' pages in
+    one at a time (in-process loop, 2-CPU host).
     """
-    buf = mmap.mmap(-1, max(1, a.nbytes))
-    out = np.frombuffer(buf, a.dtype, a.size).reshape(a.shape)
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    buf = mmap.mmap(-1, max(1, size * dtype.itemsize), **_MAP_FLAGS)
+    return np.frombuffer(buf, dtype, size).reshape(shape)
+
+
+def _off_heap(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a in `_mapped` memory: held on the malloc heap,
+    a box table of 0.46 MB raised the peak RSS of a process that slices a
+    280k-cell grid between builds of it by about 2 MB."""
+    out = _mapped(a.shape, a.dtype)
     out[...] = a
     out.flags.writeable = False
     return out
@@ -110,9 +181,21 @@ def _spread_table(g: int, width: int) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=64)
+def _level_table(g: int, low: int) -> np.ndarray:
+    """Split levels by the bit length b = 0..64 of the XOR of two key words
+    of g coordinates per bit row, `low` coordinate bits above the keys'
+    lowest: low + ceil(b / g), and 0 for b = 0 (the words agree).  int8,
+    read-only."""
+    b = np.arange(65)
+    table = np.where(b > 0, low + (b + g - 1) // g, 0).astype(np.int8)
+    table.flags.writeable = False
+    return table
+
+
 def _morton_keys(cells: np.ndarray, level: int) -> tuple:
-    """Bit-interleaved (Z-order) keys of a (..., m, n) array of cells as
-    uint64 words of shape (nwords, ..., m), most significant first.
+    """Bit-interleaved (Z-order) keys of a (..., m, n) array of integer
+    cells as uint64 words of shape (nwords, ..., m), most significant first.
 
     A word holds g = min(n, 63) coordinates and w = min(63 // g, 16) bits of
     each, so it stays below 2^63: bit i*w + r of coordinate j is bit
@@ -120,7 +203,9 @@ def _morton_keys(cells: np.ndarray, level: int) -> tuple:
     by falling chunk, then rising group (only n > 63 needs several groups,
     with w = 1).  A chunk is spread by one lookup in `_spread_table`, which
     w <= 16 keeps small; with one chunk the cells are below 2^w already, so
-    the chunk needs no shift or mask.
+    the chunk needs no shift or mask.  The cells, of any integer width, are
+    read in blocks of `_BLOCK` rows (a column widened to int64 only when it
+    is cut into chunks), so the words are the one full-size array made.
 
     Returns (words, g, base), base[i] being the number of coordinate bits
     below word i's chunk: keys that first differ in word i, at bit length
@@ -133,25 +218,31 @@ def _morton_keys(cells: np.ndarray, level: int) -> tuple:
     bits = min(level, 63)  # int64 cells have no higher bit
     nchunks = max(1, -(-bits // w))
     table = _spread_table(g, max(1, min(w, bits)))
-    words = np.empty((nchunks * groups,) + cells.shape[:-1], dtype=np.uint64)
-    for i in range(nchunks):
+    rows = cells.reshape(-1, n)
+    words = np.empty((nchunks * groups, len(rows)), dtype=np.uint64)
+    for lo in range(0, len(rows), _BLOCK):
         for j in range(n):
-            chunk = cells[..., j] if nchunks == 1 else (cells[..., j] >> i * w) & ((1 << w) - 1)
-            word = words[(nchunks - 1 - i) * groups + j // g]
-            # A group's first coordinate is looked up straight into its word;
-            # every chunk value is below 2^width, so clipping changes none.
-            x = np.take(table, chunk, out=None if j % g else word, mode="clip")
-            if j % g < g - 1:
-                x <<= np.uint64(g - 1 - j % g)
-            if j % g:
-                word |= x
+            col = rows[lo : lo + _BLOCK, j]
+            if nchunks > 1:
+                col = col.astype(np.int64)
+            for i in range(nchunks):
+                chunk = col if nchunks == 1 else (col >> i * w) & ((1 << w) - 1)
+                word = words[(nchunks - 1 - i) * groups + j // g, lo : lo + _BLOCK]
+                # A group's first coordinate is looked up straight into its
+                # word; every chunk value is below 2^width, so clipping
+                # changes none.
+                x = np.take(table, chunk, out=None if j % g else word, mode="clip")
+                if j % g < g - 1:
+                    x <<= np.uint64(g - 1 - j % g)
+                if j % g:
+                    word |= x
     base = w * (nchunks - 1 - np.arange(len(words)) // groups)
-    return words, g, base
+    return words.reshape(words.shape[:1] + cells.shape[:-1]), g, base
 
 
 def _sort_split(cells: np.ndarray, level: int) -> tuple:
     """Z-order sort and box counts of each grid of a (B, m, n) batch of
-    cells at depth `level`, all in [0, 2^level).
+    integer cells at depth `level`, all in [0, 2^level).
 
     The cells are sorted by their `_morton_keys` words, and each pair of
     sorted neighbours gets its split level off the first word where their
@@ -160,9 +251,19 @@ def _sort_split(cells: np.ndarray, level: int) -> tuple:
     duplicate) starts a new box at every level l > level - d, and
     counts[l] = 1 + #{pairs with d >= level - l + 1}.
 
+    The words and the sort order are the only full-size arrays besides the
+    int8 split levels.  The pairs are settled in blocks of about `_BLOCK`:
+    per word, a block's sorted keys are gathered and XORed with their
+    neighbours, and the bit length b of each difference is looked up as
+    the level base + ceil(b / g) (0 where the word does not differ), which
+    the block's int8 split levels keep the maximum of.  A differing higher
+    word always outranks a lower one, so the maximum is the level of the
+    first differing word; with one word, base is 0 and the level is
+    ceil(b / g).  Each block's levels then add to the box-count histogram.
+
     Returns (order, split, counts): order (B, m) sorts each grid (stably,
-    so a duplicate keeps its first row), split (B, m - 1) holds d for each
-    sorted neighbour pair, and counts (B, level + 1) the box counts at
+    so a duplicate keeps its first row), split (B, m - 1) int8 holds d for
+    each sorted neighbour pair, and counts (B, level + 1) the box counts at
     levels 0..level, all 0 for a grid without cells.
     """
     words, g, base = _morton_keys(cells, level)
@@ -172,24 +273,29 @@ def _sort_split(cells: np.ndarray, level: int) -> tuple:
         # sort.
         sort_keys = sort_keys.astype(np.uint16)
     order = np.lexsort(sort_keys, axis=-1)
+    del sort_keys
     nb, m = order.shape
-    nwords = len(words)
-    flat = order + m * np.arange(nb)[:, None] if nb > 1 else order
-    keys = np.take(words.reshape(nwords, -1), flat, axis=1)
-    # Each full-size array goes as soon as the next is made from it: on a
-    # large grid fresh memory costs more than the passes over it.
-    del words, sort_keys, flat
-    diff = keys[..., 1:] ^ keys[..., :-1]
-    del keys
-    b = _bit_length(diff)
-    del diff
-    if nwords == 1:  # base 0, and b = 0 gives d = 0
-        split = b[0]
-        split += g - 1
-        split //= g
-    else:
-        split = np.where(b > 0, base[:, None, None] + (b + g - 1) // g, 0).max(axis=0)
-    hist = np.array([np.bincount(row, minlength=level + 2) for row in split])
+    words = words.reshape(len(words), -1)
+    levels = [_level_table(g, low) for low in base.tolist()]
+    split = np.zeros((nb, max(m - 1, 0)), dtype=np.int8)
+    hist = np.zeros((nb, level + 2), dtype=np.int64)
+    rows = max(1, _BLOCK // max(m, 1))  # whole grids per block, or part of one
+    for r in range(0, nb, rows):
+        for j in range(0, m - 1, _BLOCK):
+            idx = order[r : r + rows, j : j + _BLOCK + 1]
+            if nb > 1:
+                idx = idx + m * np.arange(r, r + len(idx))[:, None]
+            acc = split[r : r + rows, j : j + _BLOCK]
+            for word, table in zip(words, levels):
+                keys = np.take(word, idx)
+                d = _bit_length((keys[:, 1:] ^ keys[:, :-1]).ravel())
+                np.maximum(acc, np.take(table, d, mode="clip").reshape(acc.shape), out=acc)
+            if len(acc) == 1:
+                hist[r] += np.bincount(acc[0], minlength=level + 2)
+            else:  # each grid's levels land in its own row of the histogram
+                part = hist[r : r + rows]
+                tagged = acc + part.shape[1] * np.arange(len(part))[:, None]
+                part += np.bincount(tagged.ravel(), minlength=part.size).reshape(part.shape)
     counts = np.zeros((nb, level + 1), dtype=np.int64)
     if m:
         counts += 1 + np.cumsum(hist[:, ::-1], axis=1)[:, : level + 1]
@@ -221,21 +327,30 @@ class GridSet:
     def __post_init__(self):
         if self.n < 1 or self.level < 0:
             raise ValueError(f"need n >= 1 and level >= 0, got n={self.n}, level={self.level}")
-        c = np.asarray(self.cells, dtype=np.int64)
+        c = self.cells
+        if not (isinstance(c, np.ndarray) and c.dtype.kind in "iu"):
+            c = np.asarray(c, dtype=np.int64)
         if c.ndim != 2 or c.shape[1] != self.n:
             raise ValueError(f"cells shape {c.shape} incompatible with n={self.n}")
         if c.size and (c.min() < 0 or c.max() >= (1 << self.level)):
             raise ValueError("cell index out of range for level")
         order, split, counts = _sort_split(c[None], self.level)
-        c, d = np.take(c, order[0], axis=0), split[0]
+        order, d = order[0], split[0]
+        # The given cells may be of any integer width; they are gathered
+        # into Z-order and widened to int64 a block at a time, into memory
+        # of their own if they are large (`_mapped`).
+        z = (_mapped if c.size * 8 >= _MAPPED_BYTES else np.empty)(c.shape, np.int64)
+        for lo in range(0, len(z), _BLOCK):
+            z[lo : lo + _BLOCK] = np.take(c, order[lo : lo + _BLOCK], axis=0)
+        del order
         if not d.all():
-            c = c[np.concatenate([[True], d != 0])]
+            z = z[np.concatenate([[True], d != 0])]
             d = d[d != 0]
-        if len(c) > MAX_CELLS:
-            raise ValueError(f"cell count {len(c)} exceeds cap {MAX_CELLS}")
-        object.__setattr__(self, "cells", c)
+        if len(z) > MAX_CELLS:
+            raise ValueError(f"cell count {len(z)} exceeds cap {MAX_CELLS}")
+        object.__setattr__(self, "cells", z)
         object.__setattr__(self, "_counts", counts[0])
-        object.__setattr__(self, "_split", d.astype(np.int8))
+        object.__setattr__(self, "_split", d)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -280,12 +395,20 @@ class GridSet:
     @classmethod
     def from_rle(cls, blob: bytes) -> "GridSet":
         """Inverse of to_rle; a malformed blob raises ValueError before
-        anything is allocated."""
+        anything is allocated.
+
+        The row-major cells only feed the construction's sort and gather,
+        so `_rle_cells` builds them in the narrowest unsigned dtype that
+        holds a coordinate: at level <= 16 they take a quarter of the int64
+        Z-ordered cells that the construction keeps.
+        """
         if len(blob) < _RLE_HEAD.size:
             raise ValueError("RLE blob shorter than its header")
         magic, n, level, nruns = _RLE_HEAD.unpack_from(blob, 0)
         if magic != b"GRLE":
             raise ValueError("not a GridSet RLE blob")
+        if nruns > MAX_CELLS:
+            raise ValueError(f"RLE header claims {nruns} runs, more than the cap of {MAX_CELLS}")
         if len(blob) != _RLE_HEAD.size + 16 * nruns:
             raise ValueError(f"RLE blob of {len(blob)} bytes does not hold {nruns} runs")
         if n * level > 63:
@@ -296,15 +419,14 @@ class GridSet:
             raise ValueError(f"RLE runs hold more than {MAX_CELLS} cells")
         # Past these checks no start + length can wrap around 2^64.
         limit = 1 << (n * level)
-        if starts.max(initial=0) >= limit or (starts + lengths).max(initial=0) > limit:
-            raise ValueError("RLE run leaves the grid")
-        lin = _expand_runs(starts.view("<i8"), lengths.view("<i8"))  # all below 2^63
-        cells = np.empty((len(lin), n), dtype=np.int64)
-        for j in range(n):
-            np.right_shift(lin, level * (n - 1 - j), out=cells[:, j])
-            if j:
-                cells[:, j] &= (1 << level) - 1
-        del lin  # before the construction's own full-size arrays
+        for lo in range(0, nruns, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            if starts[block].max() >= limit or (starts[block] + lengths[block]).max() > limit:
+                raise ValueError("RLE run leaves the grid")
+        cells = _rle_cells(starts.view("<i8"), lengths.view("<i8"), n, level)  # all below 2^63
+        # The blob goes before the construction's full-size arrays (if the
+        # caller keeps no reference to it).
+        del blob, runs, starts, lengths
         return cls(n, level, cells)
 
 

@@ -48,15 +48,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .dimension import MAX_CELLS
+from .dimension import _BLOCK, MAX_CELLS
 from .grassmann import Subspace, complement, haar_projector_batch, row_sum_squares
 
 MAX_FIELD_DIM = 4
 MIN_DELTA = 2.0 ** -8
-
-# Cells per block of the slab sweep, so its per-direction temporaries stay a
-# few hundred KB, which the allocator reuses instead of faulting in fresh pages.
-_BLOCK = 1 << 15
 
 
 def _grid_shape(n: int, level: int) -> tuple:

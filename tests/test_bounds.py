@@ -191,11 +191,22 @@ class TestSurvey:
         assert not entries["spread_main"].applicable
 
     def test_positive_measure_flag(self):
-        # t above (k+1)(n-k) - k = 4 trips the positive-measure case.
-        rep = bound_survey(params(4, 2, "3/2", 5))
+        # t above (k+1)(n-k) - k = 4 trips the positive-measure case; the
+        # bound is about whole k-planes, so the tuple has s = k.
+        rep = bound_survey(params(4, 2, 2, 5))
         entry = {e.name: e for e in rep.entries}["oberlin_falconer_mattila"]
         assert entry.applicable and entry.flag == POSITIVE_MEASURE
         assert entry.value is None
+
+    def test_oberlin_fm_inapplicable_below_s_equal_k(self):
+        # C x [0,1] with dim C = s* < 1 refutes 2k - k(n-k) + t = 2 here;
+        # Ren-Wang, sharp in the plane, is then the best bound.
+        rep = bound_survey(params(2, 1, "1/2", 1))
+        entry = {e.name: e for e in rep.entries}["oberlin_falconer_mattila"]
+        assert not entry.applicable and entry.value is None and entry.flag is None
+        assert (rep.best_name, rep.best_value) == ("ren_wang", Fraction(5, 4))
+        assert {e.name: e for e in bound_survey(params(2, 1, 1, 1)).entries}[
+            "oberlin_falconer_mattila"].value == 2
 
     def test_best_is_max_numeric(self):
         rep = bound_survey(params(2, 1, "1/2", 1))

@@ -546,6 +546,22 @@ def test_bad_rle_exits_2_writes_nothing(tmp_path, blob):
     assert not list(out.iterdir())
 
 
+def test_oversized_rle_exits_2_before_it_is_read(tmp_path, capsys, monkeypatch):
+    # A sparse file one byte past a header and 2^24 runs, with a header
+    # that from_rle would accept: only the size check refuses it.
+    from furstlab.dimension import MAX_RLE_BYTES
+
+    path = tmp_path / "big.rle"
+    path.write_bytes(struct.pack("<4sBBQ", b"GRLE", 2, 12, 1 << 24))
+    os.truncate(path, MAX_RLE_BYTES + 1)
+    monkeypatch.setattr("furstlab.cli.GridSet.from_rle", lambda blob: pytest.fail("file was read"))
+    cfg = write_config(tmp_path, "e.json", {"grid": str(path), "levels": [1, 2]})
+    out = tmp_path / "out"
+    assert run_cli(["dimension", "estimate", "--config", cfg, "--out", str(out)]) == 2
+    assert not list(out.iterdir())
+    assert f"more than the cap of {MAX_RLE_BYTES}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "cfg",
     [{"q": 2, "n": 20}, {"q": 3, "n": 9}, {"q": 2, "n": 10**400},
