@@ -30,17 +30,21 @@ so the malloc heap keeps only the build's temporaries and can reuse them
 for the next build instead of returning them and faulting them in again.
 One placement, _point_cells, puts a stack of float clouds on grids, each
 shifted by its own minimum (taken along a contiguous axis) and scaled by
-its own power of two; family_dimension counts one cloud and
-projection_dimensions (spreadify's candidates) a batch, neither building a GridSet.  flat_slice finds
-the boxes of side about rho as runs of cells from the same split levels,
-keeps that box table on the grid for the last box side it used (one slot,
-so slicing a grid by many flats builds it once), drops every box too far
-from the flat with one projection of the box centres (distance to a flat
-is 1-Lipschitz), and runs its exact per-cell test only on the cells left.
-Digit-restriction sets are rasterized by marking, per kept
-base-b cell, the dyadic cell containing its center (one marked cell per
-construction cell, so the construction's own count law is preserved
-exactly).
+its own power of two (read off one np.frexp of the spans);
+family_dimension counts one cloud and projection_dimensions (spreadify's
+candidates) a batch, neither building a GridSet.  Every slope comes from
+one fit, _fit, closed form over a (rows, levels) array of box counts with
+sums along each row only, so a row gets the same bits alone as in a
+batch: estimate_dimension, family_dimension and projection_dimensions
+each make one call.  flat_slice finds the boxes of side about rho as
+runs of cells from the same split levels, keeps that box table on the
+grid for the last box side it used (one slot, so slicing a grid by many
+flats builds it once), drops every box too far from the flat with one
+projection of the box centres (distance to a flat is 1-Lipschitz), and
+runs its exact per-cell test only on the cells left.  Digit-restriction
+sets are rasterized by marking, per kept base-b cell, the dyadic cell
+containing its center (one marked cell per construction cell, so the
+construction's own count law is preserved exactly).
 """
 
 from __future__ import annotations
@@ -432,7 +436,8 @@ class GridSet:
 
 @dataclass(frozen=True)
 class DimensionEstimate:
-    """OLS slope of log2 N(2^-L) against L over a dyadic level range."""
+    """Least-squares slope of log2 N(2^-L) against L over a dyadic level
+    range, with its intercept and r^2 (see `_fit`)."""
 
     slope: float
     intercept: float
@@ -461,21 +466,36 @@ def estimate_dimension(g: GridSet, l_min: int, l_max: int) -> DimensionEstimate:
         raise ValueError(f"need 1 <= l_min < l_max <= {g.level}")
     if not len(g):
         raise ValueError("cannot estimate the dimension of an empty grid: it has no cells")
-    return _fit([box_count(g, l) for l in range(l_min, l_max + 1)], l_min, l_max)
+    return DimensionEstimate(*_fit(g._counts[None], l_min, l_max)[:, 0].tolist(), (l_min, l_max))
 
 
-def _fit(counts, l_min: int, l_max: int) -> DimensionEstimate:
-    """Least-squares slope of log2 of the box counts at levels l_min..l_max,
-    given in that order."""
-    levels = np.arange(l_min, l_max + 1, dtype=float)
-    logs = np.array([math.log2(int(c)) for c in counts])
-    a = np.vstack([levels, np.ones_like(levels)]).T
-    coef, *_ = np.linalg.lstsq(a, logs, rcond=None)
-    fit = a @ coef
-    ss_res = float(((logs - fit) ** 2).sum())
-    ss_tot = float(((logs - logs.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 1e-30 else 1.0
-    return DimensionEstimate(float(coef[0]), float(coef[1]), r2, (l_min, l_max))
+def _fit(counts: np.ndarray, l_min: int, l_max: int) -> np.ndarray:
+    """Least-squares fit of y = log2 count against the level l over levels
+    l_min..l_max for each row of a (rows, levels) array of positive box
+    counts at levels 0, 1, ...: a (3, rows) array of the slopes, intercepts
+    and r^2.
+
+    The levels are integers, so with w_i = l_i - mean(l) the fit is closed:
+    slope = sum w_i y_i / sum w_i^2, intercept = mean(y) - slope * mean(l)
+    and r^2 = slope * sum w_i y_i / sum (y_i - mean(y))^2.  The logs are
+    taken relative to the row's first level, which changes none of these in
+    exact arithmetic and makes a flat row exactly zero: slope 0, r^2 1.
+    Every reduction is a sum along a contiguous row, so a row gets the same
+    bits alone as in a batch; a matrix product, or a sum down the columns,
+    does not keep that.
+    """
+    w = np.arange(l_min, l_max + 1) - (l_min + l_max) / 2
+    logs = counts[:, l_min : l_max + 1].astype(float)
+    np.log2(logs, out=logs)
+    first = logs[:, 0].copy()
+    logs -= first[:, None]
+    sxy = (logs * w).sum(axis=1)
+    slope = sxy / (w * w).sum()
+    mean = logs.sum(axis=1) / len(w)
+    logs -= mean[:, None]
+    ss_tot = (logs * logs).sum(axis=1)
+    r2 = np.divide(slope * sxy, ss_tot, out=np.ones_like(ss_tot), where=ss_tot > 0)
+    return np.stack([slope, first + mean - slope * (l_min + l_max) / 2, r2])
 
 
 def _normalize_keep(base: int, keep, n: int) -> list:
@@ -572,9 +592,11 @@ def _point_cells(pts: np.ndarray, level: int) -> np.ndarray:
     # both at cell 0).
     lo = np.ascontiguousarray(pts.swapaxes(-1, -2)).min(axis=-1)
     unit = pts - lo[..., None, :]
-    span = unit.max(axis=(-2, -1))
-    scale = [2.0 ** max(0, math.ceil(math.log2(s))) if s > 0 else 1.0 for s in span.ravel().tolist()]
-    unit /= np.reshape(scale, span.shape + (1, 1))
+    # The smallest power of two that is at least 1 and covers the span: with
+    # span = m 2^e, m in [1/2, 1), that is 2^e, or 2^(e-1) where m = 1/2
+    # (a span of 0 has e = 0).
+    m, e = np.frexp(unit.max(axis=(-2, -1), keepdims=True))
+    unit /= np.ldexp(1.0, np.maximum(0, e - (m == 0.5)))
     unit *= 1 << level
     return np.clip(unit.astype(np.int64), 0, (1 << level) - 1)
 
@@ -583,13 +605,13 @@ def projection_dimensions(points: np.ndarray, bases: np.ndarray, l_min: int, l_m
     """For each basis b of a (count, n, k) stack, the slope that
     estimate_dimension(grid_from_points(points @ b, l_max), l_min, l_max)
     gives, bit for bit, from one stacked product, placement and _sort_split
-    per batch of at most MAX_CELLS points."""
+    per batch of at most MAX_CELLS points, and one _fit of all the counts."""
     step = max(1, MAX_CELLS // len(points))
     counts = np.concatenate([
         _sort_split(_point_cells(points @ bases[i : i + step], l_max), l_max)[2]
         for i in range(0, len(bases), step)
     ])
-    return [_fit(row[l_min : l_max + 1], l_min, l_max).slope for row in counts]
+    return _fit(counts, l_min, l_max)[0].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -752,5 +774,5 @@ def family_dimension(projectors: np.ndarray, l_min: int, l_max: int) -> Dimensio
         raise ValueError(f"family of {len(p)} members exceeds cap {MAX_CELLS}")
     if not 1 <= l_min < l_max:
         raise ValueError(f"need 1 <= l_min < l_max, got {l_min}, {l_max}")
-    counts = _sort_split(_point_cells(p.reshape(1, len(p), -1), l_max), l_max)[2][0]
-    return _fit(counts[l_min : l_max + 1], l_min, l_max)
+    counts = _sort_split(_point_cells(p.reshape(1, len(p), -1), l_max), l_max)[2]
+    return DimensionEstimate(*_fit(counts, l_min, l_max)[:, 0].tolist(), (l_min, l_max))

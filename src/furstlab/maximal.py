@@ -166,6 +166,13 @@ class TubeSpec:
         object.__setattr__(self, "radius", float(self.radius))
 
 
+def _check_delta(delta: float):
+    """The tube width rule of the maximal search, the tube union field and
+    delta_scan."""
+    if not MIN_DELTA <= delta <= 0.5:
+        raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")
+
+
 def _check_resolution(f: MaximalField, delta: float):
     if f.resolution > delta / 4 + 1e-15:
         raise ValueError(
@@ -393,8 +400,7 @@ def _check_search(f: MaximalField, k: int, delta: float, search_step: float):
     made before any array is built."""
     if not 1 <= k < f.n:
         raise ValueError(f"need 1 <= k < n = {f.n}, got k={k}")
-    if not (MIN_DELTA <= delta <= 0.5):
-        raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")
+    _check_delta(delta)
     if not 0 < search_step <= delta / 2 + 1e-15:
         raise ValueError(f"search_step must be in (0, delta/2], got {search_step}")
     _check_resolution(f, delta)
@@ -452,8 +458,7 @@ def random_tube_union_field(
 
     Each tube draws its Haar line, then its n-1 center coordinates in the
     `complement` basis of U-perp."""
-    if not MIN_DELTA <= delta <= 0.5:
-        raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")
+    _check_delta(delta)
     rng = np.random.default_rng(seed)
     hit = np.zeros(_grid_shape(n, level), dtype=bool)
     for _ in range(ntubes):
@@ -481,8 +486,7 @@ def delta_scan(
     if not deltas:
         raise ValueError("need at least one delta")
     for delta in deltas:
-        if not MIN_DELTA <= delta <= 0.5:
-            raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")
+        _check_delta(delta)
     if min(ntubes, ndirs) < 1 or not 1 <= p < math.inf:
         raise ValueError(f"need ntubes, ndirs, p >= 1 and p finite; got {ntubes}, {ndirs}, {p}")
     rows = []

@@ -8,7 +8,9 @@ sort-and-split kernel: every chunk of 63 // g bits spread by log-step shifts
 cell by cell, and the split level off the first differing word.  An .rle
 blob is decoded by one broadcast shift and mask of the linear indices, and
 the spreadify candidates are box-counted one GridSet at a time.  A stack
-of float clouds is placed with its minima taken over the middle axis.
+of float clouds is placed with its minima taken over the middle axis, and
+each cloud's scale is found by doubling.  A row of box counts is fitted by
+np.linalg.lstsq, the per-row solve that the closed-form fit replaced.
 The finite-field directions are enumerated one RREF basis at a time, and
 the coset representative and subspace points are the scalar loops behind
 ff_coset_profile's vectorized labels; the graph form of a hyperplane reads
@@ -149,14 +151,22 @@ def rle_cells(blob: bytes):
     return n, level, (lin[:, None] >> shifts) & ((1 << level) - 1)
 
 
+def cover_scale(span: float) -> float:
+    """The smallest power of two that is at least span and at least 1, by
+    doubling."""
+    scale = 1.0
+    while scale < span:
+        scale *= 2
+    return scale
+
+
 def point_cells(pts, level: int) -> np.ndarray:
     """The cells at `level` of the rows of one (m, d) float cloud, shifted by
     its minimum and scaled by the smallest power of two covering its span:
     the placement of one cloud alone."""
     lo = pts.min(axis=0) if len(pts) else np.zeros(pts.shape[1])
     span = float((pts - lo).max()) if len(pts) else 0.0
-    scale = 2.0 ** max(0, math.ceil(math.log2(span))) if span > 0 else 1.0
-    unit = (pts - lo) / scale
+    unit = (pts - lo) / cover_scale(span)
     return np.clip((unit * (1 << level)).astype(np.int64), 0, (1 << level) - 1)
 
 
@@ -169,10 +179,26 @@ def stack_point_cells(pts, level: int) -> np.ndarray:
         return np.zeros(pts.shape, dtype=np.int64)
     unit = pts - pts.min(axis=-2, keepdims=True)
     span = unit.max(axis=(-2, -1))
-    scale = [2.0 ** max(0, math.ceil(math.log2(s))) if s > 0 else 1.0 for s in span.ravel().tolist()]
+    scale = [cover_scale(s) for s in span.ravel().tolist()]
     unit /= np.reshape(scale, span.shape + (1, 1))
     unit *= 1 << level
     return np.clip(unit.astype(np.int64), 0, (1 << level) - 1)
+
+
+def lstsq_fit(counts, l_min: int, l_max: int) -> tuple:
+    """(slope, intercept, r2) of log2 of the box counts of one row at levels
+    l_min..l_max, given in that order: a least-squares solve by
+    np.linalg.lstsq on math.log2 of each count.  On a flat row its r2 is
+    not reliable: roundoff in the mean can leave a total sum of squares of
+    about 1e-31, which the residual's roundoff then overwhelms."""
+    levels = np.arange(l_min, l_max + 1, dtype=float)
+    logs = np.array([math.log2(int(c)) for c in counts])
+    a = np.vstack([levels, np.ones_like(levels)]).T
+    coef, *_ = np.linalg.lstsq(a, logs, rcond=None)
+    ss_res = float(((logs - a @ coef) ** 2).sum())
+    ss_tot = float(((logs - logs.mean()) ** 2).sum())
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 1e-30 else 1.0
+    return float(coef[0]), float(coef[1]), r2
 
 
 def candidate_dimensions_loop(duals, candidates, l_min: int, l_max: int) -> list:

@@ -140,27 +140,28 @@ MAXIMAL_ARTIFACTS = {
 
 # sha256 of each dimension estimate, dimension construct, spreadify and
 # slice artifact of cycle 0 (seed 1), by job kind and file name.  Their
-# slopes come from least-squares fits, and the spreadify outputs from Haar
-# draws of planes in R^3 (a LAPACK QR) and BLAS products, so, like
-# MAXIMAL_ARTIFACTS, the digests hold for this numpy and BLAS.
+# slopes come from numpy's log2 and the closed-form least-squares fit, and
+# the spreadify outputs from Haar draws of planes in R^3 (a LAPACK QR) and
+# BLAS products, so, like MAXIMAL_ARTIFACTS, the digests hold for this
+# numpy and BLAS.
 FRACTAL_ARTIFACTS = {
     "fractal": {
         "estimate.cantor/dimension_estimate.json":
-            "60fd301f4db55ae5bdc198f403a1581382fe527a904a136ebda88837bde4638b",
+            "8dd23018595e0f9a3ad59ce2882f8714b6e02c79abf23ddcfa0a50348c35b4ba",
         "estimate.product6/dimension_estimate.json":
-            "cd747fa3d3c9683d030d6f8bb031d3abf316124cad312dd3f71ca81312849f41",
+            "2cdbe43307687e4a86f1c79c103e32ab03db5bb168242f9ecdff9a2a8c8cf11e",
         "estimate.product7/dimension_estimate.json":
-            "dc8bea27a9a3b8008f6396f84372cd105352bc21c0f9a82bf5e48520d3722b01",
+            "5ba22bd08a3a15f5aece8caaad67f195aa3c11e14fbbad1fa30e3045b463e1ff",
         "estimate.sharp/dimension_estimate.json":
-            "56455c565c18724738d2aee54d62982fbc3c6b32d9293bfec9c934a710cde3b5",
+            "1153a6794f0b01a632ef1eb01905ad0c7efdd16ee5ec678153c2446f933c550d",
         "slice/result.json":
-            "04089a670b5b6eca22ab7f224c008834b1e052250f7a08e1bbf2007e2dbcf669",
+            "c5fa1b83240ed681d65f5eb50bbbc71b72aa89da2d6e97b6f488769744bef0c5",
         "spreadify/spreadify_hyperplanes.csv":
             "779bb4264e62a8ab2485fb4957316d48000a3525872dba3d7f975614dce6671a",
         "spreadify/spreadify_points.csv":
             "cdf9f93518d70f76457cc9ffa22a2de40f86ae5fd498003ba70b2e7374912bd1",
         "spreadify/spreadify_report.json":
-            "120836beaedd6f5e0bc187f2f28da964e9b8d2811f5aa3dcb588634f8f177a3b",
+            "92a2c64506228ab2b65a1f88814405a3173ad21cd768d5b976fdd88a14bae3e3",
     },
     "sweep": {
         "construct.cantor/dimension_construct.json":
@@ -170,13 +171,13 @@ FRACTAL_ARTIFACTS = {
         "construct.sharp/dimension_construct.json":
             "8ef1897254e6898627e1cc3430b12cd079cf977a91de50d0a8b7a7833fa0612e",
         "estimate.written/dimension_estimate.json":
-            "0cf1a8c74fb6dcba6a8e4d41f07f46586d5d312fe4588c9c7c788e041e7d4cb4",
+            "c3dd68ed0ec00f5342fbbf114b872bf52ce80b89c7145b518ee84121481155c0",
         "spreadify/spreadify_hyperplanes.csv":
             "8aae38697d95a24c2ae5d4ec3c98739b546506759e5a4e1faa9861c381ea3cc6",
         "spreadify/spreadify_points.csv":
             "ba589333b07959725ccb0bbd1196c2ab37ceb6ae03b74ab00de1be5121cba4f2",
         "spreadify/spreadify_report.json":
-            "7e6e010bf44142e5d66f78d7d5e7d4031bfd590936b56f54de1fb2313c8e097b",
+            "16d34ab97bfdfe382a52d9b4e6a0faef78716ca2cafc8021adf2ed2c5bdc7a99",
     },
 }
 

@@ -158,7 +158,7 @@ class TestDualitySpreadify:
             ("spreadify_hyperplanes.csv",
              "8ac235ec8605cb618934af0e575db191e313776b46d7fb7e70e698a2b0306701"),
             ("spreadify_report.json",
-             "a8bfc9c6134da52468bcd7281ca6ae216c8d3b66c8be91e7906a1f6528c9e89f"),
+             "a5eda6189448b16f6ca1b6bdf3c8e8ca922cc8557d47f387e45b87def67378f0"),
         ]:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha
 

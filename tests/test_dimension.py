@@ -12,6 +12,7 @@ from furstlab.bounds import as_fraction, bound_spread_hyperplane
 from furstlab.dimension import (
     GridSet,
     _bit_length,
+    _fit,
     _point_cells,
     _sort_split,
     box_count,
@@ -439,13 +440,20 @@ class TestBoxCount:
 class TestEstimateDimension:
     def test_full_square(self):
         est = estimate_dimension(full_cube(2, 8), 2, 8)
-        assert est.slope == pytest.approx(2.0, abs=1e-9)
-        assert est.r2 == pytest.approx(1.0, abs=1e-12)
+        assert (est.slope, est.r2) == (2.0, 1.0)
 
     def test_single_point(self):
         g = GridSet(2, 8, np.array([[3, 7]]))
         est = estimate_dimension(g, 2, 8)
-        assert est.slope == pytest.approx(0.0, abs=1e-12)
+        assert est.slope == 0.0
+
+    def test_finite_set_past_its_separation_is_flat(self):
+        # Three points 2^30 / 3 cells apart occupy three boxes at every
+        # level from 2 on: a flat row, which a least-squares solve gave an
+        # r^2 of -29 and a slope of 3e-17.
+        g = GridSet(1, 30, np.arange(3)[:, None] * ((1 << 30) // 3))
+        est = estimate_dimension(g, 4, 30)
+        assert (est.slope, est.intercept, est.r2) == (0.0, float(np.log2(3.0)), 1.0)
 
     def test_middle_thirds(self):
         g = cantor_grid(1, 3, [0, 2], 8)
@@ -480,6 +488,44 @@ class TestEstimateDimension:
         assert abs(sp - sa - sb) <= 0.1
 
 
+# Level ranges of the fit's oracle checks, from two levels and from level 0
+# up to MAX_POINT_LEVEL, the deepest float placement.
+FIT_RANGES = [(1, 2), (2, 7), (0, 12), (3, 20), (1, 62)]
+
+
+class TestFit:
+    """The closed-form fit over a (rows, levels) count array against the
+    per-row lstsq fit it replaced."""
+
+    @pytest.mark.parametrize("l_min, l_max", FIT_RANGES)
+    def test_matches_lstsq(self, l_min, l_max):
+        rng = np.random.default_rng(l_max)
+        counts = rng.integers(1, 1 << 24, (200, l_max + 1))
+        counts[100:] = np.sort(counts[100:], axis=1)  # rising, as box counts are
+        got = _fit(counts, l_min, l_max)
+        assert got.shape == (3, 200)
+        for row, fit in zip(counts, got.T):
+            expected = reference.lstsq_fit(row[l_min : l_max + 1], l_min, l_max)
+            assert np.abs(fit - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("l_min, l_max", FIT_RANGES)
+    def test_flat_rows_have_slope_zero_and_r2_one(self, l_min, l_max):
+        counts = np.repeat([[1], [3], [7], [12345], [(1 << 24) - 1]], l_max + 1, axis=1)
+        slope, intercept, r2 = _fit(counts, l_min, l_max)
+        assert (slope == 0).all() and (r2 == 1).all()
+        for row, b in zip(counts, intercept):
+            assert abs(b - reference.lstsq_fit(row[l_min : l_max + 1], l_min, l_max)[1]) <= 1e-12
+
+    @pytest.mark.parametrize("nlevels", [6, 9, 40])
+    @pytest.mark.parametrize("batch", [7, 64])
+    def test_row_alone_gets_the_bits_it_gets_in_a_batch(self, nlevels, batch):
+        rng = np.random.default_rng(nlevels * batch)
+        counts = np.sort(rng.integers(1, 1 << 24, (batch, nlevels + 2)), axis=1)
+        got = _fit(counts, 1, nlevels)
+        for i in range(batch):
+            assert np.array_equal(_fit(counts[i : i + 1], 1, nlevels), got[:, i : i + 1])
+
+
 class TestCantorGrid:
     def test_keep_all_base2_is_full_cube(self):
         g = cantor_grid(2, 2, [0, 1], 4)
@@ -489,7 +535,7 @@ class TestCantorGrid:
         g = cantor_grid(1, 3, [0, 1, 2], 6)
         for lv in range(1, 9):
             assert box_count(g, lv) == 2**lv
-        assert estimate_dimension(g, 2, 8).slope == pytest.approx(1.0, abs=1e-9)
+        assert estimate_dimension(g, 2, 8).slope == 1.0
 
     def test_product_dimension(self):
         g = cantor_grid(2, 3, [[0, 2], [0, 1, 2]], 7)
@@ -542,6 +588,20 @@ class TestGridFromPoints:
         assert got.shape == clouds.shape and got.dtype == np.int64
         for cloud, cells in zip(clouds, got):
             assert np.array_equal(cells, reference.point_cells(cloud, level))
+
+
+    @pytest.mark.parametrize("j", [0, 4, 30, 1000])
+    def test_span_just_above_a_power_of_two_is_covered(self, j):
+        # A span of 2^j (1 + 2^-52) needs the scale 2^(j+1), so its top
+        # point lands in the middle cell, not clipped into the last; a span
+        # of exactly 2^j is its own scale.
+        above = _point_cells(np.array([[0.0], [2.0**j * (1 + 2.0**-52)]]), 3)
+        assert above.ravel().tolist() == [0, 4]
+        assert _point_cells(np.array([[0.0], [2.0**j]]), 3).ravel().tolist() == [0, 7]
+        stack = np.array([[[0.0], [2.0**j * (1 + 2.0**-52)]], [[0.0], [2.0**j]]])
+        got = _point_cells(stack, 3)
+        for cloud, cells in zip(stack, got):
+            assert np.array_equal(cells, reference.point_cells(cloud, 3))
 
 
 class TestPointCellsMinimum:
@@ -634,7 +694,7 @@ class TestSlicingProductExample:
     def test_s_equals_k_full_cube(self):
         ex = slicing_product_example(2, 1, 1.0, 4)
         est = estimate_dimension(ex.grid, 2, 6)
-        assert est.slope == pytest.approx(2.0, abs=1e-9)
+        assert est.slope == 2.0
 
     def test_spread_slices(self):
         # Generic directions admit a translate whose slice carries the
@@ -814,7 +874,7 @@ class TestFlatSliceBoxTable:
 class TestFamilyDimension:
     def test_single_subspace_zero(self):
         u = haar_sample(3, 1, seed=0)
-        assert family_dimension(u.projector()[None], 2, 6).slope == pytest.approx(0.0, abs=1e-12)
+        assert family_dimension(u.projector()[None], 2, 6).slope == 0.0
 
     def test_uniform_circle_of_lines(self):
         t = np.linspace(0, math.pi, 1000, endpoint=False)

@@ -494,6 +494,18 @@ class TestDeltaScan:
         with pytest.raises(ValueError):
             random_tube_union_field(2, 6, delta, 3, seed=0)
 
+    @pytest.mark.parametrize("delta", [2.0**-9, 0.6, 0.0, float("nan")])
+    def test_every_entry_point_rejects_a_bad_delta_alike(self, delta):
+        f = MaximalField.constant(2, 6, 1.0)
+        calls = [lambda: kakeya_maximal(f, E1, delta, 2.0**-10),
+                 lambda: maximal_lp_norm(f, 1, delta, 2.0, 1, seed=0),
+                 lambda: random_tube_union_field(2, 6, delta, 3, seed=0),
+                 lambda: delta_scan([2.0**-4, delta])]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"delta must be in [{MIN_DELTA}, 1/2], got {delta}"
+
     def test_arguments_checked_before_any_field(self, monkeypatch):
         import furstlab.maximal as mx
 
