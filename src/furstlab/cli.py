@@ -437,6 +437,9 @@ def cmd_ff_search(opts):
         payload.update({"k": opts["k"], "m": opts["m"]})
     artifacts = {"ff_search.json": _json(payload)}
     print(f"minimal size {result.size} ({result.nodes_explored} nodes)")
+    if result.size < result.lower_bound:
+        floor = f"{result.lower_bound_source} floor {result.lower_bound}"
+        return artifacts, f"minimal size {result.size} is below the {floor}"
     return artifacts, None
 
 

@@ -10,7 +10,10 @@ kernel labels a batch of points in every direction at once.  Set checks
 count cosets with a bincount over those labels, a chunk of points at a
 time, and read every verdict off one labeling per direction family; the
 minimal-set search is one branch and bound that keeps its coset counts in
-plain lists it updates point by point.
+plain lists it updates point by point.  It starts from a proved
+closed-form floor (`_search_floor`: a pair double count, Bukh-Chao and
+Blokhuis-Mazzocca for Kakeya sets), stops on the first set it completes at
+that floor, and reports the floor with its result.
 
 Only prime q is accepted: over proper prime powers the subfield structure
 breaks the size conjectures this module is used to probe.
@@ -308,39 +311,85 @@ def ff_pigeonhole_verify(f: FFSet, k: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
+    """A minimal set with the nodes the search took, and the closed-form
+    floor (`_search_floor`) it was checked against, with that floor's
+    source."""
+
     size: int
     witness: FFSet
     nodes_explored: int
+    lower_bound: int
+    lower_bound_source: str
 
     def as_dict(self) -> dict:
         return {
             "size": self.size,
             "witness": self.witness.points.tolist(),
             "nodes_explored": self.nodes_explored,
+            "lower_bound": self.lower_bound,
+            "lower_bound_source": self.lower_bound_source,
         }
+
+
+def _search_floor(q: int, n: int, k: int, m: int) -> Tuple[int, str]:
+    """(value, source): a size no set with a coset of >= m points in every
+    k-direction of F_q^n is below, the largest of these proved floors (the
+    first listed wins a tie):
+
+    - "trivial": m, the points of one rich coset.
+    - "pair_count": the least s >= m with C(s, 2) G(n-1, k-1, q) >=
+      G(n, k, q) C(m, 2), G the Gaussian binomial.  Proof: let S be such a
+      set and count the pairs ({x, y}, V) with x != y in S, V a k-direction
+      and x - y in V.  Each of the G(n, k, q) directions V has a coset c
+      with |S & c| >= m, and every pair inside c has its difference in V,
+      so there are at least G(n, k, q) C(m, 2).  A pair's difference spans
+      one line, which lies in exactly G(n-1, k-1, q) k-directions (those
+      of F_q^n / line), so there are exactly C(|S|, 2) G(n-1, k-1, q).
+    - "bukh_chao" (Kakeya: k = 1, m = q): ceil(q^(2n-1) / (2q-1)^(n-1)),
+      that is |K| >= q^n / (2 - 1/q)^(n-1) (Bukh and Chao, 2021).
+    - "blokhuis_mazzocca" (Kakeya, n = 2, q odd): q(q+1)/2 + (q-1)/2, the
+      exact planar minimum (Blokhuis and Mazzocca, 2008).
+    """
+    floors = [(m, "trivial")]
+    need = -(-gaussian_binomial(n, k, q) * math.comb(m, 2) // gaussian_binomial(n - 1, k - 1, q))
+    s = max(m, math.isqrt(2 * need))  # C(s, 2) >= need needs s > sqrt(2 need)
+    while math.comb(s, 2) < need:
+        s += 1
+    floors.append((s, "pair_count"))
+    if (k, m) == (1, q):
+        floors.append((-(-q ** (2 * n - 1) // (2 * q - 1) ** (n - 1)), "bukh_chao"))
+        if n == 2 and q % 2:
+            floors.append((q * (q + 1) // 2 + (q - 1) // 2, "blokhuis_mazzocca"))
+    return max(floors, key=lambda f: f[0])
 
 
 def _min_set_meeting(q: int, n: int, k: int, m: int, node_cap: Optional[int]) -> SearchResult:
     """Smallest set with a coset of >= m points in every k-direction, found
     by a deterministic depth-first completion search (`_branch_and_bound`)
-    that guarantees a minimal size, not a particular witness.
+    that guarantees a minimal size, not a particular witness.  The search
+    stops on the first set it completes at or below `_search_floor`.
     nodes_explored counts every search node visited, so a node_cap equal to
     it lets the same search finish.
     """
     dirs = _capped_directions(q, n, k, n)
     if not (1 <= m <= q ** k):
         raise ValueError(f"need 1 <= m <= q^k = {q ** k}, got m={m}")
+    floor, source = _search_floor(q, n, k, m)
     universe = _digits(q, n)
     cap = math.inf if node_cap is None else node_cap
-    node, nodes = _branch_and_bound(_coset_labels(q, n, dirs, universe), q ** (n - k), m, cap)
-    return SearchResult(len(node), FFSet(q, n, universe[node]), nodes)
+    node, nodes = _branch_and_bound(_coset_labels(q, n, dirs, universe), q ** (n - k), m, cap, floor)
+    return SearchResult(len(node), FFSet(q, n, universe[node]), nodes, floor, source)
 
 
-def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[list, int]:
+def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap, floor: int) -> Tuple[list, int]:
     """A minimal set, with the nodes explored.  Each node picks the first
     direction with the largest deficit and branches on every way to complete
     one of its cosets up to m points, fullest cosets and smallest additions
-    first.  Only a strictly smaller set replaces the incumbent.
+    first.  Only a strictly smaller set replaces the incumbent, so the first
+    set completed at the minimal size is the witness, and the search
+    returns on the node that completes a set no larger than `floor`, a
+    proved lower bound: no smaller set exists.  With floor = m it stops
+    only where the tree is exhausted or a set of m points is found.
 
     The root is seeded by affine symmetry.  Point 0 is the zero vector, V0
     its coset in the first direction, and b the second point of V0 in index
@@ -364,13 +413,13 @@ def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[li
     least as many points), so those are counted, not built.
 
     Past the cap, SearchBudgetExceeded carries a proved lower bound: the
-    smaller of the incumbent and, over the nodes open on the path, the
-    least (node size + need of a child not yet built).  Every set not yet
-    reached lies under such a child.  A node's children come fullest coset
-    first, so their need never falls, and the next unbuilt child bounds all
-    the rest; a node whose last child is built adds nothing.  The root's
-    need is m and every node below it holds m points, so the bound is at
-    least m.
+    larger of `floor` and the path bound, the smaller of the incumbent and,
+    over the nodes open on the path, the least (node size + need of a child
+    not yet built).  Every set not yet reached lies under such a child.  A
+    node's children come fullest coset first, so their need never falls,
+    and the next unbuilt child bounds all the rest; a node whose last child
+    is built adds nothing.  The root's need is m and every node below it
+    holds m points, so the path bound is at least m.
     """
     ndirs, npoints = labels.shape
     coset_size = npoints // ncosets
@@ -388,8 +437,8 @@ def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[li
 
     def exceeded() -> SearchBudgetExceeded:
         if best is None:
-            return SearchBudgetExceeded(cap, min(path, default=m), None)
-        return SearchBudgetExceeded(cap, min(path + [len(best)]), len(best))
+            return SearchBudgetExceeded(cap, max(floor, min(path, default=m)), None)
+        return SearchBudgetExceeded(cap, max(floor, min(path + [len(best)])), len(best))
 
     if nodes > cap:
         raise exceeded()
@@ -402,8 +451,9 @@ def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[li
                 row[lab] += step
         size += step * len(points)
 
-    def dfs(d: int, order: list):
+    def dfs(d: int, order: list) -> bool:
         # Children: each way to complete a coset of direction d, in order.
+        # True once a set no larger than the floor is found.
         nonlocal nodes, best
         row = counts[d]
         for pos, lab in enumerate(order):
@@ -419,7 +469,7 @@ def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[li
                     )
                     if nodes > cap:
                         raise exceeded()
-                    return
+                    return False
                 nodes += 1
                 if nodes > cap:
                     raise exceeded()
@@ -431,11 +481,15 @@ def _branch_and_bound(labels: np.ndarray, ncosets: int, m: int, cap) -> Tuple[li
                 deficit = m - fullest[e]
                 if deficit <= 0:
                     best = [i for i in range(npoints) if members[i]]
+                    if size <= floor:
+                        return True
                 elif best is None or size + deficit < len(best):
                     path.append(None)
-                    dfs(e, sorted(range(ncosets), key=counts[e].__getitem__, reverse=True))
+                    if dfs(e, sorted(range(ncosets), key=counts[e].__getitem__, reverse=True)):
+                        return True
                     path.pop()
                 toggle(addition, -1)
+        return False
 
     # The root seed: 0 and b go in at the root, whose one coset to complete is V0.
     v0 = int(labels[0, 0])

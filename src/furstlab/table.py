@@ -3,6 +3,7 @@ then one row of numbers per record, every row as wide as the header."""
 
 import csv
 import io
+import itertools
 
 import numpy as np
 
@@ -68,8 +69,9 @@ def from_csv(text: str, dtype) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows[1:]):
         raise ValueError(f"every CSV row must have {width} columns, as its header does")
+    values = map(dtype, itertools.chain.from_iterable(rows[1:]))
     try:
-        table = np.array([[dtype(v) for v in r] for r in rows[1:]], dtype=dtype)
+        table = np.fromiter(values, dtype=dtype, count=(len(rows) - 1) * width)
     except OverflowError:
         raise ValueError("CSV integer outside the int64 range") from None
     if not np.isfinite(table).all():

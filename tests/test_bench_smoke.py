@@ -55,19 +55,19 @@ FF_ARTIFACTS = {
         "ffverify.7.3.2/ff_verify.json":
             "ae28416ce8ab6816af472742b47dbf22ebccec04fdf0887d0337d24f1f039b15",
         "search.kakeya.2.2/ff_search.json":
-            "5f4f6802254b4557c4100bcef59811c6339d84bea44d1d68ef2d7e6d84feb816",
+            "d091eda23c04cd0803ed85ad646366b3462bb56ff2182608b862a16f35a2ecf8",
         "search.kakeya.2.3/ff_search.json":
-            "1f46f63e37724446a68d56b7edf70f60396ebdb74d0acfeaa237953310742b89",
+            "165974c40db7eee36a18be1a60679af7ce4dd897d418475aacb1960655bde486",
         "search.kakeya.2.4/ff_search.json":
-            "e1506b1bac8c994d7bbb082df18a367080191f2f10cc21ba0e7a40603936712a",
+            "6419a8290b34c87b686bfbd190d604748c3acce0a374cd7b0b6f107b0d216752",
         "search.kakeya.3.2/ff_search.json":
-            "51f5d931f25988af9ba0cf9250da69341260802e61f7dc9e7afc5a39352b5a77",
+            "f0e33728c4fc8fa7c5e497bac5b13168e49067376b53fedf0fec15fc845247ac",
         "search.kakeya.5.2/ff_search.json":
-            "48bd16a7304020eff9f3ee11179125ba2a8bbba363864e2620822c316e6696d7",
+            "d466a850aebd2079a038e4ea03c9cf830a7e1d1f3e36f84906da22ebdd206ac5",
         "search.spread.3.2/ff_search.json":
-            "398c598301aa1b4acf614c2270d4d69fd72a76a277bbcd2739393a220064c629",
+            "aa5727f748eaba31808978d7ab61ff65f3aaf7bf189ef879590901a1d3930e25",
         "search.spread.5.2/ff_search.json":
-            "4a52040462001714cb3ab2ce72b91aa3b8a222a92d2e275234e8e052989965bd",
+            "98e6d5b512ef1387bd14aecf46e63fa8be403d3295420339ca046296201fdff9",
     },
     "sweep": {
         "ffverify.3.2/ff_verify.json":
@@ -79,9 +79,9 @@ FF_ARTIFACTS = {
         "ffverify.7.2/ff_verify.json":
             "c1512c4529ee390bab9fb3e2023daa3d5ca1d8d40a160b2aaf5a5b6685f8b4a3",
         "search.kakeya.3.2/ff_search.json":
-            "51f5d931f25988af9ba0cf9250da69341260802e61f7dc9e7afc5a39352b5a77",
+            "f0e33728c4fc8fa7c5e497bac5b13168e49067376b53fedf0fec15fc845247ac",
         "search.spread.2.3/ff_search.json":
-            "c7a456b81680e7a08340a9c336bd7280e59d9f4a8fa721085bdbc16f8211a15f",
+            "69e4e457a655b584b799fe2bad0a35d3729661fae928331480663b3ea38768e2",
     },
 }
 

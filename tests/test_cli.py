@@ -243,28 +243,48 @@ class TestFF:
         assert blobs[0] == blobs[1]
         payload = json.loads(blobs[0])
         assert payload["size"] == 3
+        assert (payload["lower_bound"], payload["lower_bound_source"]) == (3, "pair_count")
 
     def test_search_node_cap_exits_3(self, tmp_path, capsys):
         # Exit 3 writes nothing and reports the proved bound and the
-        # incumbent.  The F_3^2 caps are the branch and bound's: the root
-        # proves m = 3, its one child (a full line, node 2) proves 5, the
-        # first dive reaches a 7-point set at node 5, and the search takes
-        # 17 nodes.
+        # incumbent.  The bound is the larger of the closed-form floor and
+        # the branch and bound's path bound.  F_3^2 (Blokhuis-Mazzocca
+        # floor 7) and F_5^2 (floor 17) stop at nodes 5 and 7, on their
+        # first minimal set.  F_3^3's floor 10 is below its minimum 13, so
+        # the search runs all 35,147 nodes: it holds a 15-point set by node
+        # 16, and on its last node the path bound proves 13.  F_5^3 proves
+        # Bukh-Chao's 39 before its first node.
         cases = [
-            (3, 1, "minimal size >= 3, incumbent none"),
-            (3, 4, "minimal size >= 5, incumbent none"),
-            (3, 16, "minimal size >= 7, incumbent 7"),  # one node short of the end
-            (5, 5, "minimal size >= 9, incumbent none"),
-            (5, 100, "minimal size >= 9, incumbent 17"),
+            (3, 2, 1, "minimal size >= 7, incumbent none"),
+            (3, 2, 4, "minimal size >= 7, incumbent none"),  # one node short of the end
+            (5, 2, 6, "minimal size >= 17, incumbent none"),  # one node short of the end
+            (3, 3, 4, "minimal size >= 10, incumbent none"),
+            (3, 3, 16, "minimal size >= 10, incumbent 15"),
+            (3, 3, 35146, "minimal size >= 13, incumbent 13"),  # one node short of the end
+            (5, 3, 1, "minimal size >= 39, incumbent none"),
         ]
-        for q, cap, proved in cases:
+        for q, n, cap, proved in cases:
             cfg = write_config(
-                tmp_path, "s.json", {"q": q, "n": 2, "mode": "kakeya", "node_cap": cap}
+                tmp_path, "s.json", {"q": q, "n": n, "mode": "kakeya", "node_cap": cap}
             )
-            out = tmp_path / f"o{q}_{cap}"
+            out = tmp_path / f"o{q}_{n}_{cap}"
             assert run_cli(["ff", "search", "--config", cfg, "--out", str(out)]) == 3
             assert f"node cap {cap} exceeded; {proved}" in capsys.readouterr().err
             assert not any(out.iterdir())
+
+    def test_search_below_its_floor_exits_4(self, tmp_path, monkeypatch, capsys):
+        # A floor of q^n + 1 is false: the search stops on its first set,
+        # which is smaller, and the run reports the breach and still writes
+        # its artifact.
+        import furstlab.finitefield as ff
+
+        monkeypatch.setattr(ff, "_search_floor", lambda q, n, k, m: (q ** n + 1, "false"))
+        cfg = write_config(tmp_path, "s.json", {"q": 3, "n": 2, "mode": "kakeya"})
+        out = tmp_path / "out"
+        assert run_cli(["ff", "search", "--config", cfg, "--out", str(out)]) == 4
+        assert "invariant breach: minimal size 7 is below the false floor 10" in capsys.readouterr().err
+        payload = json.loads((out / "ff_search.json").read_text())
+        assert (payload["size"], payload["lower_bound"], payload["lower_bound_source"]) == (7, 10, "false")
 
     def test_verify_count_table_cap_exits_2_before_counting(self, tmp_path, monkeypatch):
         # q = 97, n = 3, k = 1 asks for 9507 directions x 9409 cosets.

@@ -27,9 +27,32 @@ def rows(f: FFSet) -> list:
     return list(map(tuple, f.points.tolist()))
 
 
-# One search per Kakeya shape for the whole module: the F_3^3 and F_7^2
-# searches take about 0.25 s each.
+# One search per Kakeya shape for the whole module: the F_3^3 search
+# takes about 0.25 s.
 min_kakeya = functools.lru_cache(maxsize=None)(ff_min_kakeya)
+
+search_floor = ff._search_floor
+
+
+def trivial_floor(q, n, k, m):
+    return m, "trivial"
+
+
+@pytest.fixture
+def exhaustive(monkeypatch):
+    """Searches in this test use the trivial floor m, so they prove their
+    minimum by exhausting the tree, independently of the closed-form
+    floors."""
+    monkeypatch.setattr(ff, "_search_floor", trivial_floor)
+
+
+@functools.lru_cache(maxsize=None)
+def exhaustive_min(q, n, k, m):
+    """The exhaustive search's result for one shape, once per module: the
+    F_3^3 and F_7^2 Kakeya searches take about 0.25 s each."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ff, "_search_floor", trivial_floor)
+        return ff_min_spread(q, n, k, m)
 
 
 class TestGaussianBinomial:
@@ -248,7 +271,7 @@ SMALL_SPACE_MINIMA = {
 }
 
 # (q, n, k, m) -> size, nodes_explored and witness (points as digit strings)
-# of the branch and bound in spaces of at most 16 points.
+# of the exhaustive branch and bound in spaces of at most 16 points.
 SMALL_SPACE_PINS = {
     (2, 2, 1, 2): (3, 4, "00 10 11"),
     (2, 3, 1, 2): (5, 18, "000 100 101 110 111"),
@@ -262,6 +285,22 @@ SMALL_SPACE_PINS = {
     (2, 4, 3, 8): (15, 10, "0000 0010 0011 0100 0101 0110 0111 1000 1001 1010 1011 1100 1101 1110 1111"),
     (3, 2, 1, 2): (4, 15, "00 10 11 12"),
     (3, 2, 1, 3): (7, 17, "00 01 02 10 11 20 22"),
+}
+
+
+# (q, n, k, m) -> size, nodes_explored, lower_bound and its source of the
+# public search, which stops on a set at its closed-form floor.  Every
+# shape of the benchmark's `finite` and `sweep` searches is here.
+PUBLIC_PINS = {
+    (2, 2, 1, 2): (3, 3, 3, "pair_count"),
+    (2, 3, 1, 2): (5, 5, 5, "pair_count"),
+    (2, 4, 1, 2): (6, 65, 6, "pair_count"),
+    (3, 2, 1, 2): (4, 4, 4, "pair_count"),
+    (3, 2, 1, 3): (7, 5, 7, "blokhuis_mazzocca"),
+    (5, 2, 1, 2): (4, 51, 4, "pair_count"),
+    (5, 2, 1, 3): (7, 50, 7, "pair_count"),
+    (5, 2, 1, 5): (17, 7, 17, "blokhuis_mazzocca"),
+    (7, 2, 1, 7): (31, 9, 31, "blokhuis_mazzocca"),
 }
 
 
@@ -289,12 +328,13 @@ class TestMinSearch:
             (0, 0), (1, 0), (1, 1), (1, 3), (2, 0), (2, 2), (3, 4),
         ]
 
+    # The exhaustive path: the trivial floor m.
     @pytest.mark.parametrize("search, args, size, nodes", [
         (ff_min_kakeya, (5, 2), 17, 762),
         (ff_min_spread, (5, 2, 1, 2), 4, 118),
         (ff_min_spread, (5, 2, 1, 3), 7, 937),
     ])
-    def test_branch_and_bound_pins(self, search, args, size, nodes):
+    def test_branch_and_bound_pins(self, exhaustive, search, args, size, nodes):
         res = search(*args)
         assert (res.size, res.nodes_explored) == (size, nodes)
         assert search(*args, node_cap=nodes).as_dict() == res.as_dict()
@@ -303,9 +343,9 @@ class TestMinSearch:
 
     # The test keeps the name it had when these shapes took an exhaustive
     # scan; the sizes are the same, the nodes and witnesses are the branch
-    # and bound's.
+    # and bound's with the trivial floor.
     @pytest.mark.parametrize("case", sorted(SMALL_SPACE_PINS), ids=lambda c: "-".join(map(str, c)))
-    def test_exhaustive_pins(self, case):
+    def test_exhaustive_pins(self, exhaustive, case):
         q, n, k, m = case
         size, nodes, witness = SMALL_SPACE_PINS[case]
         res = ff_min_spread(*case)
@@ -317,12 +357,45 @@ class TestMinSearch:
         with pytest.raises(SearchBudgetExceeded):
             ff_min_spread(*case, node_cap=nodes - 1)
 
+    @pytest.mark.parametrize("case", sorted(PUBLIC_PINS), ids=lambda c: "-".join(map(str, c)))
+    def test_public_search_pins(self, case):
+        # The closed-form floor ends the search on the node that completes
+        # its first minimal set, which is the exhaustive search's witness.
+        res = ff_min_spread(*case)
+        assert (res.size, res.nodes_explored, res.lower_bound, res.lower_bound_source) == PUBLIC_PINS[case]
+        assert res.as_dict()["witness"] == exhaustive_min(*case).as_dict()["witness"]
+        assert ff_min_spread(*case, node_cap=res.nodes_explored).as_dict() == res.as_dict()
+        with pytest.raises(SearchBudgetExceeded):
+            ff_min_spread(*case, node_cap=res.nodes_explored - 1)
+
     @pytest.mark.parametrize("case", sorted(SMALL_SPACE_MINIMA), ids=lambda c: "-".join(map(str, c)))
     def test_small_space_minima(self, case):
-        assert ff_min_spread(*case).size == SMALL_SPACE_MINIMA[case]
+        # The floor is sound: it is below the minimum the exhaustive search
+        # proves.
+        assert ff_min_spread(*case).size == exhaustive_min(*case).size == SMALL_SPACE_MINIMA[case]
+        assert search_floor(*case)[0] <= SMALL_SPACE_MINIMA[case]
+
+    def test_floor_is_tight_on_17_small_shapes(self):
+        tight = [c for c in SMALL_SPACE_MINIMA if search_floor(*c)[0] == SMALL_SPACE_MINIMA[c]]
+        assert len(tight) == 17
+
+    @pytest.mark.parametrize("case, floor", [
+        # (q, n, k, m): the trivial floor wins only at m = 1.
+        ((2, 3, 2, 1), (1, "trivial")),
+        # C(s, 2) * 1 >= 7 * C(2, 2) first holds at s = 5.
+        ((2, 3, 1, 2), (5, "pair_count")),
+        # k = 2: 35 planes, each line in 7 of them; C(s, 2) * 7 >= 35 * C(3, 2) at s = 6.
+        ((2, 4, 2, 3), (6, "pair_count")),
+        ((3, 3, 1, 3), (10, "pair_count")),  # ties Bukh-Chao's ceil(243 / 25) = 10
+        ((5, 3, 1, 5), (39, "bukh_chao")),  # ceil(3125 / 81); pairs give 26
+        ((7, 2, 1, 7), (31, "blokhuis_mazzocca")),
+        ((2, 5, 1, 2), (9, "pair_count")),  # Bukh-Chao gives ceil(512 / 81) = 7
+    ])
+    def test_search_floor_values(self, case, floor):
+        assert search_floor(*case) == floor
 
     @pytest.mark.parametrize("q", [2, 5])
-    def test_nodes_explored_is_total(self, q):
+    def test_nodes_explored_is_total(self, exhaustive, q):
         res = ff_min_kakeya(q, 2)
         assert ff_min_kakeya(q, 2, node_cap=res.nodes_explored).as_dict() == res.as_dict()
         with pytest.raises(SearchBudgetExceeded) as exc:
@@ -336,18 +409,23 @@ class TestMinSearch:
         ((2, 4, 3, 4), 1), ((5, 2, 1, 2), 1),
     ], ids=["kakeya-3-2", "3-2-1-2", "2-4-2-2", "kakeya-5-2-sampled", "2-4-3-4", "5-2-1-2"])
     def test_exit_bound_brackets_the_minimum(self, case, step):
-        # Past any cap, the proved bound lies between m and the minimum,
-        # and the incumbent, if any, is a set no smaller than the minimum.
+        # Past any cap, the proved bound lies between the floor (at least
+        # m) and the minimum, and the incumbent, if any, is a set no
+        # smaller than the minimum.
         # In the last two shapes the first incumbent is not minimal, so a
         # bound that claims too much shows there.
-        m = case[3]
-        res = ff_min_spread(*case)
-        caps = sorted({*range(1, res.nodes_explored, step), res.nodes_explored - 1})
-        for cap in caps:
-            with pytest.raises(SearchBudgetExceeded) as exc:
-                ff_min_spread(*case, node_cap=cap)
-            assert m <= exc.value.lower_bound <= res.size, cap
-            assert exc.value.incumbent is None or exc.value.incumbent >= res.size, cap
+        # Both paths are checked: the exhaustive one, whose bound is the
+        # path bound alone, and the public one, which adds the floor.
+        for floor in (trivial_floor, search_floor):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ff, "_search_floor", floor)
+                res = ff_min_spread(*case)
+                caps = sorted({*range(1, res.nodes_explored, step), res.nodes_explored - 1})
+                for cap in caps:
+                    with pytest.raises(SearchBudgetExceeded) as exc:
+                        ff_min_spread(*case, node_cap=cap)
+                    assert floor(*case)[0] <= exc.value.lower_bound <= res.size, cap
+                    assert exc.value.incumbent is None or exc.value.incumbent >= res.size, cap
 
     def test_kakeya_3_3_minimum(self):
         res = min_kakeya(3, 3)
@@ -385,8 +463,9 @@ class TestMinSearch:
             ff_min_spread(2, 2, 1, 3)  # m > q^k
 
     def test_node_cap_budget(self):
+        # F_3^2 Kakeya takes 5 nodes.
         with pytest.raises(SearchBudgetExceeded):
-            ff_min_kakeya(3, 2, node_cap=5)
+            ff_min_kakeya(3, 2, node_cap=4)
 
     def test_search_result_serialization(self):
         res = ff_min_kakeya(2, 2)
@@ -394,6 +473,7 @@ class TestMinSearch:
         assert d["size"] == 3
         assert d["witness"] == [[0, 0], [1, 0], [1, 1]]  # the branch and bound's witness
         assert d["nodes_explored"] >= 1
+        assert (d["lower_bound"], d["lower_bound_source"]) == (3, "pair_count")
 
 
 # Minimal Kakeya sets in F_q^n, by (q, n), beside the published lower
@@ -407,6 +487,10 @@ def test_kakeya_minima_beside_published_bounds(q, n):
     res = min_kakeya(q, n)
     assert res.size == len(res.witness) == KAKEYA_MINIMA[q, n]
     assert ff_is_kakeya(res.witness)
+    # The closed-form floor is sound: it is below the minimum the
+    # exhaustive search proves, and the public search reports it.
+    assert search_floor(q, n, 1, q)[0] <= exhaustive_min(q, n, 1, q).size == res.size
+    assert (res.lower_bound, res.lower_bound_source) == search_floor(q, n, 1, q)
     # Dvir (2009): |K| >= C(q + n - 1, n).
     assert res.size >= math.comb(q + n - 1, n)
     # Bukh-Chao (2021): |K| >= q^n / (2 - 1/q)^(n-1), in integers.
