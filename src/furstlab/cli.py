@@ -322,8 +322,7 @@ def cmd_duality_spreadify(opts):
     # per plane, the (m, n) array spreadify takes.
     planes = points_from_csv(_read_input(opts["hyperplanes"]).decode("utf-8"))
     mapped_pts, mapped_planes, report = spreadify(
-        pts, planes, tuple(opts["levels"]), opts["seed"], opts["ndirs"], opts["incidence_tol"]
-    )
+        pts, planes, tuple(opts["levels"]), opts["seed"], opts["ndirs"])
     artifacts = {
         "spreadify_report.json": _json(report.as_dict()),
         "spreadify_points.csv": points_to_csv(mapped_pts),
@@ -488,8 +487,7 @@ _COMMANDS = {
     }, cmd_grassmann_verify),
     ("duality", "spreadify"): ({
         "points": (_str, _REQUIRED), "hyperplanes": (_str, _REQUIRED),
-        "levels": (_pair_of_ints, [2, 6]), "ndirs": (_positive_int, 32),
-        "incidence_tol": (_num, 1e-6), "seed": (_int, 0),
+        "levels": (_pair_of_ints, [2, 6]), "ndirs": (_positive_int, 32), "seed": (_int, 0),
     }, cmd_duality_spreadify),
     ("dimension", "construct"): (_CONSTRUCT_SCHEMA, cmd_dimension_construct),
     ("dimension", "estimate"): ({

@@ -32,6 +32,8 @@ import numpy as np
 
 from . import table
 from .dimension import (
+    _BLOCK,
+    MAX_CELLS,
     MAX_POINT_LEVEL,
     DimensionEstimate,
     family_dimension,
@@ -250,17 +252,28 @@ class SpreadifyReport:
         }
 
 
-def _incidence_count(points: np.ndarray, a: np.ndarray, c: np.ndarray, tol: float) -> int:
-    # The residuals |(y_n - <a, y'>) - c| of every point-plane pair, formed in
-    # the product's own buffer.  One that overflows (inf, or nan from
-    # inf - inf) carries an error far above any tolerance, so it counts as no
-    # incidence.
+def _incidence_count(points: np.ndarray, a: np.ndarray, c: np.ndarray) -> int:
+    """Point-plane pairs with |x_n - <a, x'> - c| <= TOL_EXACT (|x_n| +
+    sum_i |a_i x_i| + |c|): the residual is zero up to TOL_EXACT relative to
+    its own terms, so scaling the data moves no count beyond rounding.
+
+    Both sides are homogeneous products, [-a, 1, -c] @ [x', x_n, 1] and the
+    same in absolute value, formed for all planes and a block of points at a
+    time, at most _BLOCK pairs per block, so no planes x points matrix is
+    built.  A pair whose bound overflows counts as no incidence."""
+    planes = np.column_stack([-a, np.ones(len(a)), -c])
+    weights = np.abs(planes) * TOL_EXACT
+    hom = np.column_stack([points, np.ones(len(points))]).T.copy()  # rows x', x_n, 1
+    step = max(1, _BLOCK // len(a))
+    count = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        r = points[:, :-1] @ a.T
-        np.subtract(points[:, -1:], r, out=r)
-        r -= c
-        np.abs(r, out=r)
-    return int(np.count_nonzero(r <= tol))
+        for lo in range(0, hom.shape[1], step):
+            block = hom[:, lo:lo + step]
+            residual = planes @ block
+            np.abs(residual, out=residual)
+            bound = weights @ np.abs(block)
+            count += np.count_nonzero((residual <= bound) & (bound < np.inf))
+    return int(count)
 
 
 def _direction_dimension(a: np.ndarray, l_min: int, l_max: int) -> DimensionEstimate:
@@ -278,7 +291,6 @@ def spreadify(
     levels: tuple,
     seed=None,
     ndirs: int = 32,
-    incidence_tol: float = 1e-6,
 ):
     """Reparametrize a hyperplane family so intercept spread becomes
     direction spread.
@@ -294,22 +306,23 @@ def spreadify(
     {y_n = <a, y'> + c}, the layout of the plane CSV table.  Returns (mapped
     points, mapped planes as such an array, report).  Raises
     VerticalHyperplaneError if an image plane is vertical, and ValueError
-    unless ndirs >= 1, 1 <= l_min < l_max <= MAX_POINT_LEVEL, incidence_tol
-    > 0 and there is at least one plane, or if the data's bounding radius or
-    a mapped value overflows.
+    unless ndirs >= 1, 1 <= l_min < l_max <= MAX_POINT_LEVEL and there are
+    between 1 and MAX_CELLS planes, or if the data's bounding radius or a
+    mapped value overflows.  Incidences are counted before and after the map
+    by _incidence_count's scale-free rule.
     """
     l_min, l_max = levels
     if ndirs < 1:
         raise ValueError(f"ndirs must be >= 1, got {ndirs}")
     if not 1 <= l_min < l_max <= MAX_POINT_LEVEL:
         raise ValueError(f"need 1 <= l_min < l_max <= {MAX_POINT_LEVEL}, got levels {levels}")
-    if not incidence_tol > 0:
-        raise ValueError(f"incidence_tol must be positive, got {incidence_tol!r}")
     planes = np.asarray(planes, dtype=float)
     if not len(planes):
         raise ValueError("need at least one hyperplane")
     if planes.ndim != 2 or planes.shape[1] < 2:
         raise ValueError(f"planes must be an (m, n >= 2) array of rows (a, c), not {planes.shape}")
+    if len(planes) > MAX_CELLS:
+        raise ValueError(f"family of {len(planes)} members exceeds cap {MAX_CELLS}")
     a, c = planes[:, :-1], planes[:, -1]
     n = planes.shape[1]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -319,7 +332,7 @@ def spreadify(
 
     duals = np.column_stack([-a, c])
     initial = _direction_dimension(a, l_min, l_max)
-    inc_before = _incidence_count(pts, a, c, incidence_tol)
+    inc_before = _incidence_count(pts, a, c)
 
     with np.errstate(over="ignore"):  # a spread past the float range is no degenerate family
         spread = float(np.ptp(duals, axis=0).max())
@@ -344,7 +357,7 @@ def spreadify(
     mapped_pts = pmap.apply_point(pts)
     mapped_a, mapped_c = _map_hyperplanes(pmap, np.column_stack([a, -np.ones(len(c)), c]))
     final = _direction_dimension(mapped_a, l_min, l_max)
-    inc_after = _incidence_count(mapped_pts, mapped_a, mapped_c, incidence_tol)
+    inc_after = _incidence_count(mapped_pts, mapped_a, mapped_c)
 
     report = SpreadifyReport(
         u,

@@ -246,10 +246,15 @@ def ff_coset_profile(f: FFSet, basis):
     Returns (best_offset, max_count, histogram) where histogram maps every
     coset representative to its point count (zeros included) and best_offset
     is the lexicographically smallest representative attaining the maximum.
+    More than _MAX_COUNT_TABLE cosets raise ValueError before any table is
+    built.
     """
     b = _canonical_basis(f.q, f.n, basis)
+    ncosets = f.q ** (f.n - len(b))
+    if ncosets > _MAX_COUNT_TABLE:
+        raise ValueError(f"{ncosets} cosets exceed the count table cap {_MAX_COUNT_TABLE}")
     free = np.setdiff1d(np.arange(f.n), (b != 0).argmax(axis=1))
-    reps = np.zeros((f.q ** len(free), f.n), dtype=np.int64)
+    reps = np.zeros((ncosets, f.n), dtype=np.int64)
     reps[:, free] = _digits(f.q, len(free))
     counts = _coset_counts(_coset_labels(f.q, f.n, b[None], f.points), len(reps))[0]
     histogram = dict(zip(map(tuple, reps.tolist()), counts.tolist()))

@@ -158,17 +158,14 @@ class TubeSpec:
         c = np.asarray(self.center, dtype=float)
         if c.shape != (self.direction.n,):
             raise ValueError("center dimension mismatch")
-        if not (0 < self.radius <= 0.5):
-            raise ValueError(f"radius must be in (0, 1/2], got {self.radius}")
-        if self.radius < MIN_DELTA:
-            raise ValueError(f"radius below the enforced floor {MIN_DELTA}")
+        _check_delta(self.radius)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
 
 
 def _check_delta(delta: float):
-    """The tube width rule of the maximal search, the tube union field and
-    delta_scan."""
+    """The tube width rule of TubeSpec, the maximal search, the tube union
+    field and delta_scan."""
     if not MIN_DELTA <= delta <= 0.5:
         raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")
 
@@ -391,8 +388,7 @@ def _slab_sweep(cells, basis: np.ndarray, delta: float, step: float) -> float:
         diff -= np.bincount(hi, w, size)
     sums = per_translate(diff)
     avgs = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    mesh = np.meshgrid(*([taus] * c), indexing="ij")
-    return float(avgs[np.linalg.norm(np.stack(mesh, axis=-1), axis=-1) <= 2.0].max())
+    return float(avgs[np.linalg.norm(_box_centers([taus] * c), axis=-1) <= 2.0].max())
 
 
 def _check_search(f: MaximalField, k: int, delta: float, search_step: float):
@@ -480,8 +476,11 @@ def delta_scan(
     """Norm-versus-delta diagnostic table for a planar random tube union.
 
     Returns [(delta, lp_norm), ...]; the field for each delta is the union
-    of ntubes random delta-tubes at the matching resolution.  Every argument
-    is checked before the first field is built.
+    of ntubes random delta-tubes at the matching resolution.  The tubes and
+    the Haar directions draw from two independent child streams of seed,
+    spawned once, so every delta has the same tubes and directions and no
+    direction repeats a tube's.  Every argument is checked before the first
+    field is built.
     """
     if not deltas:
         raise ValueError("need at least one delta")
@@ -489,10 +488,11 @@ def delta_scan(
         _check_delta(delta)
     if min(ntubes, ndirs) < 1 or not 1 <= p < math.inf:
         raise ValueError(f"need ntubes, ndirs, p >= 1 and p finite; got {ntubes}, {ndirs}, {p}")
+    tube_seed, dir_seed = np.random.SeedSequence(seed).spawn(2)
     rows = []
     for delta in deltas:
         level = math.ceil(math.log2(4.0 / delta))
-        f = random_tube_union_field(2, level, delta, ntubes, seed)
-        norm = maximal_lp_norm(f, 1, delta, p, ndirs, seed)
+        f = random_tube_union_field(2, level, delta, ntubes, tube_seed)
+        norm = maximal_lp_norm(f, 1, delta, p, ndirs, dir_seed)
         rows.append((float(delta), float(norm)))
     return rows

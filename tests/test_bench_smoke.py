@@ -117,17 +117,17 @@ MAXIMAL_ARTIFACTS = {
         "maximal3d/result.json":
             "4ea728e88f4bfc8a4d1611b1ff1b8cef871194406df36cbabe69e0ae23d8cfe8",
         "scan.delta4/maximal_scan.csv":
-            "b5de54c01bb2fd136976981256e398227ac878ef2997ea4797383e4acf916d43",
+            "9e4286aef320288210a538bfbf54e559f95f5fc4c5ab1515cc3fa7a442d2393f",
         "scan.delta4/maximal_scan.json":
-            "4f91b9db6df634ba30fa34faad9a9735a7796be7d880d2e3f5912021d6dc3690",
+            "cc03d9e43a3d7cc3254200c24e608032c30f0d349251e14d912d6c701b4fb9e8",
         "scan.delta5/maximal_scan.csv":
-            "e864ab7a135fbea4be0e2aeedd2dfc796ad7c64b11ecb5a22f4cb6e3313f1454",
+            "bd4ef16df910ac8d7d97fbec2462419ecbc4f8edc72e2be5cbcd84ec76e19a1f",
         "scan.delta5/maximal_scan.json":
-            "08c7ecf3d47221a2b1554bd54499f068c962567db03290b91278d7ccf3052237",
+            "bfe56ae7b783f65be2928e0707ee1d121b44ab432e1ea8cd7ce5a03c89445b87",
         "scan.delta6/maximal_scan.csv":
-            "70a94ba52182a8d79a70b715431d8dee02d6b728ecde11a08ed2e690592b419c",
+            "72e6b5c121c62fad23b5bfda1a054e06530aeb3b4ca16ac8bb565ca60a41bcba",
         "scan.delta6/maximal_scan.json":
-            "ab01fa6a4b2ee44487468dc3fbef8f27d384100eb411fbce3451f3a3ed30ef15",
+            "3e6a365f10e7fb101c9788a1d4cf1bf889eb498c59933eb6b39408e2efe25636",
     },
     "sweep": {
         "scan/maximal_scan.csv":

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from furstlab.duality import (
     MapsToInfinityError,
     ProjectiveMap,
     VerticalHyperplaneError,
+    _incidence_count,
     _map_hyperplanes,
     apply_projective,
     dualize_hyperplane,
@@ -42,6 +44,18 @@ def horizontal_lines(count, seed=5):
     rng = np.random.default_rng(seed)
     b = (np.arange(count) + 0.05 + 0.9 * rng.random(count)) / count
     return np.column_stack([np.zeros(count), b]), b
+
+
+def spread_family(npoints, nplanes, seed=0):
+    """The benchmark's spreadify geometry: parallel planes in R^3 with
+    well-separated intercepts, as graph-form rows (a, c), and points each
+    lying on one of them."""
+    rng = np.random.default_rng(seed)
+    cuts = (np.arange(nplanes) + 0.05 + 0.9 * rng.random(nplanes)) / nplanes
+    slope = rng.uniform(-0.5, 0.5, 2)
+    xy = rng.random((npoints, 2))
+    z = xy @ slope + cuts[rng.integers(0, nplanes, npoints)]
+    return np.column_stack([xy, z]), np.column_stack([np.tile(slope, (nplanes, 1)), cuts])
 
 
 class TestDuality:
@@ -87,6 +101,64 @@ class TestDuality:
             lhs = incident(x, plane, 1e-9)
             rhs = incident(dualize_hyperplane(plane), dualize_point(x), 1e-9)
             assert lhs == rhs
+
+
+class TestIncidenceCount:
+    """spreadify's incidence rule: |x_n - <a, x'> - c| <= TOL_EXACT (|x_n| +
+    sum_i |a_i x_i| + |c|)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_rule_pair_by_pair(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(-5, 5, (70, n))
+        planes = rng.uniform(-5, 5, (90, n))
+        a, c = planes[:, :-1], planes[:, -1]
+        on = rng.integers(0, 90, 70)
+        pts[:35, -1] = np.einsum("ij,ij->i", a[on[:35]], pts[:35, :-1]) + c[on[:35]]
+        pts[20:35, -1] *= 1 + 1e-7  # off by far more than the tolerance
+        expected = sum(
+            abs(x[-1] - p[:-1] @ x[:-1] - p[-1])
+            <= duality.TOL_EXACT * (abs(x[-1]) + np.abs(p[:-1] * x[:-1]).sum() + abs(p[-1]))
+            for x in pts for p in planes)
+        assert expected >= 20
+        for block in (duality._BLOCK, 1, 89, 91, 1000):
+            monkeypatch.setattr(duality, "_BLOCK", block)
+            assert _incidence_count(pts, a, c) == expected
+
+    @pytest.mark.parametrize("exponent", [
+        pytest.param(e, marks=pytest.mark.xfail(strict=True, reason=(
+            "the offset h follows the O(1) slopes, not the points, so the map packs points "
+            "1e-8 or 1e-7 across into clusters whose plane gaps fall under TOL_EXACT")))
+        if e in (-8, -7) else e for e in range(-12, 13)])
+    def test_spreadify_preserves_incidences_at_every_scale(self, exponent):
+        # Scaling the data by s keeps every slope and scales every point and
+        # intercept; the count must not move, before or after the map.  At
+        # 1e-9 and below the intercept spread is under TOL_EXACT, and the
+        # family is returned unmapped as degenerate.
+        pts, planes = spread_family(40, 60)
+        scale = 10.0**exponent
+        planes[:, -1] *= scale
+        _, _, report = spreadify(pts * scale, planes, (2, 6), seed=0, ndirs=16)
+        assert report.incidences_before == report.incidences_after == 40
+
+    def test_overflowing_pair_is_no_incidence(self):
+        # |a x| overflows: the residual is inf and its bound inf.
+        pts = np.array([[1e300, 1e300], [1.0, 3.0]])
+        assert _incidence_count(pts, np.array([[1e300]]), np.array([0.0])) == 0
+        assert _incidence_count(pts, np.array([[2.0]]), np.array([1.0])) == 1
+
+    def test_memory_is_blocked(self):
+        rng = np.random.default_rng(3)
+        pts, planes = rng.random((2000, 3)), rng.random((2000, 3))
+        a, c = planes[:, :-1], planes[:, -1]
+        tracemalloc.start()
+        try:
+            _incidence_count(pts, a, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A 2000 x 2000 float64 residual matrix alone is 32 MB.
+        assert peak < 4 * 2**20
 
 
 class TestGraphFlatConversion:
@@ -327,6 +399,16 @@ class TestSpreadify:
         planes, _ = horizontal_lines(10)
         with pytest.raises(ValueError, match="l_min < l_max <= 62"):
             spreadify(np.zeros((0, 2)), planes, levels, seed=1, ndirs=4)
+
+    def test_plane_count_capped_before_work(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("projectors built before the plane count was checked")
+
+        monkeypatch.setattr(duality, "_direction_dimension", never)
+        monkeypatch.setattr(duality, "MAX_CELLS", 9)
+        planes, _ = horizontal_lines(10)
+        with pytest.raises(ValueError, match="family of 10 members exceeds cap 9"):
+            spreadify(np.zeros((0, 2)), planes, (2, 6), seed=1, ndirs=4)
 
     def test_deepest_levels_accepted(self):
         planes, b = horizontal_lines(50)

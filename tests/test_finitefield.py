@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -176,6 +177,23 @@ class TestCosetProfile:
     def test_space_mismatch(self):
         with pytest.raises(ValueError):
             ff_coset_profile(FFSet(3, 2, []), ff_directions(3, 3, 1)[0])
+
+    def test_coset_count_capped_before_any_table(self, monkeypatch):
+        # 4099^2 = 16,801,801 cosets of a line in F_4099^3, past 2^24.
+        def never(*args):
+            raise AssertionError("a coset table was built before the cap was checked")
+
+        monkeypatch.setattr(ff, "_digits", never)
+        monkeypatch.setattr(ff, "_coset_labels", never)
+        f = FFSet(4099, 3, [(0, 0, 0), (1, 2, 3)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="16801801 cosets exceed the count table cap"):
+                ff_coset_profile(f, [[1, 0, 0]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("n, basis", [
         (2, [[2, 0]]),

@@ -90,10 +90,11 @@ class TestMaximalField:
 
 class TestTubeSpec:
     def test_radius_range(self):
-        with pytest.raises(ValueError):
-            TubeSpec(E1, np.zeros(2), 0.6)
-        with pytest.raises(ValueError):
-            TubeSpec(E1, np.zeros(2), 2.0**-9)
+        # The tube width rule of the maximal search, message and all.
+        for radius in (0.6, 2.0**-9, 0.0, float("nan")):
+            with pytest.raises(ValueError) as err:
+                TubeSpec(E1, np.zeros(2), radius)
+            assert str(err.value) == f"delta must be in [{MIN_DELTA}, 1/2], got {radius}"
 
 
 class TestTubeAverage:
@@ -467,6 +468,18 @@ class TestDeltaScan:
         assert [d for d, _ in rows] == [2.0**-4, 2.0**-5]
         for _, norm in rows:
             assert 0.0 <= norm <= 1.0  # indicator field
+
+    def test_directions_are_independent_of_the_tubes(self):
+        # One tube and one direction: were both drawn from one stream, the
+        # direction would be the tube's own and the norm near 1 (0.88-0.99
+        # over these seeds); independent draws read 0.12-0.65.
+        norms = [delta_scan([2.0**-4], ntubes=1, ndirs=1, seed=s)[0][1] for s in range(8)]
+        assert max(norms) < 0.8
+
+    def test_every_delta_has_the_same_tubes_and_directions(self):
+        deltas = [2.0**-4, 2.0**-5, 2.0**-6]
+        rows = delta_scan(deltas, ntubes=5, ndirs=3, seed=2)
+        assert rows == [delta_scan([d], ntubes=5, ndirs=3, seed=2)[0] for d in deltas]
 
     def test_union_field_is_indicator(self):
         f = random_tube_union_field(2, 6, 2.0**-4, 5, seed=2)
