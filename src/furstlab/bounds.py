@@ -56,6 +56,11 @@ class BoundParams:
             raise ValueError(f"need 0 <= t <= (k+1)(n-k), got t={self.t}")
 
 
+def exact_value(v: Fraction) -> dict:
+    """The report form of an exact value: its float and its exact string."""
+    return {"value": float(v), "value_exact": str(v)}
+
+
 @dataclass(frozen=True)
 class BoundEntry:
     name: str
@@ -66,8 +71,7 @@ class BoundEntry:
     def as_dict(self) -> dict:
         d = {"name": self.name, "applicable": self.applicable}
         if self.value is not None:
-            d["value"] = float(self.value)
-            d["value_exact"] = str(self.value)
+            d.update(exact_value(self.value))
         if self.flag is not None:
             d["flag"] = self.flag
         return d
@@ -93,32 +97,7 @@ class BoundReport:
             "entries": [e.as_dict() for e in self.entries],
             "best": None
             if self.best_name is None
-            else {
-                "name": self.best_name,
-                "value": float(self.best_value),
-                "value_exact": str(self.best_value),
-            },
-        }
-
-
-@dataclass(frozen=True)
-class FFBoundReport:
-    """Cardinality exponents for spread Furstenberg sets over F_q^n."""
-
-    polynomial_method: Fraction
-    pair_counting: Fraction
-    zhang_upper: Fraction
-    ddl_lower: Fraction
-
-    def as_dict(self) -> dict:
-        return {
-            name: {"value": float(v), "value_exact": str(v)}
-            for name, v in (
-                ("polynomial_method", self.polynomial_method),
-                ("pair_counting", self.pair_counting),
-                ("zhang_upper", self.zhang_upper),
-                ("ddl_lower", self.ddl_lower),
-            )
+            else {"name": self.best_name, **exact_value(self.best_value)},
         }
 
 
@@ -248,8 +227,9 @@ def bound_survey(p: BoundParams) -> BoundReport:
     return BoundReport(p, tuple(entries), best_name, best_value)
 
 
-def ff_bound_exponents(n: int, k: int, s: RationalLike) -> FFBoundReport:
-    """The four finite-field cardinality exponents at (n, k, s)."""
+def ff_bound_exponents(n: int, k: int, s: RationalLike) -> dict:
+    """The four finite-field cardinality exponents of spread Furstenberg
+    sets over F_q^n at (n, k, s), by name."""
     s = as_fraction(s)
     if n > MAX_N:
         raise ValueError(f"need n <= 2**500, got n={n}")
@@ -257,9 +237,9 @@ def ff_bound_exponents(n: int, k: int, s: RationalLike) -> FFBoundReport:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     if not (0 < s <= k):
         raise ValueError(f"need 0 < s <= k, got s={s}")
-    return FFBoundReport(
-        polynomial_method=n * s,
-        pair_counting=s + Fraction(n - 1, 2),
-        zhang_upper=Fraction((n + 1), 2) * s + Fraction(n - 1, 2),
-        ddl_lower=n - k + s,
-    )
+    return {
+        "polynomial_method": n * s,
+        "pair_counting": s + Fraction(n - 1, 2),
+        "zhang_upper": Fraction((n + 1), 2) * s + Fraction(n - 1, 2),
+        "ddl_lower": n - k + s,
+    }

@@ -32,8 +32,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import checks, table
-from .bounds import BoundParams, as_fraction, bound_survey, ff_bound_exponents
+from . import checks
+from .bounds import BoundParams, as_fraction, bound_survey, exact_value, ff_bound_exponents
 from .dimension import (
     cantor_grid,
     estimate_dimension,
@@ -266,9 +266,9 @@ def cmd_bounds_eval(opts):
     if opts["ff_exponents"]:
         ff = []
         for item in opts["ff_exponents"]:
-            rep = ff_bound_exponents(item["n"], item["k"], item["s"])
+            exponents = ff_bound_exponents(item["n"], item["k"], item["s"])
             ff.append({"n": item["n"], "k": item["k"], "s": str(item["s"]),
-                       "exponents": rep.as_dict()})
+                       "exponents": {name: exact_value(v) for name, v in exponents.items()}})
         payload["ff_exponents"] = ff
     artifacts = {"bounds_eval.json": _json(payload)}
 
@@ -346,20 +346,15 @@ def _construct_grid(opts):
         return grid, {"kind": kind}
     if kind == "product":
         ex = slicing_product_example(opts["n"], opts["k"], opts["s"], opts["depth"])
-        return ex.grid, {
-            "kind": kind,
-            "achieved_dimension": ex.achieved_dimension,
-            "target_dimension": ex.target_dimension,
-        }
-    if kind == "sharp_hyperplane":
+    elif kind == "sharp_hyperplane":
         ex = sharp_hyperplane_example(opts["n"], opts["s"], opts["depth"])
-        return ex.grid, {
-            "kind": kind,
-            "achieved_dimension": ex.achieved_dimension,
-            "target_dimension": ex.target_dimension,
-            "family_size": len(ex.bases),
-        }
-    raise SchemaError(f"unknown construction kind: {kind}")
+    else:
+        raise SchemaError(f"unknown construction kind: {kind}")
+    meta = {"kind": kind, "achieved_dimension": ex.achieved_dimension,
+            "target_dimension": ex.target_dimension}
+    if ex.bases is not None:
+        meta["family_size"] = len(ex.bases)
+    return ex.grid, meta
 
 
 def _keep(v):
@@ -442,33 +437,9 @@ def cmd_ff_search(opts):
     return artifacts, None
 
 
-_PLOT_SCRIPT = """\
-#!/usr/bin/env python3
-\"\"\"Plot the maximal-function scaling table written next to this script.\"\"\"
-import csv
-import sys
-
-import matplotlib.pyplot as plt
-
-rows = list(csv.DictReader(open(sys.argv[1] if len(sys.argv) > 1 else "maximal_scan.csv")))
-deltas = [float(r["delta"]) for r in rows]
-norms = [float(r["norm"]) for r in rows]
-plt.loglog(deltas, norms, "o-")
-plt.xlabel("delta")
-plt.ylabel("L^p norm of the maximal function")
-plt.gca().invert_xaxis()
-plt.tight_layout()
-plt.savefig("maximal_scan.png", dpi=150)
-"""
-
-
 def cmd_maximal_scan(opts):
     rows = delta_scan(opts["deltas"], opts["ntubes"], opts["p"], opts["ndirs"], opts["seed"])
-    artifacts = {
-        "maximal_scan.csv": table.to_csv(["delta", "norm"], rows),
-        "maximal_scan_plot.py": _PLOT_SCRIPT,
-        "maximal_scan.json": _json({"seed": opts["seed"], "rows": [list(r) for r in rows]}),
-    }
+    artifacts = {"maximal_scan.json": _json({"seed": opts["seed"], "rows": [list(r) for r in rows]})}
     for d, v in rows:
         print(f"  delta={d:.6g}  norm={v:.6g}")
     return artifacts, None

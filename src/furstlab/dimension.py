@@ -615,29 +615,21 @@ def projection_dimensions(points: np.ndarray, bases: np.ndarray, l_min: int, l_m
 
 
 @dataclass(frozen=True, eq=False)
-class SharpHyperplaneExample:
-    """A low-dimensional set inside a coordinate subspace together with the
-    hyperplanes containing it, as a (count, n, n-1) stack of bases `bases`."""
+class Construction:
+    """A set built to show a bound sharp.
 
-    grid: GridSet
-    bases: np.ndarray
-    achieved_dimension: float
-    target_dimension: float
-
-
-@dataclass(frozen=True, eq=False)
-class SlicingProductExample:
-    """Product of a digit-restriction set with a full cube.
-
-    achieved_dimension is the full product's dimension n-k+s*;
-    achieved_slice_dimension is the factor dimension s* that generic k-flat
-    slices should exhibit.
+    achieved_dimension is the set's dimension, achieved_slice_dimension the
+    dimension s* that its slices by the flats of the problem exhibit, and
+    target_dimension the dimension asked for.  bases, when set, is the
+    witnessing family: a (count, n, k) stack of bases of flats that contain
+    the set.
     """
 
     grid: GridSet
     achieved_dimension: float
     achieved_slice_dimension: float
     target_dimension: float
+    bases: np.ndarray | None = field(default=None, repr=False)
 
 
 def _base3_patterns_for(s: float, naxes: int) -> tuple:
@@ -659,9 +651,11 @@ def _base3_patterns_for(s: float, naxes: int) -> tuple:
     return pats, nfull + nhalf * log32
 
 
-def sharp_hyperplane_example(n: int, s: float, depth: int) -> SharpHyperplaneExample:
-    """A set of dimension ~s inside the coordinate ceil(s)-subspace, plus a
-    dense sample of 256 hyperplanes containing that subspace.
+def sharp_hyperplane_example(n: int, s: float, depth: int) -> Construction:
+    """A set of dimension ~s inside the coordinate ceil(s)-subspace, with a
+    dense sample of 256 hyperplanes containing that subspace as its bases.
+    Each hyperplane contains the whole set, so its slice dimension is its
+    dimension.
 
     The family is parametrized by the (n-1-ceil(s))-subspaces of the
     orthogonal complement and drawn as one Haar batch with a fixed seed,
@@ -685,13 +679,14 @@ def sharp_hyperplane_example(n: int, s: float, depth: int) -> SharpHyperplaneExa
     bases[:, :m, :m] = np.eye(m)
     if m < n - 1:
         bases[:, m:, m:] = haar_projector_batch(n - m, n - 1 - m, count, 20240 + n * 16 + m)
-    return SharpHyperplaneExample(grid, bases, achieved, float(s))
+    return Construction(grid, achieved, achieved, float(s), bases)
 
 
-def slicing_product_example(n: int, k: int, s: float, depth: int) -> SlicingProductExample:
+def slicing_product_example(n: int, k: int, s: float, depth: int) -> Construction:
     """Product of an ~s-dimensional digit-restriction set in the first k
-    coordinates with the full cube in the remaining n-k coordinates; the
-    product has box dimension ~ n-k+s."""
+    coordinates with the full cube in the remaining n-k coordinates.  The
+    product has box dimension ~ n-k+s, and its generic k-flat slices carry
+    the factor's ~s; it has no witnessing family."""
     if not (1 <= k <= n - 1):
         raise ValueError(f"need 1 <= k <= n-1, got k={k}")
     if not (0 < s <= k):
@@ -700,7 +695,7 @@ def slicing_product_example(n: int, k: int, s: float, depth: int) -> SlicingProd
     pats, achieved = _base3_patterns_for(float(s), k)
     patterns = pats + [[0, 1, 2]] * (n - k)
     grid = cantor_grid(n, 3, patterns, depth)
-    return SlicingProductExample(grid, achieved + (n - k), achieved, float(s) + (n - k))
+    return Construction(grid, achieved + (n - k), achieved, float(s) + (n - k))
 
 
 def flat_slice(g: GridSet, w: AffineFlat, rho: float) -> GridSet:

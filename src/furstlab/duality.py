@@ -12,15 +12,17 @@ projective_to_infinity sends a chosen affine hyperplane to the hyperplane at
 infinity; applied to a family of hyperplanes it converts intercept spread
 into direction spread, which is what the spreadify pipeline measures.
 Hyperplanes map exactly through the dual matrix: with M the matrix of the
-map, the plane {l . [x; 1] = 0} goes to {l M^-1 . [y; 1] = 0}, and a
-graph-form plane has l = (a, -1, c).
+map, the plane {l . [x; 1] = 0} goes to {l M^-1 . [y; 1] = 0}.
 
-GraphHyperplane is one plane.  spreadify carries a family as one (m, n)
-float array of graph-form rows (a, c), the layout of the plane CSV table:
-the CLI reads that table into the array, spreadify maps it, and
-hyperplanes_to_csv writes it back.  Its ndirs candidate projections are
-placed and box-counted together by dimension.projection_dimensions, and
-its direction dimensions by dimension.family_dimension.
+GraphHyperplane is one plane.  Inside spreadify a family is one (m, n + 1)
+array of homogeneous rows l = (-a, 1, -c), whose x_n coefficient is exactly
+1: the incidence count, the direction dimension and the map all take it.
+Graph-form rows (a, c) are the layout of the plane CSV table: the CLI reads
+that table into an (m, n) array, spreadify turns it into homogeneous rows
+and its image back, and hyperplanes_to_csv writes it.  The ndirs candidate
+projections are placed and box-counted together by
+dimension.projection_dimensions, and the direction dimensions by
+dimension.family_dimension.
 """
 
 from __future__ import annotations
@@ -174,12 +176,15 @@ def projective_to_infinity(u, h: float) -> ProjectiveMap:
     return ProjectiveMap(swap @ trans @ rot)
 
 
-def _map_hyperplanes(pmap: ProjectiveMap, rows: np.ndarray):
-    """Graph forms (A, c) of the images {l M^-1 . [y; 1] = 0} of the planes
-    {l . [x; 1] = 0}, one row l per plane.  A row whose whole normal part
-    vanishes is the exceptional plane; one whose last normal entry vanishes
-    has a vertical image.  An image that overflows raises ValueError; past
-    these checks the graph form is bounded by the tolerances."""
+def _map_hyperplanes(pmap: ProjectiveMap, rows: np.ndarray) -> np.ndarray:
+    """The images {l M^-1 . [y; 1] = 0} of the planes {l . [x; 1] = 0}, one
+    row l per plane, each divided by its x_n coefficient, which so becomes
+    exactly 1: the homogeneous row (-A, 1, -c) of the image {y_n = <A, y'> + c}.
+    A row and its negation give the same image, bit for bit.  A row whose
+    whole normal part vanishes is the exceptional plane; one whose last
+    normal entry vanishes has a vertical image.  An image that overflows
+    raises ValueError; past these checks the row is bounded by the
+    tolerances."""
     with np.errstate(over="ignore", invalid="ignore"):
         image = rows @ np.linalg.inv(pmap.matrix)
     if not np.isfinite(image).all():
@@ -190,7 +195,7 @@ def _map_hyperplanes(pmap: ProjectiveMap, rows: np.ndarray):
         raise MapsToInfinityError("hyperplane maps to infinity")
     if (np.abs(normal[:, -1]) <= TOL_EXACT * size).any():
         raise VerticalHyperplaneError("image hyperplane is vertical, no graph form")
-    return -normal[:, :-1] / normal[:, -1:], -image[:, -1] / normal[:, -1]
+    return image / normal[:, -1:]
 
 
 def apply_projective(pmap: ProjectiveMap, obj):
@@ -205,8 +210,8 @@ def apply_projective(pmap: ProjectiveMap, obj):
         if obj.k != obj.n - 1:
             raise ValueError("only hyperplanes are supported")
         nu = obj.direction.complement_basis()[:, 0]
-        a, c = _map_hyperplanes(pmap, np.append(nu, -nu @ obj.offset)[None, :])
-        return GraphHyperplane(a[0], c[0]).to_flat()
+        row = _map_hyperplanes(pmap, np.append(nu, -nu @ obj.offset)[None, :])[0]
+        return GraphHyperplane(-row[:-2], -row[-1]).to_flat()
     return pmap.apply_point(obj)
 
 
@@ -252,36 +257,35 @@ class SpreadifyReport:
         }
 
 
-def _incidence_count(points: np.ndarray, a: np.ndarray, c: np.ndarray) -> int:
+def _incidence_count(points: np.ndarray, rows: np.ndarray) -> int:
     """Point-plane pairs with |x_n - <a, x'> - c| <= TOL_EXACT (|x_n| +
-    sum_i |a_i x_i| + |c|): the residual is zero up to TOL_EXACT relative to
-    its own terms, so scaling the data moves no count beyond rounding.
+    sum_i |a_i x_i| + |c|), one homogeneous row (-a, 1, -c) per plane: the
+    residual is zero up to TOL_EXACT relative to its own terms, so scaling
+    the data moves no count beyond rounding.
 
-    Both sides are homogeneous products, [-a, 1, -c] @ [x', x_n, 1] and the
-    same in absolute value, formed for all planes and a block of points at a
-    time, at most _BLOCK pairs per block, so no planes x points matrix is
-    built.  A pair whose bound overflows counts as no incidence."""
-    planes = np.column_stack([-a, np.ones(len(a)), -c])
-    weights = np.abs(planes) * TOL_EXACT
+    Both sides are homogeneous products, rows @ [x', x_n, 1] and the same in
+    absolute value, formed for all planes and a block of points at a time,
+    at most _BLOCK pairs per block, so no planes x points matrix is built.
+    A pair whose bound overflows counts as no incidence."""
+    weights = np.abs(rows) * TOL_EXACT
     hom = np.column_stack([points, np.ones(len(points))]).T.copy()  # rows x', x_n, 1
-    step = max(1, _BLOCK // len(a))
+    step = max(1, _BLOCK // len(rows))
     count = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, hom.shape[1], step):
             block = hom[:, lo:lo + step]
-            residual = planes @ block
+            residual = rows @ block
             np.abs(residual, out=residual)
             bound = weights @ np.abs(block)
             count += np.count_nonzero((residual <= bound) & (bound < np.inf))
     return int(count)
 
 
-def _direction_dimension(a: np.ndarray, l_min: int, l_max: int) -> DimensionEstimate:
-    """Box dimension of the directions of the planes {y_n = <a, y'> + c},
-    one row of a per plane: the family_dimension of their projectors
-    I - nu nu^T."""
-    nu = np.column_stack([-a, np.ones(len(a))])
-    nu /= _row_norms(nu)[:, None]
+def _direction_dimension(normals: np.ndarray, l_min: int, l_max: int) -> DimensionEstimate:
+    """Box dimension of the directions of the planes with the given normals
+    (-a, 1), one row per plane: the family_dimension of their projectors
+    I - nu nu^T, nu the unit normal."""
+    nu = normals / _row_norms(normals)[:, None]
     return family_dimension(np.eye(nu.shape[1]) - nu[:, :, None] * nu[:, None, :], l_min, l_max)
 
 
@@ -300,16 +304,24 @@ def spreadify(
     projected dual set; send a translate of that direction (offset past the
     data's bounding radius, so nothing maps to infinity) to the hyperplane
     at infinity; apply the induced map to the points, and map the
-    hyperplanes exactly through the dual matrix, all in graph form.
+    hyperplanes exactly through the dual matrix.
+
+    Data whose radius r, the largest point norm or plane distance
+    |c| / |(-a, 1)| to the origin, lies in (0, 1/2) is first scaled by the
+    exact power of two that takes r into [1/2, 1), so a family of small
+    size is spread and mapped like the same family at unit size.  The
+    mapped points and planes are images of the scaled data, and the
+    report's exceptional_offset is given in that scaled frame.
 
     The planes are an (m, n) array with one graph-form row (a, c) per plane
     {y_n = <a, y'> + c}, the layout of the plane CSV table.  Returns (mapped
-    points, mapped planes as such an array, report).  Raises
+    points, mapped planes as such an array, report); a degenerate family,
+    whose dual points all coincide, comes back as given.  Raises
     VerticalHyperplaneError if an image plane is vertical, and ValueError
     unless ndirs >= 1, 1 <= l_min < l_max <= MAX_POINT_LEVEL and there are
     between 1 and MAX_CELLS planes, or if the data's bounding radius or a
     mapped value overflows.  Incidences are counted before and after the map
-    by _incidence_count's scale-free rule.
+    by _incidence_count's scale-free rule, which the scaling leaves as it is.
     """
     l_min, l_max = levels
     if ndirs < 1:
@@ -323,19 +335,26 @@ def spreadify(
         raise ValueError(f"planes must be an (m, n >= 2) array of rows (a, c), not {planes.shape}")
     if len(planes) > MAX_CELLS:
         raise ValueError(f"family of {len(planes)} members exceeds cap {MAX_CELLS}")
-    a, c = planes[:, :-1], planes[:, -1]
     n = planes.shape[1]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != n:
         raise ValueError("point dimension mismatch")
-    seed_val = seed if isinstance(seed, (int, np.integer)) or seed is None else None
+    seed_val = int(seed) if isinstance(seed, (int, np.integer)) else None
 
-    duals = np.column_stack([-a, c])
-    initial = _direction_dimension(a, l_min, l_max)
-    inc_before = _incidence_count(pts, a, c)
+    rows = np.column_stack([-planes[:, :-1], np.ones(len(planes)), -planes[:, -1]])
+    initial = _direction_dimension(rows[:, :-1], l_min, l_max)
+    inc_before = _incidence_count(pts, rows)
 
-    with np.errstate(over="ignore"):  # a spread past the float range is no degenerate family
-        spread = float(np.ptp(duals, axis=0).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are refused below
+        distances = np.abs(rows[:, -1]) / _row_norms(rows[:, :-1])
+        radius = float(np.concatenate([_row_norms(pts), distances]).max())
+        x = pts  # the points in the frame that is mapped
+        if 0 < radius < 0.5:
+            e = -int(np.frexp(radius)[1])
+            x = np.ldexp(pts, e)
+            rows[:, -1] = np.ldexp(rows[:, -1], e)
+        duals = np.column_stack([rows[:, :-2], -rows[:, -1]])  # the points (-a, c)
+        spread = float(np.ptp(duals, axis=0).max())  # past the float range is no degenerate family
     if spread <= TOL_EXACT:
         report = SpreadifyReport(
             None, None, (), None, 0.0, 0.0, inc_before, inc_before, True, seed_val
@@ -344,7 +363,7 @@ def spreadify(
 
     # The box counts scale each projected extent, at most h, up to a power of
     # two, and h must leave that power finite.
-    h = 2.0 * max(float(_row_norms(np.vstack([duals, pts])).max()), 1.0)
+    h = 2.0 * max(float(_row_norms(np.vstack([duals, x])).max()), 1.0)
     if not h < 2.0**1022:
         raise ValueError("the data's bounding radius overflows; input values are too large")
     candidates = haar_projector_batch(n, n - 1, ndirs, seed)
@@ -354,10 +373,10 @@ def spreadify(
 
     pmap = projective_to_infinity(u, h)
 
-    mapped_pts = pmap.apply_point(pts)
-    mapped_a, mapped_c = _map_hyperplanes(pmap, np.column_stack([a, -np.ones(len(c)), c]))
-    final = _direction_dimension(mapped_a, l_min, l_max)
-    inc_after = _incidence_count(mapped_pts, mapped_a, mapped_c)
+    mapped_pts = pmap.apply_point(x)
+    mapped = _map_hyperplanes(pmap, rows)
+    final = _direction_dimension(mapped[:, :-1], l_min, l_max)
+    inc_after = _incidence_count(mapped_pts, mapped)
 
     report = SpreadifyReport(
         u,
@@ -371,7 +390,7 @@ def spreadify(
         False,
         seed_val,
     )
-    return mapped_pts, np.column_stack([mapped_a, mapped_c]), report
+    return mapped_pts, np.column_stack([-mapped[:, :-2], -mapped[:, -1]]), report
 
 
 # -- CSV interchange -------------------------------------------------------

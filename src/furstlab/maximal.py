@@ -146,25 +146,8 @@ class MaximalField:
         return MaximalField(self.n, self.level, out)
 
 
-@dataclass(frozen=True, eq=False)
-class TubeSpec:
-    """The delta-neighborhood of (U + a) within B(a, 1/2)."""
-
-    direction: Subspace
-    center: np.ndarray = field(repr=False)
-    radius: float = 0.0
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if c.shape != (self.direction.n,):
-            raise ValueError("center dimension mismatch")
-        _check_delta(self.radius)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
-
-
 def _check_delta(delta: float):
-    """The tube width rule of TubeSpec, the maximal search, the tube union
+    """The tube width rule of tube_average, the maximal search, the tube union
     field and delta_scan."""
     if not MIN_DELTA <= delta <= 0.5:
         raise ValueError(f"delta must be in [{MIN_DELTA}, 1/2], got {delta}")
@@ -208,13 +191,18 @@ def _slab_window(level: int, basis: np.ndarray, center: np.ndarray, radius: floa
     return tuple(slices), inside.reshape(pts.shape[:-1])
 
 
-def tube_average(f: MaximalField, tube: TubeSpec) -> float:
-    """Mean of the field over cells whose centers lie in the slab,
-    normalized by the in-slab cell count."""
-    if f.n != tube.direction.n:
+def tube_average(f: MaximalField, u: Subspace, center, radius: float) -> float:
+    """Mean of the field over cells whose centers lie in the slab of direction
+    U, center a and the given radius (the radius-neighborhood of (U + a)
+    within B(a, 1/2)), normalized by the in-slab cell count."""
+    if f.n != u.n:
         raise ValueError("field and tube live in different dimensions")
-    _check_resolution(f, tube.radius)
-    slices, inside = _slab_window(f.level, tube.direction.basis, tube.center, tube.radius)
+    center = np.asarray(center, dtype=float)
+    if center.shape != (u.n,):
+        raise ValueError("center dimension mismatch")
+    _check_delta(radius)
+    _check_resolution(f, radius)
+    slices, inside = _slab_window(f.level, u.basis, center, radius)
     if not inside.any():
         return 0.0
     return float(f.values[slices][inside].sum() / inside.sum())

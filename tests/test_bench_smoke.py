@@ -107,7 +107,7 @@ GRID_ARTIFACTS = {
 }
 
 
-# sha256 of the maximal_scan.json and maximal_scan.csv of each scan job and
+# sha256 of the maximal_scan.json of each scan job and
 # the result.json of the maximal3d job of cycle 0 (seed 1), by job kind and
 # file name.  Their norms are floats from Haar line draws (normalized
 # Gaussians) and BLAS products, so, like the maximal_scan pins of test_cli,
@@ -116,22 +116,14 @@ MAXIMAL_ARTIFACTS = {
     "sampling": {
         "maximal3d/result.json":
             "4ea728e88f4bfc8a4d1611b1ff1b8cef871194406df36cbabe69e0ae23d8cfe8",
-        "scan.delta4/maximal_scan.csv":
-            "9e4286aef320288210a538bfbf54e559f95f5fc4c5ab1515cc3fa7a442d2393f",
         "scan.delta4/maximal_scan.json":
             "cc03d9e43a3d7cc3254200c24e608032c30f0d349251e14d912d6c701b4fb9e8",
-        "scan.delta5/maximal_scan.csv":
-            "bd4ef16df910ac8d7d97fbec2462419ecbc4f8edc72e2be5cbcd84ec76e19a1f",
         "scan.delta5/maximal_scan.json":
             "bfe56ae7b783f65be2928e0707ee1d121b44ab432e1ea8cd7ce5a03c89445b87",
-        "scan.delta6/maximal_scan.csv":
-            "72e6b5c121c62fad23b5bfda1a054e06530aeb3b4ca16ac8bb565ca60a41bcba",
         "scan.delta6/maximal_scan.json":
             "3e6a365f10e7fb101c9788a1d4cf1bf889eb498c59933eb6b39408e2efe25636",
     },
     "sweep": {
-        "scan/maximal_scan.csv":
-            "2f3c689a332dc2d64632541e2827d7959a669d9227a7b6bf39571c67b741a7f5",
         "scan/maximal_scan.json":
             "4f8992240ce0f50b8f1066102c142e93ba9dc019ddc997c9e8e568864401c7d1",
     },
@@ -228,7 +220,7 @@ def is_grid(kind: str, fn: str) -> bool:
 
 
 def is_maximal(kind: str, fn: str) -> bool:
-    return fn in ("maximal_scan.json", "maximal_scan.csv") or (
+    return fn == "maximal_scan.json" or (
         kind == "maximal3d" and fn == "result.json")
 
 

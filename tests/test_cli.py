@@ -46,6 +46,28 @@ class TestBoundsEval:
             outs.append((out / "bounds_eval.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_survey_and_ff_exponents_pinned(self, tmp_path):
+        # The benchmark's four tuples plus (3, 1, 1, 4), whose Oberlin /
+        # Falconer-Mattila entry is the positive-measure flag and four of
+        # whose entries are inapplicable; ff_exponents for every tuple.
+        tuples = [
+            {"n": 7, "k": 4, "s": "7/2", "t": 12},
+            {"n": 4, "k": 2, "s": "3/2", "t": 4},
+            {"n": 3, "k": 1, "s": "1/2", "t": 1},
+            {"n": 5, "k": 3, "s": 2, "t": "5/2"},
+            {"n": 3, "k": 1, "s": 1, "t": 4},
+        ]
+        ff = [{"n": t["n"], "k": t["k"], "s": t["s"]} for t in tuples]
+        cfg = write_config(tmp_path, "b.json", {"tuples": tuples, "ff_exponents": ff})
+        out = tmp_path / "out"
+        assert run_cli(["bounds", "eval", "--config", cfg, "--out", str(out)]) == 0
+        entries = json.loads((out / "bounds_eval.json").read_text())["reports"][4]["entries"]
+        assert entries[0]["flag"] == "positive Lebesgue measure"
+        assert sum(not e["applicable"] for e in entries) == 4
+        assert hashlib.sha256((out / "bounds_eval.json").read_bytes()).hexdigest() == (
+            "ac45520345798b42bbb7f9905f394f22039829f4b69f8952ba84c0dec31249be"
+        )
+
     def test_unknown_key_exits_2_no_output(self, tmp_path):
         cfg = write_config(tmp_path, "bad.json", {"tuples": [], "bogus": 1})
         out = tmp_path / "never"
@@ -404,7 +426,7 @@ class TestFF:
 
 
 class TestMaximalScan:
-    def test_csv_and_plot_script(self, tmp_path):
+    def test_one_json_artifact(self, tmp_path):
         cfg = write_config(
             tmp_path,
             "m.json",
@@ -412,8 +434,10 @@ class TestMaximalScan:
         )
         out = tmp_path / "out"
         assert run_cli(["maximal", "scan", "--config", cfg, "--out", str(out)]) == 0
-        assert (out / "maximal_scan.csv").read_text() == "delta,norm\n0.0625,0.8342402862423705\n"
-        assert (out / "maximal_scan_plot.py").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["maximal_scan.json"]
+        assert json.loads((out / "maximal_scan.json").read_text())["rows"] == [
+            [0.0625, 0.8342402862423705]
+        ]
         # Pinned from the per-translate search; the slab sweep must reproduce it.
         assert hashlib.sha256((out / "maximal_scan.json").read_bytes()).hexdigest() == (
             "7c8c88aeb68f1043cd50935173404828fbc42f0cb512542d79bdc3b7ba0d0055"

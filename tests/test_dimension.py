@@ -673,6 +673,11 @@ class TestSharpHyperplaneExample:
         ex = sharp_hyperplane_example(4, 1.5, depth=3)
         assert ex.achieved_dimension == pytest.approx(1 + LOG32)
 
+    def test_slice_dimension_is_the_set_dimension(self):
+        # Every hyperplane of the family contains the whole set.
+        ex = sharp_hyperplane_example(4, 1.5, depth=3)
+        assert ex.achieved_slice_dimension == ex.achieved_dimension
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sharp_hyperplane_example(2, 1.5, 3)
@@ -686,6 +691,9 @@ class TestSharpHyperplaneExample:
 
 
 class TestSlicingProductExample:
+    def test_no_witnessing_family(self):
+        assert slicing_product_example(2, 1, LOG32, 4).bases is None
+
     def test_dimension_estimate(self):
         ex = slicing_product_example(2, 1, LOG32, 7)
         est = estimate_dimension(ex.grid, 3, 8)

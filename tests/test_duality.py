@@ -103,6 +103,11 @@ class TestDuality:
             assert lhs == rhs
 
 
+def homogeneous(planes):
+    """The homogeneous rows (-a, 1, -c) of graph-form rows (a, c)."""
+    return np.column_stack([-planes[:, :-1], np.ones(len(planes)), -planes[:, -1]])
+
+
 class TestIncidenceCount:
     """spreadify's incidence rule: |x_n - <a, x'> - c| <= TOL_EXACT (|x_n| +
     sum_i |a_i x_i| + |c|)."""
@@ -123,37 +128,34 @@ class TestIncidenceCount:
         assert expected >= 20
         for block in (duality._BLOCK, 1, 89, 91, 1000):
             monkeypatch.setattr(duality, "_BLOCK", block)
-            assert _incidence_count(pts, a, c) == expected
+            assert _incidence_count(pts, homogeneous(planes)) == expected
 
-    @pytest.mark.parametrize("exponent", [
-        pytest.param(e, marks=pytest.mark.xfail(strict=True, reason=(
-            "the offset h follows the O(1) slopes, not the points, so the map packs points "
-            "1e-8 or 1e-7 across into clusters whose plane gaps fall under TOL_EXACT")))
-        if e in (-8, -7) else e for e in range(-12, 13)])
+    @pytest.mark.parametrize("exponent", range(-12, 13))
     def test_spreadify_preserves_incidences_at_every_scale(self, exponent):
         # Scaling the data by s keeps every slope and scales every point and
-        # intercept; the count must not move, before or after the map.  At
-        # 1e-9 and below the intercept spread is under TOL_EXACT, and the
-        # family is returned unmapped as degenerate.
+        # intercept; the count must not move, before or after the map.  Data
+        # of radius below 1/2 is first scaled by a power of two into [1/2, 1),
+        # so the families at 1e-9 and below, whose intercept spread is under
+        # TOL_EXACT, are mapped too, not returned as degenerate.
         pts, planes = spread_family(40, 60)
         scale = 10.0**exponent
         planes[:, -1] *= scale
         _, _, report = spreadify(pts * scale, planes, (2, 6), seed=0, ndirs=16)
         assert report.incidences_before == report.incidences_after == 40
+        assert not report.degenerate
 
     def test_overflowing_pair_is_no_incidence(self):
         # |a x| overflows: the residual is inf and its bound inf.
         pts = np.array([[1e300, 1e300], [1.0, 3.0]])
-        assert _incidence_count(pts, np.array([[1e300]]), np.array([0.0])) == 0
-        assert _incidence_count(pts, np.array([[2.0]]), np.array([1.0])) == 1
+        assert _incidence_count(pts, np.array([[-1e300, 1.0, 0.0]])) == 0
+        assert _incidence_count(pts, np.array([[-2.0, 1.0, -1.0]])) == 1
 
     def test_memory_is_blocked(self):
         rng = np.random.default_rng(3)
-        pts, planes = rng.random((2000, 3)), rng.random((2000, 3))
-        a, c = planes[:, :-1], planes[:, -1]
+        pts, rows = rng.random((2000, 3)), homogeneous(rng.random((2000, 3)))
         tracemalloc.start()
         try:
-            _incidence_count(pts, a, c)
+            _incidence_count(pts, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -284,8 +286,8 @@ E2_MAP = projective_to_infinity(np.array([0.0, 1.0]), 2.0)
 
 
 def graph_image(a, c):
-    mapped_a, mapped_c = _map_hyperplanes(E2_MAP, np.array([[a, -1.0, c]]))
-    return float(mapped_a[0, 0]), float(mapped_c[0])
+    (row,) = _map_hyperplanes(E2_MAP, np.array([[-a, 1.0, -c]]))
+    return float(-row[0]), float(-row[2])
 
 
 class TestExactHyperplaneImage:
@@ -295,6 +297,17 @@ class TestExactHyperplaneImage:
     )
     def test_closed_form(self, plane, image):
         assert np.allclose(graph_image(*plane), image, rtol=0, atol=1e-15)
+
+    def test_rows_are_homogeneous_and_sign_free(self):
+        # Each image row is divided by its own x_n coefficient, which so
+        # reads exactly 1, and a row and its negation are one plane.
+        rng = np.random.default_rng(11)
+        u = haar_sample(3, 2, rng).complement_basis()[:, 0]
+        pmap = projective_to_infinity(u, 7.0)
+        rows = homogeneous(rng.uniform(-2, 2, (50, 3)))
+        mapped = _map_hyperplanes(pmap, rows)
+        assert (mapped[:, -2] == 1.0).all()
+        assert np.array_equal(_map_hyperplanes(pmap, -rows), mapped)
 
     def test_exceptional_line_maps_to_infinity(self):
         with pytest.raises(MapsToInfinityError):
@@ -426,6 +439,15 @@ class TestSpreadify:
         assert report.final_direction_dimension == 0.0
         assert np.allclose(mapped_pts, pts)
 
+    def test_small_degenerate_family_comes_back_as_given(self):
+        # Data of radius below 1/2 is scaled before the degenerate test, but
+        # a degenerate family is returned as it was given, unscaled.
+        planes = np.tile([0.25, 1e-9], (10, 1))
+        pts = np.array([[1e-10, 1e-9]])
+        mapped_pts, mapped_planes, report = spreadify(pts, planes, (2, 6), seed=1, ndirs=5)
+        assert report.degenerate and report.exceptional_offset is None
+        assert np.array_equal(mapped_planes, planes) and np.array_equal(mapped_pts, pts)
+
     def test_planes_map_like_their_points(self):
         rng = np.random.default_rng(9)
         planes = np.column_stack([rng.uniform(-1, 1, (40, 2)), rng.uniform(-1, 1, 40)])
@@ -474,6 +496,15 @@ class TestSpreadify:
         _, _, report = spreadify(pts, planes, (2, 5), seed=3, ndirs=8)
         blob = json.dumps(report.as_dict(), sort_keys=True)
         assert "final_direction_dimension" in blob
+
+    def test_numpy_integer_seed_serializes(self):
+        import json
+
+        planes, b = horizontal_lines(50)
+        pts = np.stack([np.full(50, 0.5), b], axis=1)
+        _, _, report = spreadify(pts, planes, (2, 5), seed=np.int64(3), ndirs=8)
+        assert type(report.seed) is int
+        assert json.loads(json.dumps(report.as_dict()))["seed"] == 3
 
 
 class TestCandidateDimensions:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from furstlab.dimension import cantor_grid, sharp_hyperplane_example, slicing_product_example
+from furstlab.dimension import cantor_grid, sharp_hyperplane_example
 from furstlab.duality import GraphHyperplane, ProjectiveMap, SpreadifyReport
 from furstlab.finitefield import FFSet, ff_min_kakeya
 from furstlab.grassmann import AffineFlat, Subspace
-from furstlab.maximal import MaximalField, TubeSpec
+from furstlab.maximal import MaximalField
 
 E1 = [[1.0], [0.0]]
 
@@ -18,11 +18,9 @@ PAIRS = {
     "FFSet": lambda: tuple(FFSet(3, 2, [[0, 1], [2, 2]]) for _ in range(2)),
     "SearchResult": lambda: tuple(ff_min_kakeya(2, 2) for _ in range(2)),
     "MaximalField": lambda: tuple(MaximalField(1, 1, np.ones(4)) for _ in range(2)),
-    "TubeSpec": lambda: tuple(TubeSpec(Subspace(2, 1, E1), [0.0, 0.0], 0.1) for _ in range(2)),
     "GraphHyperplane": lambda: tuple(GraphHyperplane([1.0, 2.0], 0.5) for _ in range(2)),
     "ProjectiveMap": lambda: tuple(ProjectiveMap(np.eye(3)) for _ in range(2)),
-    "SharpHyperplaneExample": lambda: tuple(sharp_hyperplane_example(3, 1.5, 2) for _ in range(2)),
-    "SlicingProductExample": lambda: tuple(slicing_product_example(2, 1, 0.5, 2) for _ in range(2)),
+    "Construction": lambda: tuple(sharp_hyperplane_example(3, 1.5, 2) for _ in range(2)),
     "SpreadifyReport": lambda: tuple(
         SpreadifyReport(np.array([1.0, 0.0]), 0, (1.0,), None, 1.0, 1.0, 3, 3, False, 0)
         for _ in range(2)

@@ -7,7 +7,6 @@ from furstlab.grassmann import Subspace, haar_sample
 from furstlab.maximal import (
     MIN_DELTA,
     MaximalField,
-    TubeSpec,
     _axis_centers,
     _box_centers,
     _cell_centers,
@@ -88,35 +87,40 @@ class TestMaximalField:
         assert np.array_equal(box.reshape(-1, n), _cell_centers(level, shape, idx))
 
 
-class TestTubeSpec:
+class TestTubeAverage:
     def test_radius_range(self):
         # The tube width rule of the maximal search, message and all.
+        f = MaximalField.constant(2, 7, 1.0)
         for radius in (0.6, 2.0**-9, 0.0, float("nan")):
             with pytest.raises(ValueError) as err:
-                TubeSpec(E1, np.zeros(2), radius)
+                tube_average(f, E1, np.zeros(2), radius)
             assert str(err.value) == f"delta must be in [{MIN_DELTA}, 1/2], got {radius}"
 
+    def test_center_dimension(self):
+        f = MaximalField.constant(2, 7, 1.0)
+        for center in (np.zeros(1), np.zeros(3), np.zeros((1, 2))):
+            with pytest.raises(ValueError, match="center dimension mismatch"):
+                tube_average(f, E1, center, 0.05)
 
-class TestTubeAverage:
     def test_constant_field(self):
         f = MaximalField.constant(2, 7, 1.0)
-        assert tube_average(f, TubeSpec(E1, np.zeros(2), 0.05)) == 1.0
+        assert tube_average(f, E1, np.zeros(2), 0.05) == 1.0
 
     def test_ball_indicator_tube_inside(self):
         f = MaximalField.ball_indicator(2, 7)
         for seed in range(5):
             u = haar_sample(2, 1, seed)
-            assert tube_average(f, TubeSpec(u, np.zeros(2), 0.05)) == 1.0
+            assert tube_average(f, u, np.zeros(2), 0.05) == 1.0
 
     def test_halfspace_half(self):
         f = MaximalField.from_function(2, 7, lambda x: (x[:, 1] >= 0).astype(float))
-        avg = tube_average(f, TubeSpec(E1, np.zeros(2), 0.05))
+        avg = tube_average(f, E1, np.zeros(2), 0.05)
         assert abs(avg - 0.5) <= 0.1
 
     def test_resolution_guard(self):
         f = MaximalField.constant(2, 4, 1.0)
         with pytest.raises(ValueError):
-            tube_average(f, TubeSpec(E1, np.zeros(2), 0.05))
+            tube_average(f, E1, np.zeros(2), 0.05)
 
     def test_shifts_past_the_axis_leave_zeros(self):
         f = MaximalField(2, 1, np.random.default_rng(4).random((4, 4)) + 0.1)
@@ -139,9 +143,8 @@ class TestTubeAverage:
         shift = np.array([4, -6])
         fv = f.translated(shift)
         u = haar_sample(2, 1, 0)
-        t0 = TubeSpec(u, np.zeros(2), 0.125)
-        t1 = TubeSpec(u, shift * f.resolution, 0.125)
-        assert tube_average(fv, t1) == pytest.approx(tube_average(f, t0), abs=1e-12)
+        moved = tube_average(fv, u, shift * f.resolution, 0.125)
+        assert moved == pytest.approx(tube_average(f, u, np.zeros(2), 0.125), abs=1e-12)
 
     def test_refinement_stability(self):
         # doubling the resolution moves slab averages by < 10% on the
@@ -150,9 +153,9 @@ class TestTubeAverage:
             a = cdist * np.array([0.6, 0.8])
             for seed in range(3):
                 u = haar_sample(2, 1, seed)
-                tube = TubeSpec(u, a - u.project(a), 0.25)
-                coarse = tube_average(MaximalField.ball_indicator(2, 4), tube)
-                fine = tube_average(MaximalField.ball_indicator(2, 5), tube)
+                center = a - u.project(a)
+                coarse = tube_average(MaximalField.ball_indicator(2, 4), u, center, 0.25)
+                fine = tube_average(MaximalField.ball_indicator(2, 5), u, center, 0.25)
                 if max(coarse, fine) > 0:
                     assert abs(coarse - fine) / max(coarse, fine) <= 0.10
 
@@ -260,7 +263,7 @@ class TestKakeyaMaximal:
         grid = np.meshgrid(*[_translate_grid(delta / 2)] * (n - k), indexing="ij")
         taus = np.stack([g.ravel() for g in grid], axis=1)
         slow = max(
-            tube_average(f, TubeSpec(u, w @ tau, delta))
+            tube_average(f, u, w @ tau, delta)
             for tau in taus[np.linalg.norm(taus, axis=1) <= 2.0]
         )
         assert kakeya_maximal(f, u, delta, delta / 2) == pytest.approx(slow, rel=1e-12)
@@ -303,7 +306,7 @@ class TestKakeyaMaximal:
         w = u.complement_basis()
         grid = np.meshgrid(*[_translate_grid(delta / 2)] * (n - k), indexing="ij")
         taus = np.stack([g.ravel() for g in grid], axis=1)
-        slow = max(tube_average(f, TubeSpec(u, w @ tau, delta))
+        slow = max(tube_average(f, u, w @ tau, delta)
                    for tau in taus[np.linalg.norm(taus, axis=1) <= 2.0])
         assert kakeya_maximal(f, u, delta, delta / 2) == slow > 0
 
@@ -494,12 +497,12 @@ class TestDeltaScan:
         for _ in range(ntubes):
             u = haar_sample(n, 1, rng)
             tau = rng.uniform(-0.5, 0.5, size=n - 1)
-            tubes.append(TubeSpec(u, u.complement_basis() @ tau, delta))
+            tubes.append((u.basis, u.complement_basis() @ tau))
         f = random_tube_union_field(n, level, delta, ntubes, seed)
         pts = f.centers()
         hit = np.zeros(len(pts), dtype=bool)
-        for tube in tubes:
-            hit |= _tube_distances_sq(pts, tube.direction.basis, tube.center) <= delta**2
+        for basis, center in tubes:
+            hit |= _tube_distances_sq(pts, basis, center) <= delta**2
         assert np.array_equal(f.values.ravel(), hit.astype(float))
 
     @pytest.mark.parametrize("delta", [2.0**-9, 0.6, 0.0, float("nan")])
