@@ -116,27 +116,27 @@ def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _rle_cells(starts: np.ndarray, lengths: np.ndarray, n: int, level: int) -> np.ndarray:
     """The (m, n) row-major cells of the runs of linear indices [start,
-    start + length) of a grid of side 2^level, in `_cell_dtype(level)`.
-    The runs are expanded a block of `_BLOCK` runs at a time and split into
-    coordinates while they are fresh.  The blocks count runs, not cells: a
-    grid of a few long runs (a full square is one run per row) still
-    expands to full-size linear indices in one block."""
-    cells = np.empty((int(lengths.sum()), n), dtype=_cell_dtype(level))
+    start + length) of a grid of side 2^level, in the narrowest unsigned dtype
+    that holds a coordinate.  The runs are expanded a block of `_BLOCK` runs at
+    a time and split into coordinates while they are fresh.  The blocks count
+    runs, not cells: a grid of a few long runs (a full square is one run per
+    row) still expands to full-size linear indices in one block."""
+    cells = np.empty((int(lengths.sum()), n), dtype=np.min_scalar_type((1 << level) - 1))
     pos = 0
     for lo in range(0, len(lengths), _BLOCK):
         lin = _expand_runs(starts[lo : lo + _BLOCK], lengths[lo : lo + _BLOCK])
-        block = cells[pos : pos + len(lin)]
-        for j in range(n):
-            np.right_shift(lin, level * (n - 1 - j), out=block[:, j], casting="unsafe")
-            if j:
-                block[:, j] &= (1 << level) - 1
+        _split_linear(lin, cells[pos : pos + len(lin)], level)
         pos += len(lin)
     return cells
 
 
-def _cell_dtype(level: int) -> np.dtype:
-    """The narrowest unsigned dtype that holds a coordinate below 2^level."""
-    return np.min_scalar_type((1 << level) - 1)
+def _split_linear(lin: np.ndarray, out: np.ndarray, level: int) -> np.ndarray:
+    """Split the row-major linear indices lin (side 2^level) into the (len(lin), n) rows out."""
+    n = out.shape[1]
+    for j in range(n):
+        np.right_shift(lin, level * (n - 1 - j), out=out[:, j], casting="unsafe")
+    out[:, 1:] &= (1 << level) - 1
+    return out
 
 
 def _mapped(shape: tuple, dtype) -> np.ndarray:
@@ -318,7 +318,9 @@ class GridSet:
     duplicates (split level 0) are then dropped.
 
     flat_slice keeps in one slot the box table of the last cull level it
-    used (see `_box_table`), so a grid holds at most one such table.
+    used (see `_box_table`), so a grid holds at most one such table.  to_rle
+    and to_csv both read the sorted row-major linear indices (`_row_major`),
+    so both need n * level <= 63 and raise ValueError beyond it.
     """
 
     n: int
@@ -378,23 +380,31 @@ class GridSet:
 
     # -- serialization ----------------------------------------------------
 
+    def _row_major(self) -> np.ndarray:
+        """The cells' sorted row-major linear indices, in a fresh array even at n = 1."""
+        if self.n * self.level > 63:
+            raise ValueError("linear index would overflow 64 bits")
+        lin = self.cells[:, 0].copy()
+        for j in range(1, self.n):
+            lin <<= self.level
+            lin |= self.cells[:, j]
+        lin.sort()
+        return lin
+
     def to_csv(self) -> str:
         """Header i0..i{n-1}, then the cells in lexicographic order."""
-        cells = self.cells[np.lexsort(self.cells.T[::-1])]
-        return table.to_csv([f"i{j}" for j in range(self.n)], cells)
+        rows = _split_linear(self._row_major(), np.empty_like(self.cells), self.level)
+        return table.to_csv([f"i{j}" for j in range(self.n)], rows)
 
     def to_rle(self) -> bytes:
         """Run-length encoding of the sorted linear (row-major) cell indices:
         a "<4sBBQ" header (magic, n, level, run count), then one "<QQ"
         (start, length) pair per run."""
-        if self.n * self.level > 63:
-            raise ValueError("linear index would overflow 64 bits")
-        shifts = self.level * np.arange(self.n - 1, -1, -1)
-        lin = np.sort((self.cells << shifts).sum(axis=1))
-        first = np.flatnonzero(np.concatenate([[True], np.diff(lin) != 1])[: len(lin)])
-        runs = np.column_stack([lin[first], np.diff(first, append=len(lin))])
-        head = _RLE_HEAD.pack(b"GRLE", self.n, self.level, len(runs))
-        return head + runs.astype("<u8").tobytes()
+        lin = self._row_major()
+        first = np.flatnonzero(np.diff(lin, prepend=-2) != 1)  # lin[0] >= 0 starts a run
+        runs = np.empty((len(first), 2), dtype="<u8")
+        runs[:, 0], runs[:, 1] = lin[first], np.diff(first, append=len(lin))
+        return _RLE_HEAD.pack(b"GRLE", self.n, self.level, len(runs)) + runs.tobytes()
 
     @classmethod
     def from_rle(cls, blob: bytes) -> "GridSet":

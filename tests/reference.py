@@ -7,7 +7,9 @@ Beside it stands the word-at-a-time construction that preceded the batched
 sort-and-split kernel: every chunk of 63 // g bits spread by log-step shifts
 cell by cell, and the split level off the first differing word.  An .rle
 blob is decoded by one broadcast shift and mask of the linear indices, and
-the spreadify candidates are box-counted one GridSet at a time.  A stack
+written from the short-axis sum of every cell's shifted coordinates, sorted
+by np.sort; a grid's CSV rows are its cells in np.lexsort order.  The
+spreadify candidates are box-counted one GridSet at a time.  A stack
 of float clouds is placed with its minima taken over the middle axis, and
 each cloud's scale is found by doubling.  A row of box counts is fitted by
 np.linalg.lstsq, the per-row solve that the closed-form fit replaced.
@@ -32,6 +34,7 @@ import struct
 
 import numpy as np
 
+from furstlab import table
 from furstlab.dimension import estimate_dimension, grid_from_points
 from furstlab.duality import GraphHyperplane, VerticalHyperplaneError
 from furstlab.finitefield import FFSet
@@ -149,6 +152,21 @@ def rle_cells(blob: bytes):
                    dtype=np.int64)
     shifts = level * np.arange(n - 1, -1, -1)
     return n, level, (lin[:, None] >> shifts) & ((1 << level) - 1)
+
+
+def rle_sum_sort(g) -> bytes:
+    """GridSet.to_rle's blob from the short-axis sum of each cell's shifted
+    coordinates, sorted by np.sort, its runs stacked and cast to "<u8"."""
+    shifts = g.level * np.arange(g.n - 1, -1, -1)
+    lin = np.sort((g.cells << shifts).sum(axis=1))
+    first = np.flatnonzero(np.concatenate([[True], np.diff(lin) != 1])[: len(lin)])
+    runs = np.column_stack([lin[first], np.diff(first, append=len(lin))])
+    return struct.pack("<4sBBQ", b"GRLE", g.n, g.level, len(runs)) + runs.astype("<u8").tobytes()
+
+
+def csv_lexsort(g) -> str:
+    """GridSet.to_csv's text from the Z-ordered cells put in np.lexsort order."""
+    return table.to_csv([f"i{j}" for j in range(g.n)], g.cells[np.lexsort(g.cells.T[::-1])])
 
 
 def cover_scale(span: float) -> float:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from furstlab import table
 from furstlab.cli import main
 from furstlab.duality import GraphHyperplane, hyperplanes_to_csv, points_to_csv
 
@@ -229,6 +230,31 @@ class TestDimension:
         out = tmp_path / "out"
         assert run_cli(["dimension", "construct", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads((out / "dimension_construct.json").read_text())["family_size"] == size
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "cantor", "n": 1, "base": 3, "keep": [0, 2], "depth": 8},
+        {"kind": "cantor", "n": 2, "base": 3, "keep": [[0, 2], [0, 1, 2]], "depth": 4},
+        {"kind": "cantor", "n": 3, "base": 3, "keep": [0, 2], "depth": 5},
+        {"kind": "product", "n": 2, "k": 1, "depth": 6},
+        {"kind": "sharp_hyperplane", "n": 4, "s": 1.5, "depth": 3},
+    ], ids=["cantor1", "cantor2", "cantor3", "product", "sharp"])
+    def test_csv_rows_are_the_rle_cells(self, tmp_path, config):
+        # The .rle decoded without GridSet: every run expanded and each
+        # linear index split into its base-2^level digits, most significant
+        # first, gives the .csv rows in order.
+        cfg = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert run_cli(["dimension", "construct", "--config", cfg, "--out", str(out)]) == 0
+        blob = (out / "grid.rle").read_bytes()
+        magic, n, level, nruns = struct.unpack_from("<4sBBQ", blob, 0)
+        runs = list(struct.iter_unpack("<QQ", blob[struct.calcsize("<4sBBQ"):]))
+        assert magic == b"GRLE" and len(runs) == nruns
+        lin = [v for start, length in runs for v in range(start, start + length)]
+        assert all(a < b for a, b in zip(lin, lin[1:]))
+        cells = [[v >> (level * (n - 1 - j)) & ((1 << level) - 1) for j in range(n)] for v in lin]
+        rows = table.from_csv((out / "grid.csv").read_text(), int)
+        assert rows.shape == (len(cells), n) and rows.tolist() == cells
+        assert json.loads((out / "dimension_construct.json").read_text())["cells"] == len(cells)
 
     def test_estimate_needs_source(self, tmp_path):
         cfg = write_config(tmp_path, "e.json", {"levels": [2, 4]})

@@ -352,6 +352,58 @@ class TestBuildFootprint:
         assert np.array_equal(g.cells, slicing_product_example(2, 1, LOG32, 7).grid.cells)
 
 
+def serializer_case_cells(n, level, seed):
+    """Random cells at (n, level) with n * level <= 63: scattered ones, runs
+    of 6 consecutive linear indices (half of them from the last cell of a
+    row into the next row, wrapping past the grid's last cell), the corner
+    cell 2^level - 1 on every axis, and repeats, all shuffled."""
+    rng = np.random.default_rng(seed)
+    scattered = rng.integers(0, 1 << level, (int(rng.integers(1, 200)), n))
+    starts = rng.integers(0, 1 << (n * level), 20, dtype=np.uint64)
+    starts[:10] |= np.uint64((1 << level) - 1)
+    lin = (starts[:, None] + np.arange(6, dtype=np.uint64)).ravel() % np.uint64(1 << (n * level))
+    shifts = np.uint64(level) * np.arange(n - 1, -1, -1, dtype=np.uint64)
+    runs = ((lin[:, None] >> shifts) & np.uint64((1 << level) - 1)).astype(np.int64)
+    cells = np.vstack([scattered, runs, np.full((1, n), (1 << level) - 1)])
+    cells = np.vstack([cells, cells[rng.integers(0, len(cells), 40)]])
+    return cells[rng.permutation(len(cells))]
+
+
+class TestRowMajorSerializers:
+    """to_rle and to_csv, both read off one sorted row-major index, against
+    the sum-and-sort encoder and the lexsort writer that they replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+    def test_bytes_match_the_replaced_serializers(self, n):
+        empty = np.zeros((0, n), dtype=np.int64)
+        for level in range(63 // n + 1):
+            for cells in (serializer_case_cells(n, level, seed=100 * n + level), empty):
+                g = GridSet(n, level, cells)
+                assert g.to_rle() == reference.rle_sum_sort(g)
+                assert g.to_csv() == reference.csv_lexsort(g)
+
+    @pytest.mark.parametrize("n, level", [(1, 9), (1, 63), (2, 6), (3, 21)])
+    def test_serializing_leaves_the_grid_as_it_was(self, n, level):
+        # At n = 1 the row-major index is the one column of the cells, so
+        # it must be built and sorted in an array of its own.
+        g = GridSet(n, level, serializer_case_cells(n, level, seed=level))
+        before, writeable = g.cells.tobytes(), g.cells.flags.writeable
+        assert not np.shares_memory(g._row_major(), g.cells)
+        rle, text = g.to_rle(), g.to_csv()
+        assert g.cells.tobytes() == before and g.cells.flags.writeable == writeable
+        assert g.cells.dtype == np.int64 and g.cells.flags.c_contiguous
+        g.cells.flags.writeable = False  # read-only cells serialize alike
+        assert (g.to_rle(), g.to_csv()) == (rle, text)
+        assert g.cells.tobytes() == before and not g.cells.flags.writeable
+
+    @pytest.mark.parametrize("n, level", [(2, 40), (3, 22)])
+    def test_both_serializers_share_one_domain(self, n, level):
+        g = GridSet(n, level, np.full((1, n), (1 << level) - 1))
+        for serialize in (g.to_rle, g.to_csv):
+            with pytest.raises(ValueError, match="^linear index would overflow 64 bits$"):
+                serialize()
+
+
 # sha256 of to_rle() and to_csv(), pinned from the lexicographic-order
 # implementation that preceded Z-ordered cells.
 PINNED_FILES = {
