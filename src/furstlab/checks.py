@@ -58,24 +58,25 @@ class CheckResult:
         }
 
 
-def _run(name: str, samples: int, seed, allowed: float, kernel) -> CheckResult:
-    """Count violations of lhs <= allowed * scale over `samples` draws.
+def _run(suites: dict, samples: int, kernel) -> list:
+    """Count violations of lhs <= allowed * scale over `samples` draws, for
+    each suite of `suites` (name -> allowed constant), in its order.
 
-    kernel(rng, m) draws m samples and returns their (lhs, scale) arrays; a
-    skipped draw has lhs = scale = 0.  Draws go through chunks of _CHUNK,
-    and the measured constant is the largest lhs / scale with scale > 1e-12.
+    kernel(m) draws m samples and returns a dict of each suite's (lhs,
+    scale) arrays; a skipped draw has lhs = scale = 0.  Draws go through
+    chunks of _CHUNK, and a suite's measured constant is its largest
+    lhs / scale with scale > 1e-12.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    violations, worst = 0, 0.0
+    violations, worst = dict.fromkeys(suites, 0), dict.fromkeys(suites, 0.0)
     for start in range(0, samples, _CHUNK):
-        lhs, scale = kernel(rng, min(_CHUNK, samples - start))
-        violations += int(np.count_nonzero(lhs > allowed * scale + TOL_INEQ))
-        pos = scale > 1e-12
-        ratios = lhs[pos] / scale[pos]
-        worst = max(worst, float(ratios.max(initial=0.0)))
-    return CheckResult(name, samples, violations, worst, allowed)
+        for name, (lhs, scale) in kernel(min(_CHUNK, samples - start)).items():
+            violations[name] += int(np.count_nonzero(lhs > suites[name] * scale + TOL_INEQ))
+            pos = scale > 1e-12
+            worst[name] = max(worst[name], float((lhs[pos] / scale[pos]).max(initial=0.0)))
+    return [CheckResult(name, samples, violations[name], worst[name], allowed)
+            for name, allowed in suites.items()]
 
 
 def _pairs(n: int, k: int, m: int, rng):
@@ -95,49 +96,80 @@ def _perp_offsets(u: np.ndarray, rng, max_norm: float):
     return a, norm >= 1e-12
 
 
-def check_translation_inequality(n: int, k: int, samples: int, seed=None) -> CheckResult:
-    """d_A(U+a, V+a) <= (|a|+1) d_G(U,V) for a in U-perp, |a| <= 10.
+# The suites of check_pair_suites, in report order: name -> allowed constant.
+_PAIR_SUITES = {
+    "translation_inequality": 1.0,
+    "rotation_pointwise": 2.0,
+    "min_rotation_norm": float(np.sqrt(2.0)),
+}
 
-    The translate of V is formed by re-orthogonalizing the offset
-    (V + a = V + (a - proj_V a)).
+
+def check_pair_suites(n: int, k: int, samples: int, seed=None, names=tuple(_PAIR_SUITES)) -> list:
+    """The pair suites `names` (keys of _PAIR_SUITES) on one stream of Haar
+    pairs of k-subspaces of R^n, one CheckResult each, in the order given.
+
+    Each chunk draws its pairs (U, V) and d_G(U, V) once, from
+    default_rng(seed), and forms the direct rotations R_{U,V} once for both
+    rotation suites.  The translation and rotation-pointwise suites draw
+    their offsets and vectors from two child streams spawned from that
+    generator, which leaves its stream of pairs untouched.  So the pairs
+    depend only on (n, k, samples, seed), and a suite reports the same run
+    alone as with the others.
+
+    - translation_inequality: d_A(U+a, V+a) <= (|a|+1) d_G(U,V) for a in
+      U-perp, |a| <= 10.  The translate of V is formed by
+      re-orthogonalizing the offset (V + a = V + (a - proj_V a)).
+    - rotation_pointwise: |(I - R_{U,V}) b| <= 2 |b| d_G(U,V) for b in U.
+    - min_rotation_norm: ||I - R_{U,V}|| <= sqrt(2) d_G(U,V).
     """
+    suites = {name: _PAIR_SUITES[name] for name in names}
+    rng = np.random.default_rng(seed)
+    offset_rng, vector_rng = rng.spawn(2)
 
-    def kernel(rng, m):
+    def kernel(m):
         u, v, d = _pairs(n, k, m, rng)
-        a, keep = _perp_offsets(u, rng, 10.0)
-        lhs = d + np.linalg.norm(a - _perp(v, a), axis=-1)
-        return lhs * keep, (np.linalg.norm(a, axis=-1) + 1.0) * d * keep
+        out = {}
+        if "translation_inequality" in suites:
+            a, keep = _perp_offsets(u, offset_rng, 10.0)
+            lhs = d + np.linalg.norm(a - _perp(v, a), axis=-1)
+            out["translation_inequality"] = lhs * keep, (np.linalg.norm(a, axis=-1) + 1.0) * d * keep
+        if "rotation_pointwise" in suites or "min_rotation_norm" in suites:
+            rot = _direct_rotation_batch(u, v)
+        if "rotation_pointwise" in suites:
+            b = _matvec(u, vector_rng.standard_normal((m, k))) * vector_rng.uniform(0.1, 10.0, (m, 1))
+            lhs = np.linalg.norm(b - _matvec(rot, b), axis=-1)
+            out["rotation_pointwise"] = lhs, np.linalg.norm(b, axis=-1) * d
+        if "min_rotation_norm" in suites:
+            out["min_rotation_norm"] = np.linalg.norm(np.eye(n) - rot, 2, axis=(-2, -1)), d
+        return out
 
-    return _run("translation_inequality", samples, seed, 1.0, kernel)
+    return _run(suites, samples, kernel)
+
+
+def check_translation_inequality(n: int, k: int, samples: int, seed=None) -> CheckResult:
+    """d_A(U+a, V+a) <= (|a|+1) d_G(U,V) for a in U-perp, |a| <= 10: the
+    translation_inequality suite of check_pair_suites, alone."""
+    return check_pair_suites(n, k, samples, seed, ("translation_inequality",))[0]
 
 
 def check_rotation_pointwise(n: int, k: int, samples: int, seed=None) -> CheckResult:
-    """|(I - R_{U,V}) b| <= 2 |b| d_G(U,V) for b in U."""
-
-    def kernel(rng, m):
-        u, v, d = _pairs(n, k, m, rng)
-        b = _matvec(u, rng.standard_normal((m, k))) * rng.uniform(0.1, 10.0, (m, 1))
-        lhs = np.linalg.norm(b - _matvec(_direct_rotation_batch(u, v), b), axis=-1)
-        return lhs, np.linalg.norm(b, axis=-1) * d
-
-    return _run("rotation_pointwise", samples, seed, 2.0, kernel)
+    """|(I - R_{U,V}) b| <= 2 |b| d_G(U,V) for b in U: the
+    rotation_pointwise suite of check_pair_suites, alone."""
+    return check_pair_suites(n, k, samples, seed, ("rotation_pointwise",))[0]
 
 
 def check_min_rotation_norm(n: int, k: int, samples: int, seed=None) -> CheckResult:
-    """||I - R_{U,V}|| <= sqrt(2) d_G(U,V)."""
-
-    def kernel(rng, m):
-        u, v, d = _pairs(n, k, m, rng)
-        return np.linalg.norm(np.eye(n) - _direct_rotation_batch(u, v), 2, axis=(-2, -1)), d
-
-    return _run("min_rotation_norm", samples, seed, float(np.sqrt(2.0)), kernel)
+    """||I - R_{U,V}|| <= sqrt(2) d_G(U,V): the min_rotation_norm suite of
+    check_pair_suites, alone."""
+    return check_pair_suites(n, k, samples, seed, ("min_rotation_norm",))[0]
 
 
 def check_subflat_transport(n: int, k: int, k2: int, samples: int, seed=None) -> CheckResult:
     """d_A(R X + a, X + a) <= C (r + |a| + 1) d_G(U,V) for subflats X of U
     meeting B(0, r); reports the measured C."""
+    rng = np.random.default_rng(seed)
 
-    def kernel(rng, m):
+    def kernel(m):
         u, v, d = _pairs(n, k, m, rng)
         r_ball = rng.uniform(0.2, 3.0, m)
         x, x_off = _subflat_batch(u, np.zeros((m, n)), k2, r_ball, rng)
@@ -146,9 +178,9 @@ def check_subflat_transport(n: int, k: int, k2: int, samples: int, seed=None) ->
         rx = rot @ x
         gap = _perp(rx, _matvec(rot, x_off) + a) - _perp(x, x_off + a)
         lhs = _grass_distance_batch(rx, x) + np.linalg.norm(gap, axis=-1)
-        return lhs * keep, (r_ball + np.linalg.norm(a, axis=-1) + 1.0) * d * keep
+        return {"subflat_transport": (lhs * keep, (r_ball + np.linalg.norm(a, axis=-1) + 1.0) * d * keep)}
 
-    return _run("subflat_transport", samples, seed, _SUBFLAT_ALLOWED, kernel)
+    return _run({"subflat_transport": _SUBFLAT_ALLOWED}, samples, kernel)[0]
 
 
 def check_ball_scaling(n: int, k: int, delta: float, samples: int, seed=None) -> CheckResult:

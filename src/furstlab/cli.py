@@ -292,11 +292,7 @@ def cmd_grassmann_verify(opts):
     seed = opts["seed"]
     results = []
     for n, k in opts["pairs"]:
-        for res in (
-            checks.check_translation_inequality(n, k, opts["samples"], seed),
-            checks.check_rotation_pointwise(n, k, opts["samples"], seed),
-            checks.check_min_rotation_norm(n, k, opts["samples"], seed),
-        ):
+        for res in checks.check_pair_suites(n, k, opts["samples"], seed):
             results.append({"n": n, "k": k, **res.as_dict()})
         if k >= 2 and n <= 6:
             res = checks.check_subflat_transport(n, k, k - 1, opts["subflat_samples"], seed)

@@ -312,10 +312,11 @@ class GridSet:
 
     cells is an (m, n) int64 array of deduplicated cell indices in
     [0, 2^level)^n in Z-order (sorted by bit-interleaved coordinates), so
-    the cells of every coarser box are contiguous.  Construction is
-    `_sort_split` on a batch of one grid: it sorts the cells, reads each
-    neighbour pair's split level and counts the boxes at every level; the
-    duplicates (split level 0) are then dropped.
+    the cells of every coarser box are contiguous.  It is an array of the
+    grid's own, read-only, since everything else the grid holds derives
+    from it.  Construction is `_sort_split` on a batch of one grid: it
+    sorts the cells, reads each neighbour pair's split level and counts the
+    boxes at every level; the duplicates (split level 0) are then dropped.
 
     flat_slice keeps in one slot the box table of the last cull level it
     used (see `_box_table`), so a grid holds at most one such table.  to_rle
@@ -354,6 +355,7 @@ class GridSet:
             d = d[d != 0]
         if len(z) > MAX_CELLS:
             raise ValueError(f"cell count {len(z)} exceeds cap {MAX_CELLS}")
+        z.flags.writeable = False
         object.__setattr__(self, "cells", z)
         object.__setattr__(self, "_counts", counts[0])
         object.__setattr__(self, "_split", d)

@@ -304,17 +304,18 @@ def _ball_hits(u: Subspace, radii: tuple, samples: int, seed) -> list:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    hits = np.zeros(len(radii), dtype=np.int64)
+    hits = [0] * len(radii)
     for start in range(0, samples, _CHUNK):
         bases = haar_projector_batch(u.n, u.k, min(_CHUNK, samples - start), rng)
         if u.k == 1:
-            v = bases[:, :, 0]
-            resid = v - np.outer(v @ u.basis[:, 0], u.basis[:, 0])
+            v, line = bases[:, :, 0], u.basis[:, 0]
+            resid = v - (v @ line)[:, None] * line
             d = np.minimum(np.sqrt(row_sum_squares(resid)), 1.0)
         else:
             d = _grass_distance_batch(u.basis, bases)
-        hits += np.count_nonzero(d[:, None] <= np.array(radii), axis=0)
-    return hits.tolist()
+        for i, r in enumerate(radii):
+            hits[i] += int(np.count_nonzero(d <= r))
+    return hits
 
 
 def ball_measure_estimate(u: Subspace, delta: float, samples: int, seed=None) -> float:

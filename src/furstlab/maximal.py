@@ -256,6 +256,17 @@ def _grid_index(v: np.ndarray, step: float, side: str) -> np.ndarray:
     return index
 
 
+def _project(points: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """points @ frame, each row with the bits it has inside any product of
+    two or more rows.  A one-row product can take another BLAS path (a
+    matrix-vector kernel) whose last bits differ: with OpenBLAS 0.3.31 on
+    x86-64, for about half of the (cell, Haar frame) pairs of an R^4 grid.
+    So a lone row is projected as the first of two copies of itself."""
+    if len(points) == 1:
+        return (np.repeat(points, 2, axis=0) @ frame)[:1]
+    return points @ frame
+
+
 def _slab_intervals(points: np.ndarray, frame: np.ndarray, k: int, delta: float, step: float):
     """For each row offset, yield (lo, hi, cells): points[cells[i]] is in the slab
     at every translate of difference-array positions lo[i] <= j < hi[i].  A point
@@ -269,7 +280,7 @@ def _slab_intervals(points: np.ndarray, frame: np.ndarray, k: int, delta: float,
     except on underflow, where both are far inside the band with zero
     excess.  Codimension 1 has a single row and no row offsets."""
     c = frame.shape[1] - k
-    x = points @ frame  # U coordinates, then U-perp ones
+    x = _project(points, frame)  # U coordinates, then U-perp ones
     if k == 1:
         long_norm = np.abs(x[:, 0])
     else:
@@ -333,9 +344,10 @@ def _slab_sweep(cells, basis: np.ndarray, delta: float, step: float) -> float:
       sums are bitwise those of the whole grid.
 
     Both passes read their cells in blocks of `_BLOCK` rows.  That changes no
-    bit because `points @ frame` gives each row the same bits whatever other
-    rows are in the product (the value pass has always relied on it for its
-    nonzero subset).  The count pass adds each block's integer `bincount`s into
+    bit because `_project` gives each row the same bits whatever other rows
+    are in the product, a lone row included (the value pass relies on it for
+    its nonzero subset, whose last block has one row when the nonzero count
+    is 1 mod `_BLOCK`).  The count pass adds each block's integer `bincount`s into
     the difference array, exact in any grouping.  The value pass joins each row
     offset's intervals and values across blocks, in block order, and makes one
     weighted `bincount` of them, so every bin adds its floats in flat order as

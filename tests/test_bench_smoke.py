@@ -182,15 +182,15 @@ FRACTAL_ARTIFACTS = {
 GRASSMANN_ARTIFACTS = {
     "sampling": {
         "grassmann.3.1/grassmann_verify.json":
-            "fff5513129558fb0382a82fdb055aafc1e578e010e7c77ffa034ec1ae731eac9",
+            "34cf136ce79cb193cceecfbfbc3784e4dd1f2011c3f95e63f081201090a444e9",
         "grassmann.4.2/grassmann_verify.json":
-            "e46a0099838127ebb1ede6cc5c8a6b4caf59dc98d4e81545eb16759e367672d6",
+            "4922c7c45a804d29d9aa130e3c882c98bbb92e278b52c7c76b93bd6f1031e380",
         "grassmann.5.3/grassmann_verify.json":
-            "c09f7a9ac7be832f9c81a065b88e845501a6e55a14a6344fa70a9074082585a9",
+            "5640ba040ea990f3f72af4fdf42e01ddc25f666653dd6cc7651f488676eff0e9",
     },
     "sweep": {
         "grassmann/grassmann_verify.json":
-            "f1eec6ceadf36c3a2b8f71c43176c69feb8d4987d15aea84521b533781096e2a",
+            "fe7eee78fbb00678cae7ce5df285189daadb47c792c68b660e47cf9130eda4b6",
     },
 }
 

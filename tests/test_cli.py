@@ -99,7 +99,7 @@ class TestGrassmannVerify:
         def never(*args):
             raise AssertionError("a pair suite ran before the config was validated")
 
-        for name in ("check_translation_inequality", "check_rotation_pointwise",
+        for name in ("check_pair_suites", "check_translation_inequality", "check_rotation_pointwise",
                      "check_min_rotation_norm", "check_subflat_transport"):
             monkeypatch.setattr(checks, name, never)
 

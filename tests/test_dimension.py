@@ -65,6 +65,21 @@ class TestGridSet:
             n_coarse = box_count(g, lv)
             assert n_coarse <= n_fine <= (2**g.n) * n_coarse
 
+    def test_cells_are_read_only_and_the_callers_array_is_not(self):
+        # The box counts, split levels and box table derive from the cells,
+        # so an in-place edit would leave them stale.
+        given = np.array([[3, 1], [0, 2]])
+        big = full_cube(2, 8)  # 512 KiB of cells, kept in a mapping of their own
+        for g in (GridSet(2, 2, given), cantor_grid(2, 3, [0, 2], 3), big,
+                  GridSet.from_rle(cantor_grid(2, 3, [0, 2], 3).to_rle()),
+                  GridSet.from_rle(big.to_rle())):
+            assert not g.cells.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g.cells[0, 0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                g.cells += 0
+        assert given.flags.writeable and given.tolist() == [[3, 1], [0, 2]]
+
     def test_csv_roundtrip(self):
         g = cantor_grid(2, 3, [0, 2], 3)
         cells = table.from_csv(g.to_csv(), int)

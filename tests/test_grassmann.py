@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from reference import ball_hits_svd, grass_distance_svd, haar_bases_qr, subspace_from_spanning
 
+import furstlab.checks as checks
 import furstlab.grassmann as gr
 from furstlab.checks import check_ball_scaling
 from furstlab.grassmann import (
@@ -373,6 +374,68 @@ class TestSampleSubflat:
         u = haar_sample(4, 2, seed=0)
         with pytest.raises(ValueError):
             sample_subflat(AffineFlat(u, np.zeros(4)), 2, 1.0, seed=0)
+
+
+PAIR_CHECKS = {
+    "translation_inequality": checks.check_translation_inequality,
+    "rotation_pointwise": checks.check_rotation_pointwise,
+    "min_rotation_norm": checks.check_min_rotation_norm,
+}
+
+
+class TestPairSuites:
+    @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 3), (16, 1)])
+    @pytest.mark.parametrize("samples", [1, 100, 4096, 4097, 9000])
+    def test_joint_pass_reports_what_each_suite_reports_alone(self, n, k, samples):
+        # Up to 4096 samples are one chunk, 4097 adds a chunk of one draw
+        # and 9000 a third, so the child streams must carry across chunks.
+        seed = 1000 * n + samples
+        joint = checks.check_pair_suites(n, k, samples, seed)
+        assert [r.name for r in joint] == list(PAIR_CHECKS)
+        for res, check in zip(joint, PAIR_CHECKS.values()):
+            assert res.as_dict() == check(n, k, samples, seed).as_dict()
+            assert res.samples == samples
+
+    @pytest.mark.parametrize("n, k, samples, seed, constant", [
+        (3, 1, 100, 5, 1.4129975082180541),
+        (4, 2, 4096, 7, 1.4141917396795067),
+        (5, 3, 5000, 11, 1.4141743434206266),
+        (16, 1, 9000, 3, 1.4141965590292913),
+    ])
+    def test_min_rotation_norm_keeps_its_values(self, n, k, samples, seed, constant):
+        # The pair stream is the one every pair suite drew alone before its
+        # offsets and vectors moved to child streams; these constants were
+        # measured then (for this numpy and BLAS, like GRASSMANN_ARTIFACTS).
+        res = checks.check_min_rotation_norm(n, k, samples, seed)
+        assert (res.violations, res.measured_constant) == (0, constant)
+
+    def test_each_chunk_draws_its_pairs_and_rotations_once(self, monkeypatch):
+        rows, rotations = [], []
+        batch, rotate = checks.haar_projector_batch, checks._direct_rotation_batch
+
+        def counted_batch(n, k, count, seed=None):
+            rows.append(count)
+            return batch(n, k, count, seed)
+
+        def counted_rotate(u, v):
+            rotations.append(len(u))
+            return rotate(u, v)
+
+        monkeypatch.setattr(checks, "haar_projector_batch", counted_batch)
+        monkeypatch.setattr(checks, "_direct_rotation_batch", counted_rotate)
+        results = checks.check_pair_suites(4, 2, 9000, seed=5)
+        assert rows == [4096, 4096, 4096, 4096, 808, 808]  # U then V, per chunk
+        assert rotations == [4096, 4096, 808]
+        assert all(r.passed for r in results)
+        rows.clear(), rotations.clear()
+        checks.check_translation_inequality(4, 2, 100, seed=5)
+        assert (rows, rotations) == ([100, 100], [])
+
+    def test_unknown_suite_and_no_samples_rejected(self):
+        with pytest.raises(KeyError):
+            checks.check_pair_suites(3, 1, 10, 0, ("translation",))
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            checks.check_pair_suites(3, 1, 0, 0)
 
 
 class TestBallMeasure:

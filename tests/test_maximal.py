@@ -432,6 +432,40 @@ class TestBlockedSweep:
             for block in (mx._BLOCK, 4099):
                 for s in range(0, len(half), block):
                     assert np.array_equal(half[s:s + block] @ frame, whole[s:s + block])
+            for s in range(0, len(half), len(half) // 7):  # lone rows too, through _project
+                assert np.array_equal(mx._project(half[s:s + 1], frame), whole[s:s + 1])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_lone_nonzero_cell_projects_as_in_the_count_pass(self, k, monkeypatch):
+        # One nonzero cell makes a one-row block in the value pass.  A plain
+        # one-row product can differ in its last bit from the same cell's
+        # row in the count pass (in R^4 for about half of all frames), so
+        # the two passes would place that cell's interval ends apart.
+        import furstlab.maximal as mx
+
+        projected = []
+        project = mx._project
+
+        def recorded(points, frame):
+            x = project(points, frame)
+            projected.append((points, x))
+            return x
+
+        monkeypatch.setattr(mx, "_project", recorded)
+        rng = np.random.default_rng(40 + k)
+        shape = _grid_shape(4, 3)
+        for flat in rng.integers(0, math.prod(shape) // 2, 6):  # a cell of the first half
+            values = np.zeros(shape)
+            values.flat[flat] = 1.0
+            f = MaximalField(4, 3, values)
+            for u in (haar_sample(4, k, rng) for _ in range(4)):
+                projected.clear()
+                kakeya_maximal(f, u, 1 / 2, 1 / 4)
+                (half, counted), (cell, value_row) = projected
+                assert len(half) == len(values.flat) // 2 and len(cell) == 1
+                row = np.flatnonzero((half == cell).all(axis=1))
+                assert row.tolist() == [flat]
+                assert value_row.tobytes() == counted[flat].tobytes()
 
 
 class TestLpNorm:
