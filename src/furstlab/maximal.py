@@ -257,11 +257,15 @@ def _grid_index(v: np.ndarray, step: float, side: str) -> np.ndarray:
 
 
 def _project(points: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """points @ frame, each row with the bits it has inside any product of
-    two or more rows.  A one-row product can take another BLAS path (a
-    matrix-vector kernel) whose last bits differ: with OpenBLAS 0.3.31 on
-    x86-64, for about half of the (cell, Haar frame) pairs of an R^4 grid.
-    So a lone row is projected as the first of two copies of itself."""
+    """points @ frame, with a lone row projected as the first of two copies
+    of itself.
+
+    A one-row product can take another BLAS path (a matrix-vector kernel)
+    whose last bits differ: with OpenBLAS 0.3.31 on x86-64 (Haswell kernels),
+    for about half of the (cell, Haar frame) pairs of an R^4 grid.  On that
+    build a row had the same bits in products of 2, 3, 4, 5, 7, 8, 16, 33,
+    4099 and 2^15 rows; that is a measurement, not a BLAS guarantee, and
+    `test_projection_rows_do_not_depend_on_the_block` checks it."""
     if len(points) == 1:
         return (np.repeat(points, 2, axis=0) @ frame)[:1]
     return points @ frame
@@ -344,11 +348,12 @@ def _slab_sweep(cells, basis: np.ndarray, delta: float, step: float) -> float:
       sums are bitwise those of the whole grid.
 
     Both passes read their cells in blocks of `_BLOCK` rows.  That changes no
-    bit because `_project` gives each row the same bits whatever other rows
-    are in the product, a lone row included (the value pass relies on it for
-    its nonzero subset, whose last block has one row when the nonzero count
-    is 1 mod `_BLOCK`).  The count pass adds each block's integer `bincount`s into
-    the difference array, exact in any grouping.  The value pass joins each row
+    bit as long as `_project` gives each row the same bits whatever other
+    rows are in the product, which was measured on one BLAS build (see
+    `_project`, which also keeps the lone row the value pass makes when the
+    nonzero count is 1 mod `_BLOCK` from being projected alone).  The count
+    pass adds each block's integer `bincount`s into the difference array,
+    exact in any grouping.  The value pass joins each row
     offset's intervals and values across blocks, in block order, and makes one
     weighted `bincount` of them, so every bin adds its floats in flat order as
     an unblocked pass would; a field of one block is not copied.
