@@ -381,6 +381,8 @@ def cmd_dimension_construct(opts):
 
 
 def cmd_dimension_estimate(opts):
+    if opts["grid"] is not None and opts["kind"] is not None:
+        raise SchemaError("give either 'grid' (an .rle path) or construction keys, not both")
     if opts["grid"] is not None:
         grid = GridSet.from_rle(_read_input(opts["grid"], MAX_RLE_BYTES))
         meta = {"kind": "file"}

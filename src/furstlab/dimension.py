@@ -24,24 +24,22 @@ int8 from the XOR of each block's sorted keys, and counted into the box
 histogram there), the gather into Z-order and from_rle's run checks and
 expansion, whose blocks count runs (so a grid of a few long runs is
 expanded at full size).  The input cells may be of any integer width, and
-from_rle builds them in the narrowest unsigned one; a large grid's cells
-are kept in a memory mapping of their own (_mapped, for 512 KiB or more),
-so the malloc heap keeps only the build's temporaries and can reuse them
-for the next build instead of returning them and faulting them in again.
-One placement, _point_cells, puts a stack of float clouds on grids, each
-shifted by its own minimum (taken along a contiguous axis) and scaled by
-its own power of two (read off one np.frexp of the spans);
-family_dimension counts one cloud and projection_dimensions (spreadify's
-candidates) a batch, neither building a GridSet.  Every slope comes from
-one fit, _fit, closed form over a (rows, levels) array of box counts with
-sums along each row only, so a row gets the same bits alone as in a
-batch: estimate_dimension, family_dimension and projection_dimensions
-each make one call.  flat_slice finds the boxes of side about rho as
-runs of cells from the same split levels, keeps that box table on the
-grid for the last box side it used (one slot, so slicing a grid by many
-flats builds it once), drops every box too far from the flat with one
-projection of the box centres (distance to a flat is 1-Lipschitz), and
-runs its exact per-cell test only on the cells left.  Digit-restriction
+from_rle builds them in the narrowest unsigned one; the kept Z-ordered
+cells are one plain int64 array, made read-only.  One placement,
+_point_cells, puts a stack of float clouds on grids, each shifted by its
+own minimum (taken along a contiguous axis) and scaled by its own power of
+two (read off one np.frexp of the spans); family_dimension counts one
+cloud and projection_dimensions (spreadify's candidates) a batch, neither
+building a GridSet.  Every slope comes from one fit, _fit, closed form
+over a (rows, levels) array of box counts with sums along each row only,
+so a row gets the same bits alone as in a batch: estimate_dimension,
+family_dimension and projection_dimensions each make one call.
+flat_slice finds the boxes of side about rho as runs of cells from the
+same split levels, keeps that box table on the grid for the last box side
+it used (one slot, so slicing a grid by many flats builds it once), drops
+every box too far from the flat with one projection of the box centres
+(distance to a flat is 1-Lipschitz), and runs its exact per-cell test
+only on the cells left.  Digit-restriction
 sets are rasterized by marking, per kept base-b cell, the dyadic cell
 containing its center (one marked cell per construction cell, so the
 construction's own count law is preserved exactly).
@@ -51,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -71,17 +68,6 @@ MAX_RLE_BYTES = _RLE_HEAD.size + 16 * MAX_CELLS
 # sorted neighbour pairs or runs), so their temporaries stay a few hundred KB,
 # which the allocator reuses instead of faulting in fresh pages.
 _BLOCK = 1 << 15
-# A grid's cells of at least this many bytes are kept in `_mapped` memory.
-# Measured on the benchmark's grids (2-CPU host, 10 runs each): mapping its
-# 0.75 MB grids too, which a 1 MiB cutoff leaves on the heap, raised
-# `fractal`'s jobs/s by 8 %, and mapping every grid, down to the 0.19-0.26
-# MB and the few-KB ones, cost the jobs that build those about 15 % each.
-_MAPPED_BYTES = 1 << 19
-# mmap's flags for `_mapped`, where the system has them (Windows has neither
-# the constants nor the argument).
-_MAP_FLAGS = (
-    {"flags": mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)} if hasattr(mmap, "MAP_PRIVATE") else {}
-)
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
@@ -136,37 +122,6 @@ def _split_linear(lin: np.ndarray, out: np.ndarray, level: int) -> np.ndarray:
     for j in range(n):
         np.right_shift(lin, level * (n - 1 - j), out=out[:, j], casting="unsafe")
     out[:, 1:] &= (1 << level) - 1
-    return out
-
-
-def _mapped(shape: tuple, dtype) -> np.ndarray:
-    """A zeroed array in an anonymous memory mapping of its own, unmapped
-    with the array.
-
-    For large arrays that outlive the call that made them.  On the malloc
-    heap such an array lands above the memory that the call's temporaries
-    free, so the heap grows by all of it; when the array goes, the free top
-    of the heap passes glibc's trim threshold and is returned, and the next
-    large build faults every page of it in again.  In a mapping only the
-    array's own pages are fresh, and the heap keeps the temporaries'
-    memory for the next call.  The mapping is private, and populated when
-    it is made where the system can (MAP_POPULATE): from_rle of a 280k-cell
-    grid took 21.5 ms with it against 23.2 ms faulting the cells' pages in
-    one at a time (in-process loop, 2-CPU host).
-    """
-    dtype = np.dtype(dtype)
-    size = math.prod(shape)
-    buf = mmap.mmap(-1, max(1, size * dtype.itemsize), **_MAP_FLAGS)
-    return np.frombuffer(buf, dtype, size).reshape(shape)
-
-
-def _off_heap(a: np.ndarray) -> np.ndarray:
-    """A read-only copy of a in `_mapped` memory: held on the malloc heap,
-    a box table of 0.46 MB raised the peak RSS of a process that slices a
-    280k-cell grid between builds of it by about 2 MB."""
-    out = _mapped(a.shape, a.dtype)
-    out[...] = a
-    out.flags.writeable = False
     return out
 
 
@@ -314,9 +269,12 @@ class GridSet:
     [0, 2^level)^n in Z-order (sorted by bit-interleaved coordinates), so
     the cells of every coarser box are contiguous.  It is an array of the
     grid's own, read-only, since everything else the grid holds derives
-    from it.  Construction is `_sort_split` on a batch of one grid: it
-    sorts the cells, reads each neighbour pair's split level and counts the
-    boxes at every level; the duplicates (split level 0) are then dropped.
+    from it.  The cells may be given as any array-like of integers; an
+    integral float such as 2.0 counts as its integer, and any other value
+    raises ValueError.  Construction is `_sort_split` on a batch of one
+    grid: it sorts the cells, reads each neighbour pair's split level and
+    counts the boxes at every level; the duplicates (split level 0) are
+    then dropped.
 
     flat_slice keeps in one slot the box table of the last cull level it
     used (see `_box_table`), so a grid holds at most one such table.  to_rle
@@ -334,9 +292,7 @@ class GridSet:
     def __post_init__(self):
         if self.n < 1 or self.level < 0:
             raise ValueError(f"need n >= 1 and level >= 0, got n={self.n}, level={self.level}")
-        c = self.cells
-        if not (isinstance(c, np.ndarray) and c.dtype.kind in "iu"):
-            c = np.asarray(c, dtype=np.int64)
+        c = table.integer_array(self.cells)
         if c.ndim != 2 or c.shape[1] != self.n:
             raise ValueError(f"cells shape {c.shape} incompatible with n={self.n}")
         if c.size and (c.min() < 0 or c.max() >= (1 << self.level)):
@@ -344,9 +300,8 @@ class GridSet:
         order, split, counts = _sort_split(c[None], self.level)
         order, d = order[0], split[0]
         # The given cells may be of any integer width; they are gathered
-        # into Z-order and widened to int64 a block at a time, into memory
-        # of their own if they are large (`_mapped`).
-        z = (_mapped if c.size * 8 >= _MAPPED_BYTES else np.empty)(c.shape, np.int64)
+        # into Z-order and widened to int64 a block at a time.
+        z = np.empty(c.shape, np.int64)
         for lo in range(0, len(z), _BLOCK):
             z[lo : lo + _BLOCK] = np.take(c, order[lo : lo + _BLOCK], axis=0)
         del order
@@ -368,7 +323,7 @@ class GridSet:
         row and the cell count of each box's run of Z-ordered cells, and the
         box centres.  They depend only on the grid and lv, so the last
         table is kept and a call at another lv replaces it.  The arrays are
-        read-only and held off the malloc heap (`_off_heap`)."""
+        made read-only, since later calls share them."""
         if self._boxes is not None and self._boxes[0] == lv:
             return self._boxes[1:]
         starts = np.flatnonzero(self._split >= self.level - lv + 1)
@@ -376,7 +331,8 @@ class GridSet:
         lengths = np.diff(starts, append=len(self))
         centres = (np.take(self.cells, starts, axis=0) >> (self.level - lv)) + 0.5
         centres /= 1 << lv
-        starts, lengths, centres = map(_off_heap, (starts, lengths, centres))
+        for a in (starts, lengths, centres):
+            a.flags.writeable = False
         object.__setattr__(self, "_boxes", (lv, starts, lengths, centres))
         return starts, lengths, centres
 
@@ -581,12 +537,23 @@ def grid_from_points(points, level: int) -> GridSet:
     Points are shifted to nonnegative coordinates and isotropically scaled
     by the smallest power of two covering their extent, which changes box
     counts by at most a constant factor and therefore leaves dimension
-    slopes unchanged.
+    slopes unchanged.  A coordinate that is not finite, or not below 2^1022
+    in magnitude, raises ValueError (see `_check_coordinates`).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:
         raise ValueError("expected an (m, d) array of points")
+    _check_coordinates(pts)
     return GridSet(pts.shape[1], level, _point_cells(pts, level))
+
+
+def _check_coordinates(pts: np.ndarray):
+    """Raise ValueError unless every coordinate is below 2^1022 in magnitude:
+    finite, with a span below 2^1023, whose power-of-two scale is finite.  A
+    NaN, an infinity or a larger span would poison `_point_cells`'s shift or
+    scale."""
+    if not (np.abs(pts) < 2.0**1022).all():
+        raise ValueError("point coordinates must be finite and below 2^1022 in magnitude")
 
 
 def _point_cells(pts: np.ndarray, level: int) -> np.ndarray:
@@ -772,7 +739,8 @@ def family_dimension(projectors: np.ndarray, l_min: int, l_max: int) -> Dimensio
     Each projector is embedded as its n^2 entries and counted with max-norm
     boxes; that embedding is bi-Lipschitz-equivalent to the projector
     metric up to dimension constants, so the slope estimates the family's
-    metric dimension.  The entries are counted as grid_from_points places them.
+    metric dimension.  The entries are counted as grid_from_points places
+    them, and checked as it checks them.
     """
     p = np.asarray(projectors, dtype=float)
     if p.ndim != 3 or p.shape[1] != p.shape[2] or not len(p):
@@ -781,5 +749,6 @@ def family_dimension(projectors: np.ndarray, l_min: int, l_max: int) -> Dimensio
         raise ValueError(f"family of {len(p)} members exceeds cap {MAX_CELLS}")
     if not 1 <= l_min < l_max:
         raise ValueError(f"need 1 <= l_min < l_max, got {l_min}, {l_max}")
+    _check_coordinates(p)
     counts = _sort_split(_point_cells(p.reshape(1, len(p), -1), l_max), l_max)[2]
     return DimensionEstimate(*_fit(counts, l_min, l_max)[:, 0].tolist(), (l_min, l_max))

@@ -76,7 +76,10 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 @dataclass(frozen=True, eq=False)
 class FFSet:
     """A finite point set in F_q^n: `points` is a lexicographically sorted,
-    unique (m, n) int64 array of coordinates reduced mod q."""
+    unique (m, n) int64 array of coordinates reduced mod q.  The points may
+    be given as any array-like of integers read as `table.integer_array`
+    reads it: an integral float such as 2.0 counts as its integer, and any
+    other value raises ValueError."""
 
     q: int
     n: int
@@ -84,10 +87,7 @@ class FFSet:
 
     def __post_init__(self):
         _require_prime(self.q)
-        try:
-            pts = np.asarray(self.points, dtype=np.int64) % self.q
-        except OverflowError:
-            raise ValueError("every point coordinate must fit in int64, [-2^63, 2^63)") from None
+        pts = table.integer_array(self.points).astype(np.int64, copy=False) % self.q
         if pts.shape == (0,):
             pts = pts.reshape(0, self.n)
         if self.n < 1 or pts.ndim != 2 or pts.shape[1] != self.n:

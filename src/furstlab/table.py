@@ -1,5 +1,6 @@
 """The one CSV format of every furstlab table: a header row of column names,
-then one row of numbers per record, every row as wide as the header."""
+then one row of numbers per record, every row as wide as the header; and
+the one reading of an array-like of integers."""
 
 import csv
 import io
@@ -77,3 +78,23 @@ def from_csv(text: str, dtype) -> np.ndarray:
     if not np.isfinite(table).all():
         raise ValueError("CSV values must be finite")
     return table.reshape(-1, width)
+
+
+def integer_array(values) -> np.ndarray:
+    """values as an array of an integer dtype: an integer array as it is,
+    anything else as int64.  Raises ValueError for a value that is not an
+    integer or does not fit in int64; an integral float such as 2.0 is
+    taken as its integer."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        ok = (np.trunc(a) == a) & (np.abs(a) < 2.0**63)
+        if not ok.all():
+            raise ValueError(f"expected integers in the int64 range, got {a[~ok][0]}")
+    elif a.dtype == np.uint64 and a.max(initial=0) >= 1 << 63:
+        raise ValueError("expected integers in the int64 range, [-2^63, 2^63)")
+    if a.dtype.kind in "iu":
+        return a
+    try:
+        return a.astype(np.int64)
+    except OverflowError:
+        raise ValueError("expected integers in the int64 range, [-2^63, 2^63)") from None

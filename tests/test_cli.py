@@ -497,7 +497,11 @@ CSV_INPUTS = {
     "ff_ragged.csv": "x0,x1,x2\n0,0\n1,1\n",
 }
 # A grid header with n = 0: no cell has a coordinate to key on.
-RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
+RLE_INPUTS = {
+    "zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0),
+    # The full segment [0, 1] at level 3: one run of 8 cells.
+    "segment.rle": struct.pack("<4sBBQ", b"GRLE", 1, 3, 1) + struct.pack("<QQ", 0, 8),
+}
 
 
 @pytest.mark.parametrize(
@@ -568,6 +572,9 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
         (["dimension", "construct"], {"kind": "product", "n": 10**400, "k": 1, "s": 0.5}),
         (["dimension", "construct"], {"kind": "sharp_hyperplane", "n": 10**400, "s": 1.5}),
         (["dimension", "estimate"], {"grid": "zero_n.rle", "levels": [1, 2]}),
+        # A file and a construction: neither is dropped in silence.
+        (["dimension", "estimate"], {"grid": "segment.rle", "kind": "cantor", "n": 2,
+                                     "levels": [1, 2]}),
         (["duality", "spreadify"], {"points": "points.csv", "hyperplanes": "planes.csv",
                                     "ndirs": 0}),
         # Past level 62 a float cell index overflows int64.
@@ -600,7 +607,8 @@ RLE_INPUTS = {"zero_n.rle": struct.pack("<4sBBQ", b"GRLE", 0, 3, 0)}
          "ball_scaling_delta_inf", "incidence_tol_nan", "incidence_tol_zero",
          "spreadify_incidence_tol_unknown", "scan_p_huge_int",
          "construct_keep_int", "construct_keep_mixed", "construct_product_huge_n",
-         "construct_sharp_huge_n", "estimate_rle_zero_n", "spreadify_zero_ndirs",
+         "construct_sharp_huge_n", "estimate_rle_zero_n",
+         "estimate_rle_and_construction", "spreadify_zero_ndirs",
          "spreadify_level_64", "spreadify_level_100",
          "ball_scaling_delta_above_1", "ball_scaling_delta_1", "scan_no_deltas",
          "search_zero_node_cap", "search_negative_node_cap", "scan_huge_ndirs",

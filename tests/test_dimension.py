@@ -45,6 +45,16 @@ class TestGridSet:
         with pytest.raises(ValueError):
             GridSet(2, 3, np.array([[-1, 0]]))
 
+    @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan, math.inf, 2.0**63])
+    def test_rejects_a_cell_that_is_not_an_integer(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            GridSet(2, 3, [[bad, 2], [0, 0]])
+
+    def test_integral_floats_are_their_integers(self):
+        g = GridSet(2, 3, np.array([[1.0, 2.0], [0.0, 7.0], [1.0, 2.0]]))
+        assert g.cells.dtype == np.int64
+        assert np.array_equal(g.cells, GridSet(2, 3, [[1, 2], [0, 7]]).cells)
+
     @pytest.mark.parametrize("n, level", [(0, 3), (-1, 3), (2, -1)])
     def test_rejects_empty_dimension_and_negative_level(self, n, level):
         with pytest.raises(ValueError, match="n >= 1 and level >= 0"):
@@ -69,7 +79,7 @@ class TestGridSet:
         # The box counts, split levels and box table derive from the cells,
         # so an in-place edit would leave them stale.
         given = np.array([[3, 1], [0, 2]])
-        big = full_cube(2, 8)  # 512 KiB of cells, kept in a mapping of their own
+        big = full_cube(2, 8)  # 512 KiB of cells
         for g in (GridSet(2, 2, given), cantor_grid(2, 3, [0, 2], 3), big,
                   GridSet.from_rle(cantor_grid(2, 3, [0, 2], 3).to_rle()),
                   GridSet.from_rle(big.to_rle())):
@@ -88,6 +98,7 @@ class TestGridSet:
 
     def test_rle_roundtrip(self):
         for g in (cantor_grid(1, 3, [0, 2], 6), full_cube(2, 4),
+                  slicing_product_example(2, 1, LOG32, 7).grid,
                   GridSet(2, 4, np.zeros((0, 2), dtype=np.int64))):
             g2 = GridSet.from_rle(g.to_rle())
             assert (g2.n, g2.level) == (g.n, g.level)
@@ -336,15 +347,15 @@ def product7_blob():
 
 
 def traced_from_rle(blob):
-    """GridSet.from_rle(blob) and the (held, peak) bytes tracemalloc saw
-    during the call; numpy reports its buffers to tracemalloc."""
+    """GridSet.from_rle(blob) and the peak bytes tracemalloc saw during the
+    call; numpy reports its buffers to tracemalloc."""
     tracemalloc.start()
     try:
         g = GridSet.from_rle(blob)
-        held, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return g, held, peak
+    return g, peak
 
 
 class TestBuildFootprint:
@@ -353,18 +364,10 @@ class TestBuildFootprint:
     bytes with numpy 2.4.6, where the build that made a full-size array
     per pass reached 3.06."""
 
-    def test_peak_is_under_two_cell_arrays(self, monkeypatch, product7_blob):
-        # The kept cells of a grid this large live in a mapping that
-        # tracemalloc does not see; on the heap they count like the rest.
-        monkeypatch.setattr(dimension, "_mapped", lambda shape, dtype: np.zeros(shape, dtype))
-        g, _, peak = traced_from_rle(product7_blob)
+    def test_peak_is_under_two_cell_arrays(self, product7_blob):
+        g, peak = traced_from_rle(product7_blob)
         assert len(g) == 2**7 * 3**7
         assert peak / g.cells.nbytes <= 1.9
-
-    def test_large_grid_cells_are_kept_off_the_heap(self, product7_blob):
-        g, held, _ = traced_from_rle(product7_blob)
-        assert held < len(g) + 65536  # the int8 split levels and small arrays
-        assert np.array_equal(g.cells, slicing_product_example(2, 1, LOG32, 7).grid.cells)
 
 
 def serializer_case_cells(n, level, seed):
@@ -644,6 +647,22 @@ class TestGridFromPoints:
             grid_from_points([[0, 0], [1, 1], [0.5, 0.25]], level)
         with pytest.raises(ValueError, match="exceeds 62"):
             _point_cells(np.zeros((2, 3, 2)), level)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**1022])
+    def test_coordinate_that_is_not_finite_rejected(self, bad):
+        # A NaN would make its column's shift NaN; 2^1022 is the bound under
+        # which every span, and so its power-of-two scale, stays finite.
+        with pytest.raises(ValueError, match="finite"):
+            grid_from_points([[0.1, 0.2], [bad, 0.5], [0.9, 0.9]], 4)
+        p = np.tile(np.eye(2), (3, 1, 1))
+        p[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            family_dimension(p, 1, 3)
+
+    def test_largest_finite_extent_is_placed(self):
+        top = np.nextafter(2.0**1022, 0)
+        g = grid_from_points([[-top], [0.0], [top]], 4)
+        assert g.cells.ravel().tolist() == [0, 7, 15]
 
     @pytest.mark.parametrize("level", [1, 7, 30, 62])
     def test_stack_places_each_cloud_on_its_own_scale(self, level):

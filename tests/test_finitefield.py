@@ -585,6 +585,21 @@ class TestFFSetCsv:
         with pytest.raises(ValueError, match="int64"):
             FFSet(3, 2, [[coord, 1], [0, 0]])
 
+    def test_uint64_coordinate_past_int64_raises_value_error(self):
+        # Cast to int64, 2^64 - 1 would wrap to -1, which is 4 mod 5; it is 0.
+        with pytest.raises(ValueError, match="int64"):
+            FFSet(5, 1, np.array([[2**64 - 1]], dtype=np.uint64))
+        assert FFSet(5, 1, np.array([[2**63 - 1]], dtype=np.uint64)).points.tolist() == [[2]]
+
+    @pytest.mark.parametrize("bad", [1.7, -0.5, math.nan, -math.inf, 1e30])
+    def test_coordinate_that_is_not_an_integer_raises(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            FFSet(5, 2, [[bad, 2], [0, 0]])
+
+    def test_integral_floats_are_their_integers(self):
+        f = FFSet(5, 2, np.array([[7.0, -1.0], [2.0, 4.0]]))
+        assert f.points.dtype == np.int64 and f.points.tolist() == [[2, 4]]
+
     @pytest.mark.parametrize("points", [[(0, 1, 2)], [(0,)], [0, 1], [(0, 1), (2,)]],
                              ids=["wide", "narrow", "flat", "ragged"])
     def test_wrong_row_width_raises(self, points):
